@@ -208,7 +208,8 @@ int Run(int argc, char** argv) {
   for (size_t budget : budgets) {
     auto model = MakeModel(schema, /*full_size=*/false, /*seed=*/5);
     Trainer trainer(model.get(), sys, MakeOptions(s, budget));
-    record("baseline", budget, trainer.TrainBaseline(dataset, split));
+    record("baseline", budget,
+           trainer.TrainBaseline(dataset, split).value());
   }
   for (size_t budget : budgets) {
     auto model = MakeModel(schema, /*full_size=*/false, /*seed=*/5);

@@ -175,7 +175,7 @@ int Run(int argc, char** argv) {
   for (PipelineMode mode : modes) {
     auto model = MakeModel(schema, /*full_size=*/false, /*seed=*/5);
     Trainer trainer(model.get(), sys, MakeOptions(s, mode));
-    record("baseline", mode, trainer.TrainBaseline(dataset, split));
+    record("baseline", mode, trainer.TrainBaseline(dataset, split).value());
   }
   for (PipelineMode mode : modes) {
     auto model = MakeModel(schema, /*full_size=*/false, /*seed=*/5);

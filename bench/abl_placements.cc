@@ -48,7 +48,7 @@ void Run(const bench::Args& args) {
   auto base_model = MakeModel(dataset.schema(), true, 5);
   Trainer base_trainer(base_model.get(), sys, opt);
   const double base_s =
-      base_trainer.TrainBaseline(dataset, split).modeled_seconds;
+      base_trainer.TrainBaseline(dataset, split).value().modeled_seconds;
   std::printf("%-16s %14s\n", "baseline", HumanSeconds(base_s).c_str());
 
   {
@@ -67,7 +67,7 @@ void Run(const bench::Args& args) {
   {
     auto model = MakeModel(dataset.schema(), true, 5);
     Trainer trainer(model.get(), sys, opt);
-    TrainReport nv = trainer.TrainNvOpt(dataset, split);
+    TrainReport nv = trainer.TrainNvOpt(dataset, split).value();
     std::printf("%-16s %14s  (speedup %.2fx)\n", "nvopt-fp16",
                 HumanSeconds(nv.modeled_seconds).c_str(),
                 base_s / nv.modeled_seconds);
@@ -100,7 +100,8 @@ void Run(const bench::Args& args) {
     auto fae = fae_trainer.TrainFaeWithPlan(dataset, split, cfg, *plan);
     auto cache_model = MakeModel(dataset.schema(), true, 5);
     Trainer cache_trainer(cache_model.get(), budget_sys, opt);
-    TrainReport cache = cache_trainer.TrainGpuCache(dataset, split, *plan);
+    TrainReport cache =
+        cache_trainer.TrainGpuCache(dataset, split, *plan).value();
     if (!fae.ok()) continue;
     std::printf("%-12s %11.1f%% %12s %11.2fx %12s %11.2fx\n",
                 HumanBytes(cfg.gpu_memory_budget).c_str(),

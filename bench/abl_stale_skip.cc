@@ -228,7 +228,7 @@ int Run(int argc, char** argv) {
     auto run_baseline = [&](StaleSkipMode mode, double threshold) {
       auto model = MakeModel(schema, /*full_size=*/false, /*seed=*/5);
       Trainer trainer(model.get(), sys, MakeOptions(s, mode, threshold));
-      auto report = trainer.TrainBaselineResumable(dataset, split);
+      auto report = trainer.TrainBaseline(dataset, split);
       if (!report.ok()) {
         std::fprintf(stderr, "baseline training failed: %s\n",
                      report.status().ToString().c_str());

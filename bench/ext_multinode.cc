@@ -172,7 +172,7 @@ std::vector<ContextRow> RunContextTable(DatasetScale scale, size_t inputs,
       sys.hot_embedding_budget = cfg.gpu_memory_budget;
       auto base_model = MakeModel(dataset.schema(), true, 5);
       Trainer base_trainer(base_model.get(), sys, opt);
-      TrainReport base = base_trainer.TrainBaseline(dataset, split);
+      TrainReport base = base_trainer.TrainBaseline(dataset, split).value();
       auto fae_model = MakeModel(dataset.schema(), true, 5);
       Trainer fae_trainer(fae_model.get(), sys, opt);
       auto fae = fae_trainer.TrainFaeWithPlan(dataset, split, cfg, *plan);

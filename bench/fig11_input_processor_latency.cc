@@ -34,7 +34,8 @@ void Run(const bench::Args& args) {
 
   for (WorkloadKind kind : bench::AllWorkloads()) {
     Dataset dataset = bench::MakeWorkloadDataset(kind, scale, inputs);
-    const std::vector<SparseInput> aos = bench::MaterializeAos(dataset);
+    const std::vector<bench::SparseInput> aos =
+        bench::MaterializeAos(dataset);
     std::vector<uint64_t> all_ids(dataset.size());
     for (size_t i = 0; i < all_ids.size(); ++i) all_ids[i] = i;
     AccessProfile profile =

@@ -47,7 +47,7 @@ void Run(const bench::Args& args) {
 
     auto base_model = MakeModel(dataset.schema(), full_model, 5);
     Trainer base_trainer(base_model.get(), MakePaperServer(1), opt);
-    TrainReport base = base_trainer.TrainBaseline(dataset, split);
+    TrainReport base = base_trainer.TrainBaseline(dataset, split).value();
 
     auto fae_model = MakeModel(dataset.schema(), full_model, 5);
     Trainer fae_trainer(fae_model.get(), MakePaperServer(1), opt);

@@ -64,7 +64,7 @@ void Run(const bench::Args& args) {
       SystemSpec sys = MakePaperServer(gpus);
       sys.hot_embedding_budget = cfg.gpu_memory_budget;
       Trainer base_trainer(base_model.get(), sys, opt);
-      TrainReport base = base_trainer.TrainBaseline(dataset, split);
+      TrainReport base = base_trainer.TrainBaseline(dataset, split).value();
 
       auto fae_model = MakeModel(dataset.schema(), /*full_size=*/true, 5);
       Trainer fae_trainer(fae_model.get(), sys, opt);

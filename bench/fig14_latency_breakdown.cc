@@ -16,7 +16,7 @@ namespace fae {
 namespace {
 
 void PrintBreakdown(const char* label, const Timeline& tl) {
-  const double total = tl.TotalSeconds();
+  const double total = tl.PhaseSumSeconds();
   std::printf("  %-10s total %-10s", label, HumanSeconds(total).c_str());
   for (Phase phase :
        {Phase::kEmbeddingForward, Phase::kMlpForward, Phase::kMlpBackward,
@@ -83,7 +83,7 @@ void Run(const bench::Args& args) {
       sys.hot_embedding_budget = cfg.gpu_memory_budget;
       auto base_model = MakeModel(dataset.schema(), true, 5);
       Trainer base_trainer(base_model.get(), sys, opt);
-      TrainReport base = base_trainer.TrainBaseline(dataset, split);
+      TrainReport base = base_trainer.TrainBaseline(dataset, split).value();
 
       auto fae_model = MakeModel(dataset.schema(), true, 5);
       Trainer fae_trainer(fae_model.get(), sys, opt);

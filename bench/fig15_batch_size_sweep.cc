@@ -55,7 +55,7 @@ void Run(const bench::Args& args) {
       sys.hot_embedding_budget = cfg.gpu_memory_budget;
       auto base_model = MakeModel(dataset.schema(), true, 5);
       Trainer base_trainer(base_model.get(), sys, opt);
-      TrainReport base = base_trainer.TrainBaseline(dataset, split);
+      TrainReport base = base_trainer.TrainBaseline(dataset, split).value();
       auto fae_model = MakeModel(dataset.schema(), true, 5);
       Trainer fae_trainer(fae_model.get(), sys, opt);
       auto fae = fae_trainer.TrainFaeWithPlan(dataset, split, cfg, *plan);

@@ -64,11 +64,11 @@ void Run(const bench::Args& args) {
 
     auto base_model = MakeModel(dataset.schema(), true, 5);
     Trainer base_trainer(base_model.get(), sys, opt);
-    TrainReport base = base_trainer.TrainBaseline(dataset, split);
+    TrainReport base = base_trainer.TrainBaseline(dataset, split).value();
 
     auto nv_model = MakeModel(dataset.schema(), true, 5);
     Trainer nv_trainer(nv_model.get(), sys, opt);
-    TrainReport nv = nv_trainer.TrainNvOpt(dataset, split);
+    TrainReport nv = nv_trainer.TrainNvOpt(dataset, split).value();
 
     auto fae_model = MakeModel(dataset.schema(), true, 5);
     Trainer fae_trainer(fae_model.get(), sys, opt);

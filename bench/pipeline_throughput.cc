@@ -1,13 +1,12 @@
 // Seed-vs-flat data-pipeline throughput bench (the PR gate for the flat
 // SoA dataset layout).
 //
-// The "seed" implementations below are verbatim copies of the pre-flat
-// data layer: an array-of-structs `std::vector<SparseInput>` dataset,
-// per-sample nested-vector walks in the Embedding Logger and Input
-// Processor, copying MiniBatch assembly (Pack), and the materialized
-// step loop (SparseGrad per table per step, separate optimizer pass)
-// feeding the training epoch. The "flat" measurements run the current
-// layer: one contiguous
+// The "seed" implementations (bench/seed_baseline.h) are verbatim copies
+// of the pre-flat data layer: an array-of-structs sample store, per-sample
+// nested-vector walks in the Embedding Logger and Input Processor, copying
+// mini-batch assembly (Pack), and the materialized step loop (SparseGrad
+// per table per step, separate optimizer pass) feeding the training epoch.
+// The "flat" measurements run the current layer: one contiguous
 // FlatDataset per class (PackFlat's Gather) viewed zero-copy by BatchViews,
 // with streaming logger/classifier passes and the trainer-style
 // allocation-free fused step (prebuilt apply functor, cached dense params).
@@ -42,12 +41,12 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/seed_baseline.h"
 #include "core/embedding_classifier.h"
 #include "core/embedding_logger.h"
 #include "core/input_processor.h"
 #include "data/batch_view.h"
 #include "data/dataset.h"
-#include "data/minibatch.h"
 #include "embedding/sparse_sgd.h"
 #include "models/factory.h"
 #include "stats/access_profile.h"
@@ -57,134 +56,6 @@
 
 namespace fae {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Seed implementations (the pre-flat AoS data layer), kept here as the
-// measurement baseline. Do not "improve" these: their value is being what
-// the repo shipped before the layout rework.
-// ---------------------------------------------------------------------------
-
-/// Seed Embedding Logger: per-sample nested-vector walk (embedding_logger.cc
-/// before the flat rework).
-AccessProfile SeedProfile(const DatasetSchema& schema,
-                          const std::vector<SparseInput>& samples,
-                          uint64_t* num_lookups) {
-  AccessProfile profile(schema.table_rows);
-  *num_lookups = 0;
-  for (const SparseInput& s : samples) {
-    for (size_t t = 0; t < s.indices.size(); ++t) {
-      for (uint32_t row : s.indices[t]) {
-        profile.Record(t, row);
-        ++*num_lookups;
-      }
-    }
-  }
-  return profile;
-}
-
-/// Seed Input Processor classification: the serial inner loop of the
-/// pre-flat Classify (input_processor.cc before the rework).
-void SeedClassify(const std::vector<SparseInput>& samples,
-                  const HotSet& hot_set, std::vector<uint64_t>* hot_ids,
-                  std::vector<uint64_t>* cold_ids) {
-  hot_ids->clear();
-  cold_ids->clear();
-  for (size_t i = 0; i < samples.size(); ++i) {
-    const SparseInput& s = samples[i];
-    bool hot = true;
-    for (size_t t = 0; t < s.indices.size() && hot; ++t) {
-      for (uint32_t row : s.indices[t]) {
-        if (!hot_set.IsHot(t, row)) {
-          hot = false;
-          break;
-        }
-      }
-    }
-    (hot ? hot_ids : cold_ids)->push_back(i);
-  }
-}
-
-/// Seed copying batch assembly (minibatch.cc before the rework), reading
-/// the AoS sample store.
-MiniBatch SeedAssembleBatch(const DatasetSchema& schema,
-                            const std::vector<SparseInput>& samples,
-                            std::span<const uint64_t> sample_ids, bool hot) {
-  const size_t b = sample_ids.size();
-  MiniBatch batch;
-  batch.hot = hot;
-  batch.dense = Tensor(b, schema.num_dense);
-  batch.indices.resize(schema.num_tables());
-  batch.offsets.assign(schema.num_tables(), std::vector<uint32_t>(1, 0));
-  batch.labels.resize(b);
-  for (size_t i = 0; i < b; ++i) {
-    const SparseInput& s = samples[sample_ids[i]];
-    std::copy(s.dense.begin(), s.dense.end(), batch.dense.row(i));
-    batch.labels[i] = s.label;
-    for (size_t t = 0; t < schema.num_tables(); ++t) {
-      auto& idx = batch.indices[t];
-      idx.insert(idx.end(), s.indices[t].begin(), s.indices[t].end());
-      batch.offsets[t].push_back(static_cast<uint32_t>(idx.size()));
-    }
-  }
-  return batch;
-}
-
-std::vector<MiniBatch> SeedAssembleBatches(
-    const DatasetSchema& schema, const std::vector<SparseInput>& samples,
-    const std::vector<uint64_t>& sample_ids, size_t batch_size, bool hot) {
-  std::vector<MiniBatch> out;
-  for (size_t begin = 0; begin < sample_ids.size(); begin += batch_size) {
-    const size_t end = std::min(sample_ids.size(), begin + batch_size);
-    out.push_back(SeedAssembleBatch(
-        schema, samples,
-        std::span<const uint64_t>(sample_ids).subspan(begin, end - begin),
-        hot));
-  }
-  return out;
-}
-
-/// Seed Pack: Fisher-Yates within each class (same RNG sequence as the
-/// current Pack/PackFlat), then copying assembly.
-struct SeedPacked {
-  std::vector<MiniBatch> hot;
-  std::vector<MiniBatch> cold;
-};
-SeedPacked SeedPack(const DatasetSchema& schema,
-                    const std::vector<SparseInput>& samples,
-                    const std::vector<uint64_t>& hot_ids,
-                    const std::vector<uint64_t>& cold_ids, size_t batch_size,
-                    uint64_t seed) {
-  Xoshiro256 rng(seed);
-  std::vector<uint64_t> hot = hot_ids;
-  std::vector<uint64_t> cold = cold_ids;
-  for (size_t i = hot.size(); i > 1; --i) {
-    std::swap(hot[i - 1], hot[rng.NextBounded(i)]);
-  }
-  for (size_t i = cold.size(); i > 1; --i) {
-    std::swap(cold[i - 1], cold[rng.NextBounded(i)]);
-  }
-  SeedPacked packed;
-  packed.hot = SeedAssembleBatches(schema, samples, hot, batch_size, true);
-  packed.cold = SeedAssembleBatches(schema, samples, cold, batch_size, false);
-  return packed;
-}
-
-/// Seed per-step math (the step loop the repo started with, trainer.cc at
-/// PR1): materialize every table's SparseGrad, then take a separate
-/// optimizer pass over it — plus a fresh DenseParams() vector per step.
-/// Bit-exact with the fused step (same per-row accumulation order, same
-/// update arithmetic; pinned by FlatEquivalenceTest).
-void SeedMathStep(RecModel& model, const BatchView& view,
-                  std::vector<EmbeddingTable*>& tables, SparseSgd& sparse_sgd,
-                  Sgd& dense_sgd, double* loss_sum) {
-  StepResult step = model.ForwardBackwardOn(view, tables);
-  dense_sgd.Step(model.DenseParams());
-  for (size_t t = 0; t < step.table_grads.size(); ++t) {
-    if (step.table_grads[t].empty()) continue;
-    sparse_sgd.Step(*tables[t], step.table_grads[t]);
-  }
-  *loss_sum += step.loss;
-}
 
 // ---------------------------------------------------------------------------
 // Flat epoch runner: mirrors the trainer's allocation-free steady state
@@ -258,18 +129,6 @@ double PeakRssMb() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB on Linux
 }
 
-/// Resident bytes of the AoS sample store: struct + every nested vector's
-/// heap block (what the seed layout actually holds in memory).
-size_t AosBytes(const std::vector<SparseInput>& samples) {
-  size_t bytes = samples.capacity() * sizeof(SparseInput);
-  for (const SparseInput& s : samples) {
-    bytes += s.dense.capacity() * sizeof(float);
-    bytes += s.indices.capacity() * sizeof(std::vector<uint32_t>);
-    for (const auto& v : s.indices) bytes += v.capacity() * sizeof(uint32_t);
-  }
-  return bytes;
-}
-
 size_t FlatBytes(const FlatDataset& flat) {
   size_t bytes = flat.dense_data().size() * sizeof(float) +
                  flat.labels().size() * sizeof(float);
@@ -290,7 +149,7 @@ bool ProfilesEqual(const AccessProfile& a, const AccessProfile& b) {
 
 /// A view must describe exactly the batch the copying path assembled
 /// (offsets compared after rebasing on the view's base — see DESIGN.md §10).
-bool ViewMatchesBatch(const BatchView& view, const MiniBatch& batch) {
+bool ViewMatchesBatch(const BatchView& view, const bench::MiniBatch& batch) {
   if (view.batch_size() != batch.batch_size()) return false;
   if (view.hot != batch.hot) return false;
   for (size_t i = 0; i < view.batch_size(); ++i) {
@@ -412,10 +271,8 @@ int Run(int argc, char** argv) {
 
   // The seed layout, materialized once (what the repo used to keep in
   // memory as the dataset itself).
-  std::vector<SparseInput> aos;
-  aos.reserve(dataset.size());
-  for (size_t i = 0; i < dataset.size(); ++i) aos.push_back(dataset.sample(i));
-  const size_t aos_bytes = AosBytes(aos);
+  const std::vector<bench::SparseInput> aos = bench::MaterializeAos(dataset);
+  const size_t aos_bytes = bench::AosBytes(aos);
   const size_t flat_bytes = FlatBytes(dataset.flat());
 
   std::vector<StageResult> results;
@@ -424,10 +281,12 @@ int Run(int argc, char** argv) {
   // --- Stage 1: Embedding Logger pass -----------------------------------
   uint64_t seed_lookups = 0;
   const double logger_seed = MinSeconds(
-      [&] { SeedProfile(schema, aos, &seed_lookups); }, cfg.reps);
+      [&] { bench::SeedProfile(schema, aos, all_ids, &seed_lookups); },
+      cfg.reps);
   const double logger_flat = MinSeconds(
       [&] { EmbeddingLogger::Profile(dataset, all_ids); }, cfg.reps);
-  const AccessProfile seed_profile = SeedProfile(schema, aos, &seed_lookups);
+  const AccessProfile seed_profile =
+      bench::SeedProfile(schema, aos, all_ids, &seed_lookups);
   const EmbeddingLogger::Result flat_log =
       EmbeddingLogger::Profile(dataset, all_ids);
   const bool logger_ok = ProfilesEqual(seed_profile, flat_log.profile) &&
@@ -443,7 +302,10 @@ int Run(int argc, char** argv) {
       bench::LargeTableCutoff(DatasetScale::kTiny));
   std::vector<uint64_t> seed_hot, seed_cold;
   const double classify_seed = MinSeconds(
-      [&] { SeedClassify(aos, hot_set, &seed_hot, &seed_cold); }, cfg.reps);
+      [&] {
+        bench::SeedClassify(aos, hot_set, all_ids, &seed_hot, &seed_cold);
+      },
+      cfg.reps);
   const InputProcessor processor(1);
   const double classify_flat = MinSeconds(
       [&] { processor.Classify(dataset, hot_set, all_ids); }, cfg.reps);
@@ -459,8 +321,8 @@ int Run(int argc, char** argv) {
   // --- Stage 3: batch assembly (Pack: shuffle + pure batches) -----------
   const double pack_seed_sec = MinSeconds(
       [&] {
-        SeedPack(schema, aos, inputs.hot_ids, inputs.cold_ids, cfg.batch,
-                 cfg.pack_seed);
+        bench::SeedPack(schema, aos, inputs.hot_ids, inputs.cold_ids,
+                        cfg.batch, cfg.pack_seed);
       },
       cfg.reps);
   const double pack_flat_sec = MinSeconds(
@@ -471,9 +333,9 @@ int Run(int argc, char** argv) {
         MakeBatchViews(p.cold, cfg.batch, false);
       },
       cfg.reps);
-  const SeedPacked seed_packed = SeedPack(schema, aos, inputs.hot_ids,
-                                          inputs.cold_ids, cfg.batch,
-                                          cfg.pack_seed);
+  const bench::SeedPacked seed_packed =
+      bench::SeedPack(schema, aos, inputs.hot_ids, inputs.cold_ids, cfg.batch,
+                      cfg.pack_seed);
   const InputProcessor::PackedFlat flat_packed =
       InputProcessor::PackFlat(dataset, inputs, cfg.pack_seed);
   const std::vector<BatchView> hot_views =
@@ -498,13 +360,15 @@ int Run(int argc, char** argv) {
   const double setup_seed_sec = MinSeconds(
       [&] {
         uint64_t lookups = 0;
-        const AccessProfile profile = SeedProfile(schema, aos, &lookups);
+        const AccessProfile profile =
+            bench::SeedProfile(schema, aos, all_ids, &lookups);
         const HotSet hs = EmbeddingClassifier::Classify(
             profile, schema, h_zt,
             bench::LargeTableCutoff(DatasetScale::kTiny));
         std::vector<uint64_t> hot_ids, cold_ids;
-        SeedClassify(aos, hs, &hot_ids, &cold_ids);
-        SeedPack(schema, aos, hot_ids, cold_ids, cfg.batch, cfg.pack_seed);
+        bench::SeedClassify(aos, hs, all_ids, &hot_ids, &cold_ids);
+        bench::SeedPack(schema, aos, hot_ids, cold_ids, cfg.batch,
+                        cfg.pack_seed);
       },
       cfg.reps);
   const double setup_flat_sec = MinSeconds(
@@ -539,25 +403,26 @@ int Run(int argc, char** argv) {
 
   auto seed_epoch = [&](RecModel& model, double* loss_sum) {
     uint64_t lookups = 0;
-    const AccessProfile profile = SeedProfile(schema, aos, &lookups);
+    const AccessProfile profile =
+        bench::SeedProfile(schema, aos, all_ids, &lookups);
     const HotSet hs = EmbeddingClassifier::Classify(
         profile, schema, h_zt, bench::LargeTableCutoff(DatasetScale::kTiny));
     std::vector<uint64_t> hot_ids, cold_ids;
-    SeedClassify(aos, hs, &hot_ids, &cold_ids);
-    const SeedPacked packed =
-        SeedPack(schema, aos, hot_ids, cold_ids, cfg.batch, cfg.pack_seed);
+    bench::SeedClassify(aos, hs, all_ids, &hot_ids, &cold_ids);
+    const bench::SeedPacked packed = bench::SeedPack(
+        schema, aos, hot_ids, cold_ids, cfg.batch, cfg.pack_seed);
     std::vector<EmbeddingTable*> tables;
     for (EmbeddingTable& t : model.tables()) tables.push_back(&t);
     Sgd dense_sgd(cfg.lr);
     SparseSgd sparse_sgd(cfg.lr);
     for (size_t e = 0; e < cfg.epochs; ++e) {
-      for (const MiniBatch& mb : packed.hot) {
-        SeedMathStep(model, BatchView(mb), tables, sparse_sgd, dense_sgd,
-                     loss_sum);
+      for (const bench::MiniBatch& mb : packed.hot) {
+        bench::SeedMathStep(model, bench::ViewOf(mb), tables, sparse_sgd,
+                            dense_sgd, loss_sum);
       }
-      for (const MiniBatch& mb : packed.cold) {
-        SeedMathStep(model, BatchView(mb), tables, sparse_sgd, dense_sgd,
-                     loss_sum);
+      for (const bench::MiniBatch& mb : packed.cold) {
+        bench::SeedMathStep(model, bench::ViewOf(mb), tables, sparse_sgd,
+                            dense_sgd, loss_sum);
       }
     }
   };

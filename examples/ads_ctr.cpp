@@ -63,7 +63,11 @@ int main(int argc, char** argv) {
 
     auto base_model = MakeModel(schema, /*full_size=*/true, 7);
     Trainer baseline(base_model.get(), server, options);
-    TrainReport base = baseline.TrainBaseline(dataset, split);
+    auto base = baseline.TrainBaseline(dataset, split);
+    if (!base.ok()) {
+      std::printf("baseline failed: %s\n", base.status().ToString().c_str());
+      return 1;
+    }
 
     auto fae_model = MakeModel(schema, /*full_size=*/true, 7);
     Trainer fae_trainer(fae_model.get(), server, options);
@@ -76,9 +80,9 @@ int main(int argc, char** argv) {
         fae->timeline.seconds(Phase::kEmbeddingSync) /
         fae->modeled_seconds;
     std::printf("%5d %14s %14s %8.2fx %17.1f%%\n", gpus,
-                HumanSeconds(base.modeled_seconds).c_str(),
+                HumanSeconds(base->modeled_seconds).c_str(),
                 HumanSeconds(fae->modeled_seconds).c_str(),
-                base.modeled_seconds / fae->modeled_seconds,
+                base->modeled_seconds / fae->modeled_seconds,
                 100 * sync_share);
   }
 
@@ -90,8 +94,12 @@ int main(int argc, char** argv) {
     options.run_math = false;
     auto model = MakeModel(schema, true, 7);
     Trainer baseline(model.get(), MakePaperServer(4), options);
-    TrainReport base = baseline.TrainBaseline(dataset, split);
-    std::printf("%s", base.timeline.Report().c_str());
+    auto base = baseline.TrainBaseline(dataset, split);
+    if (!base.ok()) {
+      std::printf("baseline failed: %s\n", base.status().ToString().c_str());
+      return 1;
+    }
+    std::printf("%s", base->timeline.Report().c_str());
   }
   return 0;
 }

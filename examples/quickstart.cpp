@@ -58,7 +58,12 @@ int main() {
 
   auto baseline_model = MakeModel(schema, /*full_size=*/false, /*seed=*/7);
   Trainer baseline(baseline_model.get(), server, options);
-  TrainReport base = baseline.TrainBaseline(dataset, split);
+  auto base = baseline.TrainBaseline(dataset, split);
+  if (!base.ok()) {
+    std::printf("baseline training failed: %s\n",
+                base.status().ToString().c_str());
+    return 1;
+  }
 
   auto fae_model = MakeModel(schema, /*full_size=*/false, /*seed=*/7);
   Trainer fae_trainer(fae_model.get(), server, options);
@@ -71,14 +76,14 @@ int main() {
   std::printf("\n%-10s %12s %12s %12s\n", "mode", "test-acc", "time(model)",
               "gpu-power");
   std::printf("%-10s %11.2f%% %12s %10.1fW\n", "baseline",
-              100 * base.final_test_acc,
-              HumanSeconds(base.modeled_seconds).c_str(),
-              base.avg_gpu_watts);
+              100 * base->final_test_acc,
+              HumanSeconds(base->modeled_seconds).c_str(),
+              base->avg_gpu_watts);
   std::printf("%-10s %11.2f%% %12s %10.1fW\n", "fae",
               100 * fae->final_test_acc,
               HumanSeconds(fae->modeled_seconds).c_str(),
               fae->avg_gpu_watts);
   std::printf("\nspeedup: %.2fx at matched accuracy\n",
-              base.modeled_seconds / fae->modeled_seconds);
+              base->modeled_seconds / fae->modeled_seconds);
   return 0;
 }

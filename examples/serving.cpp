@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "data/batch_view.h"
 #include "data/synthetic.h"
 #include "engine/trainer.h"
 #include "models/factory.h"
@@ -20,36 +21,32 @@
 
 namespace {
 
-// Scores every candidate as the target item appended to the session's
-// history and returns the top-k item ids.
+// Scores every candidate as the target item appended to the history of
+// sample `session` of `sessions` and returns the top-k item ids.
 std::vector<std::pair<float, uint32_t>> RankCandidates(
-    const fae::RecModel& model, const fae::DatasetSchema& schema,
-    const fae::SparseInput& session,
-    const std::vector<uint32_t>& candidates, size_t k) {
-  fae::MiniBatch batch;
-  const size_t b = candidates.size();
-  batch.dense = fae::Tensor(b, schema.num_dense);
-  batch.indices.resize(schema.num_tables());
-  batch.offsets.assign(schema.num_tables(), std::vector<uint32_t>(1, 0));
-  batch.labels.assign(b, 0.0f);
-  for (size_t i = 0; i < b; ++i) {
-    for (size_t d = 0; d < schema.num_dense; ++d) {
-      batch.dense(i, d) = session.dense[d];
-    }
+    const fae::RecModel& model, const fae::FlatDataset& sessions,
+    size_t session, const std::vector<uint32_t>& candidates, size_t k) {
+  const fae::DatasetSchema& schema = sessions.schema();
+  const float* dense = sessions.dense_row(session);
+  // One request batch, built with the streaming builder: a sample per
+  // candidate.
+  fae::FlatDataset batch(schema);
+  for (uint32_t candidate : candidates) {
+    for (size_t d = 0; d < schema.num_dense; ++d) batch.AppendDense(dense[d]);
     // Item table: history then the candidate as the target (TBSM's input
     // convention); other tables: the session's own context.
-    auto& item_idx = batch.indices[0];
-    item_idx.insert(item_idx.end(), session.indices[0].begin(),
-                    session.indices[0].end());
-    item_idx.push_back(candidates[i]);
-    batch.offsets[0].push_back(static_cast<uint32_t>(item_idx.size()));
-    for (size_t t = 1; t < schema.num_tables(); ++t) {
-      batch.indices[t].push_back(session.indices[t][0]);
-      batch.offsets[t].push_back(
-          static_cast<uint32_t>(batch.indices[t].size()));
+    for (uint32_t item : sessions.lookups(0, session)) {
+      batch.AppendLookup(0, item);
     }
+    batch.AppendLookup(0, candidate);
+    for (size_t t = 1; t < schema.num_tables(); ++t) {
+      batch.AppendLookup(t, sessions.lookups(t, session)[0]);
+    }
+    batch.FinishSample(0.0f);
   }
-  fae::Tensor logits = model.EvalLogits(batch);
+  const size_t b = candidates.size();
+  fae::Tensor logits =
+      model.EvalLogits(fae::MakeBatchView(batch, 0, b, /*hot=*/false));
   std::vector<std::pair<float, uint32_t>> scored;
   scored.reserve(b);
   for (size_t i = 0; i < b; ++i) {
@@ -120,10 +117,11 @@ int main() {
 
   // Serve three sessions from the held-out split.
   for (int q = 0; q < 3; ++q) {
-    const SparseInput& session = dataset.sample(split.test[q * 7]);
-    auto top = RankCandidates(*server_model, schema, session, candidates, 5);
+    const size_t session = split.test[q * 7];
+    auto top =
+        RankCandidates(*server_model, dataset.flat(), session, candidates, 5);
     std::printf("session with %zu history items -> top-5 recommendations:\n",
-                session.indices[0].size());
+                dataset.flat().lookups(0, session).size());
     for (const auto& [score, item] : top) {
       const double p = 1.0 / (1.0 + std::exp(-score));
       std::printf("  item %-8u p(click)=%.3f\n", item, p);

@@ -23,7 +23,7 @@ int main() {
 
   double mean_history = 0;
   for (size_t i = 0; i < dataset.size(); ++i) {
-    mean_history += static_cast<double>(dataset.sample(i).indices[0].size());
+    mean_history += static_cast<double>(dataset.flat().lookups(0, i).size());
   }
   std::printf("sessions: %zu, mean history length %.1f (max %zu)\n",
               dataset.size(), mean_history / dataset.size(),
@@ -44,7 +44,12 @@ int main() {
 
   auto baseline_model = MakeModel(schema, /*full_size=*/false, 11);
   Trainer baseline(baseline_model.get(), server, options);
-  TrainReport base = baseline.TrainBaseline(dataset, split);
+  auto base = baseline.TrainBaseline(dataset, split);
+  if (!base.ok()) {
+    std::printf("baseline training failed: %s\n",
+                base.status().ToString().c_str());
+    return 1;
+  }
 
   auto fae_model = MakeModel(schema, /*full_size=*/false, 11);
   Trainer fae_trainer(fae_model.get(), server, options);
@@ -55,11 +60,11 @@ int main() {
   }
 
   std::printf("\naccuracy: baseline test %.2f%%  |  fae test %.2f%%\n",
-              100 * base.final_test_acc, 100 * fae->final_test_acc);
+              100 * base->final_test_acc, 100 * fae->final_test_acc);
   std::printf("time:     baseline %s  |  fae %s (%.2fx)\n",
-              HumanSeconds(base.modeled_seconds).c_str(),
+              HumanSeconds(base->modeled_seconds).c_str(),
               HumanSeconds(fae->modeled_seconds).c_str(),
-              base.modeled_seconds / fae->modeled_seconds);
+              base->modeled_seconds / fae->modeled_seconds);
   std::printf(
       "schedule: %zu hot / %zu cold batches, %zu transitions, final rate "
       "R(%.0f)\n",

@@ -36,23 +36,6 @@ int64_t EmbeddingReplicator::SlotOf(size_t table, uint64_t row) const {
   return slot_of_[table][row];
 }
 
-StatusOr<MiniBatch> EmbeddingReplicator::TranslateBatch(
-    const MiniBatch& batch) const {
-  MiniBatch out = batch;
-  for (size_t t = 0; t < out.indices.size(); ++t) {
-    for (uint32_t& idx : out.indices[t]) {
-      const int64_t slot = SlotOf(t, idx);
-      if (slot < 0) {
-        return Status::InvalidArgument(StrFormat(
-            "cold lookup (table %zu, row %u) in a batch marked hot", t,
-            idx));
-      }
-      idx = static_cast<uint32_t>(slot);
-    }
-  }
-  return out;
-}
-
 StatusOr<FlatDataset> EmbeddingReplicator::TranslateFlat(
     const FlatDataset& flat) const {
   FlatDataset out = flat;

@@ -2,22 +2,9 @@
 
 #include <algorithm>
 
-#include "data/minibatch.h"
 #include "util/logging.h"
 
 namespace fae {
-
-BatchView::BatchView(const MiniBatch& batch)
-    : dense(batch.dense),
-      labels(batch.labels),
-      hot(batch.hot),
-      total_lookups(batch.TotalLookups()) {
-  tables.resize(batch.indices.size());
-  for (size_t t = 0; t < batch.indices.size(); ++t) {
-    tables[t].indices = batch.indices[t];
-    tables[t].offsets = batch.offsets[t];
-  }
-}
 
 BatchView MakeBatchView(const FlatDataset& flat, size_t begin, size_t end,
                         bool hot) {

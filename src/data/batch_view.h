@@ -11,21 +11,18 @@
 
 namespace fae {
 
-struct MiniBatch;
-
 /// One embedding table's slice of a batch: the concatenated lookup indices
 /// plus B+1 CSR offsets. Offsets are *absolute* positions into the backing
 /// FlatDataset's per-table index buffer, so a view built over samples
 /// [begin, end) has offsets.front() == the dataset-level start, not 0.
-/// Kernels rebase with `offsets.front()` (the relative-offset contract);
-/// legacy zero-based buffers satisfy the same contract trivially.
+/// Kernels rebase with `offsets.front()` (the relative-offset contract),
+/// so zero-based buffers satisfy the same contract trivially.
 struct TableView {
   std::span<const uint32_t> indices;
   std::span<const uint32_t> offsets;  // batch_size + 1 entries
 };
 
-/// A non-owning mini-batch: spans into a FlatDataset (or, via the
-/// conversion shim, into a legacy MiniBatch's buffers). Because batches are
+/// A non-owning mini-batch: spans into a FlatDataset. Because batches are
 /// consecutive sample ranges of the epoch's gathered dataset, building a
 /// whole epoch of views copies nothing — epoch setup is O(num_batches)
 /// span arithmetic instead of an O(dataset) reassembly.
@@ -35,8 +32,9 @@ struct TableView {
 ///   - the backing store outlives every view into it (views into a
 ///     FlatDataset stay valid across moves of the dataset object, since
 ///     the underlying vector heap buffers do not move);
-///   - `hot` mirrors MiniBatch::hot: a batch is entirely hot or entirely
-///     cold (paper §II-B(1)).
+///   - a batch is entirely hot or entirely cold (paper §II-B(1)); `hot`
+///     records which — mixed batches would stall the GPU on CPU-resident
+///     embeddings.
 struct BatchView {
   MatView dense;                  // [B, num_dense]
   std::span<const float> labels;  // [B]
@@ -44,13 +42,6 @@ struct BatchView {
   bool hot = false;
   /// Cached at construction — O(1), never recomputed in hot loops.
   uint64_t total_lookups = 0;
-
-  BatchView() = default;
-
-  /// Compat shim: views a legacy MiniBatch's owned buffers (offsets are
-  /// zero-based there, which the relative-offset contract subsumes). The
-  /// MiniBatch must outlive the view.
-  /*implicit*/ BatchView(const MiniBatch& batch);
 
   size_t batch_size() const { return labels.size(); }
   size_t num_tables() const { return tables.size(); }
@@ -83,8 +74,7 @@ void ForEachLookup(const FlatDataset& flat, std::span<const uint64_t> ids,
                    const std::function<void(size_t, uint32_t)>& fn);
 
 /// Splits `flat` into consecutive batches of `batch_size` (last may be
-/// smaller), all sharing `hot`. Zero copies — the flat-layout replacement
-/// for AssembleBatches.
+/// smaller), all sharing `hot`. Zero copies.
 std::vector<BatchView> MakeBatchViews(const FlatDataset& flat,
                                       size_t batch_size, bool hot);
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "data/flat_dataset.h"
-#include "data/sample.h"
 #include "data/schema.h"
 #include "stats/access_profile.h"
 
@@ -17,16 +16,10 @@ namespace fae {
 ///
 /// Storage is a flat structure-of-arrays (`FlatDataset`) — every pass that
 /// walks the dataset (Embedding Logger, Input Processor, epochs) streams
-/// three contiguous buffers instead of chasing per-sample vectors. The
-/// legacy AoS `SparseInput` survives only as a conversion shim at the
-/// edges: `sample(i)` materializes one on demand.
+/// three contiguous buffers instead of chasing per-sample vectors.
 class Dataset {
  public:
   explicit Dataset(FlatDataset flat) : flat_(std::move(flat)) {}
-
-  /// Legacy AoS construction — converts once into the flat layout.
-  Dataset(DatasetSchema schema, std::vector<SparseInput> samples)
-      : flat_(FlatDataset::FromSamples(std::move(schema), samples)) {}
 
   const DatasetSchema& schema() const { return flat_.schema(); }
   size_t size() const { return flat_.size(); }
@@ -34,10 +27,6 @@ class Dataset {
   /// Flat SoA storage — the zero-copy path for batch views and streaming
   /// passes.
   const FlatDataset& flat() const { return flat_; }
-
-  /// Materializes sample i as a legacy `SparseInput` (allocates — compat
-  /// shim only; hot paths stream `flat()` instead).
-  SparseInput sample(size_t i) const { return flat_.Sample(i); }
 
   /// Builds an access profile from the given sample indices (the Embedding
   /// Logger's job, §III-A2). Passing all indices profiles the full dataset.

@@ -28,10 +28,10 @@ Status DatasetIo::Save(const std::string& path, const Dataset& dataset) {
   FAE_RETURN_IF_ERROR(w.WriteU32(s.sequential ? 1 : 0));
   FAE_RETURN_IF_ERROR(w.WriteU64(s.max_history));
 
-  // Streams the flat SoA buffers directly. The on-disk layout is unchanged
-  // from the AoS WriteVector path byte for byte: each length-prefixed
-  // vector is WriteU64(size) + raw bytes, which the flat spans provide
-  // without materializing a SparseInput per sample.
+  // Streams the flat SoA buffers directly. The on-disk layout is the
+  // historical per-sample one byte for byte: each length-prefixed vector
+  // is WriteU64(size) + raw bytes, which the flat spans provide without
+  // materializing any per-sample object.
   const FlatDataset& flat = dataset.flat();
   FAE_RETURN_IF_ERROR(w.WriteU64(flat.size()));
   for (size_t i = 0; i < flat.size(); ++i) {

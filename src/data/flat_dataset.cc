@@ -31,47 +31,12 @@ void FlatDataset::Reserve(size_t num_samples,
   }
 }
 
-FlatDataset FlatDataset::FromSamples(DatasetSchema schema,
-                                     const std::vector<SparseInput>& samples) {
-  FlatDataset flat(std::move(schema));
-  std::vector<size_t> lookups(flat.schema_.num_tables(), 0);
-  for (const SparseInput& s : samples) {
-    for (size_t t = 0; t < s.indices.size(); ++t) {
-      lookups[t] += s.indices[t].size();
-    }
-  }
-  flat.Reserve(samples.size(), lookups);
-  for (const SparseInput& s : samples) {
-    FAE_CHECK_EQ(s.dense.size(), flat.schema_.num_dense);
-    FAE_CHECK_EQ(s.indices.size(), flat.schema_.num_tables());
-    for (float v : s.dense) flat.AppendDense(v);
-    for (size_t t = 0; t < s.indices.size(); ++t) {
-      for (uint32_t row : s.indices[t]) flat.AppendLookup(t, row);
-    }
-    flat.FinishSample(s.label);
-  }
-  return flat;
-}
-
 uint64_t FlatDataset::NumLookups(size_t i) const {
   uint64_t n = 0;
   for (size_t t = 0; t < offsets_.size(); ++t) {
     n += offsets_[t][i + 1] - offsets_[t][i];
   }
   return n;
-}
-
-SparseInput FlatDataset::Sample(size_t i) const {
-  FAE_CHECK_LT(i, size());
-  SparseInput s;
-  s.dense.assign(dense_row(i), dense_row(i) + schema_.num_dense);
-  s.indices.resize(schema_.num_tables());
-  for (size_t t = 0; t < schema_.num_tables(); ++t) {
-    const std::span<const uint32_t> l = lookups(t, i);
-    s.indices[t].assign(l.begin(), l.end());
-  }
-  s.label = labels_[i];
-  return s;
 }
 
 FlatDataset FlatDataset::Gather(std::span<const uint64_t> ids) const {

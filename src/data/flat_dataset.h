@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "data/sample.h"
 #include "data/schema.h"
 #include "util/logging.h"
 
@@ -15,27 +14,21 @@ namespace fae {
 /// contiguous per-table lookup buffer with CSR offsets, and a contiguous
 /// label array. Every static FAE pass (Embedding Logger §III-A2, Input
 /// Processor §III-B) and every training epoch walks the whole dataset, so
-/// the layout matters more than anything the kernels do per element: the
-/// historical per-sample `SparseInput` (a vector of vectors per sample)
-/// cost a pointer chase and a heap allocation per table per sample, while
-/// this layout streams linearly.
+/// the layout matters more than anything the kernels do per element: a
+/// per-sample vector of vectors costs a pointer chase and a heap
+/// allocation per table per sample, while this layout streams linearly.
 ///
 /// Sample i's lookups in table t are
 ///   indices(t)[offsets(t)[i] .. offsets(t)[i + 1])
-/// which also makes per-sample lookup counts O(1) (the historical
-/// `SparseInput::NumLookups` walked every per-table vector).
+/// which also makes per-sample lookup counts O(1).
 class FlatDataset {
  public:
   FlatDataset() = default;
 
   /// Empty dataset ready for streaming appends (loaders and generators
-  /// build the flat buffers directly; nothing is ever materialized as
-  /// `SparseInput` on the way in).
+  /// build the flat buffers directly; nothing is materialized per sample
+  /// on the way in).
   explicit FlatDataset(DatasetSchema schema);
-
-  /// Conversion shim for legacy call sites holding AoS samples.
-  static FlatDataset FromSamples(DatasetSchema schema,
-                                 const std::vector<SparseInput>& samples);
 
   // --- Streaming builder -------------------------------------------------
   // Per sample, call in order: AppendDense (num_dense times), AppendLookup
@@ -102,10 +95,6 @@ class FlatDataset {
 
   /// Total lookups across the dataset; cached, O(1).
   uint64_t total_lookups() const { return total_lookups_; }
-
-  /// Materializes sample i as a legacy `SparseInput` (compat shim for
-  /// edges that still speak AoS; allocates, so keep it off hot paths).
-  SparseInput Sample(size_t i) const;
 
   /// Copies the samples at `ids` (in order) into a new FlatDataset — the
   /// once-per-run permutation that replaces per-batch assembly: batches

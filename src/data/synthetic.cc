@@ -68,8 +68,8 @@ Dataset SyntheticGenerator::Generate(size_t num_inputs) const {
     zipfs.emplace_back(schema_.table_rows[t], options_.zipf_exponent);
   }
 
-  // Generate straight into the flat SoA layout — no per-sample SparseInput
-  // is ever materialized. RNG call order (dense gaussians, per-table zipf
+  // Generate straight into the flat SoA layout — no per-sample object is
+  // ever materialized. RNG call order (dense gaussians, per-table zipf
   // lookups, label bernoulli) and the affinity summation order match the
   // historical AoS generator exactly, so datasets are bit-identical.
   FlatDataset flat(schema_);

@@ -74,8 +74,7 @@ struct SparseGrad {
 /// monotone entries and `offsets.back() - offsets.front() ==
 /// indices.size()`. Offsets need not start at zero — batch views into a
 /// flat dataset carry the dataset-absolute offsets and kernels rebase by
-/// `offsets.front()`; legacy zero-based buffers satisfy the contract
-/// unchanged.
+/// `offsets.front()`; zero-based buffers satisfy the contract unchanged.
 struct RowGroups {
   std::vector<uint64_t> row_ids;      // sorted ascending, unique
   std::vector<uint32_t> group_start;  // row_ids.size() + 1 entries

@@ -13,7 +13,9 @@ constexpr uint32_t kMagic = 0x43454146;  // "FAEC"
 // v3: a staleness-tracker section (per-row EMA/visit/streak arrays plus
 // the accuracy guard's adapted threshold) so stale-skip runs resume
 // bit-exact. Always present; an empty section costs one word.
-constexpr uint32_t kVersion = 3;
+// v4: the timeline section lost its explicit wall-clock word (the modeled
+// wall is always the phase sum minus the overlay credits).
+constexpr uint32_t kVersion = 4;
 constexpr uint32_t kTrailer = 0x444e454b;  // "KEND"
 
 Status WriteMetricState(BinaryWriter& w, const RunningMetric::State& m) {
@@ -69,7 +71,6 @@ Status CheckpointIo::Save(const std::string& path,
       static_cast<uint32_t>(ck.scheduler.consecutive_decreases)));
 
   for (double s : ck.timeline.seconds) FAE_RETURN_IF_ERROR(w.WriteF64(s));
-  FAE_RETURN_IF_ERROR(w.WriteF64(ck.timeline.wall_seconds));
   FAE_RETURN_IF_ERROR(w.WriteF64(ck.timeline.cpu_busy));
   FAE_RETURN_IF_ERROR(w.WriteF64(ck.timeline.gpu_busy));
   FAE_RETURN_IF_ERROR(w.WriteU64(ck.timeline.pcie_bytes));
@@ -182,7 +183,6 @@ StatusOr<TrainerCheckpoint> CheckpointIo::Load(const std::string& path,
   for (double& s : ck.timeline.seconds) {
     FAE_ASSIGN_OR_RETURN(s, r.ReadF64());
   }
-  FAE_ASSIGN_OR_RETURN(ck.timeline.wall_seconds, r.ReadF64());
   FAE_ASSIGN_OR_RETURN(ck.timeline.cpu_busy, r.ReadF64());
   FAE_ASSIGN_OR_RETURN(ck.timeline.gpu_busy, r.ReadF64());
   FAE_ASSIGN_OR_RETURN(ck.timeline.pcie_bytes, r.ReadU64());

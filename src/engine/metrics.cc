@@ -96,10 +96,4 @@ EvalResult Evaluate(const RecModel& model,
   return r;
 }
 
-EvalResult Evaluate(const RecModel& model,
-                    const std::vector<MiniBatch>& batches) {
-  std::vector<BatchView> views(batches.begin(), batches.end());
-  return Evaluate(model, views);
-}
-
 }  // namespace fae

@@ -4,7 +4,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "data/minibatch.h"
+#include "data/batch_view.h"
 #include "models/rec_model.h"
 
 namespace fae {
@@ -66,9 +66,6 @@ struct EvalResult {
 };
 EvalResult Evaluate(const RecModel& model,
                     const std::vector<BatchView>& batches);
-/// Legacy overload; each MiniBatch is viewed in place.
-EvalResult Evaluate(const RecModel& model,
-                    const std::vector<MiniBatch>& batches);
 
 /// ROC-AUC of `scores` against binary `labels` (>= 0.5 is positive),
 /// computed via the rank statistic with midrank tie handling. Returns 0

@@ -11,7 +11,7 @@ namespace fae {
 /// lookahead oracle cache so the two models stay comparable.
 constexpr double kCacheIndirection = 1.5;
 
-StepAccountant::BaselineParts StepAccountant::ChargeBaselineParts(
+StepAccountant::BaselineParts StepAccountant::ChargeBaselineStepParts(
     const BatchWork& w, Timeline& tl) const {
   BaselineParts parts;
   const SystemSpec& sys = cost_->system();
@@ -87,12 +87,7 @@ StepAccountant::BaselineParts StepAccountant::ChargeBaselineParts(
 
 void StepAccountant::ChargeBaselineStep(const BatchWork& w,
                                         Timeline& tl) const {
-  (void)ChargeBaselineParts(w, tl);
-}
-
-StepAccountant::BaselineParts StepAccountant::ChargeBaselineStepParts(
-    const BatchWork& w, Timeline& tl) const {
-  return ChargeBaselineParts(w, tl);
+  (void)ChargeBaselineStepParts(w, tl);
 }
 
 double StepAccountant::ChargeInputPrep(uint64_t batch_bytes,
@@ -105,12 +100,6 @@ double StepAccountant::ChargeInputPrep(uint64_t batch_bytes,
       cost_->GatherSeconds(batch_bytes, cost_->system().cpu);
   tl.ChargeCpu(Phase::kInputPrep, seconds);
   return seconds;
-}
-
-void StepAccountant::ChargeBaselineStepPipelined(const BatchWork& w,
-                                                 Timeline& tl) const {
-  const BaselineParts parts = ChargeBaselineParts(w, tl);
-  tl.AddWallSeconds(std::max(parts.cpu, parts.gpu) + parts.serial);
 }
 
 void StepAccountant::ChargeHotStep(const BatchWork& w, Timeline& tl) const {
@@ -502,8 +491,8 @@ StepAccountant::BaselineParts StepAccountant::ChargeStaleSkipStep(
   const int nodes = std::max(1, sys.num_nodes);
   const int world = g * nodes;
 
-  // Forward path: identical to ChargeBaselineParts. Frozen rows are still
-  // read — skipping only elides their *update*.
+  // Forward path: identical to ChargeBaselineStepParts. Frozen rows are
+  // still read — skipping only elides their *update*.
   const double emb_fwd =
       cost_->GatherSeconds(w.embedding_read_bytes / nodes, sys.cpu);
   tl.ChargeCpu(Phase::kEmbeddingForward, emb_fwd);

@@ -54,17 +54,6 @@ class StepAccountant {
   /// Timeline::AddOverlapSavedSeconds. Returns the charged seconds.
   double ChargeInputPrep(uint64_t batch_bytes, Timeline& tl) const;
 
-  /// Pipelined hybrid step: the CPU's embedding work for the next batch
-  /// overlaps the GPUs' dense work for the current one (software
-  /// prefetching), so the steady-state wall time per batch is
-  /// max(cpu path, gpu path) + synchronization (transfers, all-reduce).
-  /// Phase and busy-time bookkeeping records the full device work; the
-  /// overlap is reflected through Timeline::AddWallSeconds. This is the
-  /// strongest baseline a reviewer would ask for — bench/abl_pipelined.cc
-  /// shows FAE's win shrinking but surviving it (the CPU path stays on
-  /// the critical path).
-  void ChargeBaselineStepPipelined(const BatchWork& w, Timeline& tl) const;
-
   /// Pure-GPU data-parallel step for a hot mini-batch.
   void ChargeHotStep(const BatchWork& w, Timeline& tl) const;
 
@@ -197,12 +186,12 @@ class StepAccountant {
 
   /// Baseline step with the frozen rows' backward scatter and sparse
   /// optimizer work removed (--stale-skip). Phase structure mirrors
-  /// ChargeBaselineParts: the forward gathers, activation transfers, dense
-  /// network, and all-reduce are untouched — skipping a row's update never
-  /// changes what the forward pass reads or ships. The trainer charges
-  /// this into a *scratch* timeline and prices it against the plain step;
-  /// the real timeline's charges never change with the knob, keeping
-  /// checkpoints byte-equal across stale-skip modes.
+  /// ChargeBaselineStepParts: the forward gathers, activation transfers,
+  /// dense network, and all-reduce are untouched — skipping a row's update
+  /// never changes what the forward pass reads or ships. The trainer
+  /// charges this into a *scratch* timeline and prices it against the
+  /// plain step; the real timeline's charges never change with the knob,
+  /// keeping checkpoints byte-equal across stale-skip modes.
   BaselineParts ChargeStaleSkipStep(const BatchWork& w,
                                     const StaleSkipTraffic& t,
                                     Timeline& tl) const;
@@ -221,8 +210,6 @@ class StepAccountant {
   const CostModel& cost_model() const { return *cost_; }
 
  private:
-  BaselineParts ChargeBaselineParts(const BatchWork& w, Timeline& tl) const;
-
   const CostModel* cost_;
 };
 

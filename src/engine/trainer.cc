@@ -109,12 +109,6 @@ Status ValidateStaleOptions(const TrainOptions& options) {
         "emulation materializes gradients outside the fused path that "
         "measures per-row update magnitudes");
   }
-  if (options.pipelined_baseline) {
-    return Status::InvalidArgument(
-        "--stale-skip cannot be combined with the legacy "
-        "pipelined_baseline cost model: the overlay prices against the "
-        "per-step part charges its wall accumulator does not produce");
-  }
   if (options.cache != CacheMode::kOff) {
     return Status::InvalidArgument(
         "--stale-skip cannot be combined with --cache=oracle: both "
@@ -126,6 +120,23 @@ Status ValidateStaleOptions(const TrainOptions& options) {
   }
   if (options.stale_min_visits < 1) {
     return Status::InvalidArgument("--stale-min-visits must be at least 1");
+  }
+  return Status::OK();
+}
+
+/// The comparator placements (NvOPT, model-parallel, GPU cache) model a
+/// single node with fp32 tables; any other configuration is refused.
+Status ValidateComparatorOptions(const char* comparator,
+                                 const SystemSpec& system,
+                                 const TrainOptions& options) {
+  if (system.num_nodes != 1) {
+    return Status::InvalidArgument(
+        StrFormat("the %s comparator models a single node (got %d nodes)",
+                  comparator, system.num_nodes));
+  }
+  if (options.cold_precision != ColdPrecision::kFp32) {
+    return Status::InvalidArgument(
+        "--cold-precision applies to the FAE placement only");
   }
   return Status::OK();
 }
@@ -364,7 +375,6 @@ uint64_t Trainer::OptionsFingerprint() const {
   h = FnvMix(h, options_.eval_batch);
   h = FnvMix(h, options_.evals_per_epoch);
   h = FnvMix(h, static_cast<uint64_t>(options_.sync_strategy));
-  h = FnvMix(h, options_.pipelined_baseline ? 1 : 0);
   h = FnvMix(h, options_.fp16_embeddings ? 1 : 0);
   h = FnvMix(h, options_.seed);
   // num_threads is deliberately absent: the kernels are bit-identical at
@@ -400,12 +410,6 @@ StatusOr<bool> Trainer::DrainFaults(
   FaultInjector* injector = options_.fault_injector;
   if (injector == nullptr || injector->empty()) return false;
   FaultStats& stats = injector->stats();
-  // Recovery time must reach the wall accumulator too when the run models
-  // overlapped execution (Timeline::TotalSeconds then ignores phase sums).
-  auto charge_recovery = [&](double seconds) {
-    report.timeline.Charge(Phase::kFaultRecovery, seconds);
-    if (options_.pipelined_baseline) report.timeline.AddWallSeconds(seconds);
-  };
   for (const FaultEvent& event : injector->Drain(iteration)) {
     switch (event.kind) {
       case FaultKind::kDeviceTransient: {
@@ -421,7 +425,7 @@ StatusOr<bool> Trainer::DrainFaults(
         double backoff = kRetryBackoffSeconds;
         for (uint32_t attempt = 0; attempt < event.times; ++attempt) {
           ++stats.retries;
-          charge_recovery(backoff);
+          report.timeline.Charge(Phase::kFaultRecovery, backoff);
           backoff *= 2.0;
         }
         FAE_LOG(Warning) << "transient device fault at step " << iteration
@@ -431,7 +435,7 @@ StatusOr<bool> Trainer::DrainFaults(
       }
       case FaultKind::kLinkStall:
         ++stats.link_stalls;
-        charge_recovery(event.stall_seconds);
+        report.timeline.Charge(Phase::kFaultRecovery, event.stall_seconds);
         FAE_LOG(Warning) << "link stall at step " << iteration << " ("
                          << event.stall_seconds << " s)";
         break;
@@ -519,20 +523,8 @@ void Trainer::FinishReport(TrainReport& report,
   }
 }
 
-TrainReport Trainer::TrainBaseline(const Dataset& dataset,
-                                   const Dataset::Split& split) {
-  StatusOr<TrainReport> report = TrainBaselineResumable(dataset, split);
-  FAE_CHECK(report.ok()) << report.status().ToString();
-  return std::move(report).value();
-}
-
-StatusOr<TrainReport> Trainer::TrainBaselineResumable(
-    const Dataset& dataset, const Dataset::Split& split) {
-  if (options_.pipeline != PipelineMode::kOff && options_.pipelined_baseline) {
-    return Status::InvalidArgument(
-        "--pipeline and the legacy pipelined_baseline cost model are "
-        "mutually exclusive (both model overlapped execution)");
-  }
+StatusOr<TrainReport> Trainer::TrainBaseline(const Dataset& dataset,
+                                             const Dataset::Split& split) {
   FAE_RETURN_IF_ERROR(ValidateCacheOptions(options_));
   if (options_.cold_precision != ColdPrecision::kFp32) {
     return Status::InvalidArgument(
@@ -798,26 +790,20 @@ StatusOr<TrainReport> Trainer::TrainBaselineResumable(
       // hybrid step; pipelined modes then credit back what overlap hid.
       const double prep = accountant_.ChargeInputPrep(BatchInputBytes(*view),
                                                       report.timeline);
-      StepAccountant::BaselineParts parts{};
-      if (options_.pipelined_baseline) {
-        report.timeline.AddWallSeconds(prep);
-        accountant_.ChargeBaselineStepPipelined(*work, report.timeline);
-      } else {
-        parts = accountant_.ChargeBaselineStepParts(*work, report.timeline);
-        tracker.OnStep(prep, parts.Total(), parts.Overlapped());
-        if (cache_on) {
-          const LookaheadCache::StepCharge sc = rig.cache.OnStep();
-          rig.PriceStep(*work, parts, sc, report.timeline);
-          const size_t ahead = b + options_.cache_lookahead;
-          if (ahead < num_batches) cache_push(ahead);
-        }
+      const StepAccountant::BaselineParts parts =
+          accountant_.ChargeBaselineStepParts(*work, report.timeline);
+      tracker.OnStep(prep, parts.Total(), parts.Overlapped());
+      if (cache_on) {
+        const LookaheadCache::StepCharge sc = rig.cache.OnStep();
+        rig.PriceStep(*work, parts, sc, report.timeline);
+        const size_t ahead = b + options_.cache_lookahead;
+        if (ahead < num_batches) cache_push(ahead);
       }
       if (options_.run_math) {
         exec_.MathStep(*view, tables, metric, window,
                        stale_on ? &staleness : nullptr);
         // After the math: the tracker's step counters now hold this step's
-        // skip/update split (stale_on implies !pipelined_baseline, so
-        // `parts` carries the plain charges to price against).
+        // skip/update split, priced against the plain charges in `parts`.
         if (stale_on) {
           stale_rig.PriceStep(*work, parts, staleness, report.timeline);
         }
@@ -861,11 +847,6 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
                                                 const Dataset::Split& split,
                                                 const FaeConfig& config,
                                                 const FaePlan& plan) {
-  if (options_.pipeline != PipelineMode::kOff && options_.pipelined_baseline) {
-    return Status::InvalidArgument(
-        "--pipeline and the legacy pipelined_baseline cost model are "
-        "mutually exclusive (both model overlapped execution)");
-  }
   FAE_RETURN_IF_ERROR(ValidateCacheOptions(options_));
   FAE_RETURN_IF_ERROR(ValidateColdOptions(options_));
   FAE_RETURN_IF_ERROR(ValidateStaleOptions(options_));
@@ -932,8 +913,8 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
   report.demoted_rows = p.demoted_rows;
   report.fallback_inputs = p.fallback_inputs;
 
-  // Each class is gathered once into a flat buffer (same seeded shuffles
-  // the MiniBatch packer used); pure hot/cold batches are views into it.
+  // Each class is gathered once into a flat buffer (seeded per-class
+  // shuffles); pure hot/cold batches are views into it.
   InputProcessor::PackedFlat packed =
       InputProcessor::PackFlat(dataset, p.inputs, options_.seed);
   std::vector<TrainBatch> hot_batches =
@@ -1176,7 +1157,7 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
     report.curve = ck.curve;
     // Stale-skip reconciliation (the knob is fingerprint-exempt): keep-on
     // restores the tracker verbatim, turn-on starts fresh, turn-off
-    // ignores the stored section. See TrainBaselineResumable.
+    // ignores the stored section. See TrainBaseline.
     if (stale_on && ck.has_staleness) staleness.Restore(ck.staleness);
     iteration = ck.iteration;
     report.num_batches = ck.iteration;
@@ -1292,20 +1273,6 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
     return CheckpointIo::Save(ckpt.path, ck, *model_);
   };
 
-  // When the baseline is pipelined, every non-pipelined charge must also
-  // contribute wall time explicitly (Timeline::TotalSeconds switches to
-  // the wall accumulator as soon as any overlap is recorded).
-  auto charge_serial = [&](const std::function<void()>& charge) {
-    if (!options_.pipelined_baseline) {
-      charge();
-      return;
-    }
-    const double before = report.timeline.PhaseSumSeconds();
-    charge();
-    report.timeline.AddWallSeconds(report.timeline.PhaseSumSeconds() -
-                                   before);
-  };
-
   // Recovery from a corrupted hot-slice sync: every replica is garbage, so
   // discard them all and re-pull from the CPU master copy, which is always
   // authoritative. GPU updates not yet pushed when the fault hit are lost
@@ -1323,9 +1290,6 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
     const double seconds = scratch.PhaseSumSeconds();
     report.timeline.Charge(Phase::kFaultRecovery, seconds);
     report.timeline.AddPcieBytes(p.hot_bytes);
-    if (options_.pipelined_baseline) {
-      report.timeline.AddWallSeconds(seconds);
-    }
     report.sync_bytes += p.hot_bytes;
     // Replicas now mirror the masters exactly.
     master_dirty.Clear();
@@ -1389,9 +1353,7 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
         // updated hot entries on the CPU master). The very first hot
         // phase replicates the whole slice regardless of strategy.
         if (!dirty_sync || !replica_initialized) {
-          charge_serial([&] {
-            accountant_.ChargeSyncToGpus(p.hot_bytes, report.timeline);
-          });
+          accountant_.ChargeSyncToGpus(p.hot_bytes, report.timeline);
           if (sharded) {
             shard_rig.PriceSyncToGpus(p.hot_bytes, report.timeline);
           }
@@ -1406,18 +1368,14 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
             // by construction): a wholesale copy avoids the per-row index
             // overhead.
             bytes = p.hot_bytes;
-            charge_serial([&] {
-              accountant_.ChargeSyncToGpus(bytes, report.timeline);
-            });
+            accountant_.ChargeSyncToGpus(bytes, report.timeline);
             if (sharded) shard_rig.PriceSyncToGpus(bytes, report.timeline);
             report.sync_bytes += bytes;
             if (options_.run_math) {
               replicator.PullFromMasters(model_->tables());
             }
           } else {
-            charge_serial([&] {
-              accountant_.ChargeSyncToGpus(bytes, report.timeline);
-            });
+            accountant_.ChargeSyncToGpus(bytes, report.timeline);
             if (sharded) shard_rig.PriceSyncToGpus(bytes, report.timeline);
             report.sync_bytes += bytes;
             if (options_.run_math) {
@@ -1441,15 +1399,10 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
             const BatchView& staged = prefetcher->Acquire();
             if (options_.run_math) math_view = &staged;
           }
-          double prep = 0.0;
-          charge_serial([&] {
-            prep = accountant_.ChargeInputPrep(
-                BatchInputBytes(hot_batches[i].view), report.timeline);
-          });
+          const double prep = accountant_.ChargeInputPrep(
+              BatchInputBytes(hot_batches[i].view), report.timeline);
           const double before = report.timeline.PhaseSumSeconds();
-          charge_serial([&] {
-            accountant_.ChargeHotStep(hot_batches[i].work, report.timeline);
-          });
+          accountant_.ChargeHotStep(hot_batches[i].work, report.timeline);
           const double step_seconds =
               report.timeline.PhaseSumSeconds() - before;
           tracker.OnStep(prep, step_seconds, step_seconds);
@@ -1472,9 +1425,7 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
         }
         // Leaving the hot phase: masters absorb the GPU updates.
         if (!dirty_sync) {
-          charge_serial([&] {
-            accountant_.ChargeSyncToCpu(p.hot_bytes, report.timeline);
-          });
+          accountant_.ChargeSyncToCpu(p.hot_bytes, report.timeline);
           if (sharded) {
             shard_rig.PriceSyncToCpu(p.hot_bytes, report.timeline);
           }
@@ -1484,18 +1435,14 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
           uint64_t bytes = replica_dirty.TotalTouched() * row_bytes;
           if (bytes >= p.hot_bytes) {
             bytes = p.hot_bytes;
-            charge_serial([&] {
-              accountant_.ChargeSyncToCpu(bytes, report.timeline);
-            });
+            accountant_.ChargeSyncToCpu(bytes, report.timeline);
             if (sharded) shard_rig.PriceSyncToCpu(bytes, report.timeline);
             report.sync_bytes += bytes;
             if (options_.run_math) {
               replicator.PushToMasters(model_->tables());
             }
           } else {
-            charge_serial([&] {
-              accountant_.ChargeSyncToCpu(bytes, report.timeline);
-            });
+            accountant_.ChargeSyncToCpu(bytes, report.timeline);
             if (sharded) shard_rig.PriceSyncToCpu(bytes, report.timeline);
             report.sync_bytes += bytes;
             if (options_.run_math) {
@@ -1531,29 +1478,21 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
           }
           const double prep = accountant_.ChargeInputPrep(
               BatchInputBytes(cold_batches[i].view), report.timeline);
-          StepAccountant::BaselineParts parts{};
-          if (options_.pipelined_baseline) {
-            report.timeline.AddWallSeconds(prep);
-            accountant_.ChargeBaselineStepPipelined(cold_work(i),
-                                                    report.timeline);
-          } else {
-            parts = accountant_.ChargeBaselineStepParts(cold_work(i),
-                                                        report.timeline);
-            tracker.OnStep(prep, parts.Total(), parts.Overlapped());
-            if (cache_on) {
-              const LookaheadCache::StepCharge sc = rig.cache.OnStep();
-              rig.PriceStep(cold_batches[i].work, parts, sc,
-                            report.timeline);
-              const size_t ahead = i + options_.cache_lookahead;
-              if (ahead < chunk->begin + chunk->count) cold_cache_push(ahead);
-            }
+          const StepAccountant::BaselineParts parts =
+              accountant_.ChargeBaselineStepParts(cold_work(i),
+                                                  report.timeline);
+          tracker.OnStep(prep, parts.Total(), parts.Overlapped());
+          if (cache_on) {
+            const LookaheadCache::StepCharge sc = rig.cache.OnStep();
+            rig.PriceStep(cold_batches[i].work, parts, sc, report.timeline);
+            const size_t ahead = i + options_.cache_lookahead;
+            if (ahead < chunk->begin + chunk->count) cold_cache_push(ahead);
           }
           if (options_.run_math) {
             exec_.MathStep(*math_view, master_tables, metric, window,
                            stale_on ? &staleness : nullptr);
             // After the math: the tracker counted this step's skip/update
-            // split (stale_on implies !pipelined_baseline, so `parts`
-            // carries the plain charges to price against).
+            // split, priced against the plain charges in `parts`.
             if (stale_on) {
               stale_rig.PriceStep(cold_work(i), parts, staleness,
                                   report.timeline);
@@ -1629,12 +1568,9 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
   return report;
 }
 
-TrainReport Trainer::TrainNvOpt(const Dataset& dataset,
-                                const Dataset::Split& split) {
-  FAE_CHECK_EQ(system_.num_nodes, 1)
-      << "the NvOPT comparator models a single node";
-  FAE_CHECK(options_.cold_precision == ColdPrecision::kFp32)
-      << "--cold-precision applies to the FAE placement only";
+StatusOr<TrainReport> Trainer::TrainNvOpt(const Dataset& dataset,
+                                          const Dataset::Split& split) {
+  FAE_RETURN_IF_ERROR(ValidateComparatorOptions("NvOPT", system_, options_));
   exec_.MaybeQuantizeTables();
   TrainReport report;
   report.mode = TrainMode::kNvOpt;
@@ -1690,12 +1626,8 @@ TrainReport Trainer::TrainNvOpt(const Dataset& dataset,
 
 StatusOr<TrainReport> Trainer::TrainModelParallel(
     const Dataset& dataset, const Dataset::Split& split) {
-  FAE_CHECK_EQ(system_.num_nodes, 1)
-      << "the model-parallel comparator models a single node";
-  if (options_.cold_precision != ColdPrecision::kFp32) {
-    return Status::InvalidArgument(
-        "--cold-precision applies to the FAE placement only");
-  }
+  FAE_RETURN_IF_ERROR(
+      ValidateComparatorOptions("model-parallel", system_, options_));
   const DatasetSchema& schema = dataset.schema();
   const int g = std::max(1, system_.num_gpus);
   // Shard tables with the LPT heuristic; the *largest realized shard*
@@ -1749,13 +1681,11 @@ StatusOr<TrainReport> Trainer::TrainModelParallel(
   return report;
 }
 
-TrainReport Trainer::TrainGpuCache(const Dataset& dataset,
-                                   const Dataset::Split& split,
-                                   const FaePlan& plan) {
-  FAE_CHECK_EQ(system_.num_nodes, 1)
-      << "the GPU-cache comparator models a single node";
-  FAE_CHECK(options_.cold_precision == ColdPrecision::kFp32)
-      << "--cold-precision applies to the FAE placement only";
+StatusOr<TrainReport> Trainer::TrainGpuCache(const Dataset& dataset,
+                                             const Dataset::Split& split,
+                                             const FaePlan& plan) {
+  FAE_RETURN_IF_ERROR(
+      ValidateComparatorOptions("GPU-cache", system_, options_));
   TrainReport report;
   report.mode = TrainMode::kGpuCache;
   report.hot_bytes = plan.hot_bytes;

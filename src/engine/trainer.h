@@ -63,10 +63,6 @@ struct TrainOptions {
   size_t evals_per_epoch = 10;
   /// Hot-slice coherence scheme (FAE only).
   SyncStrategy sync_strategy = SyncStrategy::kFull;
-  /// Model the hybrid baseline with CPU/GPU overlap (prefetching): the
-  /// strongest baseline variant. Applies to TrainBaseline and to FAE's
-  /// cold batches, so comparisons stay apples-to-apples.
-  bool pipelined_baseline = false;
   /// Emulate fp16 embedding *storage* (the NvOPT representation): after
   /// every sparse update, touched rows are rounded through binary16, so
   /// the tables never hold more precision than fp16 would. Gradients and
@@ -76,7 +72,7 @@ struct TrainOptions {
   bool fp16_embeddings = false;
   uint64_t seed = 7;
   /// Crash-safe checkpoint/resume (engine/checkpoint.h). Applies to
-  /// TrainBaselineResumable and the FAE paths.
+  /// TrainBaseline and the FAE paths.
   CheckpointOptions checkpoint;
   /// Optional fault-injection schedule (sim/fault_injector.h); not owned,
   /// must outlive the trainer. Faults scheduled for step k fire before the
@@ -95,7 +91,8 @@ struct TrainOptions {
   /// Pipelined execution (see PipelineMode). Like num_threads, excluded
   /// from OptionsFingerprint: results, phase charges, and checkpoint bytes
   /// are identical in every mode, so a resume may switch modes freely.
-  /// Mutually exclusive with the legacy pipelined_baseline cost model.
+  /// kOverlap on the baseline is the strongest baseline in the repo: its
+  /// CPU embedding work overlaps the GPUs' dense work.
   PipelineMode pipeline = PipelineMode::kOff;
   /// Staging-ring depth for kPrefetch/kOverlap (>= 1). Depth 1 keeps the
   /// background producer but allows no lookahead (no prep is hidden);
@@ -262,17 +259,12 @@ class Trainer {
  public:
   Trainer(RecModel* model, SystemSpec system, TrainOptions options);
 
-  /// Hybrid CPU-GPU baseline (paper Fig 3). Crashes on checkpoint or
-  /// fault-handling errors; callers that need those surfaced as Status use
-  /// TrainBaselineResumable.
-  TrainReport TrainBaseline(const Dataset& dataset,
-                            const Dataset::Split& split);
-
-  /// TrainBaseline with Status-based error reporting, honoring
-  /// options.checkpoint (resume produces a loss curve identical to an
-  /// uninterrupted run) and options.fault_injector.
-  StatusOr<TrainReport> TrainBaselineResumable(const Dataset& dataset,
-                                               const Dataset::Split& split);
+  /// Hybrid CPU-GPU baseline (paper Fig 3), honoring options.checkpoint
+  /// (resume produces a loss curve identical to an uninterrupted run) and
+  /// options.fault_injector. Invalid option combinations, checkpoint I/O
+  /// errors, and unrecoverable faults come back as a Status.
+  StatusOr<TrainReport> TrainBaseline(const Dataset& dataset,
+                                      const Dataset::Split& split);
 
   /// FAE: runs the static pipeline then the hot/cold schedule.
   StatusOr<TrainReport> TrainFae(const Dataset& dataset,
@@ -286,12 +278,15 @@ class Trainer {
                                          const FaePlan& plan);
 
   /// NvOPT-style comparator: fp16 embeddings on GPU where they fit.
-  TrainReport TrainNvOpt(const Dataset& dataset, const Dataset::Split& split);
+  /// InvalidArgument on a multi-node cluster or a quantized cold store
+  /// (the comparator models one node and fp32 tables).
+  StatusOr<TrainReport> TrainNvOpt(const Dataset& dataset,
+                                   const Dataset::Split& split);
 
   /// Model-parallel comparator: tables sharded across GPUs, all-to-all
   /// per batch. Fails with ResourceExhausted when the per-GPU table shard
   /// (plus headroom) exceeds GPU memory — the capacity argument the paper
-  /// opens with.
+  /// opens with — and with InvalidArgument like TrainNvOpt.
   StatusOr<TrainReport> TrainModelParallel(const Dataset& dataset,
                                            const Dataset::Split& split);
 
@@ -299,9 +294,10 @@ class Trainer {
   /// replicate live in a per-GPU cache (same budget), but batches are not
   /// reorganized, so misses stall each batch on the CPU. `plan` supplies
   /// the hot set (cache contents) for an apples-to-apples comparison.
-  TrainReport TrainGpuCache(const Dataset& dataset,
-                            const Dataset::Split& split,
-                            const FaePlan& plan);
+  /// InvalidArgument like TrainNvOpt.
+  StatusOr<TrainReport> TrainGpuCache(const Dataset& dataset,
+                                      const Dataset::Split& split,
+                                      const FaePlan& plan);
 
   size_t GlobalBatchSize() const {
     return options_.per_gpu_batch *

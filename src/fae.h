@@ -20,11 +20,8 @@
 #include "core/input_processor.h"
 #include "core/rand_em_box.h"
 #include "core/shuffle_scheduler.h"
-#include "data/batch_loader.h"
 #include "data/dataset.h"
 #include "data/dataset_io.h"
-#include "data/minibatch.h"
-#include "data/sample.h"
 #include "data/schema.h"
 #include "data/synthetic.h"
 #include "embedding/embedding_bag.h"

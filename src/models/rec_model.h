@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "data/batch_view.h"
-#include "data/minibatch.h"
 #include "embedding/embedding_bag.h"
 #include "embedding/embedding_table.h"
 #include "tensor/linear.h"
@@ -61,12 +60,11 @@ using SparseApplyFn = std::function<void(
 
 /// Interface shared by DLRM and TBSM: real numerics, explicit gradients.
 ///
-/// Batches arrive as non-owning BatchViews (legacy MiniBatch call sites
-/// convert implicitly); the view's backing store must stay alive for the
-/// duration of the call. One ForwardBackward call accumulates dense
-/// gradients in the model's Parameters and returns embedding gradients
-/// sparsely; callers then run Sgd/SparseSgd. EvalLogits is the stateless
-/// inference path.
+/// Batches arrive as non-owning BatchViews into a FlatDataset; the view's
+/// backing store must stay alive for the duration of the call. One
+/// ForwardBackward call accumulates dense gradients in the model's
+/// Parameters and returns embedding gradients sparsely; callers then run
+/// Sgd/SparseSgd. EvalLogits is the stateless inference path.
 class RecModel {
  public:
   virtual ~RecModel() = default;

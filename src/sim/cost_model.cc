@@ -77,17 +77,17 @@ double CostModel::BusyEnergyJoules(double seconds,
   return seconds * (dev.busy_watts - dev.idle_watts);
 }
 
-double CostModel::AverageGpuWatts(double wall_seconds,
+double CostModel::AverageGpuWatts(double elapsed_seconds,
                                   double gpu_busy_seconds,
                                   double comm_seconds) const {
-  if (wall_seconds <= 0.0) return 0.0;
-  const double busy = std::min(gpu_busy_seconds, wall_seconds);
-  const double comm = std::min(comm_seconds, wall_seconds);
+  if (elapsed_seconds <= 0.0) return 0.0;
+  const double busy = std::min(gpu_busy_seconds, elapsed_seconds);
+  const double comm = std::min(comm_seconds, elapsed_seconds);
   const double energy =
-      sys_.gpu.idle_watts * wall_seconds +
+      sys_.gpu.idle_watts * elapsed_seconds +
       (sys_.gpu.busy_watts - sys_.gpu.idle_watts) * busy +
       sys_.pcie.endpoint_active_watts * comm;
-  return energy / wall_seconds;
+  return energy / elapsed_seconds;
 }
 
 }  // namespace fae

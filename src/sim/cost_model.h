@@ -48,9 +48,9 @@ class CostModel {
   double BusyEnergyJoules(double seconds, const DeviceSpec& dev) const;
 
   /// Average per-GPU power (the paper's Table VI metric) over a run of
-  /// `wall_seconds` during which each GPU computed for `gpu_busy_seconds`
+  /// `elapsed_seconds` during which each GPU computed for `gpu_busy_seconds`
   /// and PCIe traffic kept it communication-active for `comm_seconds`.
-  double AverageGpuWatts(double wall_seconds, double gpu_busy_seconds,
+  double AverageGpuWatts(double elapsed_seconds, double gpu_busy_seconds,
                          double comm_seconds) const;
 
  private:

@@ -42,57 +42,21 @@ double Timeline::PhaseSumSeconds() const {
   return total;
 }
 
-double Timeline::TotalSeconds() const {
-  return wall_seconds_ > 0.0 ? wall_seconds_ : PhaseSumSeconds();
-}
-
 double Timeline::OverlappedTotalSeconds() const {
-  const double total = TotalSeconds();
+  const double total = PhaseSumSeconds();
   const double saved =
       overlap_saved_ + cache_saved_ + sharding_saved_ + stale_skip_saved_;
   return saved < total ? total - saved : 0.0;
 }
 
 double Timeline::OverlapFraction() const {
-  const double total = TotalSeconds();
+  const double total = PhaseSumSeconds();
   if (total <= 0.0 || overlap_saved_ <= 0.0) return 0.0;
   return overlap_saved_ >= total ? 1.0 : overlap_saved_ / total;
 }
 
-void Timeline::Merge(const Timeline& other) {
-  for (size_t i = 0; i < seconds_.size(); ++i) {
-    seconds_[i] += other.seconds_[i];
-  }
-  wall_seconds_ += other.wall_seconds_;
-  overlap_saved_ += other.overlap_saved_;
-  cache_saved_ += other.cache_saved_;
-  sharding_saved_ += other.sharding_saved_;
-  stale_skip_saved_ += other.stale_skip_saved_;
-  stale_skip_counters_.skipped_rows += other.stale_skip_counters_.skipped_rows;
-  stale_skip_counters_.updated_rows += other.stale_skip_counters_.updated_rows;
-  stale_skip_counters_.reactivated_rows +=
-      other.stale_skip_counters_.reactivated_rows;
-  stale_skip_counters_.guard_tightens +=
-      other.stale_skip_counters_.guard_tightens;
-  stale_skip_counters_.guard_widens += other.stale_skip_counters_.guard_widens;
-  cache_counters_.hits += other.cache_counters_.hits;
-  cache_counters_.misses += other.cache_counters_.misses;
-  cache_counters_.stale_refreshes += other.cache_counters_.stale_refreshes;
-  cache_counters_.prefetch_bytes += other.cache_counters_.prefetch_bytes;
-  cache_counters_.writeback_bytes += other.cache_counters_.writeback_bytes;
-  cache_counters_.plain_transfer_bytes +=
-      other.cache_counters_.plain_transfer_bytes;
-  cache_counters_.effective_transfer_bytes +=
-      other.cache_counters_.effective_transfer_bytes;
-  cpu_busy_ += other.cpu_busy_;
-  gpu_busy_ += other.gpu_busy_;
-  pcie_bytes_ += other.pcie_bytes_;
-  nvlink_bytes_ += other.nvlink_bytes_;
-  network_bytes_ += other.network_bytes_;
-}
-
 std::string Timeline::Report() const {
-  const double total = TotalSeconds();
+  const double total = PhaseSumSeconds();
   std::string out = StrFormat("total %s\n", HumanSeconds(total).c_str());
   for (int i = 0; i < static_cast<int>(Phase::kNumPhases); ++i) {
     if (seconds_[i] == 0.0) continue;

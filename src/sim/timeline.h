@@ -44,7 +44,6 @@ class Timeline {
   /// OverlapFraction) than the same run uninterrupted.
   struct State {
     std::array<double, static_cast<int>(Phase::kNumPhases)> seconds{};
-    double wall_seconds = 0.0;
     double cpu_busy = 0.0;
     double gpu_busy = 0.0;
     uint64_t pcie_bytes = 0;
@@ -53,13 +52,11 @@ class Timeline {
   };
 
   State state() const {
-    return State{seconds_,    wall_seconds_, cpu_busy_,
-                 gpu_busy_,   pcie_bytes_,   nvlink_bytes_,
-                 network_bytes_};
+    return State{seconds_,    cpu_busy_,    gpu_busy_,
+                 pcie_bytes_, nvlink_bytes_, network_bytes_};
   }
   void set_state(const State& state) {
     seconds_ = state.seconds;
-    wall_seconds_ = state.wall_seconds;
     cpu_busy_ = state.cpu_busy;
     gpu_busy_ = state.gpu_busy;
     pcie_bytes_ = state.pcie_bytes;
@@ -88,11 +85,6 @@ class Timeline {
   double seconds(Phase phase) const {
     return seconds_[static_cast<int>(phase)];
   }
-
-  /// Records explicit wall-clock time for overlapped execution models
-  /// (pipelined baselines), where the wall is shorter than the phase sum
-  /// because CPU and GPU phases run concurrently.
-  void AddWallSeconds(double seconds) { wall_seconds_ += seconds; }
 
   /// Overlap accounting for the pipelined trainer (--pipeline): records
   /// modeled seconds *hidden* by overlapping work on disjoint resources
@@ -164,21 +156,17 @@ class Timeline {
     return stale_skip_counters_;
   }
 
-  /// TotalSeconds() minus the overlap, cache, sharding, and stale-skip
+  /// Sum of per-phase seconds regardless of overlap (total device work):
+  /// the modeled wall-clock of the synchronous execution.
+  double PhaseSumSeconds() const;
+
+  /// PhaseSumSeconds() minus the overlap, cache, sharding, and stale-skip
   /// savings: the modeled wall-clock of the pipelined execution. Equals
-  /// TotalSeconds() when nothing overlapped and no overlay feature ran.
+  /// PhaseSumSeconds() when nothing overlapped and no overlay feature ran.
   double OverlappedTotalSeconds() const;
 
   /// Fraction of the serial wall-clock hidden by overlap, in [0, 1).
   double OverlapFraction() const;
-
-  /// Modeled wall-clock: the explicit wall time when any was recorded
-  /// (overlapped execution), otherwise the sum of all phases (the default
-  /// synchronous pipeline).
-  double TotalSeconds() const;
-
-  /// Sum of per-phase seconds regardless of overlap (total device work).
-  double PhaseSumSeconds() const;
 
   double cpu_busy_seconds() const { return cpu_busy_; }
   double gpu_busy_seconds() const { return gpu_busy_; }
@@ -186,14 +174,11 @@ class Timeline {
   uint64_t nvlink_bytes() const { return nvlink_bytes_; }
   uint64_t network_bytes() const { return network_bytes_; }
 
-  void Merge(const Timeline& other);
-
   /// Multi-line per-phase report with percentages.
   std::string Report() const;
 
  private:
   std::array<double, static_cast<int>(Phase::kNumPhases)> seconds_{};
-  double wall_seconds_ = 0.0;
   /// Not part of State — see the State doc comment.
   double overlap_saved_ = 0.0;
   /// Not part of State either — see the CacheCounters doc comment.

@@ -31,7 +31,7 @@ TEST(EmbeddingLoggerTest, ProfilesExactlyTheSampledInputs) {
   EmbeddingLogger::Result r = EmbeddingLogger::Profile(d, ids);
   EXPECT_EQ(r.num_inputs, 3u);
   uint64_t expected = 0;
-  for (uint64_t i : ids) expected += d.sample(i).NumLookups();
+  for (uint64_t i : ids) expected += d.flat().NumLookups(i);
   EXPECT_EQ(r.num_lookups, expected);
   EXPECT_EQ(r.profile.grand_total(), expected);
 }
@@ -112,7 +112,7 @@ TEST(CalibratorTest, RejectsBadConfigs) {
 
 TEST(CalibratorTest, EmptyDatasetRejected) {
   DatasetSchema schema = MakeKaggleLikeSchema(DatasetScale::kTiny);
-  Dataset d(schema, {});
+  Dataset d{FlatDataset(schema)};
   EXPECT_EQ(Calibrator(TestConfig()).Calibrate(d).status().code(),
             StatusCode::kInvalidArgument);
 }

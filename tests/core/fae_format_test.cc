@@ -7,14 +7,13 @@
 
 #include "core/fae_pipeline.h"
 #include "data/synthetic.h"
+#include "test_temp_dir.h"
 #include "util/file_io.h"
 
 namespace fae {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using test::TempPath;
 
 struct Fixture {
   Fixture()

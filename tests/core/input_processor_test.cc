@@ -1,9 +1,12 @@
 #include "core/input_processor.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/calibrator.h"
 #include "core/embedding_classifier.h"
+#include "data/batch_view.h"
 #include "data/synthetic.h"
 
 namespace fae {
@@ -48,19 +51,19 @@ TEST(InputProcessorTest, HotInputsTouchOnlyHotEntries) {
       EmbeddingClassifier::Classify(p.profile, p.dataset.schema(), 5, 1 << 12);
   InputProcessor proc(2);
   ProcessedInputs out = proc.Classify(p.dataset, hot, p.AllIds());
+  const FlatDataset& flat = p.dataset.flat();
+  const size_t num_tables = p.dataset.schema().num_tables();
   for (uint64_t id : out.hot_ids) {
-    const SparseInput& s = p.dataset.sample(id);
-    for (size_t t = 0; t < s.indices.size(); ++t) {
-      for (uint32_t row : s.indices[t]) {
+    for (size_t t = 0; t < num_tables; ++t) {
+      for (uint32_t row : flat.lookups(t, id)) {
         EXPECT_TRUE(hot.IsHot(t, row));
       }
     }
   }
   for (uint64_t id : out.cold_ids) {
-    const SparseInput& s = p.dataset.sample(id);
     bool any_cold = false;
-    for (size_t t = 0; t < s.indices.size() && !any_cold; ++t) {
-      for (uint32_t row : s.indices[t]) {
+    for (size_t t = 0; t < num_tables && !any_cold; ++t) {
+      for (uint32_t row : flat.lookups(t, id)) {
         if (!hot.IsHot(t, row)) {
           any_cold = true;
           break;
@@ -91,18 +94,17 @@ TEST_P(BatchPurityTest, PackedBatchesArePure) {
                                              h_zt, 1 << 12);
   InputProcessor proc(2);
   ProcessedInputs inputs = proc.Classify(p.dataset, hot, p.AllIds());
-  auto packed = InputProcessor::Pack(p.dataset, inputs, 64, /*seed=*/9);
+  const InputProcessor::PackedFlat packed =
+      InputProcessor::PackFlat(p.dataset, inputs, /*seed=*/9);
 
   size_t total = 0;
-  for (const MiniBatch& b : packed.hot) {
-    EXPECT_TRUE(b.hot);
+  for (const BatchView& b : MakeBatchViews(packed.hot, 64, /*hot=*/true)) {
     total += b.batch_size();
-    for (size_t t = 0; t < b.indices.size(); ++t) {
-      for (uint32_t row : b.indices[t]) EXPECT_TRUE(hot.IsHot(t, row));
+    for (size_t t = 0; t < b.num_tables(); ++t) {
+      for (uint32_t row : b.indices(t)) EXPECT_TRUE(hot.IsHot(t, row));
     }
   }
-  for (const MiniBatch& b : packed.cold) {
-    EXPECT_FALSE(b.hot);
+  for (const BatchView& b : MakeBatchViews(packed.cold, 64, /*hot=*/false)) {
     total += b.batch_size();
   }
   EXPECT_EQ(total, p.dataset.size());
@@ -137,12 +139,15 @@ TEST(InputProcessorTest, PackRespectsBatchSize) {
       EmbeddingClassifier::Classify(p.profile, p.dataset.schema(), 3, 1 << 12);
   ProcessedInputs inputs =
       InputProcessor(2).Classify(p.dataset, hot, p.AllIds());
-  auto packed = InputProcessor::Pack(p.dataset, inputs, 128, 1);
-  for (size_t i = 0; i + 1 < packed.hot.size(); ++i) {
-    EXPECT_EQ(packed.hot[i].batch_size(), 128u);
-  }
-  for (size_t i = 0; i + 1 < packed.cold.size(); ++i) {
-    EXPECT_EQ(packed.cold[i].batch_size(), 128u);
+  const InputProcessor::PackedFlat packed =
+      InputProcessor::PackFlat(p.dataset, inputs, 1);
+  EXPECT_EQ(packed.hot.size(), inputs.hot_ids.size());
+  EXPECT_EQ(packed.cold.size(), inputs.cold_ids.size());
+  for (const FlatDataset* cls : {&packed.hot, &packed.cold}) {
+    const std::vector<BatchView> batches = MakeBatchViews(*cls, 128, false);
+    for (size_t i = 0; i + 1 < batches.size(); ++i) {
+      EXPECT_EQ(batches[i].batch_size(), 128u);
+    }
   }
 }
 
@@ -153,9 +158,10 @@ TEST(InputProcessorTest, EmptyInputListYieldsNothing) {
   ProcessedInputs out = InputProcessor(2).Classify(p.dataset, hot, {});
   EXPECT_TRUE(out.hot_ids.empty());
   EXPECT_TRUE(out.cold_ids.empty());
-  auto packed = InputProcessor::Pack(p.dataset, out, 64, 1);
-  EXPECT_TRUE(packed.hot.empty());
-  EXPECT_TRUE(packed.cold.empty());
+  const InputProcessor::PackedFlat packed =
+      InputProcessor::PackFlat(p.dataset, out, 1);
+  EXPECT_EQ(packed.hot.size(), 0u);
+  EXPECT_EQ(packed.cold.size(), 0u);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include "core/embedding_replicator.h"
 
+#include <algorithm>
+#include <span>
+
 #include <gtest/gtest.h>
 
 #include "core/input_processor.h"
@@ -115,20 +118,23 @@ TEST(ReplicatorTest, TranslateRewritesHotBatch) {
   for (size_t i = 0; i < all_ids.size(); ++i) all_ids[i] = i;
   ProcessedInputs inputs = proc.Classify(f.dataset, f.hot, all_ids);
   ASSERT_GT(inputs.hot_ids.size(), 0u);
-  auto packed = InputProcessor::Pack(f.dataset, inputs, 32, 1);
-  ASSERT_FALSE(packed.hot.empty());
+  const InputProcessor::PackedFlat packed =
+      InputProcessor::PackFlat(f.dataset, inputs, 1);
+  ASSERT_GT(packed.hot.size(), 0u);
 
-  auto translated = rep.TranslateBatch(packed.hot[0]);
+  auto translated = rep.TranslateFlat(packed.hot);
   ASSERT_TRUE(translated.ok()) << translated.status().ToString();
-  for (size_t t = 0; t < translated->indices.size(); ++t) {
-    ASSERT_EQ(translated->indices[t].size(), packed.hot[0].indices[t].size());
-    for (size_t j = 0; j < translated->indices[t].size(); ++j) {
-      EXPECT_EQ(rep.RowOf(t, translated->indices[t][j]),
-                packed.hot[0].indices[t][j]);
+  for (size_t t = 0; t < f.schema.num_tables(); ++t) {
+    const std::span<const uint32_t> rows = packed.hot.indices(t);
+    const std::span<const uint32_t> slots = translated->indices(t);
+    ASSERT_EQ(slots.size(), rows.size());
+    for (size_t j = 0; j < slots.size(); ++j) {
+      EXPECT_EQ(rep.RowOf(t, slots[j]), rows[j]);
     }
-    EXPECT_EQ(translated->offsets[t], packed.hot[0].offsets[t]);
+    EXPECT_TRUE(std::ranges::equal(translated->offsets(t),
+                                   packed.hot.offsets(t)));
   }
-  EXPECT_EQ(translated->labels, packed.hot[0].labels);
+  EXPECT_TRUE(std::ranges::equal(translated->labels(), packed.hot.labels()));
 }
 
 TEST(ReplicatorTest, TranslateRejectsColdLookup) {
@@ -144,13 +150,12 @@ TEST(ReplicatorTest, TranslateRejectsColdLookup) {
     }
   }
   ASSERT_TRUE(found);
-  MiniBatch batch;
-  batch.dense = Tensor(1, f.schema.num_dense);
-  batch.indices.assign(f.schema.num_tables(), {0});
-  batch.indices[0] = {cold_row};
-  batch.offsets.assign(f.schema.num_tables(), {0, 1});
-  batch.labels = {1.0f};
-  auto translated = rep.TranslateBatch(batch);
+  FlatDataset batch(f.schema);
+  for (size_t d = 0; d < f.schema.num_dense; ++d) batch.AppendDense(0.0f);
+  batch.AppendLookup(0, cold_row);
+  for (size_t t = 1; t < f.schema.num_tables(); ++t) batch.AppendLookup(t, 0);
+  batch.FinishSample(1.0f);
+  auto translated = rep.TranslateFlat(batch);
   ASSERT_FALSE(translated.ok());
   EXPECT_EQ(translated.status().code(), StatusCode::kInvalidArgument);
 }

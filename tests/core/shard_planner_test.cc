@@ -7,15 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include "test_temp_dir.h"
 #include "util/file_io.h"
 #include "util/random.h"
 
 namespace fae {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using test::TempPath;
 
 constexpr uint64_t kHotThreshold = 2;
 

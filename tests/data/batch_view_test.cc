@@ -1,11 +1,12 @@
 #include "data/batch_view.h"
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/dataset.h"
-#include "data/minibatch.h"
 #include "data/synthetic.h"
 
 namespace fae {
@@ -18,30 +19,28 @@ std::vector<uint64_t> Iota(size_t n) {
 }
 
 /// A batch view over a gathered flat dataset must describe exactly the
-/// same batch as the copying AssembleBatches path, modulo the CSR offset
-/// base (views carry dataset-absolute offsets; kernels rebase on
-/// offsets.front(), so only the differences matter).
-void ExpectSameBatch(const BatchView& view, const MiniBatch& batch) {
-  ASSERT_EQ(view.batch_size(), batch.batch_size());
-  ASSERT_EQ(view.num_tables(), batch.indices.size());
-  EXPECT_EQ(view.TotalLookups(), batch.TotalLookups());
-  for (size_t i = 0; i < view.batch_size(); ++i) {
-    EXPECT_EQ(view.labels[i], batch.labels[i]);
+/// samples `ids` of `source`, in order, modulo the CSR offset base (views
+/// carry dataset-absolute offsets; kernels rebase on offsets.front(), so
+/// only the differences matter).
+void ExpectViewOf(const BatchView& view, const FlatDataset& source,
+                  std::span<const uint64_t> ids) {
+  ASSERT_EQ(view.batch_size(), ids.size());
+  uint64_t lookups = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(view.labels[i], source.label(ids[i]));
     for (size_t d = 0; d < view.dense.cols; ++d) {
-      EXPECT_EQ(view.dense(i, d), batch.dense(i, d));
+      EXPECT_EQ(view.dense(i, d), source.dense_row(ids[i])[d]);
     }
+    lookups += source.NumLookups(ids[i]);
   }
+  EXPECT_EQ(view.TotalLookups(), lookups);
   for (size_t t = 0; t < view.num_tables(); ++t) {
-    const std::span<const uint32_t> vi = view.indices(t);
-    ASSERT_EQ(vi.size(), batch.indices[t].size());
-    for (size_t k = 0; k < vi.size(); ++k) {
-      EXPECT_EQ(vi[k], batch.indices[t][k]);
-    }
     const std::span<const uint32_t> vo = view.offsets(t);
-    ASSERT_EQ(vo.size(), batch.offsets[t].size());
-    const uint32_t base = vo.front();
-    for (size_t k = 0; k < vo.size(); ++k) {
-      EXPECT_EQ(vo[k] - base, batch.offsets[t][k]);
+    ASSERT_EQ(vo.size(), ids.size() + 1);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const std::span<const uint32_t> got =
+          view.indices(t).subspan(vo[i] - vo.front(), vo[i + 1] - vo[i]);
+      EXPECT_TRUE(std::ranges::equal(got, source.lookups(t, ids[i])));
     }
   }
 }
@@ -52,17 +51,16 @@ TEST(BatchViewTest, ViewsMatchAssembledBatches) {
       SyntheticGenerator(schema, {.seed = 11}).Generate(100);
   const std::vector<uint64_t> ids = Iota(100);
 
-  const std::vector<MiniBatch> batches =
-      AssembleBatches(dataset, ids, /*batch_size=*/32, /*hot=*/false);
   const FlatDataset gathered = dataset.flat().Gather(ids);
   const std::vector<BatchView> views =
       MakeBatchViews(gathered, /*batch_size=*/32, /*hot=*/false);
 
-  ASSERT_EQ(views.size(), batches.size());
   ASSERT_EQ(views.size(), 4u);  // 32+32+32+4: the partial tail is kept
   EXPECT_EQ(views.back().batch_size(), 4u);
   for (size_t b = 0; b < views.size(); ++b) {
-    ExpectSameBatch(views[b], batches[b]);
+    ExpectViewOf(views[b], dataset.flat(),
+                 std::span<const uint64_t>(ids).subspan(
+                     b * 32, views[b].batch_size()));
   }
 }
 
@@ -72,27 +70,15 @@ TEST(BatchViewTest, ViewsMatchPermutedAssembly) {
       SyntheticGenerator(schema, {.seed = 13}).Generate(64);
   // A shuffled epoch order: gather once, then view.
   std::vector<uint64_t> ids = {5, 63, 0, 17, 17, 2, 40, 31};
-  const std::vector<MiniBatch> batches =
-      AssembleBatches(dataset, ids, /*batch_size=*/3, /*hot=*/true);
   const FlatDataset gathered = dataset.flat().Gather(ids);
   const std::vector<BatchView> views =
       MakeBatchViews(gathered, /*batch_size=*/3, /*hot=*/true);
-  ASSERT_EQ(views.size(), batches.size());
+  ASSERT_EQ(views.size(), 3u);  // 3+3+2
   for (size_t b = 0; b < views.size(); ++b) {
     EXPECT_TRUE(views[b].hot);
-    ExpectSameBatch(views[b], batches[b]);
-  }
-}
-
-TEST(BatchViewTest, MiniBatchConversionIsZeroBased) {
-  const DatasetSchema schema = MakeKaggleLikeSchema(DatasetScale::kTiny);
-  const Dataset dataset =
-      SyntheticGenerator(schema, {.seed = 17}).Generate(16);
-  const MiniBatch batch = AssembleBatch(dataset, Iota(8));
-  const BatchView view(batch);
-  ExpectSameBatch(view, batch);
-  for (size_t t = 0; t < view.num_tables(); ++t) {
-    EXPECT_EQ(view.offsets(t).front(), 0u);
+    ExpectViewOf(views[b], dataset.flat(),
+                 std::span<const uint64_t>(ids).subspan(
+                     b * 3, views[b].batch_size()));
   }
 }
 

@@ -1,5 +1,6 @@
 #include "data/dataset_io.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -7,14 +8,13 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "test_temp_dir.h"
 #include "util/file_io.h"
 
 namespace fae {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using test::TempPath;
 
 Dataset MakeData(WorkloadKind kind = WorkloadKind::kKaggleDlrm,
                  size_t n = 300) {
@@ -40,10 +40,13 @@ TEST(DatasetIoTest, RoundTripPreservesEverything) {
   EXPECT_EQ(a.max_history, b.max_history);
 
   ASSERT_EQ(original.size(), loaded->size());
-  for (size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(original.sample(i).dense, loaded->sample(i).dense);
-    EXPECT_EQ(original.sample(i).indices, loaded->sample(i).indices);
-    EXPECT_EQ(original.sample(i).label, loaded->sample(i).label);
+  const FlatDataset& want = original.flat();
+  const FlatDataset& got = loaded->flat();
+  EXPECT_TRUE(std::ranges::equal(want.dense_data(), got.dense_data()));
+  EXPECT_TRUE(std::ranges::equal(want.labels(), got.labels()));
+  for (size_t t = 0; t < a.num_tables(); ++t) {
+    EXPECT_TRUE(std::ranges::equal(want.offsets(t), got.offsets(t)));
+    EXPECT_TRUE(std::ranges::equal(want.indices(t), got.indices(t)));
   }
   (void)RemoveFile(path);
 }
@@ -56,14 +59,15 @@ TEST(DatasetIoTest, RoundTripSequentialWorkload) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->schema().sequential);
   for (size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(original.sample(i).indices[0], loaded->sample(i).indices[0]);
+    EXPECT_TRUE(std::ranges::equal(original.flat().lookups(0, i),
+                                   loaded->flat().lookups(0, i)));
   }
   (void)RemoveFile(path);
 }
 
 TEST(DatasetIoTest, EmptyDatasetRoundTrips) {
-  Dataset original(MakeSchema(WorkloadKind::kKaggleDlrm, DatasetScale::kTiny),
-                   {});
+  Dataset original{
+      FlatDataset(MakeSchema(WorkloadKind::kKaggleDlrm, DatasetScale::kTiny))};
   const std::string path = TempPath("fae_ds_empty.faed");
   ASSERT_TRUE(DatasetIo::Save(path, original).ok());
   auto loaded = DatasetIo::Load(path);
@@ -144,11 +148,11 @@ TEST(DatasetIoTest, RejectsOutOfRangeLookup) {
   schema.num_dense = 1;
   schema.table_rows = {4};
   schema.embedding_dim = 2;
-  SparseInput sample;
-  sample.dense = {0.5f};
-  sample.indices = {{3}};
-  sample.label = 1.0f;
-  Dataset original(schema, {sample});
+  FlatDataset flat(schema);
+  flat.AppendDense(0.5f);
+  flat.AppendLookup(0, 3);
+  flat.FinishSample(1.0f);
+  Dataset original(std::move(flat));
   const std::string path = TempPath("fae_ds_range.faed");
   ASSERT_TRUE(DatasetIo::Save(path, original).ok());
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "data/minibatch.h"
 #include "data/synthetic.h"
 
 namespace fae {
@@ -34,7 +33,7 @@ TEST(DatasetTest, ProfileAllCountsEveryLookup) {
   Dataset d = SmallDataset(100);
   AccessProfile profile = d.ProfileAllAccesses();
   uint64_t lookups = 0;
-  for (size_t i = 0; i < d.size(); ++i) lookups += d.sample(i).NumLookups();
+  for (size_t i = 0; i < d.size(); ++i) lookups += d.flat().NumLookups(i);
   EXPECT_EQ(profile.grand_total(), lookups);
 }
 
@@ -43,66 +42,8 @@ TEST(DatasetTest, PartialProfileMatchesSubset) {
   std::vector<uint64_t> which = {0, 5, 10};
   AccessProfile profile = d.ProfileAccesses(which);
   uint64_t lookups = 0;
-  for (uint64_t i : which) lookups += d.sample(i).NumLookups();
+  for (uint64_t i : which) lookups += d.flat().NumLookups(i);
   EXPECT_EQ(profile.grand_total(), lookups);
-}
-
-TEST(MiniBatchTest, AssembleBatchLaysOutCsr) {
-  Dataset d = SmallDataset(20);
-  MiniBatch b = AssembleBatch(d, {0, 1, 2});
-  EXPECT_EQ(b.batch_size(), 3u);
-  EXPECT_EQ(b.dense.rows(), 3u);
-  EXPECT_EQ(b.dense.cols(), d.schema().num_dense);
-  for (size_t t = 0; t < d.schema().num_tables(); ++t) {
-    ASSERT_EQ(b.offsets[t].size(), 4u);
-    EXPECT_EQ(b.offsets[t].front(), 0u);
-    EXPECT_EQ(b.offsets[t].back(), b.indices[t].size());
-  }
-  // Sample 1's lookups land between its offsets.
-  const SparseInput& s1 = d.sample(1);
-  for (size_t t = 0; t < d.schema().num_tables(); ++t) {
-    const uint32_t begin = b.offsets[t][1];
-    const uint32_t end = b.offsets[t][2];
-    ASSERT_EQ(end - begin, s1.indices[t].size());
-    for (uint32_t j = 0; j < end - begin; ++j) {
-      EXPECT_EQ(b.indices[t][begin + j], s1.indices[t][j]);
-    }
-  }
-}
-
-TEST(MiniBatchTest, LabelsAndDenseCopied) {
-  Dataset d = SmallDataset(5);
-  MiniBatch b = AssembleBatch(d, {4, 2});
-  EXPECT_EQ(b.labels[0], d.sample(4).label);
-  EXPECT_EQ(b.labels[1], d.sample(2).label);
-  EXPECT_EQ(b.dense(0, 0), d.sample(4).dense[0]);
-  EXPECT_EQ(b.dense(1, 2), d.sample(2).dense[2]);
-}
-
-TEST(MiniBatchTest, AssembleBatchesChunksAndFlags) {
-  Dataset d = SmallDataset(25);
-  std::vector<uint64_t> ids;
-  for (uint64_t i = 0; i < 25; ++i) ids.push_back(i);
-  auto batches = AssembleBatches(d, ids, 10, /*hot=*/true);
-  ASSERT_EQ(batches.size(), 3u);
-  EXPECT_EQ(batches[0].batch_size(), 10u);
-  EXPECT_EQ(batches[2].batch_size(), 5u);
-  for (const auto& b : batches) EXPECT_TRUE(b.hot);
-}
-
-TEST(MiniBatchTest, TotalLookupsSumsTables) {
-  Dataset d = SmallDataset(8);
-  MiniBatch b = AssembleBatch(d, {0, 1, 2, 3});
-  uint64_t expected = 0;
-  for (uint64_t i = 0; i < 4; ++i) expected += d.sample(i).NumLookups();
-  EXPECT_EQ(b.TotalLookups(), expected);
-}
-
-TEST(MiniBatchTest, EmptyBatch) {
-  Dataset d = SmallDataset(5);
-  MiniBatch b = AssembleBatch(d, {});
-  EXPECT_EQ(b.batch_size(), 0u);
-  EXPECT_EQ(b.TotalLookups(), 0u);
 }
 
 }  // namespace

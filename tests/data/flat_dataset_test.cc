@@ -1,5 +1,6 @@
 #include "data/flat_dataset.h"
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,67 +20,26 @@ DatasetSchema TinySchema() {
   return s;
 }
 
-std::vector<SparseInput> TinySamples() {
-  std::vector<SparseInput> samples(3);
-  samples[0].dense = {0.1f, 0.2f};
-  samples[0].indices = {{1, 2}, {3}};
-  samples[0].label = 1.0f;
-  samples[1].dense = {0.3f, 0.4f};
-  samples[1].indices = {{}, {4, 5, 6}};
-  samples[1].label = 0.0f;
-  samples[2].dense = {0.5f, 0.6f};
-  samples[2].indices = {{7}, {8}};
-  samples[2].label = 1.0f;
-  return samples;
-}
-
-TEST(FlatDatasetTest, BuilderMatchesFromSamples) {
-  const DatasetSchema schema = TinySchema();
-  const std::vector<SparseInput> samples = TinySamples();
-  const FlatDataset from = FlatDataset::FromSamples(schema, samples);
-
-  FlatDataset built(schema);
-  for (const SparseInput& s : samples) {
-    for (float v : s.dense) built.AppendDense(v);
-    for (size_t t = 0; t < s.indices.size(); ++t) {
-      for (uint32_t row : s.indices[t]) built.AppendLookup(t, row);
+/// Three samples built with the streaming builder; per-table lookups are
+/// {{1, 2}, {3}}, {{}, {4, 5, 6}}, and {{7}, {8}}.
+FlatDataset TinyFlat() {
+  const float dense[3][2] = {{0.1f, 0.2f}, {0.3f, 0.4f}, {0.5f, 0.6f}};
+  const std::vector<uint32_t> lookups[3][2] = {
+      {{1, 2}, {3}}, {{}, {4, 5, 6}}, {{7}, {8}}};
+  const float labels[3] = {1.0f, 0.0f, 1.0f};
+  FlatDataset flat(TinySchema());
+  for (size_t i = 0; i < 3; ++i) {
+    for (float v : dense[i]) flat.AppendDense(v);
+    for (size_t t = 0; t < 2; ++t) {
+      for (uint32_t row : lookups[i][t]) flat.AppendLookup(t, row);
     }
-    built.FinishSample(s.label);
+    flat.FinishSample(labels[i]);
   }
-
-  ASSERT_EQ(built.size(), from.size());
-  for (size_t t = 0; t < schema.num_tables(); ++t) {
-    ASSERT_EQ(std::vector<uint32_t>(built.indices(t).begin(),
-                                    built.indices(t).end()),
-              std::vector<uint32_t>(from.indices(t).begin(),
-                                    from.indices(t).end()));
-    ASSERT_EQ(std::vector<uint32_t>(built.offsets(t).begin(),
-                                    built.offsets(t).end()),
-              std::vector<uint32_t>(from.offsets(t).begin(),
-                                    from.offsets(t).end()));
-  }
-  for (size_t i = 0; i < built.size(); ++i) {
-    EXPECT_EQ(built.label(i), from.label(i));
-    for (size_t d = 0; d < schema.num_dense; ++d) {
-      EXPECT_EQ(built.dense_row(i)[d], from.dense_row(i)[d]);
-    }
-  }
-}
-
-TEST(FlatDatasetTest, SampleRoundTripsToSparseInput) {
-  const std::vector<SparseInput> samples = TinySamples();
-  const FlatDataset flat = FlatDataset::FromSamples(TinySchema(), samples);
-  for (size_t i = 0; i < samples.size(); ++i) {
-    const SparseInput s = flat.Sample(i);
-    EXPECT_EQ(s.dense, samples[i].dense);
-    EXPECT_EQ(s.indices, samples[i].indices);
-    EXPECT_EQ(s.label, samples[i].label);
-  }
+  return flat;
 }
 
 TEST(FlatDatasetTest, CsrOffsetsAreConsistent) {
-  const FlatDataset flat =
-      FlatDataset::FromSamples(TinySchema(), TinySamples());
+  const FlatDataset flat = TinyFlat();
   for (size_t t = 0; t < 2; ++t) {
     const std::span<const uint32_t> off = flat.offsets(t);
     ASSERT_EQ(off.size(), flat.size() + 1);
@@ -92,8 +52,7 @@ TEST(FlatDatasetTest, CsrOffsetsAreConsistent) {
 }
 
 TEST(FlatDatasetTest, LookupCountsAreCachedAndExact) {
-  const FlatDataset flat =
-      FlatDataset::FromSamples(TinySchema(), TinySamples());
+  const FlatDataset flat = TinyFlat();
   EXPECT_EQ(flat.NumLookups(0), 3u);
   EXPECT_EQ(flat.NumLookups(1), 3u);
   EXPECT_EQ(flat.NumLookups(2), 2u);
@@ -114,17 +73,18 @@ TEST(FlatDatasetTest, PendingLookupsSeesCurrentSampleOnly) {
 }
 
 TEST(FlatDatasetTest, GatherPermutesAndDuplicates) {
-  const std::vector<SparseInput> samples = TinySamples();
-  const FlatDataset flat = FlatDataset::FromSamples(TinySchema(), samples);
+  const FlatDataset flat = TinyFlat();
   const std::vector<uint64_t> ids = {2, 0, 2};
   const FlatDataset g = flat.Gather(ids);
   ASSERT_EQ(g.size(), 3u);
   for (size_t i = 0; i < ids.size(); ++i) {
-    const SparseInput got = g.Sample(i);
-    const SparseInput want = samples[ids[i]];
-    EXPECT_EQ(got.dense, want.dense);
-    EXPECT_EQ(got.indices, want.indices);
-    EXPECT_EQ(got.label, want.label);
+    EXPECT_EQ(g.label(i), flat.label(ids[i]));
+    for (size_t d = 0; d < 2; ++d) {
+      EXPECT_EQ(g.dense_row(i)[d], flat.dense_row(ids[i])[d]);
+    }
+    for (size_t t = 0; t < 2; ++t) {
+      EXPECT_TRUE(std::ranges::equal(g.lookups(t, i), flat.lookups(t, ids[i])));
+    }
   }
   EXPECT_EQ(g.total_lookups(), 2u + 3u + 2u);  // samples 2, 0, 2
 }

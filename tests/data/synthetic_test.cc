@@ -1,7 +1,9 @@
 #include "data/synthetic.h"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -22,15 +24,15 @@ TEST(SyntheticTest, SamplesMatchSchema) {
   DatasetSchema schema = TinyKaggle();
   SyntheticGenerator gen(schema, {});
   Dataset d = gen.Generate(100);
+  const FlatDataset& flat = d.flat();
+  EXPECT_EQ(flat.dense_data().size(), d.size() * schema.num_dense);
   for (size_t i = 0; i < d.size(); ++i) {
-    const SparseInput& s = d.sample(i);
-    EXPECT_EQ(s.dense.size(), schema.num_dense);
-    ASSERT_EQ(s.indices.size(), schema.num_tables());
     for (size_t t = 0; t < schema.num_tables(); ++t) {
-      ASSERT_EQ(s.indices[t].size(), 1u);  // DLRM: one lookup per table
-      EXPECT_LT(s.indices[t][0], schema.table_rows[t]);
+      const std::span<const uint32_t> l = flat.lookups(t, i);
+      ASSERT_EQ(l.size(), 1u);  // DLRM: one lookup per table
+      EXPECT_LT(l[0], schema.table_rows[t]);
     }
-    EXPECT_TRUE(s.label == 0.0f || s.label == 1.0f);
+    EXPECT_TRUE(flat.label(i) == 0.0f || flat.label(i) == 1.0f);
   }
 }
 
@@ -40,12 +42,12 @@ TEST(SyntheticTest, SequentialSchemaGetsHistories) {
   Dataset d = gen.Generate(300);
   size_t max_len = 0;
   for (size_t i = 0; i < d.size(); ++i) {
-    const SparseInput& s = d.sample(i);
-    ASSERT_GE(s.indices[0].size(), 1u);
-    ASSERT_LE(s.indices[0].size(), schema.max_history);
-    max_len = std::max(max_len, s.indices[0].size());
+    const size_t history = d.flat().lookups(0, i).size();
+    ASSERT_GE(history, 1u);
+    ASSERT_LE(history, schema.max_history);
+    max_len = std::max(max_len, history);
     for (size_t t = 1; t < schema.num_tables(); ++t) {
-      EXPECT_EQ(s.indices[t].size(), 1u);
+      EXPECT_EQ(d.flat().lookups(t, i).size(), 1u);
     }
   }
   EXPECT_GT(max_len, 5u);  // histories actually vary
@@ -56,10 +58,10 @@ TEST(SyntheticTest, DeterministicForSeed) {
   SyntheticGenerator b(TinyKaggle(), {.seed = 9});
   Dataset da = a.Generate(50);
   Dataset db = b.Generate(50);
-  for (size_t i = 0; i < 50; ++i) {
-    EXPECT_EQ(da.sample(i).indices, db.sample(i).indices);
-    EXPECT_EQ(da.sample(i).label, db.sample(i).label);
+  for (size_t t = 0; t < da.schema().num_tables(); ++t) {
+    EXPECT_TRUE(std::ranges::equal(da.flat().indices(t), db.flat().indices(t)));
   }
+  EXPECT_TRUE(std::ranges::equal(da.flat().labels(), db.flat().labels()));
 }
 
 TEST(SyntheticTest, DifferentSeedsDiffer) {
@@ -69,7 +71,13 @@ TEST(SyntheticTest, DifferentSeedsDiffer) {
   Dataset db = b.Generate(50);
   size_t differing = 0;
   for (size_t i = 0; i < 50; ++i) {
-    if (da.sample(i).indices != db.sample(i).indices) ++differing;
+    for (size_t t = 0; t < da.schema().num_tables(); ++t) {
+      if (!std::ranges::equal(da.flat().lookups(t, i),
+                              db.flat().lookups(t, i))) {
+        ++differing;
+        break;
+      }
+    }
   }
   EXPECT_GT(differing, 40u);
 }
@@ -119,21 +127,20 @@ TEST(SyntheticTest, LabelsCorrelateWithPlantedAffinity) {
   Dataset d = gen.Generate(4000);
   double hi_sum = 0, hi_n = 0, lo_sum = 0, lo_n = 0;
   for (size_t i = 0; i < d.size(); ++i) {
-    const SparseInput& s = d.sample(i);
     double aff = 0;
     size_t lookups = 0;
-    for (size_t t = 0; t < s.indices.size(); ++t) {
-      for (uint32_t row : s.indices[t]) {
+    for (size_t t = 0; t < d.schema().num_tables(); ++t) {
+      for (uint32_t row : d.flat().lookups(t, i)) {
         aff += gen.Affinity(t, row);
         ++lookups;
       }
     }
     aff /= std::sqrt(static_cast<double>(lookups));
     if (aff > 1.0) {
-      hi_sum += s.label;
+      hi_sum += d.flat().label(i);
       hi_n += 1;
     } else if (aff < -1.0) {
-      lo_sum += s.label;
+      lo_sum += d.flat().label(i);
       lo_n += 1;
     }
   }
@@ -184,7 +191,7 @@ TEST(SyntheticTest, DriftedLabelsRemainBalanced) {
   SyntheticGenerator gen(TinyKaggle(), {.seed = 7, .popularity_drift = 0.5});
   Dataset d = gen.Generate(2000);
   double positives = 0;
-  for (size_t i = 0; i < d.size(); ++i) positives += d.sample(i).label;
+  for (size_t i = 0; i < d.size(); ++i) positives += d.flat().label(i);
   const double rate = positives / d.size();
   EXPECT_GT(rate, 0.2);
   EXPECT_LT(rate, 0.8);
@@ -194,7 +201,7 @@ TEST(SyntheticTest, LabelBalanceIsReasonable) {
   SyntheticGenerator gen(TinyKaggle(), {.seed = 5});
   Dataset d = gen.Generate(2000);
   double positives = 0;
-  for (size_t i = 0; i < d.size(); ++i) positives += d.sample(i).label;
+  for (size_t i = 0; i < d.size(); ++i) positives += d.flat().label(i);
   const double rate = positives / d.size();
   EXPECT_GT(rate, 0.2);
   EXPECT_LT(rate, 0.8);

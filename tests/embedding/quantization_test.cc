@@ -15,14 +15,13 @@
 #include "models/factory.h"
 #include "models/model_io.h"
 #include "tensor/kernels.h"
+#include "test_temp_dir.h"
 #include "util/random.h"
 
 namespace fae {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using test::TempPath;
 
 // Every-4th-row-hot mask, the shape used throughout these tests.
 std::vector<uint8_t> QuarterHotMask(uint64_t rows) {

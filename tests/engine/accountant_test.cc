@@ -68,7 +68,7 @@ TEST_F(AccountantTest, HotStepFasterThanBaseline) {
   Timeline hot;
   accountant_.ChargeBaselineStep(MakeWork(), base);
   accountant_.ChargeHotStep(MakeWork(), hot);
-  EXPECT_LT(hot.TotalSeconds(), base.TotalSeconds());
+  EXPECT_LT(hot.PhaseSumSeconds(), base.PhaseSumSeconds());
 }
 
 TEST_F(AccountantTest, HotAllReduceCoversEmbeddingGradients) {
@@ -126,7 +126,7 @@ TEST_F(AccountantTest, CacheMoreMissesCostsMore) {
   accountant_.ChargeCacheStep(w, w.embedding_read_bytes / 2,
                               w.embedding_read_bytes / 2,
                               w.touched_bytes / 2, many);
-  EXPECT_GT(many.TotalSeconds(), few.TotalSeconds());
+  EXPECT_GT(many.PhaseSumSeconds(), few.PhaseSumSeconds());
 }
 
 TEST_F(AccountantTest, ModelParallelUsesNvlinkOnly) {
@@ -172,30 +172,35 @@ TEST_F(AccountantTest, MoreGpusShrinkGpuPhases) {
             one.seconds(Phase::kEmbeddingForward));
 }
 
+// The pipelined baseline (--pipeline=overlap) prices each step at its
+// lane split's overlapped wall: the CPU embedding lane runs beside the GPU
+// dense lane, while transfers and the all-reduce stay serial.
 TEST_F(AccountantTest, PipelinedBaselineShortensWall) {
   BatchWork w = MakeWork();
   Timeline serial;
   Timeline piped;
   accountant_.ChargeBaselineStep(w, serial);
-  accountant_.ChargeBaselineStepPipelined(w, piped);
+  const StepAccountant::BaselineParts parts =
+      accountant_.ChargeBaselineStepParts(w, piped);
   // Identical device work and traffic...
-  EXPECT_DOUBLE_EQ(piped.PhaseSumSeconds(), serial.PhaseSumSeconds());
+  EXPECT_EQ(piped.PhaseSumSeconds(), serial.PhaseSumSeconds());
   EXPECT_EQ(piped.pcie_bytes(), serial.pcie_bytes());
-  EXPECT_DOUBLE_EQ(piped.cpu_busy_seconds(), serial.cpu_busy_seconds());
+  EXPECT_EQ(piped.cpu_busy_seconds(), serial.cpu_busy_seconds());
+  EXPECT_DOUBLE_EQ(parts.Total(), serial.PhaseSumSeconds());
   // ...but a shorter wall: overlap hides the smaller device path.
-  EXPECT_LT(piped.TotalSeconds(), serial.TotalSeconds());
-  // The wall can never drop below either device path or the serial part.
-  EXPECT_GE(piped.TotalSeconds(), piped.cpu_busy_seconds());
-  EXPECT_GE(piped.TotalSeconds(), piped.gpu_busy_seconds());
+  EXPECT_LT(parts.Overlapped(), parts.Total());
+  // The wall can never drop below either device path.
+  EXPECT_GE(parts.Overlapped(), piped.cpu_busy_seconds());
+  EXPECT_GE(parts.Overlapped(), piped.gpu_busy_seconds());
 }
 
 TEST_F(AccountantTest, PipelinedWallAtLeastSerialSegments) {
-  BatchWork w = MakeWork();
-  Timeline piped;
-  accountant_.ChargeBaselineStepPipelined(w, piped);
-  const double serial_segments = piped.seconds(Phase::kCpuGpuTransfer) +
-                                 piped.seconds(Phase::kAllReduce);
-  EXPECT_GE(piped.TotalSeconds(), serial_segments);
+  Timeline tl;
+  const StepAccountant::BaselineParts parts =
+      accountant_.ChargeBaselineStepParts(MakeWork(), tl);
+  const double serial_segments = tl.seconds(Phase::kCpuGpuTransfer) +
+                                 tl.seconds(Phase::kAllReduce);
+  EXPECT_GE(parts.Overlapped(), serial_segments);
 }
 
 TEST_F(AccountantTest, SmallBatchesUnderutilizeGpus) {

@@ -2,20 +2,20 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
 #include "engine/trainer.h"
 #include "models/factory.h"
+#include "test_temp_dir.h"
 #include "util/file_io.h"
 
 namespace fae {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using test::TempPath;
 
 struct Fixture {
   Fixture()
@@ -72,7 +72,7 @@ TEST(CheckpointTest, BaselineResumeReproducesRunExactly) {
 
   auto model_a = f.NewModel(5);
   Trainer uninterrupted(model_a.get(), MakePaperServer(1), Fixture::Options());
-  auto a = uninterrupted.TrainBaselineResumable(f.dataset, f.split);
+  auto a = uninterrupted.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_FALSE(a->interrupted);
 
@@ -84,7 +84,7 @@ TEST(CheckpointTest, BaselineResumeReproducesRunExactly) {
   opt.fault_injector = &*crash_plan;
   auto model_b = f.NewModel(5);
   Trainer crashing(model_b.get(), MakePaperServer(1), opt);
-  auto b = crashing.TrainBaselineResumable(f.dataset, f.split);
+  auto b = crashing.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_TRUE(b->interrupted);
   EXPECT_EQ(b->num_batches, 13u);
@@ -98,7 +98,7 @@ TEST(CheckpointTest, BaselineResumeReproducesRunExactly) {
   resume_opt.checkpoint.resume = true;
   auto model_c = f.NewModel(999);
   Trainer resumed(model_c.get(), MakePaperServer(1), resume_opt);
-  auto c = resumed.TrainBaselineResumable(f.dataset, f.split);
+  auto c = resumed.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(c.ok()) << c.status().ToString();
   EXPECT_TRUE(c->resumed);
   EXPECT_EQ(c->resumed_at, 10u);  // last multiple of every_steps before 13
@@ -212,7 +212,7 @@ TEST(CheckpointTest, PermanentDeviceFaultExhaustsRetryBudget) {
   opt.fault_injector = &*plan;
   auto model = f.NewModel();
   Trainer trainer(model.get(), MakePaperServer(1), opt);
-  auto report = trainer.TrainBaselineResumable(f.dataset, f.split);
+  auto report = trainer.TrainBaseline(f.dataset, f.split);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted);
 }
@@ -227,7 +227,7 @@ TEST(CheckpointTest, ResumeRejectsMismatchedRun) {
   opt.checkpoint.every_steps = 5;
   auto model = f.NewModel(5);
   Trainer writer(model.get(), MakePaperServer(1), opt);
-  ASSERT_TRUE(writer.TrainBaselineResumable(f.dataset, f.split).ok());
+  ASSERT_TRUE(writer.TrainBaseline(f.dataset, f.split).ok());
 
   // Different numerics (learning rate) => different options fingerprint.
   {
@@ -236,7 +236,7 @@ TEST(CheckpointTest, ResumeRejectsMismatchedRun) {
     other.dense_lr = 0.05f;
     auto m = f.NewModel(5);
     Trainer t(m.get(), MakePaperServer(1), other);
-    auto r = t.TrainBaselineResumable(f.dataset, f.split);
+    auto r = t.TrainBaseline(f.dataset, f.split);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
   }
@@ -257,7 +257,7 @@ TEST(CheckpointTest, ResumeRejectsMismatchedRun) {
     other.checkpoint.resume = true;
     auto m = f.NewModel(5);
     Trainer t(m.get(), MakePaperServer(1), other);
-    auto r = t.TrainBaselineResumable(f.dataset, f.split);
+    auto r = t.TrainBaseline(f.dataset, f.split);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
   }
@@ -268,7 +268,7 @@ TEST(CheckpointTest, ResumeRejectsMismatchedRun) {
     other.checkpoint.resume = true;
     auto m = f.NewModel(5);
     Trainer t(m.get(), MakePaperServer(1), other);
-    auto r = t.TrainBaselineResumable(f.dataset, f.split);
+    auto r = t.TrainBaseline(f.dataset, f.split);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }
@@ -384,6 +384,41 @@ TEST(CheckpointTest, IoRejectsCorruptionAndTruncation) {
                 .status()
                 .code(),
             StatusCode::kNotFound);
+}
+
+TEST(CheckpointTest, IoRejectsOtherVersions) {
+  // A checkpoint written under an older layout must be refused by its
+  // version word, not misparsed. Rewrite a valid file's version to 3 and
+  // refresh the CRC footer so the version check — not the checksum — is
+  // what rejects it.
+  Fixture f;
+  auto model = f.NewModel(5);
+  const std::string path = TempPath("fae_ckpt_v3.faec");
+  ASSERT_TRUE(CheckpointIo::Save(path, TrainerCheckpoint{}, *model).ok());
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(4);  // after the magic word
+    const uint32_t old_version = 3;
+    file.write(reinterpret_cast<const char*>(&old_version),
+               sizeof(old_version));
+  }
+  {
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    in.close();
+    const uint32_t crc = Crc32(bytes.data(), bytes.size() - 4);
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(-4, std::ios::end);
+    file.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  }
+  auto m = f.NewModel(999);
+  auto loaded = CheckpointIo::Load(path, *m);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("version 3"),
+            std::string_view::npos)
+      << loaded.status().ToString();
 }
 
 TEST(CheckpointTest, OverBudgetPlanDegradesGracefully) {

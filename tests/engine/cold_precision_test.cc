@@ -13,13 +13,12 @@
 #include "data/synthetic.h"
 #include "engine/trainer.h"
 #include "models/factory.h"
+#include "test_temp_dir.h"
 
 namespace fae {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using test::TempPath;
 
 struct Fixture {
   Fixture()
@@ -277,7 +276,7 @@ TEST(ColdPrecisionTest, RejectsIllegalCombinations) {
     TrainOptions opt = Fixture::Options(ColdPrecision::kInt8);
     auto model = f.NewModel(5);
     Trainer t(model.get(), MakePaperServer(1), opt);
-    auto r = t.TrainBaselineResumable(f.dataset, f.split);
+    auto r = t.TrainBaseline(f.dataset, f.split);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }

@@ -43,7 +43,9 @@ TEST(DeterminismTest, BaselineIsBitReproducible) {
   for (TrainReport* out : {&a, &b}) {
     auto model = MakeModel(f.schema, false, 5);
     Trainer trainer(model.get(), MakePaperServer(2), Fixture::Options());
-    *out = trainer.TrainBaseline(f.dataset, f.split);
+    auto report = trainer.TrainBaseline(f.dataset, f.split);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    *out = std::move(report).value();
   }
   EXPECT_EQ(a.final_test_loss, b.final_test_loss);
   EXPECT_EQ(a.final_train_loss, b.final_train_loss);
@@ -91,7 +93,9 @@ TEST(DeterminismTest, ThreadCountDoesNotChangeResults) {
     Trainer trainer(model.get(), MakePaperServer(2), opt);
     TrainReport& out = threads == 1 ? a : b;
     auto& tables = threads == 1 ? tables_a : tables_b;
-    out = trainer.TrainBaseline(f.dataset, f.split);
+    auto report = trainer.TrainBaseline(f.dataset, f.split);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    out = std::move(report).value();
     for (const EmbeddingTable& t : model->tables()) {
       tables.push_back(t.raw());
     }
@@ -136,18 +140,20 @@ TEST(DeterminismTest, DifferentSeedsGiveDifferentTrajectories) {
   opt2.seed = opt1.seed + 1;  // different batch order
   auto m1 = MakeModel(f.schema, false, 5);
   Trainer t1(m1.get(), MakePaperServer(1), opt1);
-  TrainReport a = t1.TrainBaseline(f.dataset, f.split);
+  StatusOr<TrainReport> a = t1.TrainBaseline(f.dataset, f.split);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
   auto m2 = MakeModel(f.schema, false, 5);
   Trainer t2(m2.get(), MakePaperServer(1), opt2);
-  TrainReport b = t2.TrainBaseline(f.dataset, f.split);
-  EXPECT_NE(a.final_train_loss, b.final_train_loss);
+  StatusOr<TrainReport> b = t2.TrainBaseline(f.dataset, f.split);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_NE(a->final_train_loss, b->final_train_loss);
 }
 
 TEST(DeterminismTest, DifferentModelSeedsGiveDifferentModels) {
   Fixture f;
   auto m1 = MakeModel(f.schema, false, 5);
   auto m2 = MakeModel(f.schema, false, 6);
-  MiniBatch batch = AssembleBatch(f.dataset, {0, 1, 2, 3});
+  const BatchView batch = MakeBatchView(f.dataset.flat(), 0, 4, /*hot=*/false);
   Tensor l1 = m1->EvalLogits(batch);
   Tensor l2 = m2->EvalLogits(batch);
   EXPECT_GT(MaxAbsDiff(l1, l2), 0.0f);
@@ -162,12 +168,14 @@ TEST(DeterminismTest, CostOnlyTimelineIndependentOfMathMode) {
   without_math.run_math = false;
   auto m1 = MakeModel(f.schema, false, 5);
   Trainer t1(m1.get(), MakePaperServer(2), with_math);
-  TrainReport a = t1.TrainBaseline(f.dataset, f.split);
+  StatusOr<TrainReport> a = t1.TrainBaseline(f.dataset, f.split);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
   auto m2 = MakeModel(f.schema, false, 5);
   Trainer t2(m2.get(), MakePaperServer(2), without_math);
-  TrainReport b = t2.TrainBaseline(f.dataset, f.split);
-  EXPECT_EQ(a.modeled_seconds, b.modeled_seconds);
-  EXPECT_EQ(a.timeline.pcie_bytes(), b.timeline.pcie_bytes());
+  StatusOr<TrainReport> b = t2.TrainBaseline(f.dataset, f.split);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(a->modeled_seconds, b->modeled_seconds);
+  EXPECT_EQ(a->timeline.pcie_bytes(), b->timeline.pcie_bytes());
 }
 
 }  // namespace

@@ -1,8 +1,6 @@
-// Bit-exactness of the flat SoA data path against the legacy copying
-// assembly: stepping a model with zero-copy BatchViews into a gathered
-// FlatDataset must produce exactly the losses, table values, and eval
-// metrics the AssembleBatches MiniBatch path produces — and crash-safe
-// resume must stay exact on the sequential (TBSM) workload too.
+// Bit-exactness of the flat SoA data path: the fused step the trainer runs
+// on zero-copy BatchViews must match the materialized two-pass step, and
+// crash-safe resume must stay exact on the sequential (TBSM) workload too.
 
 #include <filesystem>
 #include <memory>
@@ -11,16 +9,17 @@
 #include <gtest/gtest.h>
 
 #include "data/batch_view.h"
-#include "data/minibatch.h"
 #include "data/synthetic.h"
-#include "engine/metrics.h"
 #include "engine/trainer.h"
 #include "models/factory.h"
 #include "tensor/sgd.h"
 #include "embedding/sparse_sgd.h"
+#include "test_temp_dir.h"
 
 namespace fae {
 namespace {
+
+using test::TempPath;
 
 std::vector<uint64_t> Iota(size_t n) {
   std::vector<uint64_t> ids(n);
@@ -38,64 +37,6 @@ void ExpectSameTables(const RecModel& a, const RecModel& b) {
       ASSERT_EQ(ra[k], rb[k]) << "table " << t << " element " << k;
     }
   }
-}
-
-/// Trains one model through legacy MiniBatches and a twin through flat
-/// views of the same sample order; every per-step loss and the final table
-/// contents must agree bit for bit.
-void RunEquivalence(WorkloadKind kind) {
-  const DatasetSchema schema = MakeSchema(kind, DatasetScale::kTiny);
-  const Dataset dataset = SyntheticGenerator(schema, {.seed = 23}).Generate(96);
-  const std::vector<uint64_t> ids = Iota(96);
-
-  std::unique_ptr<RecModel> legacy =
-      MakeModel(schema, /*full_size=*/false, /*seed=*/9);
-  std::unique_ptr<RecModel> flat =
-      MakeModel(schema, /*full_size=*/false, /*seed=*/9);
-
-  const std::vector<MiniBatch> batches =
-      AssembleBatches(dataset, ids, /*batch_size=*/16, /*hot=*/false);
-  const FlatDataset gathered = dataset.flat().Gather(ids);
-  const std::vector<BatchView> views =
-      MakeBatchViews(gathered, /*batch_size=*/16, /*hot=*/false);
-  ASSERT_EQ(batches.size(), views.size());
-
-  Sgd legacy_dense(0.1f), flat_dense(0.1f);
-  SparseSgd legacy_sparse(0.1f), flat_sparse(0.1f);
-  for (size_t b = 0; b < batches.size(); ++b) {
-    StepResult sl = legacy->ForwardBackward(batches[b]);
-    legacy_dense.Step(legacy->DenseParams());
-    for (size_t t = 0; t < sl.table_grads.size(); ++t) {
-      if (!sl.table_grads[t].empty()) {
-        legacy_sparse.Step(legacy->tables()[t], sl.table_grads[t]);
-      }
-    }
-    StepResult sf = flat->ForwardBackward(views[b]);
-    flat_dense.Step(flat->DenseParams());
-    for (size_t t = 0; t < sf.table_grads.size(); ++t) {
-      if (!sf.table_grads[t].empty()) {
-        flat_sparse.Step(flat->tables()[t], sf.table_grads[t]);
-      }
-    }
-    ASSERT_EQ(sl.loss, sf.loss) << "batch " << b;
-    ASSERT_EQ(sl.correct, sf.correct) << "batch " << b;
-  }
-  ExpectSameTables(*legacy, *flat);
-
-  // Eval: the BatchView overload must agree with the MiniBatch one.
-  const EvalResult el = Evaluate(*legacy, batches);
-  const EvalResult ef = Evaluate(*flat, views);
-  EXPECT_EQ(el.loss, ef.loss);
-  EXPECT_EQ(el.accuracy, ef.accuracy);
-  EXPECT_EQ(el.auc, ef.auc);
-}
-
-TEST(FlatEquivalenceTest, DlrmLegacyAndFlatPathsBitExact) {
-  RunEquivalence(WorkloadKind::kKaggleDlrm);
-}
-
-TEST(FlatEquivalenceTest, TbsmLegacyAndFlatPathsBitExact) {
-  RunEquivalence(WorkloadKind::kTaobaoTbsm);
 }
 
 /// The fused step (what the trainer actually runs) must match the
@@ -155,9 +96,7 @@ TEST(FlatEquivalenceTest, TbsmResumeReproducesRunExactly) {
   const Dataset dataset =
       SyntheticGenerator(schema, {.seed = 31}).Generate(600);
   const Dataset::Split split = dataset.MakeSplit(0.2);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fae_tbsm_flat_resume.ckpt")
-          .string();
+  const std::string path = TempPath("fae_tbsm_flat_resume.ckpt");
 
   TrainOptions opt;
   opt.per_gpu_batch = 32;
@@ -169,7 +108,8 @@ TEST(FlatEquivalenceTest, TbsmResumeReproducesRunExactly) {
   std::unique_ptr<RecModel> uninterrupted =
       MakeModel(schema, /*full_size=*/false, /*seed=*/5);
   Trainer full(uninterrupted.get(), MakePaperServer(1), opt);
-  const TrainReport want = full.TrainBaseline(dataset, split);
+  StatusOr<TrainReport> want = full.TrainBaseline(dataset, split);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
 
   TrainOptions save_opt = opt;
   save_opt.checkpoint.path = path;
@@ -177,7 +117,7 @@ TEST(FlatEquivalenceTest, TbsmResumeReproducesRunExactly) {
   std::unique_ptr<RecModel> saver =
       MakeModel(schema, /*full_size=*/false, /*seed=*/5);
   Trainer save_run(saver.get(), MakePaperServer(1), save_opt);
-  ASSERT_TRUE(save_run.TrainBaselineResumable(dataset, split).ok());
+  ASSERT_TRUE(save_run.TrainBaseline(dataset, split).ok());
 
   TrainOptions resume_opt = opt;
   resume_opt.checkpoint.path = path;
@@ -185,12 +125,12 @@ TEST(FlatEquivalenceTest, TbsmResumeReproducesRunExactly) {
   std::unique_ptr<RecModel> resumer =
       MakeModel(schema, /*full_size=*/false, /*seed=*/99);  // overwritten
   Trainer resume_run(resumer.get(), MakePaperServer(1), resume_opt);
-  StatusOr<TrainReport> got = resume_run.TrainBaselineResumable(dataset, split);
+  StatusOr<TrainReport> got = resume_run.TrainBaseline(dataset, split);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
 
-  EXPECT_EQ(got->final_train_loss, want.final_train_loss);
-  EXPECT_EQ(got->final_test_loss, want.final_test_loss);
-  EXPECT_EQ(got->final_test_auc, want.final_test_auc);
+  EXPECT_EQ(got->final_train_loss, want->final_train_loss);
+  EXPECT_EQ(got->final_test_loss, want->final_test_loss);
+  EXPECT_EQ(got->final_test_auc, want->final_test_auc);
   ExpectSameTables(*uninterrupted, *resumer);
   std::filesystem::remove(path);
 }

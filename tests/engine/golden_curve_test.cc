@@ -126,7 +126,7 @@ TEST(GoldenCurveTest, BaselineCurveMatchesFixture) {
   Fixture f;
   auto model = MakeModel(f.schema, /*full_size=*/false, /*seed=*/5);
   Trainer trainer(model.get(), MakePaperServer(1), Fixture::Options());
-  auto r = trainer.TrainBaselineResumable(f.dataset, f.split);
+  auto r = trainer.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_FALSE(r->curve.empty());
   CheckAgainstGolden(ToGolden(*r), "baseline_curve.txt");
@@ -153,7 +153,7 @@ TEST(GoldenCurveTest, StaleSkipCurveMatchesFixture) {
   opt.stale_threshold = 0.5;
   opt.stale_min_visits = 2;
   Trainer trainer(model.get(), MakePaperServer(1), opt);
-  auto r = trainer.TrainBaselineResumable(f.dataset, f.split);
+  auto r = trainer.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_FALSE(r->curve.empty());
   CheckAgainstGolden(ToGolden(*r), "stale_skip_curve.txt");

@@ -65,8 +65,8 @@ TEST(EvaluateTest, ReportsAucAboveChanceAfterConstruction) {
   auto model = MakeModel(schema, false, 1);
   std::vector<uint64_t> ids(512);
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
-  auto batches = AssembleBatches(d, ids, 128, false);
-  EvalResult r = Evaluate(*model, batches);
+  const FlatDataset gathered = d.flat().Gather(ids);
+  EvalResult r = Evaluate(*model, MakeBatchViews(gathered, 128, /*hot=*/false));
   EXPECT_GT(r.auc, 0.0);
   EXPECT_LT(r.auc, 1.0);
   EXPECT_EQ(r.samples, 512u);

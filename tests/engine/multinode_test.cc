@@ -76,18 +76,20 @@ TEST(MultiNodeTest, BaselinePaysInterNodeTraffic) {
   auto model = MakeModel(f.schema, false, 5);
   Trainer trainer(model.get(), MakeMultiNodeCluster(2, 2),
                   Fixture::Options());
-  TrainReport report = trainer.TrainBaseline(f.dataset, f.split);
-  EXPECT_GT(report.timeline.seconds(Phase::kNetwork), 0.0);
-  EXPECT_GT(report.timeline.network_bytes(), 0u);
+  StatusOr<TrainReport> report = trainer.TrainBaseline(f.dataset, f.split);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->timeline.seconds(Phase::kNetwork), 0.0);
+  EXPECT_GT(report->timeline.network_bytes(), 0u);
 }
 
 TEST(MultiNodeTest, SingleNodeHasNoNetworkPhase) {
   Fixture f;
   auto model = MakeModel(f.schema, false, 5);
   Trainer trainer(model.get(), MakePaperServer(4), Fixture::Options());
-  TrainReport report = trainer.TrainBaseline(f.dataset, f.split);
-  EXPECT_EQ(report.timeline.seconds(Phase::kNetwork), 0.0);
-  EXPECT_EQ(report.timeline.network_bytes(), 0u);
+  StatusOr<TrainReport> report = trainer.TrainBaseline(f.dataset, f.split);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->timeline.seconds(Phase::kNetwork), 0.0);
+  EXPECT_EQ(report->timeline.network_bytes(), 0u);
 }
 
 TEST(MultiNodeTest, FaeStillBeatsBaselineAcrossNodes) {
@@ -99,12 +101,13 @@ TEST(MultiNodeTest, FaeStillBeatsBaselineAcrossNodes) {
     sys.hot_embedding_budget = Fixture::Config().gpu_memory_budget;
     auto bm = MakeModel(f.schema, false, 5);
     Trainer bt(bm.get(), sys, Fixture::Options());
-    TrainReport base = bt.TrainBaseline(f.dataset, f.split);
+    StatusOr<TrainReport> base = bt.TrainBaseline(f.dataset, f.split);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
     auto fm = MakeModel(f.schema, false, 5);
     Trainer ft(fm.get(), sys, Fixture::Options());
     auto fae = ft.TrainFae(f.dataset, f.split, Fixture::Config());
     ASSERT_TRUE(fae.ok()) << fae.status().ToString();
-    EXPECT_GT(base.modeled_seconds / fae->modeled_seconds, 1.1)
+    EXPECT_GT(base->modeled_seconds / fae->modeled_seconds, 1.1)
         << nodes << " nodes";
   }
 }
@@ -117,13 +120,14 @@ TEST(MultiNodeTest, FaeHotBatchesAvoidEmbeddingNetworkTraffic) {
   sys.hot_embedding_budget = Fixture::Config().gpu_memory_budget;
   auto bm = MakeModel(f.schema, false, 5);
   Trainer bt(bm.get(), sys, Fixture::Options());
-  TrainReport base = bt.TrainBaseline(f.dataset, f.split);
+  StatusOr<TrainReport> base = bt.TrainBaseline(f.dataset, f.split);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
   auto fm = MakeModel(f.schema, false, 5);
   Trainer ft(fm.get(), sys, Fixture::Options());
   auto fae = ft.TrainFae(f.dataset, f.split, Fixture::Config());
   ASSERT_TRUE(fae.ok());
   EXPECT_LT(fae->timeline.seconds(Phase::kNetwork),
-            base.timeline.seconds(Phase::kNetwork));
+            base->timeline.seconds(Phase::kNetwork));
 }
 
 TEST(MultiNodeTest, GlobalBatchScalesWithWorld) {
@@ -135,14 +139,22 @@ TEST(MultiNodeTest, GlobalBatchScalesWithWorld) {
   EXPECT_EQ(trainer.GlobalBatchSize(), 64u * 8);
 }
 
-TEST(MultiNodeDeathTest, ComparatorsAreSingleNode) {
+TEST(MultiNodeTest, ComparatorsAreSingleNode) {
   Fixture f;
   auto model = MakeModel(f.schema, false, 5);
   Trainer trainer(model.get(), MakeMultiNodeCluster(2, 2),
                   Fixture::Options());
-  EXPECT_DEATH((void)trainer.TrainNvOpt(f.dataset, f.split), "single node");
-  EXPECT_DEATH((void)trainer.TrainModelParallel(f.dataset, f.split),
-               "single node");
+  auto plan = FaePipeline(Fixture::Config()).Prepare(f.dataset, f.split.train);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  for (const StatusOr<TrainReport>& r :
+       {trainer.TrainNvOpt(f.dataset, f.split),
+        trainer.TrainModelParallel(f.dataset, f.split),
+        trainer.TrainGpuCache(f.dataset, f.split, *plan)}) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("single node"), std::string_view::npos)
+        << r.status().ToString();
+  }
 }
 
 }  // namespace

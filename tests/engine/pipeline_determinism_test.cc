@@ -20,13 +20,12 @@
 #include "data/synthetic.h"
 #include "engine/trainer.h"
 #include "models/factory.h"
+#include "test_temp_dir.h"
 
 namespace fae {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using test::TempPath;
 
 std::string Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -90,8 +89,10 @@ struct Fixture {
     Trainer trainer(model.get(), MakePaperServer(2),
                     WithCache(Options(mode, depth, threads, ckpt),
                               cache_budget, cache_lookahead));
+    auto report = trainer.TrainBaseline(dataset, split);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
     RunResult r;
-    r.report = trainer.TrainBaseline(dataset, split);
+    r.report = std::move(report).value();
     for (const EmbeddingTable& t : model->tables()) {
       r.tables.push_back(t.raw());
     }
@@ -245,7 +246,7 @@ TEST(PipelineDeterminismTest, ResumeMaySwitchPipelineModes) {
     TrainOptions opt = Fixture::Options(PipelineMode::kOff, 1, 1, ckpt);
     opt.fault_injector = &injector;
     Trainer trainer(model.get(), MakePaperServer(2), opt);
-    auto partial = trainer.TrainBaselineResumable(f.dataset, f.split);
+    auto partial = trainer.TrainBaseline(f.dataset, f.split);
     ASSERT_TRUE(partial.ok()) << partial.status().ToString();
     ASSERT_TRUE(partial->interrupted);
   }
@@ -253,7 +254,7 @@ TEST(PipelineDeterminismTest, ResumeMaySwitchPipelineModes) {
   TrainOptions opt = Fixture::Options(PipelineMode::kOverlap, 4, 4, ckpt);
   opt.checkpoint.resume = true;
   Trainer trainer(model.get(), MakePaperServer(2), opt);
-  auto resumed = trainer.TrainBaselineResumable(f.dataset, f.split);
+  auto resumed = trainer.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_TRUE(resumed->resumed);
   EXPECT_EQ(resumed->final_train_loss,
@@ -440,7 +441,7 @@ TEST(PipelineDeterminismTest, ResumeMaySwitchCacheModes) {
     TrainOptions opt = Fixture::Options(PipelineMode::kOff, 1, 1, ckpt);
     opt.fault_injector = &injector;
     Trainer trainer(model.get(), MakePaperServer(2), opt);
-    auto partial = trainer.TrainBaselineResumable(f.dataset, f.split);
+    auto partial = trainer.TrainBaseline(f.dataset, f.split);
     ASSERT_TRUE(partial.ok()) << partial.status().ToString();
     ASSERT_TRUE(partial->interrupted);
   }
@@ -449,7 +450,7 @@ TEST(PipelineDeterminismTest, ResumeMaySwitchCacheModes) {
       Fixture::Options(PipelineMode::kOverlap, 4, 4, ckpt), 512, 4);
   opt.checkpoint.resume = true;
   Trainer trainer(model.get(), MakePaperServer(2), opt);
-  auto resumed = trainer.TrainBaselineResumable(f.dataset, f.split);
+  auto resumed = trainer.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_TRUE(resumed->resumed);
   EXPECT_EQ(resumed->final_train_loss, uninterrupted.report.final_train_loss);
@@ -473,7 +474,7 @@ TEST(PipelineDeterminismTest, CacheRequiresAPipelinedRun) {
     TrainOptions opt = Fixture::WithCache(
         Fixture::Options(PipelineMode::kOff, 1, 1, ""), 512, 4);
     Trainer trainer(model.get(), MakePaperServer(2), opt);
-    auto report = trainer.TrainBaselineResumable(f.dataset, f.split);
+    auto report = trainer.TrainBaseline(f.dataset, f.split);
     EXPECT_FALSE(report.ok());
   }
   {
@@ -488,16 +489,6 @@ TEST(PipelineDeterminismTest, CacheRequiresAPipelinedRun) {
         trainer.TrainFaeWithPlan(f.dataset, f.split, Fixture::Config(), *plan);
     EXPECT_FALSE(report.ok());
   }
-}
-
-TEST(PipelineDeterminismTest, PipelineRejectsLegacyPipelinedBaseline) {
-  Fixture f;
-  auto model = MakeModel(f.schema, false, 5);
-  TrainOptions opt = Fixture::Options(PipelineMode::kPrefetch, 2, 1, "");
-  opt.pipelined_baseline = true;
-  Trainer trainer(model.get(), MakePaperServer(2), opt);
-  auto report = trainer.TrainBaselineResumable(f.dataset, f.split);
-  EXPECT_FALSE(report.ok());
 }
 
 }  // namespace

@@ -1,18 +1,15 @@
-#include <filesystem>
-
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
 #include "engine/trainer.h"
 #include "models/factory.h"
+#include "test_temp_dir.h"
 #include "util/file_io.h"
 
 namespace fae {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using test::TempPath;
 
 struct Fixture {
   Fixture()
@@ -144,7 +141,7 @@ TEST(ShardingTest, BaselineRejectsSharding) {
   opt.sharding = ShardingMode::kStatistical;
   auto model = MakeModel(f.schema, false, 5);
   Trainer trainer(model.get(), MakePaperServer(2), opt);
-  auto report = trainer.TrainBaselineResumable(f.dataset, f.split);
+  auto report = trainer.TrainBaseline(f.dataset, f.split);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 }

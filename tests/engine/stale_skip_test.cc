@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <filesystem>
 
 #include <gtest/gtest.h>
 
@@ -13,15 +12,14 @@
 #include "engine/trainer.h"
 #include "models/factory.h"
 #include "tensor/tensor.h"
+#include "test_temp_dir.h"
 #include "util/file_io.h"
 #include "util/random.h"
 
 namespace fae {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using test::TempPath;
 
 struct Fixture {
   Fixture()
@@ -355,14 +353,14 @@ TEST(StaleSkipTest, ThresholdZeroBitIdenticalToOff) {
   Fixture f;
   auto model_off = f.NewModel(5);
   Trainer off(model_off.get(), MakePaperServer(1), Fixture::Options());
-  auto a = off.TrainBaselineResumable(f.dataset, f.split);
+  auto a = off.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
 
   TrainOptions opt = Fixture::StaleOptions(StaleSkipMode::kAll);
   opt.stale_threshold = 0.0;
   auto model_zero = f.NewModel(5);
   Trainer zero(model_zero.get(), MakePaperServer(1), opt);
-  auto b = zero.TrainBaselineResumable(f.dataset, f.split);
+  auto b = zero.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(b.ok()) << b.status().ToString();
 
   ExpectSameCurve(a->curve, b->curve);
@@ -377,13 +375,13 @@ TEST(StaleSkipTest, SkippingSavesModeledTimeWithinLossBand) {
   Fixture f;
   auto model_off = f.NewModel(5);
   Trainer off(model_off.get(), MakePaperServer(1), Fixture::Options());
-  auto a = off.TrainBaselineResumable(f.dataset, f.split);
+  auto a = off.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
 
   auto model_on = f.NewModel(5);
   Trainer on(model_on.get(), MakePaperServer(1),
              Fixture::StaleOptions(StaleSkipMode::kAll));
-  auto b = on.TrainBaselineResumable(f.dataset, f.split);
+  auto b = on.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(b.ok()) << b.status().ToString();
 
   EXPECT_GT(b->stale_skipped_rows, 0u);
@@ -392,7 +390,8 @@ TEST(StaleSkipTest, SkippingSavesModeledTimeWithinLossBand) {
   EXPECT_LT(b->modeled_seconds, a->modeled_seconds);
   // The real timeline's charges never change with the knob — only the
   // overlay credit moves the modeled wall.
-  EXPECT_DOUBLE_EQ(b->timeline.TotalSeconds(), a->timeline.TotalSeconds());
+  EXPECT_DOUBLE_EQ(b->timeline.PhaseSumSeconds(),
+                   a->timeline.PhaseSumSeconds());
   // Guarded skipping stays within a narrow band of the exact run.
   EXPECT_NEAR(b->final_test_loss, a->final_test_loss,
               0.02 * a->final_test_loss);
@@ -404,7 +403,7 @@ TEST(StaleSkipTest, DeterministicAcrossThreadCounts) {
   one.num_threads = 1;
   auto model_one = f.NewModel(5);
   Trainer t_one(model_one.get(), MakePaperServer(1), one);
-  auto a = t_one.TrainBaselineResumable(f.dataset, f.split);
+  auto a = t_one.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_GT(a->stale_skipped_rows, 0u);
 
@@ -412,7 +411,7 @@ TEST(StaleSkipTest, DeterministicAcrossThreadCounts) {
   four.num_threads = 4;
   auto model_four = f.NewModel(5);
   Trainer t_four(model_four.get(), MakePaperServer(1), four);
-  auto b = t_four.TrainBaselineResumable(f.dataset, f.split);
+  auto b = t_four.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(b.ok()) << b.status().ToString();
 
   ExpectSameCurve(a->curve, b->curve);
@@ -435,7 +434,7 @@ TEST(StaleSkipTest, DeterministicAcrossPipelineModes) {
     opt.num_threads = 2;
     auto model = f.NewModel(5);
     Trainer trainer(model.get(), MakePaperServer(1), opt);
-    auto r = trainer.TrainBaselineResumable(f.dataset, f.split);
+    auto r = trainer.TrainBaseline(f.dataset, f.split);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_GT(r->stale_skipped_rows, 0u);
     if (!have_base) {
@@ -449,8 +448,8 @@ TEST(StaleSkipTest, DeterministicAcrossPipelineModes) {
     EXPECT_DOUBLE_EQ(r->stale_final_threshold, base.stale_final_threshold);
     // The skipped work itself is priced identically; what differs across
     // pipeline modes is only how much of it the lanes would have hidden.
-    EXPECT_DOUBLE_EQ(r->timeline.TotalSeconds(),
-                     base.timeline.TotalSeconds());
+    EXPECT_DOUBLE_EQ(r->timeline.PhaseSumSeconds(),
+                     base.timeline.PhaseSumSeconds());
   }
 }
 
@@ -477,7 +476,7 @@ TEST(StaleSkipTest, BaselineResumeGoldenWithSkippingActive) {
 
   auto model_a = f.NewModel(5);
   Trainer uninterrupted(model_a.get(), MakePaperServer(1), base_opt);
-  auto a = uninterrupted.TrainBaselineResumable(f.dataset, f.split);
+  auto a = uninterrupted.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_GT(a->stale_skipped_rows, 0u);
 
@@ -489,7 +488,7 @@ TEST(StaleSkipTest, BaselineResumeGoldenWithSkippingActive) {
   opt.fault_injector = &*crash_plan;
   auto model_b = f.NewModel(5);
   Trainer crashing(model_b.get(), MakePaperServer(1), opt);
-  auto b = crashing.TrainBaselineResumable(f.dataset, f.split);
+  auto b = crashing.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_TRUE(b->interrupted);
 
@@ -498,7 +497,7 @@ TEST(StaleSkipTest, BaselineResumeGoldenWithSkippingActive) {
   resume_opt.checkpoint.resume = true;
   auto model_c = f.NewModel(999);
   Trainer resumed(model_c.get(), MakePaperServer(1), resume_opt);
-  auto c = resumed.TrainBaselineResumable(f.dataset, f.split);
+  auto c = resumed.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(c.ok()) << c.status().ToString();
   EXPECT_TRUE(c->resumed);
   EXPECT_EQ(c->num_batches, a->num_batches);
@@ -570,7 +569,7 @@ TEST(StaleSkipTest, ResumeMayToggleStaleMode) {
   opt.fault_injector = &*crash_plan;
   auto model_a = f.NewModel(5);
   Trainer crashing(model_a.get(), MakePaperServer(1), opt);
-  ASSERT_TRUE(crashing.TrainBaselineResumable(f.dataset, f.split).ok());
+  ASSERT_TRUE(crashing.TrainBaseline(f.dataset, f.split).ok());
 
   // ...and resume with it OFF: the knob is fingerprint-exempt.
   TrainOptions off_opt = Fixture::Options();
@@ -578,7 +577,7 @@ TEST(StaleSkipTest, ResumeMayToggleStaleMode) {
   off_opt.checkpoint.resume = true;
   auto model_b = f.NewModel(999);
   Trainer resumed_off(model_b.get(), MakePaperServer(1), off_opt);
-  auto r_off = resumed_off.TrainBaselineResumable(f.dataset, f.split);
+  auto r_off = resumed_off.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(r_off.ok()) << r_off.status().ToString();
   EXPECT_TRUE(r_off->resumed);
   EXPECT_EQ(r_off->stale_skipped_rows, 0u);
@@ -593,14 +592,14 @@ TEST(StaleSkipTest, ResumeMayToggleStaleMode) {
   plain_opt.fault_injector = &*crash_plan2;
   auto model_c = f.NewModel(5);
   Trainer crashing2(model_c.get(), MakePaperServer(1), plain_opt);
-  ASSERT_TRUE(crashing2.TrainBaselineResumable(f.dataset, f.split).ok());
+  ASSERT_TRUE(crashing2.TrainBaseline(f.dataset, f.split).ok());
 
   TrainOptions on_opt = Fixture::StaleOptions(StaleSkipMode::kAll);
   on_opt.checkpoint.path = path;
   on_opt.checkpoint.resume = true;
   auto model_d = f.NewModel(999);
   Trainer resumed_on(model_d.get(), MakePaperServer(1), on_opt);
-  auto r_on = resumed_on.TrainBaselineResumable(f.dataset, f.split);
+  auto r_on = resumed_on.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(r_on.ok()) << r_on.status().ToString();
   EXPECT_TRUE(r_on->resumed);
   (void)RemoveFile(path);
@@ -611,7 +610,7 @@ TEST(StaleSkipTest, ResumeMayToggleStaleMode) {
 void ExpectInvalidBaseline(const Fixture& f, const TrainOptions& opt) {
   auto model = f.NewModel(5);
   Trainer t(model.get(), MakePaperServer(1), opt);
-  auto r = t.TrainBaselineResumable(f.dataset, f.split);
+  auto r = t.TrainBaseline(f.dataset, f.split);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -626,11 +625,6 @@ TEST(StaleSkipTest, RejectsIllegalCombinations) {
   {
     TrainOptions opt = Fixture::StaleOptions(StaleSkipMode::kAll);
     opt.fp16_embeddings = true;  // needs the fused fp32 path
-    ExpectInvalidBaseline(f, opt);
-  }
-  {
-    TrainOptions opt = Fixture::StaleOptions(StaleSkipMode::kAll);
-    opt.pipelined_baseline = true;  // legacy wall has no BaselineParts
     ExpectInvalidBaseline(f, opt);
   }
   {

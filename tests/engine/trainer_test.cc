@@ -49,20 +49,22 @@ TEST(TrainerTest, BaselineLearns) {
   TrainOptions opt = Fixture::Options();
   opt.epochs = 2;
   Trainer trainer(model.get(), MakePaperServer(1), opt);
-  TrainReport report = trainer.TrainBaseline(f.dataset, f.split);
-  EXPECT_GT(report.num_batches, 0u);
-  ASSERT_GE(report.curve.size(), 2u);
-  EXPECT_LT(report.curve.back().train_loss, report.curve.front().train_loss);
-  EXPECT_GT(report.final_test_acc, 0.5);
-  EXPECT_GT(report.modeled_seconds, 0.0);
+  StatusOr<TrainReport> report = trainer.TrainBaseline(f.dataset, f.split);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->num_batches, 0u);
+  ASSERT_GE(report->curve.size(), 2u);
+  EXPECT_LT(report->curve.back().train_loss, report->curve.front().train_loss);
+  EXPECT_GT(report->final_test_acc, 0.5);
+  EXPECT_GT(report->modeled_seconds, 0.0);
 }
 
 TEST(TrainerTest, BaselineTimelineHasExpectedPhases) {
   Fixture f;
   auto model = f.NewModel();
   Trainer trainer(model.get(), MakePaperServer(2), Fixture::Options(false));
-  TrainReport report = trainer.TrainBaseline(f.dataset, f.split);
-  const Timeline& tl = report.timeline;
+  StatusOr<TrainReport> report = trainer.TrainBaseline(f.dataset, f.split);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const Timeline& tl = report->timeline;
   EXPECT_GT(tl.seconds(Phase::kEmbeddingForward), 0.0);
   EXPECT_GT(tl.seconds(Phase::kCpuGpuTransfer), 0.0);
   EXPECT_GT(tl.seconds(Phase::kOptimizerSparse), 0.0);
@@ -76,7 +78,8 @@ TEST(TrainerTest, FaeRunsAndIsFasterThanBaseline) {
   auto baseline_model = f.NewModel();
   Trainer baseline(baseline_model.get(), MakePaperServer(4),
                    Fixture::Options(false));
-  TrainReport base = baseline.TrainBaseline(f.dataset, f.split);
+  StatusOr<TrainReport> base = baseline.TrainBaseline(f.dataset, f.split);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
 
   auto fae_model = f.NewModel();
   Trainer fae(fae_model.get(), MakePaperServer(4), Fixture::Options(false));
@@ -87,7 +90,7 @@ TEST(TrainerTest, FaeRunsAndIsFasterThanBaseline) {
   EXPECT_GT(report->transitions, 0u);
   EXPECT_GT(report->timeline.seconds(Phase::kEmbeddingSync), 0.0);
   // The headline claim: FAE beats the hybrid baseline.
-  EXPECT_LT(report->modeled_seconds, base.modeled_seconds);
+  EXPECT_LT(report->modeled_seconds, base->modeled_seconds);
 }
 
 TEST(TrainerTest, FaeMatchesBaselineAccuracy) {
@@ -98,7 +101,8 @@ TEST(TrainerTest, FaeMatchesBaselineAccuracy) {
 
   auto baseline_model = f.NewModel(5);
   Trainer baseline(baseline_model.get(), MakePaperServer(1), opt);
-  TrainReport base = baseline.TrainBaseline(f.dataset, f.split);
+  StatusOr<TrainReport> base = baseline.TrainBaseline(f.dataset, f.split);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
 
   auto fae_model = f.NewModel(5);
   Trainer fae(fae_model.get(), MakePaperServer(1), opt);
@@ -106,7 +110,7 @@ TEST(TrainerTest, FaeMatchesBaselineAccuracy) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
   EXPECT_GT(report->final_test_acc, 0.5);
-  EXPECT_NEAR(report->final_test_acc, base.final_test_acc, 0.06);
+  EXPECT_NEAR(report->final_test_acc, base->final_test_acc, 0.06);
 }
 
 TEST(TrainerTest, FaeOnTbsmWorkload) {
@@ -128,9 +132,10 @@ TEST(TrainerTest, WeakScalingReducesModeledTime) {
     auto model = f.NewModel();
     Trainer trainer(model.get(), MakePaperServer(gpus),
                     Fixture::Options(false));
-    TrainReport report = trainer.TrainBaseline(f.dataset, f.split);
-    EXPECT_LT(report.modeled_seconds, prev) << gpus << " GPUs";
-    prev = report.modeled_seconds;
+    StatusOr<TrainReport> report = trainer.TrainBaseline(f.dataset, f.split);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_LT(report->modeled_seconds, prev) << gpus << " GPUs";
+    prev = report->modeled_seconds;
   }
 }
 
@@ -142,12 +147,14 @@ TEST(TrainerTest, FaeBeatsBaselineAtEveryGpuCount) {
   for (int gpus : {1, 2, 4}) {
     auto bm = f.NewModel();
     Trainer bt(bm.get(), MakePaperServer(gpus), Fixture::Options(false));
-    const double base = bt.TrainBaseline(f.dataset, f.split).modeled_seconds;
+    auto base = bt.TrainBaseline(f.dataset, f.split);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
     auto fm = f.NewModel();
     Trainer ft(fm.get(), MakePaperServer(gpus), Fixture::Options(false));
     auto fr = ft.TrainFae(f.dataset, f.split, Fixture::Config());
     ASSERT_TRUE(fr.ok());
-    EXPECT_GT(base / fr->modeled_seconds, 1.1) << gpus << " GPUs";
+    EXPECT_GT(base->modeled_seconds / fr->modeled_seconds, 1.1)
+        << gpus << " GPUs";
   }
 }
 
@@ -167,36 +174,40 @@ TEST(TrainerTest, FaeReducesPcieTrafficAndPower) {
 
   auto bm = MakeModel(schema, false, 5);
   Trainer bt(bm.get(), MakePaperServer(4), opt);
-  TrainReport base = bt.TrainBaseline(dataset, split);
+  StatusOr<TrainReport> base = bt.TrainBaseline(dataset, split);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
   auto fm = MakeModel(schema, false, 5);
   Trainer ft(fm.get(), MakePaperServer(4), opt);
   auto fae = ft.TrainFae(dataset, split, Fixture::Config());
   ASSERT_TRUE(fae.ok());
   EXPECT_GT(fae->hot_fraction, 0.5);
-  EXPECT_LT(fae->timeline.pcie_bytes(), base.timeline.pcie_bytes());
-  EXPECT_LT(fae->avg_gpu_watts, base.avg_gpu_watts);
+  EXPECT_LT(fae->timeline.pcie_bytes(), base->timeline.pcie_bytes());
+  EXPECT_LT(fae->avg_gpu_watts, base->avg_gpu_watts);
 }
 
 TEST(TrainerTest, NvOptRunsAndBeatsBaselineWhenTablesFit) {
   Fixture f;
   auto bm = f.NewModel();
   Trainer bt(bm.get(), MakePaperServer(1), Fixture::Options(false));
-  TrainReport base = bt.TrainBaseline(f.dataset, f.split);
+  StatusOr<TrainReport> base = bt.TrainBaseline(f.dataset, f.split);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
   auto nm = f.NewModel();
   Trainer nt(nm.get(), MakePaperServer(1), Fixture::Options(false));
-  TrainReport nv = nt.TrainNvOpt(f.dataset, f.split);
-  EXPECT_GT(nv.modeled_seconds, 0.0);
-  EXPECT_LT(nv.modeled_seconds, base.modeled_seconds);
+  StatusOr<TrainReport> nv = nt.TrainNvOpt(f.dataset, f.split);
+  ASSERT_TRUE(nv.ok()) << nv.status().ToString();
+  EXPECT_GT(nv->modeled_seconds, 0.0);
+  EXPECT_LT(nv->modeled_seconds, base->modeled_seconds);
 }
 
 TEST(TrainerTest, CostOnlyModeSkipsMath) {
   Fixture f;
   auto model = f.NewModel();
   Trainer trainer(model.get(), MakePaperServer(1), Fixture::Options(false));
-  TrainReport report = trainer.TrainBaseline(f.dataset, f.split);
-  EXPECT_TRUE(report.curve.empty());
-  EXPECT_EQ(report.final_test_acc, 0.0);
-  EXPECT_GT(report.modeled_seconds, 0.0);
+  StatusOr<TrainReport> report = trainer.TrainBaseline(f.dataset, f.split);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->curve.empty());
+  EXPECT_EQ(report->final_test_acc, 0.0);
+  EXPECT_GT(report->modeled_seconds, 0.0);
 }
 
 TEST(TrainerTest, FaePlanOverBudgetRejected) {
@@ -220,8 +231,8 @@ TEST(TrainerTest, MetricsEvaluateCountsCorrectly) {
   Fixture f;
   auto model = f.NewModel();
   std::vector<uint64_t> ids = {0, 1, 2, 3, 4, 5, 6, 7};
-  auto batches = AssembleBatches(f.dataset, ids, 3, false);
-  EvalResult r = Evaluate(*model, batches);
+  const FlatDataset gathered = f.dataset.flat().Gather(ids);
+  EvalResult r = Evaluate(*model, MakeBatchViews(gathered, 3, /*hot=*/false));
   EXPECT_EQ(r.samples, 8u);
   EXPECT_GE(r.accuracy, 0.0);
   EXPECT_LE(r.accuracy, 1.0);

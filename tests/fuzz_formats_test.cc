@@ -3,7 +3,6 @@
 // Status error or a successfully-validated load (payload bytes such as
 // float values can legitimately survive a flip).
 
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -18,15 +17,14 @@
 #include "models/factory.h"
 #include "models/model_io.h"
 #include "serve/serve_config.h"
+#include "test_temp_dir.h"
 #include "util/file_io.h"
 #include "util/random.h"
 
 namespace fae {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using test::TempPath;
 
 std::vector<char> ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -68,13 +66,11 @@ TEST(FuzzFormatsTest, DatasetLoaderSurvivesByteFlips) {
     auto loaded = DatasetIo::Load(path);
     if (loaded.ok()) {
       // A survivable flip must still satisfy the format's invariants.
-      EXPECT_EQ(loaded->schema().num_tables(),
-                loaded->sample(0).indices.size());
-      for (size_t i = 0; i < loaded->size(); ++i) {
-        for (size_t t = 0; t < loaded->schema().num_tables(); ++t) {
-          for (uint32_t row : loaded->sample(i).indices[t]) {
-            EXPECT_LT(row, loaded->schema().table_rows[t]);
-          }
+      const FlatDataset& flat = loaded->flat();
+      for (size_t t = 0; t < loaded->schema().num_tables(); ++t) {
+        EXPECT_EQ(flat.offsets(t).size(), loaded->size() + 1);
+        for (uint32_t row : flat.indices(t)) {
+          EXPECT_LT(row, loaded->schema().table_rows[t]);
         }
       }
     }

@@ -3,8 +3,6 @@
 // train with FAE -> checkpoint -> restore -> serve — with cross-stage
 // consistency checks at every hand-off.
 
-#include <filesystem>
-
 #include <gtest/gtest.h>
 
 #include "fae.h"  // umbrella header must stay self-contained
@@ -15,14 +13,13 @@
 #include "engine/trainer.h"
 #include "models/factory.h"
 #include "models/model_io.h"
+#include "test_temp_dir.h"
 #include "util/file_io.h"
 
 namespace fae {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using test::TempPath;
 
 TEST(IntegrationTest, FullWorkflowEndToEnd) {
   const std::string data_path = TempPath("fae_e2e.faed");
@@ -80,15 +77,17 @@ TEST(IntegrationTest, FullWorkflowEndToEnd) {
   ASSERT_TRUE(ModelIo::Load(ckpt_path, *served).ok());
 
   // 6) The restored model must score identically to the trained one.
-  std::vector<uint64_t> probe_ids(split.test.begin(),
-                                  split.test.begin() + 64);
-  MiniBatch probe = AssembleBatch(*loaded, probe_ids);
+  const std::vector<uint64_t> probe_ids(split.test.begin(),
+                                        split.test.begin() + 64);
+  const FlatDataset probe_set = loaded->flat().Gather(probe_ids);
+  const BatchView probe = MakeBatchView(probe_set, 0, 64, /*hot=*/false);
   EXPECT_EQ(MaxAbsDiff(model->EvalLogits(probe), served->EvalLogits(probe)),
             0.0f);
 
   // 7) And its evaluation metrics must match the training-side report.
-  auto batches = AssembleBatches(*loaded, split.test, 128, false);
-  EvalResult eval = Evaluate(*served, batches);
+  const FlatDataset test_set = loaded->flat().Gather(split.test);
+  EvalResult eval =
+      Evaluate(*served, MakeBatchViews(test_set, 128, /*hot=*/false));
   EXPECT_GT(eval.auc, 0.5);  // learned something
 
   for (const auto& p : {data_path, plan_path, ckpt_path}) {

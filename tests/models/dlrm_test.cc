@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "data/minibatch.h"
+#include "data/batch_view.h"
 #include "data/synthetic.h"
 #include "models/factory.h"
 #include "tensor/loss.h"
@@ -25,12 +25,6 @@ struct Fixture {
   Dataset dataset;
 };
 
-std::vector<uint64_t> Iota(size_t n, uint64_t start = 0) {
-  std::vector<uint64_t> ids(n);
-  for (size_t i = 0; i < n; ++i) ids[i] = start + i;
-  return ids;
-}
-
 TEST(DlrmTest, ConfigWidthsLineUp) {
   DatasetSchema schema = MakeKaggleLikeSchema(DatasetScale::kTiny);
   ModelConfig full = MakeDlrmConfig(schema, true);
@@ -43,7 +37,7 @@ TEST(DlrmTest, ConfigWidthsLineUp) {
 
 TEST(DlrmTest, EvalLogitsShape) {
   Fixture f;
-  MiniBatch batch = AssembleBatch(f.dataset, Iota(8));
+  const BatchView batch = MakeBatchView(f.dataset.flat(), 0, 8, /*hot=*/false);
   Tensor logits = f.model.EvalLogits(batch);
   EXPECT_EQ(logits.rows(), 8u);
   EXPECT_EQ(logits.cols(), 1u);
@@ -51,7 +45,7 @@ TEST(DlrmTest, EvalLogitsShape) {
 
 TEST(DlrmTest, ForwardBackwardReturnsPerTableGrads) {
   Fixture f;
-  MiniBatch batch = AssembleBatch(f.dataset, Iota(4));
+  const BatchView batch = MakeBatchView(f.dataset.flat(), 0, 4, /*hot=*/false);
   StepResult step = f.model.ForwardBackward(batch);
   EXPECT_EQ(step.batch_size, 4u);
   ASSERT_EQ(step.table_grads.size(), f.schema.num_tables());
@@ -64,7 +58,7 @@ TEST(DlrmTest, ForwardBackwardReturnsPerTableGrads) {
 
 TEST(DlrmTest, DenseGradsAccumulate) {
   Fixture f;
-  MiniBatch batch = AssembleBatch(f.dataset, Iota(4));
+  const BatchView batch = MakeBatchView(f.dataset.flat(), 0, 4, /*hot=*/false);
   for (Parameter* p : f.model.DenseParams()) {
     EXPECT_EQ(p->grad.Norm(), 0.0);
   }
@@ -76,7 +70,7 @@ TEST(DlrmTest, DenseGradsAccumulate) {
 
 TEST(DlrmTest, EmbeddingGradientMatchesNumerical) {
   Fixture f;
-  MiniBatch batch = AssembleBatch(f.dataset, Iota(2));
+  const BatchView batch = MakeBatchView(f.dataset.flat(), 0, 2, /*hot=*/false);
   StepResult step = f.model.ForwardBackward(batch);
   Sgd zero(0.0f);
   zero.ZeroGrad(f.model.DenseParams());
@@ -122,7 +116,8 @@ TEST(DlrmTest, TrainingReducesLoss) {
     size_t batches = 0;
     for (size_t begin = 0; begin + batch_size <= f.dataset.size();
          begin += batch_size) {
-      MiniBatch batch = AssembleBatch(f.dataset, Iota(batch_size, begin));
+      const BatchView batch = MakeBatchView(
+          f.dataset.flat(), begin, begin + batch_size, /*hot=*/false);
       StepResult step = f.model.ForwardBackward(batch);
       dense.Step(f.model.DenseParams());
       for (size_t t = 0; t < tables.size(); ++t) {
@@ -142,7 +137,7 @@ TEST(DlrmTest, ForwardBackwardOnAlternativeTablesMatches) {
   // Running against a bitwise copy of the tables must give identical
   // results — the property the FAE replica path relies on.
   Fixture f;
-  MiniBatch batch = AssembleBatch(f.dataset, Iota(4));
+  const BatchView batch = MakeBatchView(f.dataset.flat(), 0, 4, /*hot=*/false);
   std::vector<EmbeddingTable> copies = f.model.tables();
   std::vector<EmbeddingTable*> copy_ptrs;
   for (auto& t : copies) copy_ptrs.push_back(&t);
@@ -157,7 +152,7 @@ TEST(DlrmTest, ForwardBackwardOnAlternativeTablesMatches) {
 
 TEST(DlrmTest, WorkCountsAreConsistent) {
   Fixture f;
-  MiniBatch batch = AssembleBatch(f.dataset, Iota(16));
+  const BatchView batch = MakeBatchView(f.dataset.flat(), 0, 16, /*hot=*/false);
   BatchWork w = f.model.Work(batch);
   EXPECT_EQ(w.embedding_read_bytes,
             batch.TotalLookups() * f.schema.embedding_dim * 4);

@@ -5,27 +5,24 @@
 
 #include <gtest/gtest.h>
 
-#include "data/minibatch.h"
+#include "data/batch_view.h"
 #include "data/synthetic.h"
 #include "models/factory.h"
+#include "test_temp_dir.h"
 #include "util/file_io.h"
 
 namespace fae {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using test::TempPath;
 
 struct Fixture {
   Fixture()
       : schema(MakeKaggleLikeSchema(DatasetScale::kTiny)),
         dataset(SyntheticGenerator(schema, {.seed = 23}).Generate(64)) {}
 
-  MiniBatch Batch() const {
-    std::vector<uint64_t> ids(16);
-    for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
-    return AssembleBatch(dataset, ids);
+  BatchView Batch() const {
+    return MakeBatchView(dataset.flat(), 0, 16, /*hot=*/false);
   }
 
   DatasetSchema schema;
@@ -43,7 +40,7 @@ TEST(ModelIoTest, RoundTripReproducesLogitsExactly) {
 
   auto restored = MakeModel(f.schema, false, 999);  // different init seed
   ASSERT_TRUE(ModelIo::Load(path, *restored).ok());
-  MiniBatch batch = f.Batch();
+  const BatchView batch = f.Batch();
   EXPECT_EQ(MaxAbsDiff(original->EvalLogits(batch),
                        restored->EvalLogits(batch)),
             0.0f);
@@ -58,8 +55,7 @@ TEST(ModelIoTest, RoundTripTbsm) {
   ASSERT_TRUE(ModelIo::Save(path, *original).ok());
   auto restored = MakeModel(schema, false, 999);
   ASSERT_TRUE(ModelIo::Load(path, *restored).ok());
-  std::vector<uint64_t> ids = {0, 1, 2, 3};
-  MiniBatch batch = AssembleBatch(d, ids);
+  const BatchView batch = MakeBatchView(d.flat(), 0, 4, /*hot=*/false);
   EXPECT_EQ(MaxAbsDiff(original->EvalLogits(batch),
                        restored->EvalLogits(batch)),
             0.0f);

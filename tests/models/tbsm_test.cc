@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "data/minibatch.h"
+#include "data/batch_view.h"
 #include "data/synthetic.h"
 #include "models/factory.h"
 #include "tensor/loss.h"
@@ -27,15 +27,9 @@ struct Fixture {
   Dataset dataset;
 };
 
-std::vector<uint64_t> Iota(size_t n, uint64_t start = 0) {
-  std::vector<uint64_t> ids(n);
-  for (size_t i = 0; i < n; ++i) ids[i] = start + i;
-  return ids;
-}
-
 TEST(TbsmTest, EvalLogitsShape) {
   Fixture f;
-  MiniBatch batch = AssembleBatch(f.dataset, Iota(8));
+  const BatchView batch = MakeBatchView(f.dataset.flat(), 0, 8, /*hot=*/false);
   Tensor logits = f.model.EvalLogits(batch);
   EXPECT_EQ(logits.rows(), 8u);
   EXPECT_EQ(logits.cols(), 1u);
@@ -43,7 +37,7 @@ TEST(TbsmTest, EvalLogitsShape) {
 
 TEST(TbsmTest, EvalIsDeterministicAndMatchesTraining) {
   Fixture f;
-  MiniBatch batch = AssembleBatch(f.dataset, Iota(4));
+  const BatchView batch = MakeBatchView(f.dataset.flat(), 0, 4, /*hot=*/false);
   Tensor a = f.model.EvalLogits(batch);
   StepResult step = f.model.ForwardBackward(batch);
   Tensor b = f.model.EvalLogits(batch);
@@ -56,7 +50,7 @@ TEST(TbsmTest, EvalIsDeterministicAndMatchesTraining) {
 
 TEST(TbsmTest, ItemTableGetsHistoryAndTargetGrads) {
   Fixture f;
-  MiniBatch batch = AssembleBatch(f.dataset, Iota(8));
+  const BatchView batch = MakeBatchView(f.dataset.flat(), 0, 8, /*hot=*/false);
   StepResult step = f.model.ForwardBackward(batch);
   ASSERT_EQ(step.table_grads.size(), 3u);
   // The item table accumulates gradients from histories and targets; there
@@ -67,7 +61,7 @@ TEST(TbsmTest, ItemTableGetsHistoryAndTargetGrads) {
 
 TEST(TbsmTest, EmbeddingGradientMatchesNumerical) {
   Fixture f;
-  MiniBatch batch = AssembleBatch(f.dataset, Iota(3));
+  const BatchView batch = MakeBatchView(f.dataset.flat(), 0, 3, /*hot=*/false);
   StepResult step = f.model.ForwardBackward(batch);
   Sgd zero(0.0f);
   zero.ZeroGrad(f.model.DenseParams());
@@ -113,7 +107,8 @@ TEST(TbsmTest, TrainingReducesLoss) {
     size_t batches = 0;
     for (size_t begin = 0; begin + batch_size <= f.dataset.size();
          begin += batch_size) {
-      MiniBatch batch = AssembleBatch(f.dataset, Iota(batch_size, begin));
+      const BatchView batch = MakeBatchView(
+          f.dataset.flat(), begin, begin + batch_size, /*hot=*/false);
       StepResult step = f.model.ForwardBackward(batch);
       dense.Step(f.model.DenseParams());
       for (size_t t = 0; t < tables.size(); ++t) {
@@ -137,7 +132,7 @@ TEST(TbsmTest, FullSizeModelGradientCheck) {
   ASSERT_GE(config.step_mlp.size(), 3u);
   Tbsm model(schema, config, 42);
   Dataset dataset = SyntheticGenerator(schema, {.seed = 77}).Generate(16);
-  MiniBatch batch = AssembleBatch(dataset, {0, 1, 2});
+  const BatchView batch = MakeBatchView(dataset.flat(), 0, 3, /*hot=*/false);
 
   StepResult step = model.ForwardBackward(batch);
   Sgd zero(0.0f);
@@ -169,7 +164,7 @@ TEST(TbsmTest, FullSizeModelGradientCheck) {
 
 TEST(TbsmTest, WorkAccountsSequenceLookups) {
   Fixture f;
-  MiniBatch batch = AssembleBatch(f.dataset, Iota(16));
+  const BatchView batch = MakeBatchView(f.dataset.flat(), 0, 16, /*hot=*/false);
   BatchWork w = f.model.Work(batch);
   EXPECT_EQ(w.embedding_read_bytes,
             batch.TotalLookups() * f.schema.embedding_dim * 4);

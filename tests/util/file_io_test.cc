@@ -8,27 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include "test_temp_dir.h"
+
 namespace fae {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using test::TempPath;
 
-class FileIoTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    for (const auto& p : cleanup_) (void)RemoveFile(p);
-  }
-  std::string Track(const std::string& p) {
-    cleanup_.push_back(p);
-    return p;
-  }
-  std::vector<std::string> cleanup_;
-};
-
-TEST_F(FileIoTest, RoundTripScalars) {
-  const std::string path = Track(TempPath("fae_scalars.bin"));
+TEST(FileIoTest, RoundTripScalars) {
+  const std::string path = TempPath("fae_scalars.bin");
   {
     auto w = BinaryWriter::Open(path);
     ASSERT_TRUE(w.ok()) << w.status().ToString();
@@ -58,8 +46,8 @@ TEST_F(FileIoTest, RoundTripScalars) {
   EXPECT_EQ(*s, "hello fae");
 }
 
-TEST_F(FileIoTest, RoundTripVector) {
-  const std::string path = Track(TempPath("fae_vec.bin"));
+TEST(FileIoTest, RoundTripVector) {
+  const std::string path = TempPath("fae_vec.bin");
   std::vector<uint64_t> data = {1, 1 << 20, 42, 0};
   {
     auto w = BinaryWriter::Open(path);
@@ -74,8 +62,8 @@ TEST_F(FileIoTest, RoundTripVector) {
   EXPECT_EQ(*v, data);
 }
 
-TEST_F(FileIoTest, RoundTripEmptyVectorAndString) {
-  const std::string path = Track(TempPath("fae_empty.bin"));
+TEST(FileIoTest, RoundTripEmptyVectorAndString) {
+  const std::string path = TempPath("fae_empty.bin");
   {
     auto w = BinaryWriter::Open(path);
     ASSERT_TRUE(w.ok());
@@ -93,14 +81,14 @@ TEST_F(FileIoTest, RoundTripEmptyVectorAndString) {
   EXPECT_TRUE(s->empty());
 }
 
-TEST_F(FileIoTest, OpenMissingFileIsNotFound) {
+TEST(FileIoTest, OpenMissingFileIsNotFound) {
   auto r = BinaryReader::Open(TempPath("fae_does_not_exist.bin"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
-TEST_F(FileIoTest, TruncatedReadIsDataLoss) {
-  const std::string path = Track(TempPath("fae_trunc.bin"));
+TEST(FileIoTest, TruncatedReadIsDataLoss) {
+  const std::string path = TempPath("fae_trunc.bin");
   {
     auto w = BinaryWriter::Open(path);
     ASSERT_TRUE(w.ok());
@@ -114,8 +102,8 @@ TEST_F(FileIoTest, TruncatedReadIsDataLoss) {
   EXPECT_EQ(v.status().code(), StatusCode::kDataLoss);
 }
 
-TEST_F(FileIoTest, CorruptVectorLengthIsDataLoss) {
-  const std::string path = Track(TempPath("fae_badlen.bin"));
+TEST(FileIoTest, CorruptVectorLengthIsDataLoss) {
+  const std::string path = TempPath("fae_badlen.bin");
   {
     auto w = BinaryWriter::Open(path);
     ASSERT_TRUE(w.ok());
@@ -129,21 +117,21 @@ TEST_F(FileIoTest, CorruptVectorLengthIsDataLoss) {
   EXPECT_EQ(v.status().code(), StatusCode::kDataLoss);
 }
 
-TEST_F(FileIoTest, Crc32MatchesKnownAnswer) {
+TEST(FileIoTest, Crc32MatchesKnownAnswer) {
   // The IEEE CRC-32 check value: crc32("123456789") == 0xCBF43926.
   const char digits[] = "123456789";
   EXPECT_EQ(Crc32(digits, 9), 0xCBF43926u);
   EXPECT_EQ(Crc32(digits, 0), 0u);
 }
 
-TEST_F(FileIoTest, Crc32StreamsViaSeedChaining) {
+TEST(FileIoTest, Crc32StreamsViaSeedChaining) {
   const char digits[] = "123456789";
   const uint32_t first = Crc32(digits, 4);
   EXPECT_EQ(Crc32(digits + 4, 5, first), Crc32(digits, 9));
 }
 
-TEST_F(FileIoTest, WriterCrcMatchesStandaloneCrc) {
-  const std::string path = Track(TempPath("fae_wcrc.bin"));
+TEST(FileIoTest, WriterCrcMatchesStandaloneCrc) {
+  const std::string path = TempPath("fae_wcrc.bin");
   auto w = BinaryWriter::Open(path);
   ASSERT_TRUE(w.ok());
   ASSERT_TRUE(w->WriteU32(0x01020304).ok());
@@ -152,8 +140,8 @@ TEST_F(FileIoTest, WriterCrcMatchesStandaloneCrc) {
   ASSERT_TRUE(w->Close().ok());
 }
 
-TEST_F(FileIoTest, AtomicWriterCommitsOrLeavesTargetUntouched) {
-  const std::string path = Track(TempPath("fae_atomic.bin"));
+TEST(FileIoTest, AtomicWriterCommitsOrLeavesTargetUntouched) {
+  const std::string path = TempPath("fae_atomic.bin");
   // Seed the target with a good file.
   {
     auto w = BinaryWriter::OpenAtomic(path);
@@ -179,8 +167,8 @@ TEST_F(FileIoTest, AtomicWriterCommitsOrLeavesTargetUntouched) {
   EXPECT_EQ(*v, 1u);  // old contents survived
 }
 
-TEST_F(FileIoTest, VerifyFileIntegrityCatchesCorruption) {
-  const std::string path = Track(TempPath("fae_integrity.bin"));
+TEST(FileIoTest, VerifyFileIntegrityCatchesCorruption) {
+  const std::string path = TempPath("fae_integrity.bin");
   {
     auto w = BinaryWriter::Open(path);
     ASSERT_TRUE(w.ok());
@@ -211,7 +199,7 @@ TEST_F(FileIoTest, VerifyFileIntegrityCatchesCorruption) {
             StatusCode::kNotFound);
 }
 
-TEST_F(FileIoTest, FileExistsAndRemove) {
+TEST(FileIoTest, FileExistsAndRemove) {
   const std::string path = TempPath("fae_exists.bin");
   EXPECT_FALSE(FileExists(path));
   {

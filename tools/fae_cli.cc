@@ -463,17 +463,13 @@ int Train(const bench::Args& args) {
                  mode.c_str());
     return 2;
   }
-  TrainReport report;
+  StatusOr<TrainReport> run = Status::Internal("no train mode ran");
   if (mode == "baseline") {
-    auto r = trainer.TrainBaselineResumable(*dataset, split);
-    if (!r.ok()) return Fail(r.status());
-    report = std::move(r).value();
+    run = trainer.TrainBaseline(*dataset, split);
   } else if (mode == "nvopt") {
-    report = trainer.TrainNvOpt(*dataset, split);
+    run = trainer.TrainNvOpt(*dataset, split);
   } else if (mode == "model-parallel") {
-    auto r = trainer.TrainModelParallel(*dataset, split);
-    if (!r.ok()) return Fail(r.status());
-    report = std::move(r).value();
+    run = trainer.TrainModelParallel(*dataset, split);
   } else if (mode == "fae" || mode == "cache") {
     FaePipeline pipeline(config);
     StatusOr<FaePlan> plan = [&]() -> StatusOr<FaePlan> {
@@ -484,16 +480,14 @@ int Train(const bench::Args& args) {
       return pipeline.Prepare(*dataset, split.train);
     }();
     if (!plan.ok()) return Fail(plan.status());
-    if (mode == "cache") {
-      report = trainer.TrainGpuCache(*dataset, split, *plan);
-    } else {
-      auto r = trainer.TrainFaeWithPlan(*dataset, split, config, *plan);
-      if (!r.ok()) return Fail(r.status());
-      report = std::move(r).value();
-    }
+    run = mode == "cache"
+              ? trainer.TrainGpuCache(*dataset, split, *plan)
+              : trainer.TrainFaeWithPlan(*dataset, split, config, *plan);
   } else {
     return Usage();
   }
+  if (!run.ok()) return Fail(run.status());
+  const TrainReport& report = *run;
 
   std::printf("mode %s, %d GPU(s), %zu batches\n",
               std::string(TrainModeName(report.mode)).c_str(), gpus,
