@@ -2,11 +2,20 @@
 //
 // The "seed" implementations below are verbatim copies of the scalar,
 // map-based kernels this repo started with (unordered_map SparseGrad,
-// un-annotated inner loops, no thread pool); the "new" measurements run
-// the current kernel layer (src/tensor/kernels.h, flat SparseGrad,
-// ThreadPool::ParallelFor) at 1 and 4 threads. Every pairing is also
-// checked for bit-exact agreement — the determinism contract says the
-// rewrite changes speed, never results.
+// un-annotated inner loops, no thread pool, per-product GEMM and
+// interaction loops); the "new" measurements run the current kernel layer
+// (src/tensor/kernels.h, the register-tiled kernels of src/tensor/ops.cc,
+// flat SparseGrad, ThreadPool::ParallelFor) at 1 and 4 threads. Every
+// pairing is also checked for bit-exact agreement — the determinism
+// contract says the rewrite changes speed, never results.
+//
+// Two groups of rows: a dim sweep (GEMM [batch, dim] x [dim, dim] and the
+// embedding kernels at dims 16/64/128), and the dense layers the host
+// benchmark's workloads train (hostbench/): the forward, weight-gradient
+// and input-gradient GEMMs of Kaggle DLRM's 13-64-16 bottom and 367-64-1
+// top MLPs and of Taobao TBSM's 3-16 bottom, 16-16 per-timestep (batch x
+// 21 history rows) and 80-30-1 top MLPs, plus DLRM's 27-feature dim-16
+// pairwise interaction, forward and backward.
 //
 // Usage:
 //   micro_kernels [--out=bench/BENCH_kernels.json] [--reps=5] [--smoke]
@@ -23,6 +32,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -126,6 +136,84 @@ Tensor LegacyMatMulBlocked(const Tensor& a, const Tensor& b) {
   return c;
 }
 
+Tensor LegacyMatMulTransA(const Tensor& a, const Tensor& b) {
+  Tensor c(a.cols(), b.cols());
+  for (size_t kk = 0; kk < a.rows(); ++kk) {
+    const float* arow = a.row(kk);
+    const float* brow = b.row(kk);
+    for (size_t i = 0; i < a.cols(); ++i) {
+      const float av = arow[i];
+      if (av == 0.0f) continue;
+      float* crow = c.row(i);
+      for (size_t j = 0; j < b.cols(); ++j) crow[j] += av * brow[j];
+    }
+  }
+  return c;
+}
+
+/// The four-accumulator dot product of the seed's TransB and interaction.
+float LegacyDot(size_t n, const float* x, const float* y) {
+  float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    s0 += x[i + 0] * y[i + 0];
+    s1 += x[i + 1] * y[i + 1];
+    s2 += x[i + 2] * y[i + 2];
+    s3 += x[i + 3] * y[i + 3];
+  }
+  float tail = 0.0f;
+  for (; i < n; ++i) tail += x[i] * y[i];
+  return ((s0 + s1) + (s2 + s3)) + tail;
+}
+
+Tensor LegacyMatMulTransB(const Tensor& a, const Tensor& b) {
+  Tensor c(a.rows(), b.rows());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < b.rows(); ++j) {
+      c(i, j) = LegacyDot(a.cols(), a.row(i), b.row(j));
+    }
+  }
+  return c;
+}
+
+Tensor LegacyInteraction(const std::vector<const Tensor*>& f) {
+  const size_t d = f[0]->cols();
+  Tensor out(f[0]->rows(), f.size() * (f.size() - 1) / 2);
+  for (size_t r = 0; r < out.rows(); ++r) {
+    float* orow = out.row(r);
+    size_t col = 0;
+    for (size_t i = 0; i < f.size(); ++i) {
+      for (size_t j = i + 1; j < f.size(); ++j) {
+        orow[col++] = LegacyDot(d, f[i]->row(r), f[j]->row(r));
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<Tensor> LegacyInteractionBackward(
+    const Tensor& grad_out, const std::vector<const Tensor*>& f) {
+  const size_t d = f[0]->cols();
+  std::vector<Tensor> grads(f.size(), Tensor(f[0]->rows(), d));
+  for (size_t r = 0; r < grad_out.rows(); ++r) {
+    const float* grow = grad_out.row(r);
+    size_t col = 0;
+    for (size_t i = 0; i < f.size(); ++i) {
+      for (size_t j = i + 1; j < f.size(); ++j) {
+        const float g = grow[col++];
+        if (g == 0.0f) continue;
+        const float* fi = f[i]->row(r);
+        const float* fj = f[j]->row(r);
+        float* gi = grads[i].row(r);
+        float* gj = grads[j].row(r);
+        for (size_t e = 0; e < d; ++e) gi[e] += g * fj[e];
+        for (size_t e = 0; e < d; ++e) gj[e] += g * fi[e];
+      }
+    }
+  }
+  return grads;
+}
+
 // ---------------------------------------------------------------------------
 // Timing harness: calibrate an iteration count against a time target, then
 // take the fastest of `reps` averaged runs (min-of-reps rejects scheduler
@@ -159,8 +247,13 @@ double SecondsPerIter(const std::function<void()>& fn,
 }
 
 struct BenchResult {
-  std::string kernel;  // gemm | embedding_forward | embedding_backward_opt
+  std::string kernel;  // gemm | gemm_trans_a | gemm_trans_b |
+                       // interaction_fwd | interaction_bwd |
+                       // embedding_forward | embedding_backward_opt
   std::string impl;    // seed | new
+  // GEMMs: "m x k x n" of the product; interaction: "rows x features x
+  // dim"; embedding: "batch x lookups x dim".
+  std::string shape;
   size_t dim = 0;
   size_t batch = 0;
   size_t threads = 1;
@@ -169,18 +262,32 @@ struct BenchResult {
   bool bitexact_vs_seed = true;
 };
 
+/// Bitwise equality: a changed summation order or a flipped zero sign
+/// both count as a disagreement.
 bool TensorsEqual(const Tensor& a, const Tensor& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  for (size_t i = 0; i < a.numel(); ++i) {
-    if (a.data()[i] != b.data()[i]) return false;
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+bool TensorsEqual(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!TensorsEqual(a[i], b[i])) return false;
   }
   return true;
+}
+
+std::string Shape3(size_t a, size_t b, size_t c) {
+  return std::to_string(a) + "x" + std::to_string(b) + "x" +
+         std::to_string(c);
 }
 
 struct SuiteConfig {
   std::vector<size_t> dims;
   std::vector<size_t> threads;  // first entry must be 1
   size_t batch = 2048;
+  // Global batch of the workload-layer rows: hostbench trains 4 GPUs x 256.
+  size_t layer_batch = 1024;
   size_t lookups_per_sample = 4;
   uint64_t table_rows = 100000;
   TimingConfig timing;
@@ -205,7 +312,8 @@ void MakeLookups(const SuiteConfig& cfg, Xoshiro256& rng,
 /// `run(pool)` must execute the new kernel (pool == nullptr → serial) and
 /// `run_seed()` the legacy one; `check(pool)` returns bit-exactness of the
 /// new result against the seed result.
-void RunPair(const SuiteConfig& cfg, const std::string& kernel, size_t dim,
+void RunPair(const SuiteConfig& cfg, const std::string& kernel,
+             const std::string& shape, size_t dim, size_t batch,
              const std::function<void()>& run_seed,
              const std::function<void(ThreadPool*)>& run_new,
              const std::function<bool(ThreadPool*)>& check,
@@ -213,8 +321,9 @@ void RunPair(const SuiteConfig& cfg, const std::string& kernel, size_t dim,
   BenchResult seed;
   seed.kernel = kernel;
   seed.impl = "seed";
+  seed.shape = shape;
   seed.dim = dim;
-  seed.batch = cfg.batch;
+  seed.batch = batch;
   seed.threads = 1;
   seed.seconds_per_iter = SecondsPerIter(run_seed, cfg.timing);
   out.push_back(seed);
@@ -224,8 +333,9 @@ void RunPair(const SuiteConfig& cfg, const std::string& kernel, size_t dim,
     BenchResult r;
     r.kernel = kernel;
     r.impl = "new";
+    r.shape = shape;
     r.dim = dim;
-    r.batch = cfg.batch;
+    r.batch = batch;
     r.threads = threads;
     r.bitexact_vs_seed = check(pool);
     r.seconds_per_iter =
@@ -250,24 +360,25 @@ std::vector<BenchResult> RunSuite(const SuiteConfig& cfg) {
     Tensor a = Tensor::Randn(cfg.batch, dim, 1.0f, rng);
     Tensor b = Tensor::Randn(dim, dim, 1.0f, rng);
     RunPair(
-        cfg, "gemm", dim,
+        cfg, "gemm", Shape3(cfg.batch, dim, dim), dim, cfg.batch,
         [&] {
           Tensor c = LegacyMatMulBlocked(a, b);
           benchmark::DoNotOptimize(c.data());
         },
         [&](ThreadPool* pool) {
-          Tensor c = MatMulBlocked(a, b, pool);
+          Tensor c = MatMul(a, b, pool);
           benchmark::DoNotOptimize(c.data());
         },
         [&](ThreadPool* pool) {
-          return TensorsEqual(LegacyMatMulBlocked(a, b),
-                              MatMulBlocked(a, b, pool));
+          return TensorsEqual(LegacyMatMulBlocked(a, b), MatMul(a, b, pool));
         },
         results);
 
     // Sum-pooled embedding gather.
+    const std::string lookups =
+        Shape3(cfg.batch, cfg.lookups_per_sample, dim);
     RunPair(
-        cfg, "embedding_forward", dim,
+        cfg, "embedding_forward", lookups, dim, cfg.batch,
         [&] {
           Tensor o = LegacyEmbeddingForward(table, indices, offsets);
           benchmark::DoNotOptimize(o.data());
@@ -290,7 +401,7 @@ std::vector<BenchResult> RunSuite(const SuiteConfig& cfg) {
     EmbeddingTable new_table(cfg.table_rows, dim);
     SparseSgd sgd(lr);
     RunPair(
-        cfg, "embedding_backward_opt", dim,
+        cfg, "embedding_backward_opt", lookups, dim, cfg.batch,
         [&] {
           LegacySparseGrad g =
               LegacyEmbeddingBackward(grad_out, indices, offsets, dim);
@@ -318,6 +429,104 @@ std::vector<BenchResult> RunSuite(const SuiteConfig& cfg) {
   return results;
 }
 
+/// One dense layer of a workload's MLPs: `rows_per_sample` activation
+/// rows per sample (TBSM's per-timestep MLP sees 21 per sample). Its rows
+/// report dim 0: they belong to no point of the dim sweep.
+struct LayerShape {
+  size_t rows_per_sample;
+  size_t in;
+  size_t out;
+};
+
+constexpr LayerShape kWorkloadLayers[] = {
+    {1, 13, 64},  {1, 64, 16}, {1, 367, 64}, {1, 64, 1},  // Kaggle DLRM
+    {1, 3, 16},   {21, 16, 16}, {1, 80, 30}, {1, 30, 1},  // Taobao TBSM
+};
+
+/// The forward and both gradient GEMMs of every workload layer, and the
+/// Kaggle DLRM interaction (26 tables + bottom MLP, dim 16).
+void RunLayerSuite(const SuiteConfig& cfg, std::vector<BenchResult>& results) {
+  Xoshiro256 rng(4321);
+  for (const LayerShape& l : kWorkloadLayers) {
+    const size_t m = cfg.layer_batch * l.rows_per_sample;
+    const Tensor x = Tensor::Randn(m, l.in, 1.0f, rng);
+    const Tensor w = Tensor::Randn(l.in, l.out, 0.3f, rng);
+    const Tensor g = Tensor::Randn(m, l.out, 0.1f, rng);
+    RunPair(
+        cfg, "gemm", Shape3(m, l.in, l.out), 0, m,
+        [&] { benchmark::DoNotOptimize(LegacyMatMulBlocked(x, w).data()); },
+        [&](ThreadPool* pool) {
+          benchmark::DoNotOptimize(MatMul(x, w, pool).data());
+        },
+        [&](ThreadPool* pool) {
+          return TensorsEqual(LegacyMatMulBlocked(x, w), MatMul(x, w, pool));
+        },
+        results);
+    RunPair(
+        cfg, "gemm_trans_a", Shape3(l.in, m, l.out), 0, m,
+        [&] { benchmark::DoNotOptimize(LegacyMatMulTransA(x, g).data()); },
+        [&](ThreadPool* pool) {
+          benchmark::DoNotOptimize(MatMulTransA(x, g, pool).data());
+        },
+        [&](ThreadPool* pool) {
+          return TensorsEqual(LegacyMatMulTransA(x, g),
+                              MatMulTransA(x, g, pool));
+        },
+        results);
+    RunPair(
+        cfg, "gemm_trans_b", Shape3(m, l.out, l.in), 0, m,
+        [&] { benchmark::DoNotOptimize(LegacyMatMulTransB(g, w).data()); },
+        [&](ThreadPool* pool) {
+          benchmark::DoNotOptimize(MatMulTransB(g, w, pool).data());
+        },
+        [&](ThreadPool* pool) {
+          return TensorsEqual(LegacyMatMulTransB(g, w),
+                              MatMulTransB(g, w, pool));
+        },
+        results);
+  }
+
+  constexpr size_t kFeatures = 27;
+  constexpr size_t kDim = 16;
+  const size_t rows = cfg.layer_batch;
+  std::vector<Tensor> feats;
+  std::vector<const Tensor*> ptrs;
+  for (size_t i = 0; i < kFeatures; ++i) {
+    feats.push_back(Tensor::Randn(rows, kDim, 1.0f, rng));
+  }
+  for (const Tensor& f : feats) ptrs.push_back(&f);
+  const Tensor grad_out =
+      Tensor::Randn(rows, kFeatures * (kFeatures - 1) / 2, 0.1f, rng);
+  const std::string shape = Shape3(rows, kFeatures, kDim);
+  RunPair(
+      cfg, "interaction_fwd", shape, kDim, rows,
+      [&] { benchmark::DoNotOptimize(LegacyInteraction(ptrs).data()); },
+      [&](ThreadPool* pool) {
+        benchmark::DoNotOptimize(PairwiseDotInteraction(ptrs, pool).data());
+      },
+      [&](ThreadPool* pool) {
+        return TensorsEqual(LegacyInteraction(ptrs),
+                            PairwiseDotInteraction(ptrs, pool));
+      },
+      results);
+  RunPair(
+      cfg, "interaction_bwd", shape, kDim, rows,
+      [&] {
+        benchmark::DoNotOptimize(
+            LegacyInteractionBackward(grad_out, ptrs).data());
+      },
+      [&](ThreadPool* pool) {
+        benchmark::DoNotOptimize(
+            PairwiseDotInteractionBackward(grad_out, ptrs, pool).data());
+      },
+      [&](ThreadPool* pool) {
+        return TensorsEqual(
+            LegacyInteractionBackward(grad_out, ptrs),
+            PairwiseDotInteractionBackward(grad_out, ptrs, pool));
+      },
+      results);
+}
+
 void WriteJson(const std::string& path, const SuiteConfig& cfg,
                const std::vector<BenchResult>& results, double criterion) {
   FILE* f = std::fopen(path.c_str(), "w");
@@ -328,6 +537,7 @@ void WriteJson(const std::string& path, const SuiteConfig& cfg,
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"suite\": \"micro_kernels\",\n");
   std::fprintf(f, "  \"batch\": %zu,\n", cfg.batch);
+  std::fprintf(f, "  \"layer_batch\": %zu,\n", cfg.layer_batch);
   std::fprintf(f, "  \"lookups_per_sample\": %zu,\n", cfg.lookups_per_sample);
   std::fprintf(f, "  \"table_rows\": %llu,\n",
                static_cast<unsigned long long>(cfg.table_rows));
@@ -337,11 +547,13 @@ void WriteJson(const std::string& path, const SuiteConfig& cfg,
   for (size_t i = 0; i < results.size(); ++i) {
     const BenchResult& r = results[i];
     std::fprintf(f,
-                 "    {\"kernel\": \"%s\", \"impl\": \"%s\", \"dim\": %zu, "
+                 "    {\"kernel\": \"%s\", \"impl\": \"%s\", "
+                 "\"shape\": \"%s\", \"dim\": %zu, "
                  "\"batch\": %zu, \"threads\": %zu, "
                  "\"seconds_per_iter\": %.9f, \"speedup_vs_seed\": %.3f, "
                  "\"bitexact_vs_seed\": %s}%s\n",
-                 r.kernel.c_str(), r.impl.c_str(), r.dim, r.batch, r.threads,
+                 r.kernel.c_str(), r.impl.c_str(), r.shape.c_str(), r.dim,
+                 r.batch, r.threads,
                  r.seconds_per_iter, r.speedup_vs_seed,
                  r.bitexact_vs_seed ? "true" : "false",
                  i + 1 < results.size() ? "," : "");
@@ -394,31 +606,18 @@ void BM_SparseSgdStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseSgdStep)->Arg(256)->Arg(4096);
 
-void BM_MatMulNaive(benchmark::State& state) {
+void BM_MatMul(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Xoshiro256 rng(11);
   Tensor a = Tensor::Randn(n, n, 1.0f, rng);
   Tensor b = Tensor::Randn(n, n, 1.0f, rng);
   for (auto _ : state) {
-    Tensor c = MatMulNaive(a, b);
+    Tensor c = MatMul(a, b);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_MatMulNaive)->Arg(128)->Arg(512);
-
-void BM_MatMulBlocked(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Xoshiro256 rng(11);
-  Tensor a = Tensor::Randn(n, n, 1.0f, rng);
-  Tensor b = Tensor::Randn(n, n, 1.0f, rng);
-  for (auto _ : state) {
-    Tensor c = MatMulBlocked(a, b);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_MatMulBlocked)->Arg(128)->Arg(512);
+BENCHMARK(BM_MatMul)->Arg(128)->Arg(512);
 
 void BM_MlpForward(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
@@ -501,6 +700,7 @@ int main(int argc, char** argv) {
     cfg.dims = {16};
     cfg.threads = {1, 2};
     cfg.batch = 256;
+    cfg.layer_batch = 64;
     cfg.table_rows = 2000;
     cfg.timing.reps = 1;
     cfg.timing.target_seconds = 0.001;
@@ -515,16 +715,18 @@ int main(int argc, char** argv) {
 
   fae::bench::PrintHeader(
       "micro_kernels: seed scalar path vs vectorized/threaded kernels");
-  const std::vector<fae::BenchResult> results = fae::RunSuite(cfg);
+  std::vector<fae::BenchResult> results = fae::RunSuite(cfg);
+  fae::RunLayerSuite(cfg, results);
 
   bool all_bitexact = true;
   double criterion = 0.0;
-  std::printf("%-24s %-5s %5s %8s %12s %9s %9s\n", "kernel", "impl", "dim",
-              "threads", "sec/iter", "speedup", "bitexact");
+  std::printf("%-24s %-5s %-13s %8s %12s %9s %9s\n", "kernel", "impl",
+              "shape", "threads", "sec/iter", "speedup", "bitexact");
   for (const fae::BenchResult& r : results) {
-    std::printf("%-24s %-5s %5zu %8zu %12.3e %8.2fx %9s\n", r.kernel.c_str(),
-                r.impl.c_str(), r.dim, r.threads, r.seconds_per_iter,
-                r.speedup_vs_seed, r.bitexact_vs_seed ? "yes" : "NO");
+    std::printf("%-24s %-5s %-13s %8zu %12.3e %8.2fx %9s\n",
+                r.kernel.c_str(), r.impl.c_str(), r.shape.c_str(), r.threads,
+                r.seconds_per_iter, r.speedup_vs_seed,
+                r.bitexact_vs_seed ? "yes" : "NO");
     all_bitexact = all_bitexact && r.bitexact_vs_seed;
     if (r.kernel == "embedding_backward_opt" && r.impl == "new" &&
         r.dim == 64 && r.threads == 4) {

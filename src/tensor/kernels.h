@@ -6,14 +6,39 @@
 
 #include "util/half.h"
 
-// The shared inner loops of every hot-path kernel: GEMM panels, embedding
-// bag gather/scatter, and the sparse optimizers. Each primitive takes
-// restrict-qualified pointers and is written in an unrolled form the
-// compiler can auto-vectorize at -O2 without changing the floating-point
-// result: per-output-element summation order is fixed (ascending index,
-// one accumulator) wherever callers rely on bit-exact reproducibility,
-// and only Dot — whose callers tolerate a fixed but different association
-// — uses multiple accumulators.
+// The shared inner loops of the hot-path kernels: embedding bag
+// gather/scatter and the sparse optimizers call these directly. Each
+// primitive takes restrict-qualified pointers and is written in an
+// unrolled form the compiler can auto-vectorize at -O2 without changing
+// the floating-point result: per-output-element summation order is fixed
+// (ascending index, one accumulator) wherever callers rely on bit-exact
+// reproducibility, and only Dot uses multiple accumulators.
+//
+// The dense GEMMs and the DLRM pairwise interaction (src/tensor/ops.cc)
+// are register-tiled instead: they hold a tile of outputs in 16-byte
+// vector accumulators (GCC/Clang vector extension, SSE2 on baseline
+// x86-64) and store it once per tile and k-block. Tiles: MatMul and
+// MatMulTransA 4 rows x 8 columns, then a 4-column tile and scalar
+// columns for the n % 8 remainder and single rows for the m % 4 one, k
+// in blocks of 128; MatMulTransB 2
+// rows x 4 columns over 64-row blocks of B; the interaction forward 2
+// features x 4 partners; the interaction backward 2 features x 16
+// elements of d. Each output keeps the operation sequence
+// of the scalar loop it replaced, so results are bit-identical:
+//   - MatMul / MatMulTransA: c = +0, then c += a * b for ascending k, as
+//     Axpy did. The old loops skipped a == 0; adding that product (+-0
+//     for finite b) is exact, because an accumulator that starts at +0
+//     never becomes -0 and adding +-0 to it leaves its bits unchanged.
+//   - MatMulTransB / interaction forward: one vector accumulator per
+//     output holds Dot's four lanes s0..s3; a 4x4 transpose then forms
+//     ((s0 + s1) + (s2 + s3)) + tail for four outputs at once, the tail
+//     running from +0 in ascending order as in Dot.
+//   - Interaction backward: dL/df_x = sum over y != x of g(x, y) * f_y
+//     from +0 in ascending y, the order the pair loop delivered the terms
+//     (same zero-skip argument).
+// The argument assumes no multiply-add contraction, which holds on
+// baseline x86-64 (no FMA instructions). -DFAE_NATIVE_ARCH=ON may let the
+// compiler fuse multiply-adds, here and in these primitives alike.
 //
 // Build with -DFAE_NATIVE_ARCH=ON to compile these (and everything else)
 // with -march=native for full-width SIMD.
@@ -27,7 +52,7 @@
 namespace fae {
 namespace kernels {
 
-/// y[i] += a * x[i]. The GEMM update and sparse-SGD apply (a = -lr).
+/// y[i] += a * x[i]. The sparse-SGD apply (a = -lr).
 /// Summation order per element is unchanged from the scalar loop, so
 /// callers stay bit-exact.
 inline void Axpy(size_t n, float a, const float* FAE_RESTRICT x,
@@ -65,7 +90,9 @@ inline void Add(size_t n, const float* FAE_RESTRICT x,
 
 /// <x, y> with four independent accumulators (deterministic, but a
 /// different association than a single-accumulator loop — callers that
-/// need the legacy association must not use this).
+/// need the legacy association must not use this). MatMulTransB and the
+/// interaction forward reproduce this association bit for bit, so it is
+/// part of their results: changing it changes the golden curves.
 inline float Dot(size_t n, const float* FAE_RESTRICT x,
                  const float* FAE_RESTRICT y) {
   float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;

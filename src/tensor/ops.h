@@ -15,33 +15,26 @@ namespace fae {
 // implementation, so both are bit-identical. A-operands are MatViews so
 // activations can be consumed straight out of flat dataset buffers.
 
-/// C = A[m,k] * B[k,n]. Dispatches to the blocked kernel for shapes where
-/// tiling pays; the reference kernel otherwise. When `pool` is non-null
-/// the work is split over A's rows; output rows are written by exactly one
-/// thread each and per-element summation order is fixed, so the result is
+/// C = A[m,k] * B[k,n], register-tiled. Each C element is +0 plus its
+/// products in ascending k — the scalar i-k-j loop's sequence, so the
+/// result is that loop's bit for bit (for finite inputs; kernels.h). When
+/// `pool` is non-null the work is split over A's rows;
+/// output rows are written by exactly one thread each, so the result is
 /// bit-identical at any thread count.
 Tensor MatMul(const Tensor& a, const Tensor& b, ThreadPool* pool = nullptr);
 void MatMulInto(Tensor& c, MatView a, const Tensor& b,
                 ThreadPool* pool = nullptr);
 
-/// Reference triple-loop GEMM (used by tests as the ground truth).
-Tensor MatMulNaive(const Tensor& a, const Tensor& b,
-                   ThreadPool* pool = nullptr);
-
-/// Cache-blocked GEMM: tiles the k and j loops so the working set of B
-/// stays in cache across the i loop. Identical results to MatMulNaive
-/// (same summation order per element) at any thread count.
-Tensor MatMulBlocked(const Tensor& a, const Tensor& b,
-                     ThreadPool* pool = nullptr);
-
 /// C = A^T[k,m] * B[k,n] — i.e. MatMul(transpose(a), b) without
-/// materializing the transpose. Used for weight gradients.
+/// materializing the transpose, with MatMul's per-element order. Used for
+/// weight gradients.
 Tensor MatMulTransA(const Tensor& a, const Tensor& b,
                     ThreadPool* pool = nullptr);
 void MatMulTransAInto(Tensor& c, MatView a, const Tensor& b,
                       ThreadPool* pool = nullptr);
 
-/// C = A[m,k] * B^T[n,k] — used for input gradients.
+/// C = A[m,k] * B^T[n,k], C(i, j) = kernels::Dot(k, a.row(i), b.row(j))
+/// bit for bit — used for input gradients.
 Tensor MatMulTransB(const Tensor& a, const Tensor& b,
                     ThreadPool* pool = nullptr);
 void MatMulTransBInto(Tensor& c, const Tensor& a, const Tensor& b,
@@ -84,7 +77,8 @@ Tensor SoftmaxRows(const Tensor& x);
 /// DLRM-style pairwise-dot feature interaction.
 ///
 /// Inputs: F feature blocks, each [B, d]. Output: [B, F*(F-1)/2] whose
-/// columns are the dot products <f_i, f_j> for i < j, per sample.
+/// columns are the dot products kernels::Dot(d, f_i, f_j) for i < j, per
+/// sample, i-major.
 Tensor PairwiseDotInteraction(const std::vector<const Tensor*>& features,
                               ThreadPool* pool = nullptr);
 void PairwiseDotInteractionInto(Tensor& out,
@@ -92,7 +86,8 @@ void PairwiseDotInteractionInto(Tensor& out,
                                 ThreadPool* pool = nullptr);
 
 /// Backward of PairwiseDotInteraction: given dL/dout [B, F*(F-1)/2] and the
-/// forward feature blocks, returns dL/df for each block.
+/// forward feature blocks, returns dL/df for each block:
+/// dL/df_x = sum over y != x, ascending, of dL/dout(x, y) * f_y.
 std::vector<Tensor> PairwiseDotInteractionBackward(
     const Tensor& grad_out, const std::vector<const Tensor*>& features,
     ThreadPool* pool = nullptr);

@@ -1,5 +1,6 @@
 #include "util/file_io.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <filesystem>
@@ -107,18 +108,12 @@ StatusOr<BinaryReader> BinaryReader::Open(const std::string& path) {
   return BinaryReader(std::move(in), static_cast<uint64_t>(size));
 }
 
-uint64_t BinaryReader::RemainingBytes() {
-  const std::streamoff pos = in_.tellg();
-  if (pos < 0) return 0;
-  const uint64_t upos = static_cast<uint64_t>(pos);
-  return upos >= size_ ? 0 : size_ - upos;
-}
-
 Status BinaryReader::ReadBytes(void* data, size_t n) {
   in_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
-  if (static_cast<size_t>(in_.gcount()) != n) {
-    return Status::DataLoss("unexpected end of file");
-  }
+  const size_t got = static_cast<size_t>(in_.gcount());
+  // Clamped so RemainingBytes() cannot wrap if the file grew after Open.
+  pos_ = std::min(size_, pos_ + got);
+  if (got != n) return Status::DataLoss("unexpected end of file");
   return Status::OK();
 }
 

@@ -99,14 +99,17 @@ class BinaryReader {
     return v;
   }
 
-  /// Bytes between the read cursor and the end of the file.
-  uint64_t RemainingBytes();
+  /// Bytes between the read cursor and the end of the file (as sized at
+  /// Open). Tracked in the reader: asking the stream (`tellg`) costs a
+  /// syscall per call, and loaders check this once per vector.
+  uint64_t RemainingBytes() const { return size_ - pos_; }
 
  private:
   BinaryReader(std::ifstream in, uint64_t size)
       : in_(std::move(in)), size_(size) {}
   std::ifstream in_;
   uint64_t size_ = 0;
+  uint64_t pos_ = 0;  // bytes consumed so far; never exceeds size_
 };
 
 /// Whole-file integrity check for the FAE container formats: the last four

@@ -1,6 +1,8 @@
 #include "tensor/ops.h"
 
 #include <cmath>
+#include <cstring>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -173,6 +175,23 @@ TEST(OpsTest, PairwiseDotBackwardMatchesNumericalGradient) {
   }
 }
 
+/// The i-k-j loop MatMul's register tiles must reproduce bit for bit:
+/// every c(i, j) adds a(i, kk) * b(kk, j) in ascending kk into a +0 start.
+Tensor NaiveMatMul(const Tensor& a, const Tensor& b) {
+  Tensor c(a.rows(), b.cols());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t kk = 0; kk < a.cols(); ++kk) {
+      for (size_t j = 0; j < b.cols(); ++j) c(i, j) += a(i, kk) * b(kk, j);
+    }
+  }
+  return c;
+}
+
+bool SameBits(const Tensor& x, const Tensor& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.numel() * sizeof(float)) == 0;
+}
+
 TEST(OpsTest, BlockedMatMulMatchesNaive) {
   Xoshiro256 rng(7);
   for (auto [m, k, n] : {std::tuple<size_t, size_t, size_t>{3, 5, 7},
@@ -181,7 +200,7 @@ TEST(OpsTest, BlockedMatMulMatchesNaive) {
                          {1, 400, 1}}) {
     Tensor a = Tensor::Randn(m, k, 1.0f, rng);
     Tensor b = Tensor::Randn(k, n, 1.0f, rng);
-    EXPECT_LT(MaxAbsDiff(MatMulBlocked(a, b), MatMulNaive(a, b)), 1e-4f)
+    EXPECT_TRUE(SameBits(MatMul(a, b), NaiveMatMul(a, b)))
         << m << "x" << k << "x" << n;
   }
 }
@@ -190,13 +209,28 @@ TEST(OpsTest, MatMulDispatchMatchesNaiveOnLargeShapes) {
   Xoshiro256 rng(8);
   Tensor a = Tensor::Randn(300, 400, 1.0f, rng);
   Tensor b = Tensor::Randn(400, 350, 1.0f, rng);
-  EXPECT_LT(MaxAbsDiff(MatMul(a, b), MatMulNaive(a, b)), 1e-4f);
+  EXPECT_TRUE(SameBits(MatMul(a, b), NaiveMatMul(a, b)));
 }
 
 TEST(OpsDeathTest, MatMulShapeMismatchAborts) {
   Tensor a(2, 3);
   Tensor b(4, 2);
   EXPECT_DEATH(MatMul(a, b), "Check failed");
+}
+
+TEST(OpsDeathTest, InteractionBackwardShapeMismatchAborts) {
+  Tensor f0(2, 4);
+  Tensor grad_out(2, 1);
+  std::vector<Tensor> grads(2);
+  // Every feature block must match the first one's [rows, d].
+  Tensor narrow(2, 3);
+  std::vector<const Tensor*> ptrs = {&f0, &narrow};
+  EXPECT_DEATH(PairwiseDotInteractionBackwardInto(grads, grad_out, ptrs),
+               "Check failed");
+  Tensor short_rows(1, 4);
+  ptrs = {&f0, &short_rows};
+  EXPECT_DEATH(PairwiseDotInteractionBackwardInto(grads, grad_out, ptrs),
+               "Check failed");
 }
 
 }  // namespace

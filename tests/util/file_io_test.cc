@@ -102,6 +102,45 @@ TEST(FileIoTest, TruncatedReadIsDataLoss) {
   EXPECT_EQ(v.status().code(), StatusCode::kDataLoss);
 }
 
+TEST(FileIoTest, RemainingBytesTracksInterleavedReads) {
+  const std::string path = TempPath("fae_remaining.bin");
+  {
+    auto w = BinaryWriter::Open(path);
+    ASSERT_TRUE(w.ok());
+    ASSERT_TRUE(w->WriteU32(1).ok());
+    ASSERT_TRUE(w->WriteVector(std::vector<float>{1.0f, 2.0f, 3.0f}).ok());
+    ASSERT_TRUE(w->WriteString("abc").ok());
+    ASSERT_TRUE(w->WriteF64(0.5).ok());
+    ASSERT_TRUE(w->WriteU32(9).ok());
+    ASSERT_TRUE(w->Close().ok());
+  }
+  const uint64_t size = 4 + (8 + 12) + (8 + 3) + 8 + 4;
+  ASSERT_EQ(std::filesystem::file_size(path), size);
+  auto r = BinaryReader::Open(path);
+  ASSERT_TRUE(r.ok());
+  uint64_t consumed = 0;
+  EXPECT_EQ(r->RemainingBytes(), size);
+  ASSERT_TRUE(r->ReadU32().ok());
+  consumed += 4;
+  EXPECT_EQ(r->RemainingBytes(), size - consumed);
+  ASSERT_TRUE(r->ReadVector<float>().ok());
+  consumed += 8 + 12;
+  EXPECT_EQ(r->RemainingBytes(), size - consumed);
+  ASSERT_TRUE(r->ReadString().ok());
+  consumed += 8 + 3;
+  EXPECT_EQ(r->RemainingBytes(), size - consumed);
+  ASSERT_TRUE(r->ReadF64().ok());
+  consumed += 8;
+  EXPECT_EQ(r->RemainingBytes(), size - consumed);  // the trailing u32
+  // A short read consumes what the file still held and leaves nothing.
+  auto v = r->ReadU64();
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(r->RemainingBytes(), 0u);
+  EXPECT_FALSE(r->ReadU32().ok());
+  EXPECT_EQ(r->RemainingBytes(), 0u);
+}
+
 TEST(FileIoTest, CorruptVectorLengthIsDataLoss) {
   const std::string path = TempPath("fae_badlen.bin");
   {
