@@ -15,7 +15,10 @@
 // and input-gradient GEMMs of Kaggle DLRM's 13-64-16 bottom and 367-64-1
 // top MLPs and of Taobao TBSM's 3-16 bottom, 16-16 per-timestep (batch x
 // 21 history rows) and 80-30-1 top MLPs, plus DLRM's 27-feature dim-16
-// pairwise interaction, forward and backward.
+// pairwise interaction, forward and backward. A last pair of rows times
+// Crc32, the checksum of every file the library saves and loads, over an
+// 18 MB buffer (about a Kaggle-like dataset file) against the
+// byte-at-a-time loop it replaced, in MB/s.
 //
 // Usage:
 //   micro_kernels [--out=bench/BENCH_kernels.json] [--reps=5] [--smoke]
@@ -48,6 +51,7 @@
 #include "stats/zipf.h"
 #include "tensor/mlp.h"
 #include "tensor/ops.h"
+#include "util/file_io.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -214,6 +218,23 @@ std::vector<Tensor> LegacyInteractionBackward(
   return grads;
 }
 
+/// The byte-at-a-time table loop Crc32 ran before slicing-by-8.
+uint32_t LegacyCrc32(const void* data, size_t n) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint32_t c = 0xffffffffu;
+  for (size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+  return c ^ 0xffffffffu;
+}
+
 // ---------------------------------------------------------------------------
 // Timing harness: calibrate an iteration count against a time target, then
 // take the fastest of `reps` averaged runs (min-of-reps rejects scheduler
@@ -249,10 +270,10 @@ double SecondsPerIter(const std::function<void()>& fn,
 struct BenchResult {
   std::string kernel;  // gemm | gemm_trans_a | gemm_trans_b |
                        // interaction_fwd | interaction_bwd |
-                       // embedding_forward | embedding_backward_opt
+                       // embedding_forward | embedding_backward_opt | crc32
   std::string impl;    // seed | new
   // GEMMs: "m x k x n" of the product; interaction: "rows x features x
-  // dim"; embedding: "batch x lookups x dim".
+  // dim"; embedding: "batch x lookups x dim"; crc32: bytes.
   std::string shape;
   size_t dim = 0;
   size_t batch = 0;
@@ -260,6 +281,7 @@ struct BenchResult {
   double seconds_per_iter = 0.0;
   double speedup_vs_seed = 1.0;
   bool bitexact_vs_seed = true;
+  double mb_per_s = 0.0;  // byte-stream kernels (crc32) only
 };
 
 /// Bitwise equality: a changed summation order or a flipped zero sign
@@ -290,6 +312,7 @@ struct SuiteConfig {
   size_t layer_batch = 1024;
   size_t lookups_per_sample = 4;
   uint64_t table_rows = 100000;
+  size_t crc_bytes = 18'000'000;
   TimingConfig timing;
 };
 
@@ -527,6 +550,37 @@ void RunLayerSuite(const SuiteConfig& cfg, std::vector<BenchResult>& results) {
       results);
 }
 
+/// Crc32 against the byte loop over one buffer; single-threaded, so one
+/// seed and one new row. Bit-exact means equal checksums of the whole
+/// buffer and of a misaligned, odd-length slice of it.
+void RunCrcSuite(const SuiteConfig& cfg, std::vector<BenchResult>& results) {
+  Xoshiro256 rng(777);
+  std::vector<unsigned char> buf(cfg.crc_bytes);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.Next());
+  const double mb = static_cast<double>(buf.size()) / 1e6;
+  BenchResult seed;
+  seed.kernel = "crc32";
+  seed.impl = "seed";
+  seed.shape = std::to_string(buf.size());
+  seed.seconds_per_iter = SecondsPerIter(
+      [&] { benchmark::DoNotOptimize(LegacyCrc32(buf.data(), buf.size())); },
+      cfg.timing);
+  seed.mb_per_s = mb / seed.seconds_per_iter;
+  BenchResult r = seed;
+  r.impl = "new";
+  r.bitexact_vs_seed =
+      Crc32(buf.data(), buf.size()) == LegacyCrc32(buf.data(), buf.size()) &&
+      Crc32(buf.data() + 3, buf.size() - 8) ==
+          LegacyCrc32(buf.data() + 3, buf.size() - 8);
+  r.seconds_per_iter = SecondsPerIter(
+      [&] { benchmark::DoNotOptimize(Crc32(buf.data(), buf.size())); },
+      cfg.timing);
+  r.mb_per_s = mb / r.seconds_per_iter;
+  r.speedup_vs_seed = seed.seconds_per_iter / r.seconds_per_iter;
+  results.push_back(seed);
+  results.push_back(r);
+}
+
 void WriteJson(const std::string& path, const SuiteConfig& cfg,
                const std::vector<BenchResult>& results, double criterion) {
   FILE* f = std::fopen(path.c_str(), "w");
@@ -541,6 +595,7 @@ void WriteJson(const std::string& path, const SuiteConfig& cfg,
   std::fprintf(f, "  \"lookups_per_sample\": %zu,\n", cfg.lookups_per_sample);
   std::fprintf(f, "  \"table_rows\": %llu,\n",
                static_cast<unsigned long long>(cfg.table_rows));
+  std::fprintf(f, "  \"crc_bytes\": %zu,\n", cfg.crc_bytes);
   std::fprintf(f, "  \"criterion_backward_dim64_t4_speedup\": %.3f,\n",
                criterion);
   std::fprintf(f, "  \"benchmarks\": [\n");
@@ -551,12 +606,15 @@ void WriteJson(const std::string& path, const SuiteConfig& cfg,
                  "\"shape\": \"%s\", \"dim\": %zu, "
                  "\"batch\": %zu, \"threads\": %zu, "
                  "\"seconds_per_iter\": %.9f, \"speedup_vs_seed\": %.3f, "
-                 "\"bitexact_vs_seed\": %s}%s\n",
+                 "\"bitexact_vs_seed\": %s",
                  r.kernel.c_str(), r.impl.c_str(), r.shape.c_str(), r.dim,
                  r.batch, r.threads,
                  r.seconds_per_iter, r.speedup_vs_seed,
-                 r.bitexact_vs_seed ? "true" : "false",
-                 i + 1 < results.size() ? "," : "");
+                 r.bitexact_vs_seed ? "true" : "false");
+    if (r.mb_per_s > 0.0) {
+      std::fprintf(f, ", \"mb_per_s\": %.1f", r.mb_per_s);
+    }
+    std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -702,6 +760,7 @@ int main(int argc, char** argv) {
     cfg.batch = 256;
     cfg.layer_batch = 64;
     cfg.table_rows = 2000;
+    cfg.crc_bytes = 1'000'003;
     cfg.timing.reps = 1;
     cfg.timing.target_seconds = 0.001;
   } else {
@@ -717,16 +776,19 @@ int main(int argc, char** argv) {
       "micro_kernels: seed scalar path vs vectorized/threaded kernels");
   std::vector<fae::BenchResult> results = fae::RunSuite(cfg);
   fae::RunLayerSuite(cfg, results);
+  fae::RunCrcSuite(cfg, results);
 
   bool all_bitexact = true;
   double criterion = 0.0;
   std::printf("%-24s %-5s %-13s %8s %12s %9s %9s\n", "kernel", "impl",
               "shape", "threads", "sec/iter", "speedup", "bitexact");
   for (const fae::BenchResult& r : results) {
-    std::printf("%-24s %-5s %-13s %8zu %12.3e %8.2fx %9s\n",
+    std::printf("%-24s %-5s %-13s %8zu %12.3e %8.2fx %9s",
                 r.kernel.c_str(), r.impl.c_str(), r.shape.c_str(), r.threads,
                 r.seconds_per_iter, r.speedup_vs_seed,
                 r.bitexact_vs_seed ? "yes" : "NO");
+    if (r.mb_per_s > 0.0) std::printf(" %9.0f MB/s", r.mb_per_s);
+    std::printf("\n");
     all_bitexact = all_bitexact && r.bitexact_vs_seed;
     if (r.kernel == "embedding_backward_opt" && r.impl == "new" &&
         r.dim == 64 && r.threads == 4) {

@@ -9,6 +9,29 @@ FlatDataset::FlatDataset(DatasetSchema schema) : schema_(std::move(schema)) {
   offsets_.assign(schema_.num_tables(), std::vector<uint32_t>(1, 0));
 }
 
+FlatDataset FlatDataset::FromColumns(
+    DatasetSchema schema, std::vector<float> dense, std::vector<float> labels,
+    std::vector<std::vector<uint32_t>> offsets,
+    std::vector<std::vector<uint32_t>> indices) {
+  const size_t n = labels.size();
+  FAE_CHECK_EQ(dense.size(), n * schema.num_dense);
+  FAE_CHECK_EQ(offsets.size(), schema.num_tables());
+  FAE_CHECK_EQ(indices.size(), schema.num_tables());
+  FlatDataset flat;
+  for (size_t t = 0; t < indices.size(); ++t) {
+    FAE_CHECK_EQ(offsets[t].size(), n + 1);
+    FAE_CHECK_EQ(offsets[t].front(), 0u);
+    FAE_CHECK_EQ(offsets[t].back(), indices[t].size());
+    flat.total_lookups_ += indices[t].size();
+  }
+  flat.schema_ = std::move(schema);
+  flat.dense_ = std::move(dense);
+  flat.labels_ = std::move(labels);
+  flat.offsets_ = std::move(offsets);
+  flat.indices_ = std::move(indices);
+  return flat;
+}
+
 void FlatDataset::FinishSample(float label) {
   FAE_CHECK_EQ(dense_.size(), (labels_.size() + 1) * schema_.num_dense)
       << "AppendDense count does not match the schema's dense width";

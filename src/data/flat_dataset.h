@@ -30,6 +30,17 @@ class FlatDataset {
   /// on the way in).
   explicit FlatDataset(DatasetSchema schema);
 
+  /// Adopts finished columns without copying them (the dataset loader reads
+  /// each one straight into its final vector). Every `offsets[t]` must hold
+  /// n + 1 entries, start at 0, never decrease and end at
+  /// `indices[t].size()`; the caller checks the values, this checks the
+  /// shapes.
+  static FlatDataset FromColumns(DatasetSchema schema,
+                                 std::vector<float> dense,
+                                 std::vector<float> labels,
+                                 std::vector<std::vector<uint32_t>> offsets,
+                                 std::vector<std::vector<uint32_t>> indices);
+
   // --- Streaming builder -------------------------------------------------
   // Per sample, call in order: AppendDense (num_dense times), AppendLookup
   // (grouped by ascending table), then FinishSample. The order matches how

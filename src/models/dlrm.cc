@@ -1,7 +1,5 @@
 #include "models/dlrm.h"
 
-#include <algorithm>
-
 #include "tensor/ops.h"
 #include "util/logging.h"
 
@@ -146,13 +144,7 @@ BatchWork Dlrm::Work(const BatchView& batch) const {
   w.dense_param_count = bottom_.NumParams() + top_.NumParams();
   for (size_t t = 0; t < schema_.num_tables(); ++t) {
     const std::span<const uint32_t> idx = batch.indices(t);
-    // Sort-based distinct count into reusable scratch (setup-time path,
-    // but no reason to pay an unordered_set's node churn).
-    work_scratch_.assign(idx.begin(), idx.end());
-    std::sort(work_scratch_.begin(), work_scratch_.end());
-    const size_t distinct = static_cast<size_t>(
-        std::unique(work_scratch_.begin(), work_scratch_.end()) -
-        work_scratch_.begin());
+    const size_t distinct = work_distinct_.Count(idx);
     w.touched_rows += distinct;
     w.per_table_lookups.push_back(idx.size());
     w.per_table_touched.push_back(distinct);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "models/distinct_counter.h"
 #include "models/model_config.h"
 #include "models/rec_model.h"
 #include "tensor/loss.h"
@@ -80,7 +81,7 @@ class Dlrm : public RecModel {
   std::vector<Tensor*> split_outs_;
   std::vector<size_t> split_widths_;
   std::vector<Tensor> feat_grads_;
-  mutable std::vector<uint32_t> work_scratch_;  // Work() distinct counting
+  mutable DistinctCounter work_distinct_;  // Work()'s touched-row counts
 };
 
 }  // namespace fae

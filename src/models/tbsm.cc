@@ -288,13 +288,9 @@ BatchWork Tbsm::Work(const BatchView& batch) const {
       static_cast<uint64_t>(b) * (2 + schema_.num_tables()) * d *
       sizeof(float);
   w.dense_param_count = bottom_.NumParams() + top_.NumParams();
-  std::vector<uint32_t> scratch;
   for (size_t t = 0; t < schema_.num_tables(); ++t) {
     const std::span<const uint32_t> idx = batch.indices(t);
-    scratch.assign(idx.begin(), idx.end());
-    std::sort(scratch.begin(), scratch.end());
-    const size_t distinct = static_cast<size_t>(
-        std::unique(scratch.begin(), scratch.end()) - scratch.begin());
+    const size_t distinct = work_distinct_.Count(idx);
     w.touched_rows += distinct;
     w.per_table_lookups.push_back(idx.size());
     w.per_table_touched.push_back(distinct);

@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "models/distinct_counter.h"
 #include "models/model_config.h"
 #include "models/rec_model.h"
 #include "tensor/attention.h"
@@ -94,6 +95,7 @@ class Tbsm : public RecModel {
   Tensor cached_stacked_;
   Tensor cached_top_in_;
   std::vector<SequenceView> cached_seq_;
+  mutable DistinctCounter work_distinct_;  // Work()'s touched-row counts
 };
 
 }  // namespace fae

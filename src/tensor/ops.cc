@@ -403,8 +403,14 @@ Tensor ReluForward(const Tensor& x) {
 
 void ReluBackwardInPlace(Tensor& grad, const Tensor& x) {
   FAE_CHECK(grad.SameShape(x));
-  for (size_t i = 0; i < grad.numel(); ++i) {
-    if (x.data()[i] <= 0.0f) grad.data()[i] = 0.0f;
+  float* g = grad.data();
+  const float* xs = x.data();
+  const size_t n = grad.numel();
+  // A select instead of a branch, so the loop vectorizes. It zeroes
+  // exactly where `x <= 0` holds: a NaN x compares false and keeps its
+  // gradient (`x > 0 ? g : 0` would zero it).
+  for (size_t i = 0; i < n; ++i) {
+    g[i] = (xs[i] <= 0.0f) ? 0.0f : g[i];
   }
 }
 

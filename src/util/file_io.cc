@@ -8,27 +8,57 @@
 namespace fae {
 namespace {
 
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables: kCrcTables[0] is the byte-at-a-time table for the
+// reflected polynomial, and kCrcTables[k][b] is kCrcTables[0][b] carried
+// through k more zero bytes. A byte that still has k bytes after it in an
+// 8-byte step is looked up in table k, so one step is eight independent
+// lookups instead of eight dependent ones.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables BuildCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
 }
+
+constexpr CrcTables kCrcTables = BuildCrcTables();
+
+/// Little-endian u32 at `p`, assembled bytewise so the code is the same on
+/// any host byte order and alignment (compilers fuse it into one load).
+inline uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+// Large reads are split so each chunk is checksummed while it is still in
+// cache, rather than in a second pass over the whole buffer.
+constexpr size_t kReadChunkBytes = 256 << 10;
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
-  static const std::array<uint32_t, 256> table = BuildCrcTable();
+  const auto& t = kCrcTables;
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t c = seed ^ 0xffffffffu;
-  for (size_t i = 0; i < n; ++i) {
-    c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const uint32_t lo = c ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 
@@ -109,11 +139,18 @@ StatusOr<BinaryReader> BinaryReader::Open(const std::string& path) {
 }
 
 Status BinaryReader::ReadBytes(void* data, size_t n) {
-  in_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
-  const size_t got = static_cast<size_t>(in_.gcount());
-  // Clamped so RemainingBytes() cannot wrap if the file grew after Open.
-  pos_ = std::min(size_, pos_ + got);
-  if (got != n) return Status::DataLoss("unexpected end of file");
+  auto* p = static_cast<char*>(data);
+  while (n > 0) {
+    const size_t chunk = std::min(n, kReadChunkBytes);
+    in_.read(p, static_cast<std::streamsize>(chunk));
+    const size_t got = static_cast<size_t>(in_.gcount());
+    // Clamped so RemainingBytes() cannot wrap if the file grew after Open.
+    pos_ = std::min(size_, pos_ + got);
+    crc_ = Crc32(p, got, crc_);
+    if (got != chunk) return Status::DataLoss("unexpected end of file");
+    p += chunk;
+    n -= chunk;
+  }
   return Status::OK();
 }
 

@@ -256,6 +256,41 @@ TEST_P(KernelBitwiseTest, InteractionMatchesScalarLoops) {
   ExpectInteractionBitExact(203, 27, 16, rng, pool());
 }
 
+/// The branching loop ReluBackwardInPlace replaced.
+void RefReluBackwardInPlace(Tensor& grad, const Tensor& x) {
+  for (size_t i = 0; i < grad.numel(); ++i) {
+    if (x.data()[i] <= 0.0f) grad.data()[i] = 0.0f;
+  }
+}
+
+// The select must zero exactly where the branch did: x = +0 and -0 zero
+// the gradient, NaN x keeps it, and the kept gradients (including -0, a
+// subnormal, an infinity or a NaN) pass through untouched. The kernel
+// takes no pool; both instantiations run the same loop.
+TEST_P(KernelBitwiseTest, ReluBackwardMatchesBranchingLoop) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float sub = std::numeric_limits<float>::denorm_min() * 3.0f;
+  const std::vector<float> specials = {0.0f, -0.0f, sub,  -sub, inf,
+                                       -inf, nan,   -nan, 1.5f, -2.5f};
+  Xoshiro256 rng(16);
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{100},
+                         size_t{1037}}) {
+    Tensor x(1, n);
+    Tensor g(1, n);
+    // Every (x, g) pair of specials first, then random specials.
+    for (size_t i = 0; i < n; ++i) {
+      const size_t k = specials.size();
+      x.data()[i] = specials[i < k * k ? i / k : rng.NextBounded(k)];
+      g.data()[i] = specials[i < k * k ? i % k : rng.NextBounded(k)];
+    }
+    Tensor want = g;
+    RefReluBackwardInPlace(want, x);
+    ReluBackwardInPlace(g, x);
+    EXPECT_TRUE(BitEqual(want, g)) << "n " << n;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, KernelBitwiseTest, ::testing::Values(1, 4),
                          [](const ::testing::TestParamInfo<size_t>& info) {
                            return info.param == 1 ? std::string("Serial")

@@ -1,5 +1,6 @@
 #include "util/file_io.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -167,6 +168,98 @@ TEST(FileIoTest, Crc32StreamsViaSeedChaining) {
   const char digits[] = "123456789";
   const uint32_t first = Crc32(digits, 4);
   EXPECT_EQ(Crc32(digits + 4, 5, first), Crc32(digits, 9));
+}
+
+/// The byte-at-a-time table loop Crc32 used before slicing-by-8.
+uint32_t ByteLoopCrc32(const unsigned char* p, size_t n, uint32_t seed = 0) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t c = seed ^ 0xffffffffu;
+  for (size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+  return c ^ 0xffffffffu;
+}
+
+std::vector<unsigned char> RandomBytes(size_t n, uint64_t seed) {
+  std::vector<unsigned char> bytes(n);
+  uint64_t x = seed;
+  for (unsigned char& b : bytes) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    b = static_cast<unsigned char>(x >> 56);
+  }
+  return bytes;
+}
+
+TEST(FileIoTest, Crc32MatchesByteLoopAtEveryLengthAndAlignment) {
+  // Lengths 0..64 cover zero, one and several 8-byte steps plus every
+  // tail; start offsets 0..7 cover every misalignment of the 8-byte loads.
+  const std::vector<unsigned char> bytes = RandomBytes(64 + 8, 1);
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t n = 0; n <= 64; ++n) {
+      EXPECT_EQ(Crc32(bytes.data() + start, n),
+                ByteLoopCrc32(bytes.data() + start, n))
+          << "start " << start << " length " << n;
+    }
+  }
+}
+
+TEST(FileIoTest, Crc32ChainsAcrossOddSplits) {
+  // A running checksum fed in pieces that end mid-step must equal one
+  // call over the whole buffer.
+  const std::vector<unsigned char> bytes = RandomBytes(1000, 2);
+  const uint32_t whole = ByteLoopCrc32(bytes.data(), bytes.size());
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), whole);
+  for (const size_t step : {1, 3, 7, 9, 13, 61, 333}) {
+    uint32_t crc = 0;
+    for (size_t at = 0; at < bytes.size(); at += step) {
+      crc = Crc32(bytes.data() + at, std::min(step, bytes.size() - at), crc);
+    }
+    EXPECT_EQ(crc, whole) << "pieces of " << step << " bytes";
+  }
+  // Uneven splits, and a byte-loop prefix continued by Crc32.
+  const size_t cut1 = 5, cut2 = 517;
+  uint32_t crc = Crc32(bytes.data(), cut1);
+  crc = Crc32(bytes.data() + cut1, cut2 - cut1, crc);
+  crc = Crc32(bytes.data() + cut2, bytes.size() - cut2, crc);
+  EXPECT_EQ(crc, whole);
+  EXPECT_EQ(Crc32(bytes.data() + 11, bytes.size() - 11,
+                  ByteLoopCrc32(bytes.data(), 11)),
+            whole);
+}
+
+TEST(FileIoTest, ReaderCrcMatchesWriterCrc) {
+  // The reader checksums what it reads, including a vector larger than
+  // one read chunk, so a loader can check a footer in the same pass.
+  const std::string path = TempPath("fae_rcrc.bin");
+  std::vector<uint32_t> big(300000);
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<uint32_t>(i * 2654435761u);
+  }
+  uint32_t written = 0;
+  {
+    auto w = BinaryWriter::Open(path);
+    ASSERT_TRUE(w.ok());
+    ASSERT_TRUE(w->WriteString("header").ok());
+    ASSERT_TRUE(w->WriteVector(big).ok());
+    ASSERT_TRUE(w->WriteU32(7).ok());
+    written = w->crc();
+    ASSERT_TRUE(w->Close().ok());
+  }
+  auto r = BinaryReader::Open(path);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->crc(), 0u);
+  ASSERT_TRUE(r->ReadString().ok());
+  auto v = r->ReadVector<uint32_t>();
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, big);
+  ASSERT_TRUE(r->ReadU32().ok());
+  EXPECT_EQ(r->crc(), written);
 }
 
 TEST(FileIoTest, WriterCrcMatchesStandaloneCrc) {
