@@ -15,7 +15,11 @@
 // and input-gradient GEMMs of Kaggle DLRM's 13-64-16 bottom and 367-64-1
 // top MLPs and of Taobao TBSM's 3-16 bottom, 16-16 per-timestep (batch x
 // 21 history rows) and 80-30-1 top MLPs, plus DLRM's 27-feature dim-16
-// pairwise interaction, forward and backward. A last pair of rows times
+// pairwise interaction, forward and backward. The GEMM and interaction
+// rows run once per build of the tiled kernels the host supports (4-lane
+// baseline, and 8-lane AVX2 where the CPU has it; src/tensor/dense_tiles.h),
+// each such row naming its build in an "isa" field; the JSON header names
+// the build the dispatcher picked. A last pair of rows times
 // Crc32, the checksum of every file the library saves and loads, over an
 // 18 MB buffer (about a Kaggle-like dataset file) against the
 // byte-at-a-time loop it replaced, in MB/s.
@@ -49,6 +53,7 @@
 #include "embedding/embedding_table.h"
 #include "embedding/sparse_sgd.h"
 #include "stats/zipf.h"
+#include "tensor/dense_tiles.h"
 #include "tensor/mlp.h"
 #include "tensor/ops.h"
 #include "util/file_io.h"
@@ -272,6 +277,9 @@ struct BenchResult {
                        // interaction_fwd | interaction_bwd |
                        // embedding_forward | embedding_backward_opt | crc32
   std::string impl;    // seed | new
+  // Build of the tiled kernels (baseline | avx2) on the GEMM and
+  // interaction kernels' new rows; empty elsewhere.
+  std::string isa;
   // GEMMs: "m x k x n" of the product; interaction: "rows x features x
   // dim"; embedding: "batch x lookups x dim"; crc32: bytes.
   std::string shape;
@@ -331,16 +339,10 @@ void MakeLookups(const SuiteConfig& cfg, Xoshiro256& rng,
   }
 }
 
-/// Appends seed + per-thread-count new measurements for one kernel.
-/// `run(pool)` must execute the new kernel (pool == nullptr → serial) and
-/// `run_seed()` the legacy one; `check(pool)` returns bit-exactness of the
-/// new result against the seed result.
-void RunPair(const SuiteConfig& cfg, const std::string& kernel,
-             const std::string& shape, size_t dim, size_t batch,
-             const std::function<void()>& run_seed,
-             const std::function<void(ThreadPool*)>& run_new,
-             const std::function<bool(ThreadPool*)>& check,
-             std::vector<BenchResult>& out) {
+/// The seed row of one kernel.
+BenchResult MeasureSeed(const SuiteConfig& cfg, const std::string& kernel,
+                        const std::string& shape, size_t dim, size_t batch,
+                        const std::function<void()>& run_seed) {
   BenchResult seed;
   seed.kernel = kernel;
   seed.impl = "seed";
@@ -349,16 +351,25 @@ void RunPair(const SuiteConfig& cfg, const std::string& kernel,
   seed.batch = batch;
   seed.threads = 1;
   seed.seconds_per_iter = SecondsPerIter(run_seed, cfg.timing);
-  out.push_back(seed);
+  return seed;
+}
+
+/// Appends one new row per thread count, measured against `seed`.
+/// `run_new(pool)` must execute the new kernel (pool == nullptr → serial)
+/// and `check(pool)` return bit-exactness of its result against the
+/// seed's. `seed` is taken by value: a reference into `out` would dangle
+/// once a push_back reallocates it.
+void AppendNewRows(const SuiteConfig& cfg, const BenchResult seed,
+                   const std::string& isa,
+                   const std::function<void(ThreadPool*)>& run_new,
+                   const std::function<bool(ThreadPool*)>& check,
+                   std::vector<BenchResult>& out) {
   for (size_t threads : cfg.threads) {
     ThreadPool local(threads > 1 ? threads : 1);
     ThreadPool* pool = threads > 1 ? &local : nullptr;
-    BenchResult r;
-    r.kernel = kernel;
+    BenchResult r = seed;
     r.impl = "new";
-    r.shape = shape;
-    r.dim = dim;
-    r.batch = batch;
+    r.isa = isa;
     r.threads = threads;
     r.bitexact_vs_seed = check(pool);
     r.seconds_per_iter =
@@ -366,6 +377,81 @@ void RunPair(const SuiteConfig& cfg, const std::string& kernel,
     r.speedup_vs_seed = seed.seconds_per_iter / r.seconds_per_iter;
     out.push_back(r);
   }
+}
+
+/// Appends seed + per-thread-count new measurements for one kernel.
+void RunPair(const SuiteConfig& cfg, const std::string& kernel,
+             const std::string& shape, size_t dim, size_t batch,
+             const std::function<void()>& run_seed,
+             const std::function<void(ThreadPool*)>& run_new,
+             const std::function<bool(ThreadPool*)>& check,
+             std::vector<BenchResult>& out) {
+  const BenchResult seed =
+      MeasureSeed(cfg, kernel, shape, dim, batch, run_seed);
+  out.push_back(seed);
+  AppendNewRows(cfg, seed, "", run_new, check, out);
+}
+
+/// RunPair for a tiled kernel: the seed row once, then the new rows once
+/// per build the host supports, `run_new` and `check` taking the build's
+/// kernels.
+void RunTiledPair(
+    const SuiteConfig& cfg, const std::string& kernel,
+    const std::string& shape, size_t dim, size_t batch,
+    const std::function<void()>& run_seed,
+    const std::function<void(const tiles::Kernels&, ThreadPool*)>& run_new,
+    const std::function<bool(const tiles::Kernels&, ThreadPool*)>& check,
+    std::vector<BenchResult>& out) {
+  const BenchResult seed =
+      MeasureSeed(cfg, kernel, shape, dim, batch, run_seed);
+  out.push_back(seed);
+  for (tiles::Isa isa : {tiles::Isa::kBaseline, tiles::Isa::kAvx2}) {
+    if (!tiles::IsaSupported(isa)) continue;
+    const tiles::Kernels& ops = tiles::KernelsFor(isa);
+    AppendNewRows(
+        cfg, seed, tiles::IsaName(isa),
+        [&](ThreadPool* pool) { run_new(ops, pool); },
+        [&](ThreadPool* pool) { return check(ops, pool); }, out);
+  }
+}
+
+// The tiled kernels of one build, in ops.h's allocating form.
+
+Tensor Gemm(const tiles::Kernels& ops, const Tensor& a, const Tensor& b,
+            ThreadPool* pool) {
+  Tensor c;
+  ops.mat_mul(c, a, b, pool);
+  return c;
+}
+
+Tensor GemmTransA(const tiles::Kernels& ops, const Tensor& a,
+                  const Tensor& b, ThreadPool* pool) {
+  Tensor c;
+  ops.mat_mul_trans_a(c, a, b, pool);
+  return c;
+}
+
+Tensor GemmTransB(const tiles::Kernels& ops, const Tensor& a,
+                  const Tensor& b, ThreadPool* pool) {
+  Tensor c;
+  ops.mat_mul_trans_b(c, a, b, pool);
+  return c;
+}
+
+Tensor Interaction(const tiles::Kernels& ops,
+                   const std::vector<const Tensor*>& features,
+                   ThreadPool* pool) {
+  Tensor out;
+  ops.interaction(out, features, pool);
+  return out;
+}
+
+std::vector<Tensor> InteractionBackward(
+    const tiles::Kernels& ops, const Tensor& grad_out,
+    const std::vector<const Tensor*>& features, ThreadPool* pool) {
+  std::vector<Tensor> grads(features.size());
+  ops.interaction_backward(grads, grad_out, features, pool);
+  return grads;
 }
 
 std::vector<BenchResult> RunSuite(const SuiteConfig& cfg) {
@@ -382,18 +468,19 @@ std::vector<BenchResult> RunSuite(const SuiteConfig& cfg) {
     // GEMM shaped like an MLP layer at this batch: [B, dim] x [dim, dim].
     Tensor a = Tensor::Randn(cfg.batch, dim, 1.0f, rng);
     Tensor b = Tensor::Randn(dim, dim, 1.0f, rng);
-    RunPair(
+    RunTiledPair(
         cfg, "gemm", Shape3(cfg.batch, dim, dim), dim, cfg.batch,
         [&] {
           Tensor c = LegacyMatMulBlocked(a, b);
           benchmark::DoNotOptimize(c.data());
         },
-        [&](ThreadPool* pool) {
-          Tensor c = MatMul(a, b, pool);
+        [&](const tiles::Kernels& ops, ThreadPool* pool) {
+          Tensor c = Gemm(ops, a, b, pool);
           benchmark::DoNotOptimize(c.data());
         },
-        [&](ThreadPool* pool) {
-          return TensorsEqual(LegacyMatMulBlocked(a, b), MatMul(a, b, pool));
+        [&](const tiles::Kernels& ops, ThreadPool* pool) {
+          return TensorsEqual(LegacyMatMulBlocked(a, b),
+                              Gemm(ops, a, b, pool));
         },
         results);
 
@@ -475,36 +562,37 @@ void RunLayerSuite(const SuiteConfig& cfg, std::vector<BenchResult>& results) {
     const Tensor x = Tensor::Randn(m, l.in, 1.0f, rng);
     const Tensor w = Tensor::Randn(l.in, l.out, 0.3f, rng);
     const Tensor g = Tensor::Randn(m, l.out, 0.1f, rng);
-    RunPair(
+    RunTiledPair(
         cfg, "gemm", Shape3(m, l.in, l.out), 0, m,
         [&] { benchmark::DoNotOptimize(LegacyMatMulBlocked(x, w).data()); },
-        [&](ThreadPool* pool) {
-          benchmark::DoNotOptimize(MatMul(x, w, pool).data());
+        [&](const tiles::Kernels& ops, ThreadPool* pool) {
+          benchmark::DoNotOptimize(Gemm(ops, x, w, pool).data());
         },
-        [&](ThreadPool* pool) {
-          return TensorsEqual(LegacyMatMulBlocked(x, w), MatMul(x, w, pool));
+        [&](const tiles::Kernels& ops, ThreadPool* pool) {
+          return TensorsEqual(LegacyMatMulBlocked(x, w),
+                              Gemm(ops, x, w, pool));
         },
         results);
-    RunPair(
+    RunTiledPair(
         cfg, "gemm_trans_a", Shape3(l.in, m, l.out), 0, m,
         [&] { benchmark::DoNotOptimize(LegacyMatMulTransA(x, g).data()); },
-        [&](ThreadPool* pool) {
-          benchmark::DoNotOptimize(MatMulTransA(x, g, pool).data());
+        [&](const tiles::Kernels& ops, ThreadPool* pool) {
+          benchmark::DoNotOptimize(GemmTransA(ops, x, g, pool).data());
         },
-        [&](ThreadPool* pool) {
+        [&](const tiles::Kernels& ops, ThreadPool* pool) {
           return TensorsEqual(LegacyMatMulTransA(x, g),
-                              MatMulTransA(x, g, pool));
+                              GemmTransA(ops, x, g, pool));
         },
         results);
-    RunPair(
+    RunTiledPair(
         cfg, "gemm_trans_b", Shape3(m, l.out, l.in), 0, m,
         [&] { benchmark::DoNotOptimize(LegacyMatMulTransB(g, w).data()); },
-        [&](ThreadPool* pool) {
-          benchmark::DoNotOptimize(MatMulTransB(g, w, pool).data());
+        [&](const tiles::Kernels& ops, ThreadPool* pool) {
+          benchmark::DoNotOptimize(GemmTransB(ops, g, w, pool).data());
         },
-        [&](ThreadPool* pool) {
+        [&](const tiles::Kernels& ops, ThreadPool* pool) {
           return TensorsEqual(LegacyMatMulTransB(g, w),
-                              MatMulTransB(g, w, pool));
+                              GemmTransB(ops, g, w, pool));
         },
         results);
   }
@@ -521,31 +609,30 @@ void RunLayerSuite(const SuiteConfig& cfg, std::vector<BenchResult>& results) {
   const Tensor grad_out =
       Tensor::Randn(rows, kFeatures * (kFeatures - 1) / 2, 0.1f, rng);
   const std::string shape = Shape3(rows, kFeatures, kDim);
-  RunPair(
+  RunTiledPair(
       cfg, "interaction_fwd", shape, kDim, rows,
       [&] { benchmark::DoNotOptimize(LegacyInteraction(ptrs).data()); },
-      [&](ThreadPool* pool) {
-        benchmark::DoNotOptimize(PairwiseDotInteraction(ptrs, pool).data());
+      [&](const tiles::Kernels& ops, ThreadPool* pool) {
+        benchmark::DoNotOptimize(Interaction(ops, ptrs, pool).data());
       },
-      [&](ThreadPool* pool) {
+      [&](const tiles::Kernels& ops, ThreadPool* pool) {
         return TensorsEqual(LegacyInteraction(ptrs),
-                            PairwiseDotInteraction(ptrs, pool));
+                            Interaction(ops, ptrs, pool));
       },
       results);
-  RunPair(
+  RunTiledPair(
       cfg, "interaction_bwd", shape, kDim, rows,
       [&] {
         benchmark::DoNotOptimize(
             LegacyInteractionBackward(grad_out, ptrs).data());
       },
-      [&](ThreadPool* pool) {
+      [&](const tiles::Kernels& ops, ThreadPool* pool) {
         benchmark::DoNotOptimize(
-            PairwiseDotInteractionBackward(grad_out, ptrs, pool).data());
+            InteractionBackward(ops, grad_out, ptrs, pool).data());
       },
-      [&](ThreadPool* pool) {
-        return TensorsEqual(
-            LegacyInteractionBackward(grad_out, ptrs),
-            PairwiseDotInteractionBackward(grad_out, ptrs, pool));
+      [&](const tiles::Kernels& ops, ThreadPool* pool) {
+        return TensorsEqual(LegacyInteractionBackward(grad_out, ptrs),
+                            InteractionBackward(ops, grad_out, ptrs, pool));
       },
       results);
 }
@@ -596,19 +683,23 @@ void WriteJson(const std::string& path, const SuiteConfig& cfg,
   std::fprintf(f, "  \"table_rows\": %llu,\n",
                static_cast<unsigned long long>(cfg.table_rows));
   std::fprintf(f, "  \"crc_bytes\": %zu,\n", cfg.crc_bytes);
+  std::fprintf(f, "  \"dispatched_isa\": \"%s\",\n",
+               tiles::IsaName(tiles::DispatchedIsa()));
   std::fprintf(f, "  \"criterion_backward_dim64_t4_speedup\": %.3f,\n",
                criterion);
   std::fprintf(f, "  \"benchmarks\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const BenchResult& r = results[i];
     std::fprintf(f,
-                 "    {\"kernel\": \"%s\", \"impl\": \"%s\", "
+                 "    {\"kernel\": \"%s\", \"impl\": \"%s\", ",
+                 r.kernel.c_str(), r.impl.c_str());
+    if (!r.isa.empty()) std::fprintf(f, "\"isa\": \"%s\", ", r.isa.c_str());
+    std::fprintf(f,
                  "\"shape\": \"%s\", \"dim\": %zu, "
                  "\"batch\": %zu, \"threads\": %zu, "
                  "\"seconds_per_iter\": %.9f, \"speedup_vs_seed\": %.3f, "
                  "\"bitexact_vs_seed\": %s",
-                 r.kernel.c_str(), r.impl.c_str(), r.shape.c_str(), r.dim,
-                 r.batch, r.threads,
+                 r.shape.c_str(), r.dim, r.batch, r.threads,
                  r.seconds_per_iter, r.speedup_vs_seed,
                  r.bitexact_vs_seed ? "true" : "false");
     if (r.mb_per_s > 0.0) {
@@ -780,11 +871,15 @@ int main(int argc, char** argv) {
 
   bool all_bitexact = true;
   double criterion = 0.0;
-  std::printf("%-24s %-5s %-13s %8s %12s %9s %9s\n", "kernel", "impl",
-              "shape", "threads", "sec/iter", "speedup", "bitexact");
+  std::printf("dispatched isa: %s\n",
+              fae::tiles::IsaName(fae::tiles::DispatchedIsa()));
+  std::printf("%-24s %-5s %-8s %-13s %8s %12s %9s %9s\n", "kernel", "impl",
+              "isa", "shape", "threads", "sec/iter", "speedup", "bitexact");
   for (const fae::BenchResult& r : results) {
-    std::printf("%-24s %-5s %-13s %8zu %12.3e %8.2fx %9s",
-                r.kernel.c_str(), r.impl.c_str(), r.shape.c_str(), r.threads,
+    std::printf("%-24s %-5s %-8s %-13s %8zu %12.3e %8.2fx %9s",
+                r.kernel.c_str(), r.impl.c_str(),
+                r.isa.empty() ? "-" : r.isa.c_str(), r.shape.c_str(),
+                r.threads,
                 r.seconds_per_iter, r.speedup_vs_seed,
                 r.bitexact_vs_seed ? "yes" : "NO");
     if (r.mb_per_s > 0.0) std::printf(" %9.0f MB/s", r.mb_per_s);

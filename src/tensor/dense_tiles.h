@@ -1,0 +1,64 @@
+#ifndef FAE_TENSOR_DENSE_TILES_H_
+#define FAE_TENSOR_DENSE_TILES_H_
+
+// Private to the tensor layer, its kernel tests and bench/micro_kernels:
+// the register-tiled dense kernels behind ops.h's MatMul, MatMulTransA,
+// MatMulTransB and pairwise interaction, one build per instruction set.
+//
+// ops.cc writes the kernels once over a vector lane count and builds them
+// twice: 4 lanes (16-byte vectors, SSE2 on baseline x86-64 and the only
+// build elsewhere) and, on x86-64 with GCC, 8 lanes (32-byte vectors)
+// compiled for AVX2 alone. Both produce the same bits for every input
+// (DESIGN.md §9). ops.h's entry points call the build DispatchedIsa()
+// names, chosen once per process from the CPU; the tests and the bench
+// reach either build through KernelsFor().
+
+#include <vector>
+
+#include "tensor/tensor.h"
+#include "util/thread_pool.h"
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define FAE_DENSE_TILES_AVX2 1
+#else
+#define FAE_DENSE_TILES_AVX2 0
+#endif
+
+namespace fae {
+namespace tiles {
+
+enum class Isa { kBaseline, kAvx2 };
+
+/// "baseline" or "avx2".
+const char* IsaName(Isa isa);
+
+/// kBaseline always; kAvx2 when this binary has the AVX2 build and the CPU
+/// (and OS) support AVX2.
+bool IsaSupported(Isa isa);
+
+/// The build ops.h's kernels run: kAvx2 when supported, else kBaseline.
+/// Resolved on first use and fixed for the life of the process.
+Isa DispatchedIsa();
+
+/// The five kernels of one build, with ops.h's signatures and contracts.
+struct Kernels {
+  void (*mat_mul)(Tensor& c, MatView a, const Tensor& b, ThreadPool* pool);
+  void (*mat_mul_trans_a)(Tensor& c, MatView a, const Tensor& b,
+                          ThreadPool* pool);
+  void (*mat_mul_trans_b)(Tensor& c, const Tensor& a, const Tensor& b,
+                          ThreadPool* pool);
+  void (*interaction)(Tensor& out, const std::vector<const Tensor*>& features,
+                      ThreadPool* pool);
+  void (*interaction_backward)(std::vector<Tensor>& grads,
+                               const Tensor& grad_out,
+                               const std::vector<const Tensor*>& features,
+                               ThreadPool* pool);
+};
+
+/// The build for `isa`. Aborts unless IsaSupported(isa).
+const Kernels& KernelsFor(Isa isa);
+
+}  // namespace tiles
+}  // namespace fae
+
+#endif  // FAE_TENSOR_DENSE_TILES_H_

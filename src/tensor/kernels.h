@@ -14,34 +14,17 @@
 // (ascending index, one accumulator) wherever callers rely on bit-exact
 // reproducibility, and only Dot uses multiple accumulators.
 //
-// The dense GEMMs and the DLRM pairwise interaction (src/tensor/ops.cc)
-// are register-tiled instead: they hold a tile of outputs in 16-byte
-// vector accumulators (GCC/Clang vector extension, SSE2 on baseline
-// x86-64) and store it once per tile and k-block. Tiles: MatMul and
-// MatMulTransA 4 rows x 8 columns, then a 4-column tile and scalar
-// columns for the n % 8 remainder and single rows for the m % 4 one, k
-// in blocks of 128; MatMulTransB 2
-// rows x 4 columns over 64-row blocks of B; the interaction forward 2
-// features x 4 partners; the interaction backward 2 features x 16
-// elements of d. Each output keeps the operation sequence
-// of the scalar loop it replaced, so results are bit-identical:
-//   - MatMul / MatMulTransA: c = +0, then c += a * b for ascending k, as
-//     Axpy did. The old loops skipped a == 0; adding that product (+-0
-//     for finite b) is exact, because an accumulator that starts at +0
-//     never becomes -0 and adding +-0 to it leaves its bits unchanged.
-//   - MatMulTransB / interaction forward: one vector accumulator per
-//     output holds Dot's four lanes s0..s3; a 4x4 transpose then forms
-//     ((s0 + s1) + (s2 + s3)) + tail for four outputs at once, the tail
-//     running from +0 in ascending order as in Dot.
-//   - Interaction backward: dL/df_x = sum over y != x of g(x, y) * f_y
-//     from +0 in ascending y, the order the pair loop delivered the terms
-//     (same zero-skip argument).
-// The argument assumes no multiply-add contraction, which holds on
-// baseline x86-64 (no FMA instructions). -DFAE_NATIVE_ARCH=ON may let the
-// compiler fuse multiply-adds, here and in these primitives alike.
+// The dense GEMMs and the DLRM pairwise interaction are register-tiled
+// instead (src/tensor/dense_tiles.inc, built for 4- and 8-lane vectors and
+// dispatched by CPU in ops.cc). Each of their outputs keeps the operation
+// sequence of the scalar loop it replaced, Dot's association included, so
+// results are bit-identical at either width (DESIGN.md §9).
 //
-// Build with -DFAE_NATIVE_ARCH=ON to compile these (and everything else)
-// with -march=native for full-width SIMD.
+// Both arguments assume every a * b + c is rounded twice, as written: no
+// multiply-add contraction. src/CMakeLists.txt compiles everything that
+// uses these kernels with -ffp-contract=off, so that holds under any
+// -march, and the ctest kernel_isa_check fails on any fused multiply-add
+// in the tensor library.
 
 #if defined(__GNUC__) || defined(__clang__)
 #define FAE_RESTRICT __restrict__

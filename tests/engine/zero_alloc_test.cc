@@ -28,7 +28,8 @@ std::atomic<uint64_t> g_allocs{0};
 
 void* TrackedAlloc(std::size_t n) {
   if (g_track.load(std::memory_order_relaxed)) {
-    uint64_t c = g_allocs.fetch_add(1, std::memory_order_relaxed);
+    [[maybe_unused]] uint64_t c =
+        g_allocs.fetch_add(1, std::memory_order_relaxed);
 #ifdef FAE_ZERO_ALLOC_TRACE
     if (c < 16) {
       void* frames[16];

@@ -4,18 +4,25 @@
 // bits. Inputs mix in +0, -0 and subnormals: the tiled kernels drop the
 // scalar loops' skip of zero multipliers, which is exact only because a
 // +0-started accumulator never turns -0.
+//
+// KernelBitwiseTest runs ops.h's entry points (the build the dispatcher
+// picked); KernelBitwiseIsaTest runs each build of the kernels through
+// the private tiles::KernelsFor, so the 4-lane build is checked on AVX2
+// hosts too.
 
 #include "tensor/ops.h"
 
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tensor/dense_tiles.h"
 #include "util/thread_pool.h"
 
 namespace fae {
@@ -159,24 +166,35 @@ Tensor SpecialRandn(size_t rows, size_t cols, Xoshiro256& rng) {
   return ::testing::AssertionFailure();
 }
 
+/// ops.h's entry points, in the shape of one build's kernel table.
+const tiles::Kernels kPublicOps = {&MatMulInto, &MatMulTransAInto,
+                                   &MatMulTransBInto,
+                                   &PairwiseDotInteractionInto,
+                                   &PairwiseDotInteractionBackwardInto};
+
 /// The three GEMMs of a Linear layer in -> out at batch `batch`: forward
 /// [batch, in] x [in, out], weight gradient [batch, in]^T x [batch, out],
 /// input gradient [batch, out] x [in, out]^T.
-void ExpectLayerBitExact(size_t batch, size_t in, size_t out,
-                         Xoshiro256& rng, ThreadPool* pool) {
+void ExpectLayerBitExact(const tiles::Kernels& ops, size_t batch, size_t in,
+                         size_t out, Xoshiro256& rng, ThreadPool* pool) {
   SCOPED_TRACE(::testing::Message() << "batch " << batch << " in " << in
                                     << " out " << out << " pool "
                                     << (pool != nullptr));
   const Tensor x = SpecialRandn(batch, in, rng);
   const Tensor w = SpecialRandn(in, out, rng);
   const Tensor g = SpecialRandn(batch, out, rng);
-  EXPECT_TRUE(BitEqual(RefMatMul(x, w), MatMul(x, w, pool)));
-  EXPECT_TRUE(BitEqual(RefMatMulTransA(x, g), MatMulTransA(x, g, pool)));
-  EXPECT_TRUE(BitEqual(RefMatMulTransB(g, w), MatMulTransB(g, w, pool)));
+  Tensor got;
+  ops.mat_mul(got, x, w, pool);
+  EXPECT_TRUE(BitEqual(RefMatMul(x, w), got));
+  ops.mat_mul_trans_a(got, x, g, pool);
+  EXPECT_TRUE(BitEqual(RefMatMulTransA(x, g), got));
+  ops.mat_mul_trans_b(got, g, w, pool);
+  EXPECT_TRUE(BitEqual(RefMatMulTransB(g, w), got));
 }
 
-void ExpectInteractionBitExact(size_t rows, size_t f, size_t d,
-                               Xoshiro256& rng, ThreadPool* pool) {
+void ExpectInteractionBitExact(const tiles::Kernels& ops, size_t rows,
+                               size_t f, size_t d, Xoshiro256& rng,
+                               ThreadPool* pool) {
   SCOPED_TRACE(::testing::Message() << "rows " << rows << " f " << f << " d "
                                     << d << " pool " << (pool != nullptr));
   std::vector<Tensor> feats;
@@ -185,41 +203,32 @@ void ExpectInteractionBitExact(size_t rows, size_t f, size_t d,
   for (const Tensor& t : feats) ptrs.push_back(&t);
   const Tensor grad_out = SpecialRandn(rows, f * (f - 1) / 2, rng);
 
-  EXPECT_TRUE(BitEqual(RefInteraction(ptrs),
-                       PairwiseDotInteraction(ptrs, pool)));
+  Tensor out;
+  ops.interaction(out, ptrs, pool);
+  EXPECT_TRUE(BitEqual(RefInteraction(ptrs), out));
   const std::vector<Tensor> want = RefInteractionBackward(grad_out, ptrs);
-  const std::vector<Tensor> got =
-      PairwiseDotInteractionBackward(grad_out, ptrs, pool);
-  ASSERT_EQ(got.size(), f);
+  std::vector<Tensor> got(f);
+  ops.interaction_backward(got, grad_out, ptrs, pool);
   for (size_t i = 0; i < f; ++i) {
     EXPECT_TRUE(BitEqual(want[i], got[i])) << "feature " << i;
   }
 }
 
-class KernelBitwiseTest : public ::testing::TestWithParam<size_t> {
- protected:
-  /// nullptr for parameter 1, a pool of that many threads otherwise.
-  ThreadPool* pool() {
-    if (GetParam() <= 1) return nullptr;
-    if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(GetParam());
-    return pool_.get();
-  }
-
- private:
-  std::unique_ptr<ThreadPool> pool_;
-};
-
-// Every tile remainder: the GEMM tiles are 4 rows x 8 columns with a
-// 4-column and a 1-column tail, the dot tiles 2 rows x 4 columns. A zero
-// batch or input width gives the forward and weight-gradient GEMMs an
-// empty inner dimension, whose product is all +0.
-TEST_P(KernelBitwiseTest, GemmsMatchScalarLoopsOnEveryTileRemainder) {
+// Every tile remainder. GEMM tiles are 4 rows x 8 columns at 4 lanes and
+// 4 x 16 at 8, with 8-, 4- and 1-column tails and single-row remainders;
+// n up to 35 reaches every tail after two full tiles. Dot tiles are 2 or
+// 4 rows x 4 columns, and the input gradient's last `in` % 4 columns run
+// as one buffered tile. A zero batch or input width gives the forward and
+// weight-gradient GEMMs an empty inner dimension, whose product is all
+// +0.
+void ExpectGemmsBitExactOnEveryTileRemainder(const tiles::Kernels& ops,
+                                             ThreadPool* pool) {
   Xoshiro256 rng(13);
   for (size_t m = 0; m <= 19; ++m) {
     for (size_t k = 0; k <= 19; ++k) {
-      for (size_t n = 1; n <= 19; ++n) {
-        ExpectLayerBitExact(m, k, n, rng, pool());
-        if (HasFailure()) return;
+      for (size_t n = 1; n <= 35; ++n) {
+        ExpectLayerBitExact(ops, m, k, n, rng, pool);
+        if (::testing::Test::HasFailure()) return;
       }
     }
   }
@@ -230,7 +239,8 @@ TEST_P(KernelBitwiseTest, GemmsMatchScalarLoopsOnEveryTileRemainder) {
 // top 367-64-1; Taobao TBSM bottom 3-16, the per-timestep 16-16 over
 // batch x 21 history rows, and top 80-30-1. k = 367 and the weight
 // gradients' k = batch span several k-blocks.
-TEST_P(KernelBitwiseTest, GemmsMatchScalarLoopsOnWorkloadLayers) {
+void ExpectGemmsBitExactOnWorkloadLayers(const tiles::Kernels& ops,
+                                         ThreadPool* pool) {
   Xoshiro256 rng(14);
   const size_t batch = 203;
   for (auto [in, out] : {std::pair<size_t, size_t>{13, 64},
@@ -240,20 +250,53 @@ TEST_P(KernelBitwiseTest, GemmsMatchScalarLoopsOnWorkloadLayers) {
                          {3, 16},
                          {80, 30},
                          {30, 1}}) {
-    ExpectLayerBitExact(batch, in, out, rng, pool());
+    ExpectLayerBitExact(ops, batch, in, out, rng, pool);
   }
-  ExpectLayerBitExact(67 * 21, 16, 16, rng, pool());
+  ExpectLayerBitExact(ops, 67 * 21, 16, 16, rng, pool);
 }
 
-TEST_P(KernelBitwiseTest, InteractionMatchesScalarLoops) {
+// Feature counts 2..11 cover the backward's groups of two or four features
+// and every remainder, and the forward's buffered first and partial last
+// tiles; d 1..19 covers the backward's 16-element strips, single vectors
+// and scalar tail, and the forward's dot tails.
+void ExpectInteractionBitExactOnEveryRemainder(const tiles::Kernels& ops,
+                                               ThreadPool* pool) {
   Xoshiro256 rng(15);
-  for (size_t f = 2; f <= 9; ++f) {
+  for (size_t f = 2; f <= 11; ++f) {
     for (size_t d = 1; d <= 19; ++d) {
-      ExpectInteractionBitExact(3, f, d, rng, pool());
+      ExpectInteractionBitExact(ops, 3, f, d, rng, pool);
     }
   }
   // Kaggle DLRM: 26 tables plus the bottom MLP, embedding dim 16.
-  ExpectInteractionBitExact(203, 27, 16, rng, pool());
+  ExpectInteractionBitExact(ops, 203, 27, 16, rng, pool);
+}
+
+/// nullptr for 1 thread, a pool of `threads` threads otherwise.
+ThreadPool* PoolFor(size_t threads, std::unique_ptr<ThreadPool>& pool) {
+  if (threads <= 1) return nullptr;
+  if (pool == nullptr) pool = std::make_unique<ThreadPool>(threads);
+  return pool.get();
+}
+
+class KernelBitwiseTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  /// nullptr for parameter 1, a pool of that many threads otherwise.
+  ThreadPool* pool() { return PoolFor(GetParam(), pool_); }
+
+ private:
+  std::unique_ptr<ThreadPool> pool_;
+};
+
+TEST_P(KernelBitwiseTest, GemmsMatchScalarLoopsOnEveryTileRemainder) {
+  ExpectGemmsBitExactOnEveryTileRemainder(kPublicOps, pool());
+}
+
+TEST_P(KernelBitwiseTest, GemmsMatchScalarLoopsOnWorkloadLayers) {
+  ExpectGemmsBitExactOnWorkloadLayers(kPublicOps, pool());
+}
+
+TEST_P(KernelBitwiseTest, InteractionMatchesScalarLoops) {
+  ExpectInteractionBitExactOnEveryRemainder(kPublicOps, pool());
 }
 
 /// The branching loop ReluBackwardInPlace replaced.
@@ -296,6 +339,70 @@ INSTANTIATE_TEST_SUITE_P(Threads, KernelBitwiseTest, ::testing::Values(1, 4),
                            return info.param == 1 ? std::string("Serial")
                                                   : std::string("Pool4");
                          });
+
+/// One build of the kernels at one thread count.
+struct IsaParam {
+  tiles::Isa isa;
+  size_t threads;
+};
+
+void PrintTo(const IsaParam& p, std::ostream* os) {
+  *os << tiles::IsaName(p.isa) << ", " << p.threads << " thread(s)";
+}
+
+class KernelBitwiseIsaTest : public ::testing::TestWithParam<IsaParam> {
+ protected:
+  void SetUp() override {
+    if (!tiles::IsaSupported(GetParam().isa)) {
+      GTEST_SKIP() << tiles::IsaName(GetParam().isa)
+                   << " is not supported on this CPU";
+    }
+  }
+
+  const tiles::Kernels& ops() { return tiles::KernelsFor(GetParam().isa); }
+  ThreadPool* pool() { return PoolFor(GetParam().threads, pool_); }
+
+ private:
+  std::unique_ptr<ThreadPool> pool_;
+};
+
+TEST_P(KernelBitwiseIsaTest, GemmsMatchScalarLoopsOnEveryTileRemainder) {
+  ExpectGemmsBitExactOnEveryTileRemainder(ops(), pool());
+}
+
+TEST_P(KernelBitwiseIsaTest, GemmsMatchScalarLoopsOnWorkloadLayers) {
+  ExpectGemmsBitExactOnWorkloadLayers(ops(), pool());
+}
+
+TEST_P(KernelBitwiseIsaTest, InteractionMatchesScalarLoops) {
+  ExpectInteractionBitExactOnEveryRemainder(ops(), pool());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Isa, KernelBitwiseIsaTest,
+    ::testing::Values(IsaParam{tiles::Isa::kBaseline, 1},
+                      IsaParam{tiles::Isa::kBaseline, 4},
+                      IsaParam{tiles::Isa::kAvx2, 1},
+                      IsaParam{tiles::Isa::kAvx2, 4}),
+    [](const ::testing::TestParamInfo<IsaParam>& info) {
+      return std::string(info.param.isa == tiles::Isa::kAvx2 ? "Avx2"
+                                                             : "Baseline") +
+             (info.param.threads == 1 ? "Serial" : "Pool4");
+    });
+
+// The dispatcher runs the AVX2 build exactly when the CPU has AVX2 and
+// this binary has that build.
+TEST(KernelDispatchTest, PicksAvx2ExactlyWhenTheCpuHasIt) {
+  EXPECT_TRUE(tiles::IsaSupported(tiles::Isa::kBaseline));
+#if FAE_DENSE_TILES_AVX2
+  const bool avx2 = __builtin_cpu_supports("avx2");
+#else
+  const bool avx2 = false;
+#endif
+  EXPECT_EQ(tiles::IsaSupported(tiles::Isa::kAvx2), avx2);
+  EXPECT_EQ(tiles::DispatchedIsa(),
+            avx2 ? tiles::Isa::kAvx2 : tiles::Isa::kBaseline);
+}
 
 }  // namespace
 }  // namespace fae
