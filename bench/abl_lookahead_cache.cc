@@ -3,7 +3,7 @@
 // overlap baseline — with the cache off and on, plus the synchronous
 // baseline driver and a budget sweep for context.
 //
-// Three things are checked, and all fail the binary (ctest's
+// Four things are checked, and all fail the binary (ctest's
 // bench_cache_smoke runs it with --smoke):
 //   1. Determinism: phase-charge totals are bit-identical cache on/off —
 //      the cache is a cost-model overlay, it never changes what work is
@@ -14,6 +14,10 @@
 //      round trip (prefetch + writeback DMA included — no hiding bytes).
 //   3. Wall gate: cached overlapped FAE must beat the PR-4 overlap
 //      baseline by >= 1.15x end to end on the modeled wall.
+//   4. Starvation: at a budget below the lookahead working set (a tenth
+//      of the 2 500 rows that hold it) both drivers' hit rates fall below
+//      1, so eviction runs and the budget sweep is not a 100%-hit
+//      artifact.
 //
 // The workload matches abl_pipelined (zipf 1.8, generous hot budget): the
 // cold minority is exactly where the cache bites, because FAE already
@@ -29,6 +33,7 @@
 // Timing uses the simulator's modeled seconds (deterministic, so no reps),
 // with --cost-only math skipped; results are identical run to run.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -71,6 +76,10 @@ struct Suite {
 
 constexpr double kTransferGate = 2.0;
 constexpr double kWallGate = 1.15;
+/// The starved budget as a fraction of the full one: 250 of 20 000 rows,
+/// a tenth of the 2 500 that already hold the eight-batch window's
+/// working set.
+constexpr size_t kStarvedDivisor = 80;
 
 TrainOptions MakeOptions(const Suite& s, size_t cache_budget_rows) {
   TrainOptions opt;
@@ -90,7 +99,7 @@ TrainOptions MakeOptions(const Suite& s, size_t cache_budget_rows) {
 void WriteJson(const std::string& path, const Suite& s, double hot_fraction,
                const std::vector<CaseResult>& results,
                double transfer_reduction, double wall_speedup,
-               bool deterministic, bool gate_ok) {
+               bool deterministic, bool starved, bool gate_ok) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -116,6 +125,8 @@ void WriteJson(const std::string& path, const Suite& s, double hot_fraction,
   std::fprintf(f, "  \"criterion_transfer_gate\": %.2f,\n", kTransferGate);
   std::fprintf(f, "  \"criterion_wall_speedup\": %.3f,\n", wall_speedup);
   std::fprintf(f, "  \"criterion_wall_gate\": %.2f,\n", kWallGate);
+  std::fprintf(f, "  \"criterion_starved_budget_misses\": %s,\n",
+               starved ? "true" : "false");
   std::fprintf(f, "  \"criterion_ok\": %s,\n", gate_ok ? "true" : "false");
   std::fprintf(f, "  \"cases\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
@@ -203,8 +214,9 @@ int Run(int argc, char** argv) {
 
   // A starved budget rides along to show honest partial-win behavior (and
   // to prove the gate numbers are not a degenerate 100%-hit artifact).
-  const std::vector<size_t> budgets = {0, s.cache_budget_rows / 8,
-                                       s.cache_budget_rows};
+  const std::vector<size_t> budgets = {
+      0, std::max<size_t>(1, s.cache_budget_rows / kStarvedDivisor),
+      s.cache_budget_rows};
   for (size_t budget : budgets) {
     auto model = MakeModel(schema, /*full_size=*/false, /*seed=*/5);
     Trainer trainer(model.get(), sys, MakeOptions(s, budget));
@@ -262,19 +274,25 @@ int Run(int argc, char** argv) {
       fae_on.modeled_seconds > 0.0
           ? fae_off.modeled_seconds / fae_on.modeled_seconds
           : 0.0;
+  // Starvation: the starved budget (results index 1 per driver) must miss.
+  const bool starved = results[1].cache_hit_rate < 1.0 &&
+                       results[budgets.size() + 1].cache_hit_rate < 1.0;
   const bool gate_ok = transfer_reduction >= kTransferGate &&
-                       wall_speedup >= kWallGate && deterministic;
+                       wall_speedup >= kWallGate && deterministic && starved;
 
   std::printf(
       "\ncold-step transfer reduction: %.2fx (gate: >= %.2fx)\n"
       "fae end-to-end speedup:       %.2fx (gate: >= %.2fx)\n"
-      "phase sums bit-identical cache on/off: %s\n",
+      "phase sums bit-identical cache on/off: %s\n"
+      "starved budget (%zu rows) hit rates: baseline %.4f, fae %.4f "
+      "(gate: < 1)\n",
       transfer_reduction, kTransferGate, wall_speedup, kWallGate,
-      deterministic ? "yes" : "NO");
+      deterministic ? "yes" : "NO", budgets[1], results[1].cache_hit_rate,
+      results[budgets.size() + 1].cache_hit_rate);
 
   const std::string out = args.GetString("out", "BENCH_cache.json");
   WriteJson(out, s, hot_fraction, results, transfer_reduction, wall_speedup,
-            deterministic, gate_ok);
+            deterministic, starved, gate_ok);
   std::printf("wrote %s\n", out.c_str());
 
   if (!deterministic) {
@@ -284,6 +302,13 @@ int Run(int argc, char** argv) {
   if (transfer_reduction < kTransferGate) {
     std::fprintf(stderr, "FAIL: transfer reduction %.2fx < %.2fx gate\n",
                  transfer_reduction, kTransferGate);
+    return 1;
+  }
+  if (!starved) {
+    std::fprintf(stderr,
+                 "FAIL: the starved %zu-row budget hit every lookup; it "
+                 "does not starve the cache\n",
+                 budgets[1]);
     return 1;
   }
   if (wall_speedup < kWallGate) {

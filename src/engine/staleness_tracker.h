@@ -132,7 +132,8 @@ class StalenessTracker {
   /// Zeroes the per-step traffic split (call at the top of each step).
   void BeginStep();
 
-  /// This step's traffic split for StepAccountant::ChargeStaleSkipStep.
+  /// This step's skip/update split, which the trainer prices through
+  /// StepAccountant::ChargeBaselineStepParts with only the live rows.
   uint64_t step_skipped_rows() const {
     return step_skipped_rows_.load(std::memory_order_relaxed);
   }

@@ -13,6 +13,12 @@ constexpr double kCacheIndirection = 1.5;
 
 StepAccountant::BaselineParts StepAccountant::ChargeBaselineStepParts(
     const BatchWork& w, Timeline& tl) const {
+  return ChargeBaselineStepParts(
+      w, StaleSkipTraffic{w.embedding_read_bytes, w.touched_bytes}, tl);
+}
+
+StepAccountant::BaselineParts StepAccountant::ChargeBaselineStepParts(
+    const BatchWork& w, const StaleSkipTraffic& live, Timeline& tl) const {
   BaselineParts parts;
   const SystemSpec& sys = cost_->system();
   const int g = std::max(1, sys.num_gpus);
@@ -56,19 +62,22 @@ StepAccountant::BaselineParts StepAccountant::ChargeBaselineStepParts(
   tl.ChargeGpu(Phase::kMlpBackward, mlp_bwd);
   parts.gpu += mlp_fwd + mlp_bwd;
 
-  // Embedding gradients back to the CPU.
+  // Embedding gradients back to the CPU, in full: the pooled gradient
+  // tensor is batch-shaped, and stale skipping decides per row only after
+  // it arrives.
   tl.Charge(Phase::kCpuGpuTransfer, xfer);
   parts.serial += xfer;
   tl.AddPcieBytes(w.embedding_activation_bytes);
 
-  // Scatter gradients into the tables, then the sparse optimizer — both on
-  // the CPUs (paper Fig 14: the optimizer dominates baseline time).
+  // Scatter the live rows' gradients into the tables, then the sparse
+  // optimizer over them — both on the CPUs (paper Fig 14: the optimizer
+  // dominates baseline time).
   const double emb_bwd =
-      cost_->GatherSeconds(w.embedding_read_bytes / nodes, sys.cpu);
+      cost_->GatherSeconds(live.live_lookup_bytes / nodes, sys.cpu);
   tl.ChargeCpu(Phase::kEmbeddingBackward, emb_bwd);
   const double sparse_opt =
       sys.cpu.sparse_update_overhead *
-      cost_->GatherSeconds(3 * w.touched_bytes / nodes, sys.cpu);
+      cost_->GatherSeconds(3 * live.live_touched_bytes / nodes, sys.cpu);
   tl.ChargeCpu(Phase::kOptimizerSparse, sparse_opt);
   parts.cpu += emb_bwd + sparse_opt;
 
@@ -171,7 +180,8 @@ void StepAccountant::ChargeSyncToCpu(uint64_t hot_bytes, Timeline& tl) const {
 }
 
 void StepAccountant::ChargeShardedHotStep(const BatchWork& w,
-                                          const ShardedStepTraffic& t,
+                                          uint64_t max_device_lookup_bytes,
+                                          uint64_t max_device_touched_bytes,
                                           Timeline& tl) const {
   const SystemSpec& sys = cost_->system();
   const int g = std::max(1, sys.num_gpus);
@@ -179,28 +189,18 @@ void StepAccountant::ChargeShardedHotStep(const BatchWork& w,
   const int world = g * nodes;
   const uint64_t shard = w.batch_size / world;
 
-  // Forward gathers: replicated rows serve each GPU's 1/world batch shard
-  // locally (the ChargeHotStep pattern); sharded rows are gathered by
-  // their owners for the whole global batch, so the step waits on the most
-  // loaded owner.
-  tl.ChargeGpu(
-      Phase::kEmbeddingForward,
-      cost_->GatherSeconds(t.replicated_lookup_bytes / world, sys.gpu) +
-          cost_->GatherSeconds(t.max_device_lookup_bytes, sys.gpu));
+  // Owners gather their tables' lookups for the whole global batch, so the
+  // step waits on the most loaded owner.
+  tl.ChargeGpu(Phase::kEmbeddingForward,
+               cost_->GatherSeconds(max_device_lookup_bytes, sys.gpu));
 
-  // All-to-all of the sharded share's pooled activations (forward), and of
-  // their gradients (backward). Scaling the batch's activation bytes by
-  // the sharded share of lookup traffic prices replicated hits at zero
-  // exchange — the entire point of replicating the head. Each device
-  // exchanges with (world - 1) peers: (g - 1) of them over NVLink, the
-  // other g * (nodes - 1) over the network, links of all devices (nodes)
-  // running in parallel.
-  const uint64_t lookup_total =
-      t.replicated_lookup_bytes + t.sharded_lookup_bytes;
-  if (world > 1 && t.sharded_lookup_bytes > 0 && lookup_total > 0) {
-    const uint64_t shard_activation =
-        w.embedding_activation_bytes * t.sharded_lookup_bytes / lookup_total;
-    const uint64_t exchanged = shard_activation * (world - 1) / world;
+  // All-to-all of the pooled activations (forward), and of their gradients
+  // (backward). Each device exchanges with (world - 1) peers: (g - 1) of
+  // them over NVLink, the other g * (nodes - 1) over the network, links of
+  // all devices (nodes) running in parallel.
+  if (world > 1 && w.embedding_read_bytes > 0) {
+    const uint64_t exchanged =
+        w.embedding_activation_bytes * (world - 1) / world;
     const uint64_t intra = exchanged * (g - 1) / (world - 1);
     const uint64_t inter = exchanged - intra;
     if (intra > 0) {
@@ -232,74 +232,34 @@ void StepAccountant::ChargeShardedHotStep(const BatchWork& w,
                                           sys.gpu));
 
   // Scatter mirrors the forward gathers.
-  tl.ChargeGpu(
-      Phase::kEmbeddingBackward,
-      cost_->GatherSeconds(t.replicated_lookup_bytes / world, sys.gpu) +
-          cost_->GatherSeconds(t.max_device_lookup_bytes, sys.gpu));
+  tl.ChargeGpu(Phase::kEmbeddingBackward,
+               cost_->GatherSeconds(max_device_lookup_bytes, sys.gpu));
 
-  // Replicated rows' gradients ride the dense all-reduce (every device
-  // needs them, as in ChargeHotStep); sharded rows' gradients already
-  // arrived at their owner through the all-to-all above.
-  const uint64_t grad_bytes =
-      w.dense_param_count * sizeof(float) + t.replicated_touched_bytes;
+  // Embedding gradients already reached their owners through the
+  // all-to-all above; only the dense gradients are all-reduced.
+  const uint64_t grad_bytes = w.dense_param_count * sizeof(float);
   tl.Charge(Phase::kAllReduce, cost_->AllReduceSeconds(grad_bytes));
   if (g > 1) tl.AddNvlinkBytes(2 * (g - 1) * grad_bytes / g * g);
   if (nodes > 1) tl.AddNetworkBytes(2 * (nodes - 1) * grad_bytes / nodes);
 
-  // Sparse optimizer: every device updates its replicated copy in full
-  // (concurrently, as in the hot step); each shard is updated only by its
-  // owner, so the step waits on the most touched one.
-  tl.ChargeGpu(
-      Phase::kOptimizerSparse,
-      sys.gpu.sparse_update_overhead *
-          (cost_->GatherSeconds(3 * t.replicated_touched_bytes, sys.gpu) +
-           cost_->GatherSeconds(3 * t.max_device_touched_bytes, sys.gpu)));
+  // Each table is updated only by its owner, so the sparse optimizer
+  // waits on the most touched one.
+  tl.ChargeGpu(Phase::kOptimizerSparse,
+               sys.gpu.sparse_update_overhead *
+                   cost_->GatherSeconds(3 * max_device_touched_bytes,
+                                        sys.gpu));
   tl.ChargeGpu(
       Phase::kOptimizerDense,
       cost_->StreamSeconds(3 * w.dense_param_count * sizeof(float), sys.gpu));
 }
 
-void StepAccountant::ChargeShardedSyncToGpus(uint64_t replicated_bytes,
-                                             uint64_t shard_bytes_total,
-                                             uint64_t max_shard_bytes,
-                                             Timeline& tl) const {
-  const SystemSpec& sys = cost_->system();
-  const int g = std::max(1, sys.num_gpus);
-  const int nodes = std::max(1, sys.num_nodes);
-  // Replicated subset: ChargeSyncToGpus semantics (parallel per-GPU
-  // broadcast, remote nodes fed over the network first). Shards: each
-  // owner pulls its own rows over its own PCIe link concurrently, so the
-  // wall only grows by the largest shard; remote owners' shards cross the
-  // network, per-node links in parallel.
+void StepAccountant::ChargeShardedSync(uint64_t shard_bytes_total,
+                                       uint64_t max_shard_bytes,
+                                       Timeline& tl) const {
+  const int nodes = std::max(1, cost_->system().num_nodes);
   tl.Charge(Phase::kEmbeddingSync,
-            cost_->PcieTransferSeconds(replicated_bytes) +
-                cost_->PcieTransferSeconds(max_shard_bytes));
-  tl.AddPcieBytes(replicated_bytes * static_cast<uint64_t>(g * nodes) +
-                  shard_bytes_total);
-  if (nodes > 1) {
-    const uint64_t remote_shards = shard_bytes_total * (nodes - 1) / nodes;
-    tl.Charge(Phase::kEmbeddingSync,
-              cost_->NetworkTransferSeconds(replicated_bytes) +
-                  cost_->NetworkTransferSeconds(remote_shards / nodes));
-    tl.AddNetworkBytes(replicated_bytes * static_cast<uint64_t>(nodes - 1) +
-                       remote_shards);
-  }
-}
-
-void StepAccountant::ChargeShardedSyncToCpu(uint64_t replicated_bytes,
-                                            uint64_t shard_bytes_total,
-                                            uint64_t max_shard_bytes,
-                                            Timeline& tl) const {
-  const SystemSpec& sys = cost_->system();
-  const int nodes = std::max(1, sys.num_nodes);
-  // One replica per node returns that node's share of the replicated
-  // subset (ChargeSyncToCpu semantics); shard owners return their rows
-  // concurrently. Shards of remote owners hop the network to reach their
-  // node's CPU master shard.
-  tl.Charge(Phase::kEmbeddingSync,
-            cost_->PcieTransferSeconds(replicated_bytes / nodes) +
-                cost_->PcieTransferSeconds(max_shard_bytes));
-  tl.AddPcieBytes(replicated_bytes + shard_bytes_total);
+            cost_->PcieTransferSeconds(max_shard_bytes));
+  tl.AddPcieBytes(shard_bytes_total);
   if (nodes > 1) {
     const uint64_t remote_shards = shard_bytes_total * (nodes - 1) / nodes;
     tl.Charge(Phase::kEmbeddingSync,
@@ -483,77 +443,8 @@ void StepAccountant::ChargeCacheStep(const BatchWork& w,
       cost_->StreamSeconds(3 * w.dense_param_count * sizeof(float), sys.gpu));
 }
 
-StepAccountant::BaselineParts StepAccountant::ChargeStaleSkipStep(
-    const BatchWork& w, const StaleSkipTraffic& t, Timeline& tl) const {
-  BaselineParts parts;
-  const SystemSpec& sys = cost_->system();
-  const int g = std::max(1, sys.num_gpus);
-  const int nodes = std::max(1, sys.num_nodes);
-  const int world = g * nodes;
-
-  // Forward path: identical to ChargeBaselineStepParts. Frozen rows are
-  // still read — skipping only elides their *update*.
-  const double emb_fwd =
-      cost_->GatherSeconds(w.embedding_read_bytes / nodes, sys.cpu);
-  tl.ChargeCpu(Phase::kEmbeddingForward, emb_fwd);
-  parts.cpu += emb_fwd;
-  if (nodes > 1) {
-    const uint64_t remote =
-        w.embedding_activation_bytes * (nodes - 1) / nodes;
-    const double hop = cost_->NetworkTransferSeconds(remote / nodes);
-    tl.Charge(Phase::kNetwork, hop);
-    tl.Charge(Phase::kNetwork, hop);
-    parts.serial += 2 * hop;
-    tl.AddNetworkBytes(2 * remote);
-  }
-
-  const double xfer =
-      cost_->PcieTransferSeconds(w.embedding_activation_bytes / world);
-  tl.Charge(Phase::kCpuGpuTransfer, xfer);
-  parts.serial += xfer;
-  tl.AddPcieBytes(w.embedding_activation_bytes);
-
-  const uint64_t shard = w.batch_size / world;
-  const double mlp_fwd = cost_->DenseComputeSeconds(w.forward_flops / world,
-                                                    shard, sys.gpu);
-  tl.ChargeGpu(Phase::kMlpForward, mlp_fwd);
-  const double mlp_bwd = cost_->DenseComputeSeconds(
-      2 * w.forward_flops / world, shard, sys.gpu);
-  tl.ChargeGpu(Phase::kMlpBackward, mlp_bwd);
-  parts.gpu += mlp_fwd + mlp_bwd;
-
-  // Gradients still cross back in full: the pooled gradient tensor is
-  // batch-shaped, not row-count-shaped, and the skip decision is made on
-  // the CPU after it arrives.
-  tl.Charge(Phase::kCpuGpuTransfer, xfer);
-  parts.serial += xfer;
-  tl.AddPcieBytes(w.embedding_activation_bytes);
-
-  // The win: scatter only the live rows' gradients, then run the sparse
-  // optimizer over only the live touched bytes.
-  const double emb_bwd =
-      cost_->GatherSeconds(t.live_lookup_bytes / nodes, sys.cpu);
-  tl.ChargeCpu(Phase::kEmbeddingBackward, emb_bwd);
-  const double sparse_opt =
-      sys.cpu.sparse_update_overhead *
-      cost_->GatherSeconds(3 * t.live_touched_bytes / nodes, sys.cpu);
-  tl.ChargeCpu(Phase::kOptimizerSparse, sparse_opt);
-  parts.cpu += emb_bwd + sparse_opt;
-
-  const uint64_t dense_bytes = w.dense_param_count * sizeof(float);
-  const double allreduce = cost_->AllReduceSeconds(dense_bytes);
-  tl.Charge(Phase::kAllReduce, allreduce);
-  parts.serial += allreduce;
-  if (g > 1) tl.AddNvlinkBytes(2 * (g - 1) * dense_bytes / g * g);
-  if (nodes > 1) tl.AddNetworkBytes(2 * (nodes - 1) * dense_bytes / nodes);
-  const double dense_opt = cost_->StreamSeconds(3 * dense_bytes, sys.gpu);
-  tl.ChargeGpu(Phase::kOptimizerDense, dense_opt);
-  parts.gpu += dense_opt;
-  return parts;
-}
-
-StepAccountant::OracleCacheParts StepAccountant::ChargeOracleCacheStep(
-    const BatchWork& w, const OracleCacheTraffic& t, Timeline& tl) const {
+StepAccountant::OracleCacheParts StepAccountant::OracleCacheStepParts(
+    const BatchWork& w, const OracleCacheTraffic& t) const {
   OracleCacheParts parts;
   const SystemSpec& sys = cost_->system();
   const int g = std::max(1, sys.num_gpus);
@@ -565,7 +456,6 @@ StepAccountant::OracleCacheParts StepAccountant::ChargeOracleCacheStep(
   const double hit_fwd =
       kCacheIndirection *
       cost_->GatherSeconds(t.hit_lookup_bytes / world, sys.gpu);
-  tl.ChargeGpu(Phase::kEmbeddingForward, hit_fwd);
   parts.gpu += hit_fwd;
 
   // Miss lookups follow the plain hybrid path: CPU gathers, pooled
@@ -579,31 +469,23 @@ StepAccountant::OracleCacheParts StepAccountant::ChargeOracleCacheStep(
         w.embedding_activation_bytes * t.miss_lookup_bytes / lookup_total;
     const double miss_fwd =
         cost_->GatherSeconds(t.miss_lookup_bytes / nodes, sys.cpu);
-    tl.ChargeCpu(Phase::kEmbeddingForward, miss_fwd);
     const double xfer =
         cost_->PcieTransferSeconds(miss_activation_bytes / world);
-    tl.Charge(Phase::kCpuGpuTransfer, xfer);
-    tl.Charge(Phase::kCpuGpuTransfer, xfer);
-    tl.AddPcieBytes(2 * miss_activation_bytes);
     parts.serial += 2 * xfer;
     parts.transfer_bytes += 2 * miss_activation_bytes;
     const double miss_bwd =
         cost_->GatherSeconds(t.miss_lookup_bytes / nodes, sys.cpu);
-    tl.ChargeCpu(Phase::kEmbeddingBackward, miss_bwd);
     const double miss_opt =
         sys.cpu.sparse_update_overhead *
         cost_->GatherSeconds(3 * t.miss_touched_bytes / nodes, sys.cpu);
-    tl.ChargeCpu(Phase::kOptimizerSparse, miss_opt);
     parts.cpu += miss_fwd + miss_bwd + miss_opt;
   }
 
   // Dense network: identical to every other placement.
   const double mlp_fwd =
       cost_->DenseComputeSeconds(w.forward_flops / world, shard, sys.gpu);
-  tl.ChargeGpu(Phase::kMlpForward, mlp_fwd);
   const double mlp_bwd = cost_->DenseComputeSeconds(
       2 * w.forward_flops / world, shard, sys.gpu);
-  tl.ChargeGpu(Phase::kMlpBackward, mlp_bwd);
   parts.gpu += mlp_fwd + mlp_bwd;
 
   // Hit rows: scatter + sparse optimizer on the GPUs; their gradients ride
@@ -611,23 +493,17 @@ StepAccountant::OracleCacheParts StepAccountant::ChargeOracleCacheStep(
   const double hit_bwd =
       kCacheIndirection *
       cost_->GatherSeconds(t.hit_lookup_bytes / world, sys.gpu);
-  tl.ChargeGpu(Phase::kEmbeddingBackward, hit_bwd);
   const double hit_opt =
       sys.gpu.sparse_update_overhead *
       cost_->GatherSeconds(3 * t.hit_touched_bytes, sys.gpu);
-  tl.ChargeGpu(Phase::kOptimizerSparse, hit_opt);
   parts.gpu += hit_bwd + hit_opt;
 
   const uint64_t grad_bytes =
       w.dense_param_count * sizeof(float) + t.hit_touched_bytes;
   const double allreduce = cost_->AllReduceSeconds(grad_bytes);
-  tl.Charge(Phase::kAllReduce, allreduce);
   parts.serial += allreduce;
-  if (g > 1) tl.AddNvlinkBytes(2 * (g - 1) * grad_bytes / g * g);
-  if (nodes > 1) tl.AddNetworkBytes(2 * (nodes - 1) * grad_bytes / nodes);
   const double dense_opt = cost_->StreamSeconds(
       3 * w.dense_param_count * sizeof(float), sys.gpu);
-  tl.ChargeGpu(Phase::kOptimizerDense, dense_opt);
   parts.gpu += dense_opt;
 
   // Cache DMA, each GPU's shard over its own PCIe link in parallel. Late
@@ -637,16 +513,12 @@ StepAccountant::OracleCacheParts StepAccountant::ChargeOracleCacheStep(
   if (t.late_prefetch_bytes + t.writeback_bytes > 0) {
     const double sync = cost_->PcieTransferSeconds(
         (t.late_prefetch_bytes + t.writeback_bytes) / world);
-    tl.Charge(Phase::kEmbeddingSync, sync);
-    tl.AddPcieBytes(t.late_prefetch_bytes + t.writeback_bytes);
     parts.serial += sync;
     parts.transfer_bytes += t.late_prefetch_bytes + t.writeback_bytes;
   }
   if (t.timely_prefetch_bytes > 0) {
     const double dma =
         cost_->PcieTransferSeconds(t.timely_prefetch_bytes / world);
-    tl.Charge(Phase::kEmbeddingSync, dma);
-    tl.AddPcieBytes(t.timely_prefetch_bytes);
     parts.timely_dma = dma;
     parts.transfer_bytes += t.timely_prefetch_bytes;
   }

@@ -48,6 +48,24 @@ class StepAccountant {
   BaselineParts ChargeBaselineStepParts(const BatchWork& w,
                                         Timeline& tl) const;
 
+  /// The bytes a CPU step's backward scatter and sparse optimizer still
+  /// process under stale-embedding update skipping
+  /// (engine/staleness_tracker.h): rows frozen by the tracker keep serving
+  /// forward lookups but are neither scattered into nor updated. Derived
+  /// by the trainer from the tracker's per-step decisions.
+  struct StaleSkipTraffic {
+    uint64_t live_lookup_bytes = 0;   // gradient scatter still performed
+    uint64_t live_touched_bytes = 0;  // rows the optimizer still visits
+  };
+
+  /// ChargeBaselineStepParts with only the live rows' backward scatter and
+  /// sparse optimizer work; the forward gathers, activation transfers,
+  /// dense network and all-reduce are the plain step's. The plain step is
+  /// the all-live case (w.embedding_read_bytes, w.touched_bytes).
+  BaselineParts ChargeBaselineStepParts(const BatchWork& w,
+                                        const StaleSkipTraffic& live,
+                                        Timeline& tl) const;
+
   /// Gather/pack of one mini-batch into a staging workspace on the CPU
   /// (the BatchPipeline's per-batch work). Charged in every pipeline mode;
   /// prefetching modes hide it under the previous step via
@@ -64,49 +82,29 @@ class StepAccountant {
   /// Hot-slice copy-back GPU -> CPU (leaving a hot phase).
   void ChargeSyncToCpu(uint64_t hot_bytes, Timeline& tl) const;
 
-  /// One hot step's byte traffic under a sharded placement
-  /// (sim/partition.h ShardedPlacement), derived by the trainer from the
-  /// batch's actual lookups: replicated rows are served locally on every
-  /// GPU; sharded rows are gathered by their owner and their pooled
-  /// activations exchanged all-to-all. The max_device_* fields carry the
-  /// bottleneck owner's share — the modeled step waits on the most loaded
-  /// device, which is exactly what ShardedPlacement::Imbalance predicts.
-  struct ShardedStepTraffic {
-    uint64_t replicated_lookup_bytes = 0;
-    uint64_t sharded_lookup_bytes = 0;
-    uint64_t max_device_lookup_bytes = 0;
-    uint64_t replicated_touched_bytes = 0;  // ride the gradient all-reduce
-    uint64_t sharded_touched_bytes = 0;     // owner-side sparse optimizer
-    uint64_t max_device_touched_bytes = 0;
-  };
-
-  /// Hot step under --sharding=lpt|statistical. Replicated lookups follow
-  /// the ChargeHotStep pattern (local gathers, gradients all-reduced);
-  /// sharded lookups follow ChargeModelParallelStep generalized to
-  /// multi-node: the all-to-all's activation share is split between NVLink
-  /// (intra-node peers) and the network (inter-node peers) by peer count,
-  /// and the sharded rows' scatter + sparse optimizer run only on the
-  /// owning device. The trainer charges this into a *scratch* timeline and
-  /// prices it against the plain ChargeHotStep — the real timeline's
-  /// charges never change with sharding, keeping checkpoints byte-equal
-  /// across modes.
-  void ChargeShardedHotStep(const BatchWork& w, const ShardedStepTraffic& t,
+  /// Hot step under --sharding=lpt: every hot table lives on one owning
+  /// GPU (sim/partition.h PartitionLpt), so the step follows
+  /// ChargeModelParallelStep generalized to multi-node. Owners gather and
+  /// update their tables for the whole global batch, so the step waits on
+  /// the most loaded one (`max_device_lookup_bytes`,
+  /// `max_device_touched_bytes`); the pooled activations are exchanged
+  /// all-to-all, split between NVLink (intra-node peers) and the network
+  /// (inter-node peers) by peer count. The trainer charges this into a
+  /// *scratch* timeline and prices it against the plain ChargeHotStep —
+  /// the real timeline's charges never change with sharding, keeping
+  /// checkpoints byte-equal across modes.
+  void ChargeShardedHotStep(const BatchWork& w,
+                            uint64_t max_device_lookup_bytes,
+                            uint64_t max_device_touched_bytes,
                             Timeline& tl) const;
 
-  /// Hot-slice distribution under a sharded placement: the replicated
-  /// subset broadcasts exactly like ChargeSyncToGpus; each shard ships
-  /// once to its owner, per-GPU PCIe links in parallel, so the modeled
-  /// time adds only the largest single-device shard.
-  void ChargeShardedSyncToGpus(uint64_t replicated_bytes,
-                               uint64_t shard_bytes_total,
-                               uint64_t max_shard_bytes, Timeline& tl) const;
-
-  /// Copy-back inverse of ChargeShardedSyncToGpus: one replica returns the
-  /// replicated subset (ChargeSyncToCpu semantics) and each owner returns
-  /// its shard in parallel.
-  void ChargeShardedSyncToCpu(uint64_t replicated_bytes,
-                              uint64_t shard_bytes_total,
-                              uint64_t max_shard_bytes, Timeline& tl) const;
+  /// One hot-slice sync under --sharding=lpt, either direction: each
+  /// shard moves once between the CPU masters and its owner, per-GPU PCIe
+  /// links in parallel, so the modeled time is the largest single-device
+  /// shard's. Remote owners' shards also hop the network, per-node links
+  /// in parallel.
+  void ChargeShardedSync(uint64_t shard_bytes_total, uint64_t max_shard_bytes,
+                         Timeline& tl) const;
 
   /// NvOPT step: `table_on_gpu[t]` marks tables resident on the GPU in
   /// fp16; `dim` is the embedding dim; `batch_size` the global batch.
@@ -171,41 +169,14 @@ class StepAccountant {
     }
   };
 
-  /// One CPU step's row traffic under stale-embedding update skipping
-  /// (engine/staleness_tracker.h), derived by the trainer from the
-  /// tracker's per-step decisions: the batch's gather/optimizer traffic
-  /// split between rows that still update and rows frozen by the tracker.
-  /// Forward gathers always read every row (frozen rows keep serving
-  /// lookups); only the backward scatter and the sparse optimizer shrink.
-  struct StaleSkipTraffic {
-    uint64_t live_lookup_bytes = 0;      // gradient scatter still performed
-    uint64_t skipped_lookup_bytes = 0;   // scatter elided (row frozen)
-    uint64_t live_touched_bytes = 0;     // rows the optimizer still visits
-    uint64_t skipped_touched_bytes = 0;  // rows whose update was skipped
-  };
-
-  /// Baseline step with the frozen rows' backward scatter and sparse
-  /// optimizer work removed (--stale-skip). Phase structure mirrors
-  /// ChargeBaselineStepParts: the forward gathers, activation transfers,
-  /// dense network, and all-reduce are untouched — skipping a row's update
-  /// never changes what the forward pass reads or ships. The trainer
-  /// charges this into a *scratch* timeline and prices it against the
-  /// plain step; the real timeline's charges never change with the knob,
-  /// keeping checkpoints byte-equal across stale-skip modes.
-  BaselineParts ChargeStaleSkipStep(const BatchWork& w,
-                                    const StaleSkipTraffic& t,
-                                    Timeline& tl) const;
-
   /// Oracle-cached cold step (lookahead cache resident rows on the GPUs,
   /// sharded like model-parallel tables; peer reads fold into the cache
   /// indirection factor). Misses fall back to the plain hybrid path with
-  /// activation traffic scaled by the miss share. The trainer charges this
-  /// into a *scratch* timeline and prices it against the plain step —
-  /// the real timeline's phase charges never change with the cache, which
+  /// activation traffic scaled by the miss share. A pure price: the
+  /// trainer compares it with the plain step and never charges it, which
   /// is what keeps checkpoints byte-identical cache on/off.
-  OracleCacheParts ChargeOracleCacheStep(const BatchWork& w,
-                                         const OracleCacheTraffic& t,
-                                         Timeline& tl) const;
+  OracleCacheParts OracleCacheStepParts(const BatchWork& w,
+                                        const OracleCacheTraffic& t) const;
 
   const CostModel& cost_model() const { return *cost_; }
 

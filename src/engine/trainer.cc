@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 #include <functional>
+#include <numeric>
 
 #include "core/embedding_replicator.h"
 #include "core/fae_format.h"
-#include "engine/batch_pipeline.h"
 #include "core/input_processor.h"
-#include "core/shard_planner.h"
 #include "core/shuffle_scheduler.h"
+#include "engine/batch_pipeline.h"
 #include "engine/dirty_rows.h"
 #include "engine/ring_limits.h"
 #include "sim/partition.h"
@@ -49,292 +48,394 @@ StepExecutor::Options ExecOptions(const TrainOptions& options) {
   return exec;
 }
 
-/// The oracle cache's demands on the run configuration, shared by the
-/// baseline and FAE paths (and mirrored by the CLI's early rejection).
-Status ValidateCacheOptions(const TrainOptions& options) {
-  if (options.cache == CacheMode::kOff) return Status::OK();
-  if (options.pipeline == PipelineMode::kOff) {
-    return Status::InvalidArgument(
-        "--cache=oracle requires a pipelined run (--pipeline=prefetch or "
-        "overlap): the oracle window is the batch pipeline's forward "
-        "visibility into staged batches");
-  }
-  if (options.cache_budget_rows < 1) {
-    return Status::InvalidArgument(
-        "--cache-budget-rows must be at least 1");
-  }
-  if (options.cache_lookahead < kMinRingDepth ||
-      options.cache_lookahead > kMaxRingDepth) {
-    return Status::InvalidArgument(StrFormat(
-        "--cache-lookahead must be in [%zu, %zu]", kMinRingDepth,
-        kMaxRingDepth));
-  }
-  return Status::OK();
+std::vector<EmbeddingTable*> MasterTables(RecModel& model) {
+  std::vector<EmbeddingTable*> tables;
+  for (EmbeddingTable& t : model.tables()) tables.push_back(&t);
+  return tables;
 }
 
-/// Demands of the quantized cold store (TrainOptions::cold_precision),
-/// mirrored by the CLI's early rejection. Combinations whose budget or
-/// traffic accounting assumes fp32 cold rows are errors, not silent
-/// fallbacks.
-Status ValidateColdOptions(const TrainOptions& options) {
-  if (options.cold_precision == ColdPrecision::kFp32) return Status::OK();
-  if (options.fp16_embeddings) {
-    return Status::InvalidArgument(
-        "--cold-precision and --fp16-embeddings are mutually exclusive: "
-        "fp16 emulation rounds rows through the fp32 tables that the "
-        "quantized cold store no longer holds");
-  }
-  if (options.cache != CacheMode::kOff) {
-    return Status::InvalidArgument(
-        "--cold-precision cannot be combined with --cache=oracle: the "
-        "cache's budget and transfer accounting assume fp32 cold rows, so "
-        "the two would double-count the reclaimed bytes");
-  }
-  return Status::OK();
-}
-
-/// Demands of stale-update skipping (TrainOptions::stale_skip), mirrored
-/// by the CLI's early rejection. The mode restriction (kCold needs the FAE
-/// placement) is checked per driver — it depends on which trainer runs.
-Status ValidateStaleOptions(const TrainOptions& options) {
-  if (options.stale_skip == StaleSkipMode::kOff) return Status::OK();
-  if (!options.run_math) {
-    return Status::InvalidArgument(
-        "--stale-skip requires real math: skip decisions read measured "
-        "per-row update magnitudes, which cost-only runs never produce");
-  }
-  if (options.fp16_embeddings) {
-    return Status::InvalidArgument(
-        "--stale-skip and --fp16-embeddings are mutually exclusive: fp16 "
-        "emulation materializes gradients outside the fused path that "
-        "measures per-row update magnitudes");
-  }
-  if (options.cache != CacheMode::kOff) {
-    return Status::InvalidArgument(
-        "--stale-skip cannot be combined with --cache=oracle: both "
-        "reprice the same cold-step charges against the plain step, so "
-        "their savings would double-count");
-  }
-  if (options.stale_threshold < 0.0) {
-    return Status::InvalidArgument("--stale-threshold must be >= 0");
-  }
-  if (options.stale_min_visits < 1) {
-    return Status::InvalidArgument("--stale-min-visits must be at least 1");
-  }
-  return Status::OK();
-}
-
-/// The comparator placements (NvOPT, model-parallel, GPU cache) model a
-/// single node with fp32 tables; any other configuration is refused.
-Status ValidateComparatorOptions(const char* comparator,
-                                 const SystemSpec& system,
-                                 const TrainOptions& options) {
-  if (system.num_nodes != 1) {
-    return Status::InvalidArgument(
-        StrFormat("the %s comparator models a single node (got %d nodes)",
-                  comparator, system.num_nodes));
-  }
-  if (options.cold_precision != ColdPrecision::kFp32) {
-    return Status::InvalidArgument(
-        "--cold-precision applies to the FAE placement only");
-  }
-  return Status::OK();
-}
-
-/// Drives a LookaheadCache as a cost-model overlay: prices each cold step
-/// under the cache against the plain hybrid step (both through the real
-/// StepAccountant, the cached variant into a scratch timeline) and credits
-/// the difference via Timeline::AddCacheSavedSeconds. The real timeline's
-/// phase charges never change — that is the bit-identical contract.
-struct OracleCacheRig {
-  LookaheadCache cache;
-  const StepAccountant* accountant = nullptr;
-  /// Whether the plain step the cache replaces runs its CPU/GPU lanes
-  /// overlapped (--pipeline=overlap) or serially (prefetch).
-  bool overlap_lanes = false;
-  /// Positive per-step savings accumulated in the current schedule chunk;
-  /// the FAE kOverlap pairing logic subtracts this from a cold chunk's
-  /// unhidden span so the same seconds are never credited twice.
-  double chunk_saved = 0.0;
-
-  double PriceStep(const BatchWork& w,
-                   const StepAccountant::BaselineParts& plain,
-                   const LookaheadCache::StepCharge& sc, Timeline& tl) {
-    StepAccountant::OracleCacheTraffic t;
-    const uint64_t lookups = sc.hit_lookups + sc.miss_lookups;
-    if (lookups > 0) {
-      t.hit_lookup_bytes =
-          w.embedding_read_bytes * sc.hit_lookups / lookups;
-      t.miss_lookup_bytes = w.embedding_read_bytes - t.hit_lookup_bytes;
+/// The cost-model overlays (DESIGN.md §13, §15, §16) behind one object.
+/// The real timeline always carries a step's or a sync's plain charges;
+/// an overlay prices the variant it models and credits the difference to
+/// its own Timeline accumulator, so the phase charges — and with them the
+/// checkpoint bytes — never change with an overlay knob. Set up once from
+/// TrainOptions, it prices three things: the cold step (the oracle cache
+/// or stale skipping; ValidateTrainOptions refuses the pair), the hot step
+/// and the hot-slice syncs (sharding), and the cache's boundary
+/// writebacks.
+class StepOverlay {
+ public:
+  StepOverlay(const StepAccountant& accountant, const TrainOptions& options,
+              const DatasetSchema& schema)
+      : accountant_(accountant),
+        overlap_lanes_(options.pipeline == PipelineMode::kOverlap),
+        cache_on_(options.cache == CacheMode::kOracle),
+        stale_on_(options.stale_skip != StaleSkipMode::kOff),
+        lookahead_(options.cache_lookahead) {
+    if (cache_on_) {
+      LookaheadCache::Options copt;
+      copt.budget_rows = options.cache_budget_rows;
+      copt.lookahead = options.cache_lookahead;
+      // Same per-row payload the FAE sync machinery ships: the embedding
+      // vector plus the optimizer's row index word.
+      copt.row_bytes = schema.embedding_dim * sizeof(float) + sizeof(uint32_t);
+      cache_.Init(schema.table_rows, copt);
     }
-    const uint64_t rows = sc.hit_rows + sc.miss_rows;
-    if (rows > 0) {
-      t.hit_touched_bytes = w.touched_bytes * sc.hit_rows / rows;
-      t.miss_touched_bytes = w.touched_bytes - t.hit_touched_bytes;
+    if (stale_on_) {
+      StalenessTracker::Options sopt;
+      sopt.threshold = options.stale_threshold;
+      sopt.min_visits = static_cast<uint32_t>(options.stale_min_visits);
+      staleness_.Init(schema.table_rows, sopt);
     }
-    t.timely_prefetch_bytes = sc.timely_prefetch_bytes;
-    t.late_prefetch_bytes = sc.late_prefetch_bytes;
-    t.writeback_bytes = sc.writeback_bytes;
-    Timeline scratch;
-    const StepAccountant::OracleCacheParts parts =
-        accountant->ChargeOracleCacheStep(w, t, scratch);
+  }
+
+  bool cache_on() const { return cache_on_; }
+  LookaheadCache& cache() { return cache_; }
+  /// The tracker the fused step consults; null when skipping is off.
+  StalenessTracker* staleness() { return stale_on_ ? &staleness_ : nullptr; }
+
+  /// Places each hot table on one GPU by LPT over its hot access mass (the
+  /// calibration counts of `p`'s post-degrade hot set) and records the
+  /// placement in `report`. Sharding by bytes would balance capacity but
+  /// leave the traffic wherever the skew put it.
+  Status PlanSharding(const FaePlan& p, const DatasetSchema& schema,
+                      int world, TrainReport& report) {
+    const AccessProfile& profile = p.calibration.profile;
+    if (profile.num_tables() != schema.num_tables()) {
+      return Status::InvalidArgument(
+          "--sharding=lpt needs a fresh plan: plans loaded from the "
+          "FAE-format cache carry no per-row access profile to weigh the "
+          "tables by (re-run calibration without --plan)");
+    }
+    const size_t num_tables = schema.num_tables();
+    std::vector<uint64_t> mass(num_tables, 0);
+    for (size_t t = 0; t < num_tables; ++t) {
+      if (p.hot_set.table_all_hot(t)) {
+        mass[t] = profile.table_total(t);
+        continue;
+      }
+      const std::vector<uint64_t>& counts = profile.counts(t);
+      const std::span<const uint8_t> mask = p.hot_set.mask(t);
+      for (size_t r = 0; r < mask.size(); ++r) {
+        if (mask[r]) mass[t] += counts[r];
+      }
+    }
+    const Partition placement = PartitionLpt(mass, world);
+    owner_ = placement.bin_of;
+    std::vector<uint64_t> device_rows(world, 0);
+    uint64_t rows_total = 0;
+    for (size_t t = 0; t < num_tables; ++t) {
+      device_rows[owner_[t]] += p.hot_set.HotCount(t);
+      rows_total += p.hot_set.HotCount(t);
+    }
+    row_bytes_ = schema.embedding_dim * sizeof(float);
+    hot_bytes_ = p.hot_bytes;
+    shard_bytes_total_ = rows_total * row_bytes_;
+    max_shard_bytes_ =
+        *std::max_element(device_rows.begin(), device_rows.end()) *
+        row_bytes_;
+    device_lookups_.assign(world, 0);
+    device_touched_.assign(world, 0);
+    sharded_ = true;
+    report.sharding_imbalance = placement.Imbalance();
+    report.sharding_max_shard_bytes = max_shard_bytes_;
+    return Status::OK();
+  }
+
+  /// The oracle window's feed: `push(i)` hands batch i of the current
+  /// segment to the cache.
+  void set_cache_feed(std::function<void(size_t)> push) {
+    cache_feed_ = std::move(push);
+  }
+
+  /// Opens a cache segment over batches [begin, end): the first
+  /// `cache_lookahead` batches enter the window, and each cold step hands
+  /// the next one over as it retires, so the window stays exactly as far
+  /// ahead as the lookahead permits.
+  void BeginCacheSegment(size_t begin, size_t end) {
+    if (!cache_on_) return;
+    cache_.BeginSegment();
+    segment_end_ = end;
+    next_feed_ = begin;
+    while (next_feed_ < std::min(end, begin + lookahead_)) {
+      cache_feed_(next_feed_++);
+    }
+  }
+
+  /// Prices a cold step under the cache or stale skipping against its
+  /// plain `parts`, with the lanes overlapped (--pipeline=overlap) or
+  /// serial like the plain step. Stale skipping reads the split the
+  /// tracker counted during the math, so this runs after the math step.
+  void PriceColdStep(const BatchWork& w,
+                     const StepAccountant::BaselineParts& plain,
+                     Timeline& tl) {
     const double plain_eff =
-        overlap_lanes ? plain.Overlapped() : plain.Total();
-    const double saved = plain_eff - parts.EffectiveSeconds(overlap_lanes);
-    tl.AddCacheSavedSeconds(saved);
-    if (saved > 0.0) chunk_saved += saved;
-    Timeline::CacheCounters& cc = tl.cache_counters();
-    cc.hits += sc.hit_lookups;
-    cc.misses += sc.miss_lookups;
-    cc.stale_refreshes += sc.stale_refreshes;
-    cc.prefetch_bytes += sc.timely_prefetch_bytes + sc.late_prefetch_bytes;
-    cc.writeback_bytes += sc.writeback_bytes;
-    cc.plain_transfer_bytes += 2 * w.embedding_activation_bytes;
-    cc.effective_transfer_bytes += parts.transfer_bytes;
-    return saved;
+        overlap_lanes_ ? plain.Overlapped() : plain.Total();
+    if (cache_on_) {
+      const LookaheadCache::StepCharge sc = cache_.OnStep();
+      StepAccountant::OracleCacheTraffic t;
+      const uint64_t lookups = sc.hit_lookups + sc.miss_lookups;
+      if (lookups > 0) {
+        t.hit_lookup_bytes =
+            w.embedding_read_bytes * sc.hit_lookups / lookups;
+        t.miss_lookup_bytes = w.embedding_read_bytes - t.hit_lookup_bytes;
+      }
+      const uint64_t rows = sc.hit_rows + sc.miss_rows;
+      if (rows > 0) {
+        t.hit_touched_bytes = w.touched_bytes * sc.hit_rows / rows;
+        t.miss_touched_bytes = w.touched_bytes - t.hit_touched_bytes;
+      }
+      t.timely_prefetch_bytes = sc.timely_prefetch_bytes;
+      t.late_prefetch_bytes = sc.late_prefetch_bytes;
+      t.writeback_bytes = sc.writeback_bytes;
+      const StepAccountant::OracleCacheParts parts =
+          accountant_.OracleCacheStepParts(w, t);
+      tl.AddCacheSavedSeconds(
+          Bank(plain_eff - parts.EffectiveSeconds(overlap_lanes_)));
+      Timeline::CacheCounters& cc = tl.cache_counters();
+      cc.hits += sc.hit_lookups;
+      cc.misses += sc.miss_lookups;
+      cc.stale_refreshes += sc.stale_refreshes;
+      cc.prefetch_bytes += sc.timely_prefetch_bytes + sc.late_prefetch_bytes;
+      cc.writeback_bytes += sc.writeback_bytes;
+      cc.plain_transfer_bytes += 2 * w.embedding_activation_bytes;
+      cc.effective_transfer_bytes += parts.transfer_bytes;
+      if (next_feed_ < segment_end_) cache_feed_(next_feed_++);
+    } else if (stale_on_) {
+      const uint64_t skipped_rows = staleness_.step_skipped_rows();
+      const uint64_t updated_rows = staleness_.step_updated_rows();
+      Timeline::StaleSkipCounters& sc = tl.stale_skip_counters();
+      sc.skipped_rows += skipped_rows;
+      sc.updated_rows += updated_rows;
+      // Nothing elided: the skipped step is the plain step (crediting an
+      // exact 0.0 would only accumulate noise).
+      if (skipped_rows == 0) return;
+      StepAccountant::StaleSkipTraffic live;
+      const uint64_t live_lookups = staleness_.step_live_lookups();
+      const uint64_t lookups = staleness_.step_skipped_lookups() + live_lookups;
+      live.live_lookup_bytes =
+          lookups > 0 ? w.embedding_read_bytes * live_lookups / lookups
+                      : w.embedding_read_bytes;
+      live.live_touched_bytes =
+          w.touched_bytes * updated_rows / (skipped_rows + updated_rows);
+      Timeline scratch;
+      const StepAccountant::BaselineParts skipped =
+          accountant_.ChargeBaselineStepParts(w, live, scratch);
+      tl.AddStaleSkipSavedSeconds(Bank(
+          plain_eff -
+          (overlap_lanes_ ? skipped.Overlapped() : skipped.Total())));
+    }
+  }
+
+  /// Prices a hot step, `plain_seconds` under replication, against the
+  /// sharded placement: the batch's per-table lookups and touched rows,
+  /// summed per owning device.
+  void PriceHotStep(const BatchWork& w, double plain_seconds, Timeline& tl) {
+    if (!sharded_) return;
+    std::fill(device_lookups_.begin(), device_lookups_.end(), 0);
+    std::fill(device_touched_.begin(), device_touched_.end(), 0);
+    for (size_t t = 0; t < owner_.size(); ++t) {
+      device_lookups_[owner_[t]] += w.per_table_lookups[t];
+      device_touched_[owner_[t]] += w.per_table_touched[t];
+    }
+    Timeline sharded;
+    accountant_.ChargeShardedHotStep(
+        w,
+        *std::max_element(device_lookups_.begin(), device_lookups_.end()) *
+            row_bytes_,
+        *std::max_element(device_touched_.begin(), device_touched_.end()) *
+            row_bytes_,
+        sharded);
+    tl.AddShardingSavedSeconds(
+        Bank(plain_seconds - sharded.PhaseSumSeconds()));
+  }
+
+  /// Prices a hot-slice sync of `shipped_bytes` against the sharded
+  /// placement. Dirty syncs ship part of the slice; their shards scale by
+  /// the shipped share (uniform dirtiness).
+  void PriceSync(bool to_gpus, uint64_t shipped_bytes, Timeline& tl) {
+    if (!sharded_) return;
+    const double frac = hot_bytes_ > 0
+                            ? static_cast<double>(shipped_bytes) /
+                                  static_cast<double>(hot_bytes_)
+                            : 0.0;
+    Timeline plain;
+    if (to_gpus) {
+      accountant_.ChargeSyncToGpus(shipped_bytes, plain);
+    } else {
+      accountant_.ChargeSyncToCpu(shipped_bytes, plain);
+    }
+    Timeline sharded;
+    accountant_.ChargeShardedSync(
+        static_cast<uint64_t>(static_cast<double>(shard_bytes_total_) * frac),
+        static_cast<uint64_t>(static_cast<double>(max_shard_bytes_) * frac),
+        sharded);
+    tl.AddShardingSavedSeconds(
+        Bank(plain.PhaseSumSeconds() - sharded.PhaseSumSeconds()));
   }
 
   /// Boundary writebacks (hot-chunk entry flush, end-of-run drain): real
   /// DMA the plain run never pays, priced through the same sync path the
-  /// trainer charges and debited from the savings.
+  /// trainer charges and debited from the cache's savings.
   void ChargeWriteback(uint64_t bytes, Timeline& tl) {
     if (bytes == 0) return;
     Timeline scratch;
-    accountant->ChargeSyncToCpu(bytes, scratch);
+    accountant_.ChargeSyncToCpu(bytes, scratch);
     tl.AddCacheSavedSeconds(-scratch.PhaseSumSeconds());
     Timeline::CacheCounters& cc = tl.cache_counters();
     cc.writeback_bytes += bytes;
     cc.effective_transfer_bytes += bytes;
   }
-};
 
-/// Prices hot steps and hot-slice syncs under a sharded placement
-/// (TrainOptions::sharding) against the replicate-mode charges the real
-/// timeline always carries, crediting the difference through
-/// Timeline::AddShardingSavedSeconds — the OracleCacheRig overlay contract
-/// applied to the hot side. The credit is signed: whole-table LPT usually
-/// *loses* to replication and the modeled wall must show it.
-struct ShardingRig {
-  ShardedPlacement placement;
-  const StepAccountant* accountant = nullptr;
-  /// Per-hot-batch traffic splits, precomputed once from each batch's
-  /// actual lookups against the placement (indexed like hot_batches).
-  std::vector<StepAccountant::ShardedStepTraffic> traffic;
-  /// Placement byte totals for scaling sync events that ship fewer bytes
-  /// than the whole slice (dirty sync assumes uniform dirtiness).
-  uint64_t hot_bytes = 0;
-  uint64_t replicated_bytes = 0;
-  uint64_t shard_bytes_total = 0;
-  uint64_t max_shard_bytes = 0;
-  /// Positive savings accumulated in the current schedule chunk; the
-  /// kOverlap pairing subtracts this from a hot chunk's unhidden span,
-  /// mirroring OracleCacheRig::chunk_saved on the cold side.
+  /// End of a run (or a crash): drains the cache and records the
+  /// tracker's guard state, which lives in the tracker until now.
+  void Finish(TrainReport& report) {
+    if (cache_on_) ChargeWriteback(cache_.FlushAllDirty(), report.timeline);
+    if (!stale_on_) return;
+    Timeline::StaleSkipCounters& sc = report.timeline.stale_skip_counters();
+    sc.reactivated_rows += staleness_.total_reactivated_rows();
+    sc.guard_tightens += staleness_.guard_tightens();
+    sc.guard_widens += staleness_.guard_widens();
+    report.stale_final_threshold = staleness_.threshold();
+  }
+
+  /// Positive savings credited since the current schedule chunk began.
+  /// FAE's kOverlap pairing subtracts it from the chunk's unhidden span so
+  /// the same seconds are never credited twice. A chunk is hot or cold and
+  /// at most one cold overlay is on, so one sum serves every overlay.
   double chunk_saved = 0.0;
 
-  void Credit(double plain_seconds, double sharded_seconds, Timeline& tl) {
-    const double saved = plain_seconds - sharded_seconds;
-    tl.AddShardingSavedSeconds(saved);
+ private:
+  double Bank(double saved) {
     if (saved > 0.0) chunk_saved += saved;
+    return saved;
   }
 
-  void PriceHotStep(const BatchWork& w, size_t batch, double plain_seconds,
-                    Timeline& tl) {
-    Timeline scratch;
-    accountant->ChargeShardedHotStep(w, traffic[batch], scratch);
-    Credit(plain_seconds, scratch.PhaseSumSeconds(), tl);
-  }
-
-  void PriceSyncToGpus(uint64_t shipped_bytes, Timeline& tl) {
-    const double frac =
-        hot_bytes > 0
-            ? static_cast<double>(shipped_bytes) / static_cast<double>(
-                                                       hot_bytes)
-            : 0.0;
-    Timeline plain;
-    accountant->ChargeSyncToGpus(shipped_bytes, plain);
-    Timeline scratch;
-    accountant->ChargeShardedSyncToGpus(
-        static_cast<uint64_t>(static_cast<double>(replicated_bytes) * frac),
-        static_cast<uint64_t>(static_cast<double>(shard_bytes_total) * frac),
-        static_cast<uint64_t>(static_cast<double>(max_shard_bytes) * frac),
-        scratch);
-    Credit(plain.PhaseSumSeconds(), scratch.PhaseSumSeconds(), tl);
-  }
-
-  void PriceSyncToCpu(uint64_t shipped_bytes, Timeline& tl) {
-    const double frac =
-        hot_bytes > 0
-            ? static_cast<double>(shipped_bytes) / static_cast<double>(
-                                                       hot_bytes)
-            : 0.0;
-    Timeline plain;
-    accountant->ChargeSyncToCpu(shipped_bytes, plain);
-    Timeline scratch;
-    accountant->ChargeShardedSyncToCpu(
-        static_cast<uint64_t>(static_cast<double>(replicated_bytes) * frac),
-        static_cast<uint64_t>(static_cast<double>(shard_bytes_total) * frac),
-        static_cast<uint64_t>(static_cast<double>(max_shard_bytes) * frac),
-        scratch);
-    Credit(plain.PhaseSumSeconds(), scratch.PhaseSumSeconds(), tl);
-  }
-};
-
-/// Prices each CPU step under stale-update skipping against the plain
-/// hybrid step the real timeline always carries, crediting the elided
-/// backward-gather and optimizer work through
-/// Timeline::AddStaleSkipSavedSeconds — the OracleCacheRig overlay
-/// contract applied to the fused sparse step. Reads the traffic split the
-/// StalenessTracker counted during MathStep, so it must run *after* the
-/// math (the real charges already landed before it, which is fine: the
-/// overlay only moves the savings accumulator).
-struct StaleSkipRig {
-  const StepAccountant* accountant = nullptr;
-  /// Whether the plain step runs its CPU/GPU lanes overlapped
-  /// (--pipeline=overlap) or serially.
-  bool overlap_lanes = false;
-  /// Positive per-step savings accumulated in the current schedule chunk;
-  /// the FAE kOverlap pairing subtracts this from a cold chunk's unhidden
-  /// span, mirroring OracleCacheRig::chunk_saved.
-  double chunk_saved = 0.0;
-
-  void PriceStep(const BatchWork& w,
-                 const StepAccountant::BaselineParts& plain,
-                 const StalenessTracker& tracker, Timeline& tl) {
-    const uint64_t skipped_rows = tracker.step_skipped_rows();
-    const uint64_t updated_rows = tracker.step_updated_rows();
-    Timeline::StaleSkipCounters& sc = tl.stale_skip_counters();
-    sc.skipped_rows += skipped_rows;
-    sc.updated_rows += updated_rows;
-    // Nothing elided: the skipped step is the plain step (no scratch
-    // pricing, and crediting an exact 0.0 would only accumulate noise).
-    if (skipped_rows == 0) return;
-    StepAccountant::StaleSkipTraffic t;
-    const uint64_t lookups =
-        tracker.step_skipped_lookups() + tracker.step_live_lookups();
-    if (lookups > 0) {
-      t.live_lookup_bytes =
-          w.embedding_read_bytes * tracker.step_live_lookups() / lookups;
-      t.skipped_lookup_bytes = w.embedding_read_bytes - t.live_lookup_bytes;
-    } else {
-      t.live_lookup_bytes = w.embedding_read_bytes;
-    }
-    const uint64_t rows = skipped_rows + updated_rows;
-    t.live_touched_bytes = w.touched_bytes * updated_rows / rows;
-    t.skipped_touched_bytes = w.touched_bytes - t.live_touched_bytes;
-    Timeline scratch;
-    const StepAccountant::BaselineParts skipped =
-        accountant->ChargeStaleSkipStep(w, t, scratch);
-    const double plain_eff =
-        overlap_lanes ? plain.Overlapped() : plain.Total();
-    const double skip_eff =
-        overlap_lanes ? skipped.Overlapped() : skipped.Total();
-    const double saved = plain_eff - skip_eff;
-    tl.AddStaleSkipSavedSeconds(saved);
-    if (saved > 0.0) chunk_saved += saved;
-  }
+  const StepAccountant& accountant_;
+  const bool overlap_lanes_;
+  const bool cache_on_;
+  const bool stale_on_;
+  const size_t lookahead_;
+  LookaheadCache cache_;
+  std::function<void(size_t)> cache_feed_;
+  size_t next_feed_ = 0;
+  size_t segment_end_ = 0;
+  StalenessTracker staleness_;
+  // Sharded placement (PlanSharding): each table's owning device, byte
+  // totals for pricing syncs, and per-step device sums.
+  bool sharded_ = false;
+  std::vector<int> owner_;
+  uint64_t row_bytes_ = 0;
+  uint64_t hot_bytes_ = 0;
+  uint64_t shard_bytes_total_ = 0;
+  uint64_t max_shard_bytes_ = 0;
+  std::vector<uint64_t> device_lookups_;
+  std::vector<uint64_t> device_touched_;
 };
 
 }  // namespace
+
+Status ValidateTrainOptions(TrainMode mode, const SystemSpec& system,
+                            const TrainOptions& options) {
+  const bool fae = mode == TrainMode::kFae;
+  // The drivers with a pipelined hybrid CPU-GPU step; the comparators
+  // model one node, fp32 tables and no overlays.
+  const bool hybrid = fae || mode == TrainMode::kBaseline;
+  const std::string name(TrainModeName(mode));
+  if (!hybrid && system.num_nodes != 1) {
+    return Status::InvalidArgument(
+        StrFormat("the %s comparator models a single node (got %d nodes)",
+                  name.c_str(), system.num_nodes));
+  }
+  if (options.cold_precision != ColdPrecision::kFp32 && !fae) {
+    return Status::InvalidArgument(StrFormat(
+        "--cold-precision applies to --mode=fae only: mode '%s' has no "
+        "hot/cold partition, so there is no cold store to quantize",
+        name.c_str()));
+  }
+  if (options.sharding != ShardingMode::kReplicate && !fae) {
+    return Status::InvalidArgument(StrFormat(
+        "--sharding applies to --mode=fae only: mode '%s' has no hot slice "
+        "to shard",
+        name.c_str()));
+  }
+  if (options.cache != CacheMode::kOff && !hybrid) {
+    return Status::InvalidArgument(StrFormat(
+        "--cache=oracle applies to --mode=baseline or --mode=fae only: mode "
+        "'%s' has no pipelined hybrid step to accelerate",
+        name.c_str()));
+  }
+  if (options.stale_skip != StaleSkipMode::kOff && !hybrid) {
+    return Status::InvalidArgument(StrFormat(
+        "--stale-skip applies to --mode=baseline or --mode=fae only: mode "
+        "'%s' runs no fused CPU sparse step for the tracker to ride",
+        name.c_str()));
+  }
+  if (options.stale_skip == StaleSkipMode::kCold && !fae) {
+    return Status::InvalidArgument(StrFormat(
+        "--stale-skip=cold applies to --mode=fae only: mode '%s' has no hot "
+        "set to pin live (use --stale-skip=all)",
+        name.c_str()));
+  }
+  if (options.cache != CacheMode::kOff) {
+    if (options.pipeline == PipelineMode::kOff) {
+      return Status::InvalidArgument(
+          "--cache=oracle requires a pipelined run (--pipeline=prefetch or "
+          "overlap): the oracle window is the batch pipeline's forward "
+          "visibility into staged batches");
+    }
+    if (options.cache_budget_rows < 1) {
+      return Status::InvalidArgument(
+          "--cache-budget-rows must be at least 1");
+    }
+    if (options.cache_lookahead < kMinRingDepth ||
+        options.cache_lookahead > kMaxRingDepth) {
+      return Status::InvalidArgument(StrFormat(
+          "--cache-lookahead must be in [%zu, %zu]", kMinRingDepth,
+          kMaxRingDepth));
+    }
+  }
+  if (options.cold_precision != ColdPrecision::kFp32) {
+    if (options.fp16_embeddings) {
+      return Status::InvalidArgument(
+          "--cold-precision and --fp16-embeddings are mutually exclusive: "
+          "fp16 emulation rounds rows through the fp32 tables that the "
+          "quantized cold store no longer holds");
+    }
+    if (options.cache != CacheMode::kOff) {
+      return Status::InvalidArgument(
+          "--cold-precision cannot be combined with --cache=oracle: the "
+          "cache's budget and transfer accounting assume fp32 cold rows, "
+          "so the two would double-count the reclaimed bytes");
+    }
+  }
+  if (options.stale_skip != StaleSkipMode::kOff) {
+    if (!options.run_math) {
+      return Status::InvalidArgument(
+          "--stale-skip requires real math: skip decisions read measured "
+          "per-row update magnitudes, which cost-only runs never produce");
+    }
+    if (options.fp16_embeddings) {
+      return Status::InvalidArgument(
+          "--stale-skip and --fp16-embeddings are mutually exclusive: fp16 "
+          "emulation materializes gradients outside the fused path that "
+          "measures per-row update magnitudes");
+    }
+    if (options.cache != CacheMode::kOff) {
+      return Status::InvalidArgument(
+          "--stale-skip cannot be combined with --cache=oracle: both "
+          "reprice the same cold-step charges against the plain step, so "
+          "their savings would double-count");
+    }
+    if (options.stale_threshold < 0.0) {
+      return Status::InvalidArgument("--stale-threshold must be >= 0");
+    }
+    if (options.stale_min_visits < 1) {
+      return Status::InvalidArgument("--stale-min-visits must be at least 1");
+    }
+  }
+  return Status::OK();
+}
 
 std::string_view TrainModeName(TrainMode mode) {
   switch (mode) {
@@ -523,225 +624,286 @@ void Trainer::FinishReport(TrainReport& report,
   }
 }
 
+/// One run of the baseline or FAE driver: the state both carry and the
+/// stages they share — resume, the checkpoint cadence, eval points, the
+/// cold step and the finish. The drivers keep their data paths and
+/// schedules.
+class Trainer::Run {
+ public:
+  Run(Trainer& trainer, TrainMode mode, const Dataset& dataset,
+      const Dataset::Split& split)
+      : overlay(trainer.accountant_, trainer.options_, dataset.schema()),
+        tracker(trainer.options_.pipeline, trainer.options_.pipeline_depth,
+                &report.timeline),
+        eval_set(trainer.options_.run_math
+                     ? trainer.exec_.MakeEvalSet(dataset, split)
+                     : EvalSet{}),
+        master_tables(MasterTables(*trainer.model_)),
+        trainer_(trainer),
+        dataset_fp_(FaeFormat::Fingerprint(dataset)),
+        options_fp_(trainer.OptionsFingerprint()) {
+    report.mode = mode;
+  }
+
+  /// Under options.checkpoint.resume, loads the checkpoint into `ck`,
+  /// restores the state both drivers share from it, and leaves the
+  /// driver's own position to the caller; otherwise changes nothing. Arms
+  /// the save cadence either way.
+  Status Resume(TrainerCheckpoint& ck) {
+    const CheckpointOptions& ckpt = trainer_.options_.checkpoint;
+    if (ckpt.resume) {
+      if (ckpt.path.empty()) {
+        return Status::InvalidArgument(
+            "resume requested but no checkpoint path was given");
+      }
+      const CheckpointIo::Expectation expect{
+          static_cast<uint32_t>(report.mode), dataset_fp_, options_fp_};
+      FAE_ASSIGN_OR_RETURN(
+          ck, CheckpointIo::Load(ckpt.path, *trainer_.model_, &expect));
+      metric.Restore(ck.metric);
+      window.Restore(ck.window);
+      report.timeline.set_state(ck.timeline);
+      report.curve = ck.curve;
+      // Stale-skip reconciliation (the knob is fingerprint-exempt):
+      // resuming with skipping on restores the tracker verbatim when the
+      // checkpoint carries one (bit-exact continuation) and starts fresh
+      // otherwise; resuming with it off ignores any stored section.
+      if (overlay.staleness() != nullptr && ck.has_staleness) {
+        overlay.staleness()->Restore(ck.staleness);
+      }
+      iteration = ck.iteration;
+      report.num_batches = ck.iteration;
+      report.resumed = true;
+      report.resumed_at = ck.iteration;
+      if (trainer_.options_.fault_injector != nullptr) {
+        trainer_.options_.fault_injector->SkipUntil(ck.iteration);
+      }
+      FAE_LOG(Info) << "resumed " << TrainModeName(report.mode)
+                    << " training from " << ckpt.path << " at iteration "
+                    << ck.iteration;
+    }
+    if (!ckpt.path.empty() && ckpt.every_steps > 0) {
+      next_save_ = (iteration / ckpt.every_steps + 1) * ckpt.every_steps;
+    }
+    return Status::OK();
+  }
+
+  bool SaveDue() const { return next_save_ != 0 && iteration >= next_save_; }
+
+  /// Saves `ck`, which carries the driver's own position, with the shared
+  /// state, and re-arms the cadence.
+  Status Save(TrainerCheckpoint ck) {
+    const CheckpointOptions& ckpt = trainer_.options_.checkpoint;
+    ck.mode = static_cast<uint32_t>(report.mode);
+    ck.dataset_fingerprint = dataset_fp_;
+    ck.options_fingerprint = options_fp_;
+    ck.iteration = iteration;
+    ck.metric = metric.state();
+    ck.window = window.state();
+    ck.timeline = report.timeline.state();
+    ck.curve = report.curve;
+    if (overlay.staleness() != nullptr) {
+      ck.has_staleness = true;
+      ck.staleness = overlay.staleness()->state();
+    }
+    FAE_RETURN_IF_ERROR(CheckpointIo::Save(ckpt.path, ck, *trainer_.model_));
+    next_save_ = (iteration / ckpt.every_steps + 1) * ckpt.every_steps;
+    return Status::OK();
+  }
+
+  /// Appends one learning-curve point and returns its test loss.
+  double EvalPoint() {
+    CurvePoint point = window.Flush(iteration);
+    const EvalResult eval = Evaluate(*trainer_.model_, eval_set.views);
+    point.test_loss = eval.loss;
+    point.test_acc = eval.accuracy;
+    report.curve.push_back(point);
+    if (overlay.staleness() != nullptr) {
+      overlay.staleness()->OnTestLoss(eval.loss);
+    }
+    return eval.loss;
+  }
+
+  /// One hybrid CPU-GPU step on `view`, priced as `work`. The charges are
+  /// identical in every pipeline mode — staging cost plus the hybrid step;
+  /// pipelined modes then credit back what overlap hid, and the overlays
+  /// what they remove.
+  void ColdStep(const BatchView& view, const BatchWork& work) {
+    const StepAccountant& accountant = trainer_.accountant_;
+    const double prep =
+        accountant.ChargeInputPrep(BatchInputBytes(view), report.timeline);
+    const StepAccountant::BaselineParts parts =
+        accountant.ChargeBaselineStepParts(work, report.timeline);
+    tracker.OnStep(prep, parts.Total(), parts.Overlapped());
+    if (trainer_.options_.run_math) {
+      trainer_.exec_.MathStep(view, master_tables, metric, window,
+                              overlay.staleness());
+    }
+    overlay.PriceColdStep(work, parts, report.timeline);
+  }
+
+  void EndStep() {
+    ++iteration;
+    ++report.num_batches;
+  }
+
+  TrainReport Finish() {
+    overlay.Finish(report);
+    trainer_.FinishReport(report, eval_set.views, metric);
+    return std::move(report);
+  }
+
+  TrainReport report;
+  RunningMetric metric;
+  RunningMetric window;
+  size_t iteration = 0;
+  StepOverlay overlay;
+  OverlapTracker tracker;
+  const EvalSet eval_set;
+  const std::vector<EmbeddingTable*> master_tables;
+
+ private:
+  Trainer& trainer_;
+  const uint64_t dataset_fp_;
+  const uint64_t options_fp_;
+  uint64_t next_save_ = 0;
+};
+
+struct Trainer::ShuffledBatches {
+  ShuffledBatches(const std::vector<uint64_t>& train, uint64_t seed)
+      : ids(train), rng(seed) {
+    for (size_t i = ids.size(); i > 1; --i) {
+      std::swap(ids[i - 1], ids[rng.NextBounded(i)]);
+    }
+  }
+
+  std::vector<uint64_t> ids;
+  Xoshiro256 rng;
+  FlatDataset flat;                 // `ids` gathered once (serial path)
+  std::vector<TrainBatch> batches;  // views into `flat`
+  std::vector<size_t> order;        // this epoch's batch order
+
+  void Reshuffle() {
+    for (size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.NextBounded(i)]);
+    }
+  }
+};
+
+Trainer::ShuffledBatches Trainer::ShuffleBatches(const Dataset& dataset,
+                                                 const Dataset::Split& split,
+                                                 bool gather) const {
+  ShuffledBatches data(split.train, options_.seed);
+  const size_t global_batch = GlobalBatchSize();
+  if (gather) {
+    data.flat = dataset.flat().Gather(data.ids);
+    data.batches =
+        exec_.MakeTrainBatches(data.flat, global_batch, /*hot=*/false);
+  }
+  data.order.resize((data.ids.size() + global_batch - 1) / global_batch);
+  std::iota(data.order.begin(), data.order.end(), 0);
+  return data;
+}
+
+TrainReport Trainer::RunComparator(
+    TrainMode mode, const Dataset& dataset, const Dataset::Split& split,
+    ShuffledBatches& data,
+    const std::function<void(size_t, Timeline&)>& charge) {
+  TrainReport report;
+  report.mode = mode;
+  const EvalSet eval_set =
+      options_.run_math ? exec_.MakeEvalSet(dataset, split) : EvalSet{};
+  const std::vector<EmbeddingTable*> tables = MasterTables(*model_);
+  RunningMetric metric;
+  RunningMetric window;
+  for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
+    // Same per-epoch reshuffle as the baseline, so identical seeds give
+    // identical batch orders (and identical math) across placements.
+    data.Reshuffle();
+    for (size_t k : data.order) {
+      charge(k, report.timeline);
+      if (options_.run_math) {
+        exec_.MathStep(data.batches[k].view, tables, metric, window);
+      }
+      ++report.num_batches;
+    }
+  }
+  FinishReport(report, eval_set.views, metric);
+  return report;
+}
+
 StatusOr<TrainReport> Trainer::TrainBaseline(const Dataset& dataset,
                                              const Dataset::Split& split) {
-  FAE_RETURN_IF_ERROR(ValidateCacheOptions(options_));
-  if (options_.cold_precision != ColdPrecision::kFp32) {
-    return Status::InvalidArgument(
-        "--cold-precision applies to the FAE placement only: the baseline "
-        "has no hot/cold partition, so there is no cold store to quantize");
-  }
-  if (options_.sharding != ShardingMode::kReplicate) {
-    return Status::InvalidArgument(
-        "--sharding applies to the FAE placement only: the baseline keeps "
-        "every embedding on the CPU, so there is no hot slice to shard");
-  }
-  FAE_RETURN_IF_ERROR(ValidateStaleOptions(options_));
-  if (options_.stale_skip == StaleSkipMode::kCold) {
-    return Status::InvalidArgument(
-        "--stale-skip=cold applies to the FAE placement only: the baseline "
-        "has no hot/cold partition, so there is no hot set to pin live");
-  }
+  FAE_RETURN_IF_ERROR(
+      ValidateTrainOptions(TrainMode::kBaseline, system_, options_));
   exec_.MaybeQuantizeTables();
-  TrainReport report;
-  report.mode = TrainMode::kBaseline;
+  Run run(*this, TrainMode::kBaseline, dataset, split);
   const bool pipelined = options_.pipeline != PipelineMode::kOff;
-  const bool cache_on = options_.cache == CacheMode::kOracle;
 
-  std::vector<uint64_t> ids = split.train;
-  Xoshiro256 rng(options_.seed);
-  for (size_t i = ids.size(); i > 1; --i) {
-    std::swap(ids[i - 1], ids[rng.NextBounded(i)]);
-  }
   // Serial data path: one gather into epoch order; batches are views into
   // the gathered buffers (consecutive sample ranges), with cost-model work
-  // units computed once. Per-epoch reshuffles permute the view list — the
-  // underlying data is never copied again.
+  // units computed once. Per-epoch reshuffles permute the batch order —
+  // the underlying data is never copied again.
   //
   // Pipelined data path: no epoch-wide materialization at all. Each batch
   // is a descriptor — a fixed subspan of the shuffled ids — that the
   // BatchPipeline stages into a ring workspace just in time, overlapping
   // the gather with the previous step's compute. Work units are computed
   // at a descriptor's first staging and cached (Work is pure per batch
-  // contents). Both paths reshuffle per epoch with the identical
-  // NextBounded call sequence, so the RNG stream — and with it the batch
-  // order and checkpoint bytes — match exactly.
+  // contents). Both paths share one batch order and so one NextBounded
+  // call sequence: the batch order and checkpoint bytes match exactly.
   struct BatchDesc {
     std::span<const uint64_t> ids;
     BatchWork work;
     bool work_valid = false;
   };
-  FlatDataset train_flat;
-  std::vector<TrainBatch> batches;
+  ShuffledBatches data = ShuffleBatches(dataset, split, !pipelined);
   std::vector<BatchDesc> descs;
   const size_t global_batch = GlobalBatchSize();
   if (pipelined) {
-    for (size_t begin = 0; begin < ids.size(); begin += global_batch) {
+    for (size_t begin = 0; begin < data.ids.size(); begin += global_batch) {
       BatchDesc d;
-      d.ids = std::span<const uint64_t>(ids).subspan(
-          begin, std::min(global_batch, ids.size() - begin));
+      d.ids = std::span<const uint64_t>(data.ids).subspan(
+          begin, std::min(global_batch, data.ids.size() - begin));
       descs.push_back(std::move(d));
     }
-  } else {
-    train_flat = dataset.flat().Gather(ids);
-    batches = exec_.MakeTrainBatches(train_flat, global_batch, /*hot=*/false);
   }
-  const size_t num_batches = pipelined ? descs.size() : batches.size();
-  // One NextBounded sequence regardless of data path (checkpoints verify
-  // the RNG stream, so the paths must consume identically).
-  auto reshuffle_batches = [&] {
-    for (size_t i = num_batches; i > 1; --i) {
-      const size_t j = rng.NextBounded(i);
-      if (pipelined) {
-        std::swap(descs[i - 1], descs[j]);
-      } else {
-        std::swap(batches[i - 1], batches[j]);
-      }
-    }
-  };
-  const EvalSet eval_set =
-      options_.run_math ? exec_.MakeEvalSet(dataset, split) : EvalSet{};
-
-  std::vector<EmbeddingTable*> tables;
-  for (EmbeddingTable& t : model_->tables()) tables.push_back(&t);
-
-  // Stale-update skipping (kAll only here; kCold was rejected above). The
-  // tracker rides inside every fused step; the rig prices what it elided.
-  const bool stale_on = options_.stale_skip != StaleSkipMode::kOff;
-  StalenessTracker staleness;
-  StaleSkipRig stale_rig;
-  if (stale_on) {
-    StalenessTracker::Options sopt;
-    sopt.threshold = options_.stale_threshold;
-    sopt.min_visits = static_cast<uint32_t>(options_.stale_min_visits);
-    staleness.Init(dataset.schema().table_rows, sopt);
-    stale_rig.accountant = &accountant_;
-    stale_rig.overlap_lanes = options_.pipeline == PipelineMode::kOverlap;
-  }
-  // Guard counters live in the tracker until a report is finished; the
-  // per-step skip/update counts reach the timeline in PriceStep.
-  auto stale_finalize = [&] {
-    if (!stale_on) return;
-    Timeline::StaleSkipCounters& sc = report.timeline.stale_skip_counters();
-    sc.reactivated_rows += staleness.total_reactivated_rows();
-    sc.guard_tightens += staleness.guard_tightens();
-    sc.guard_widens += staleness.guard_widens();
-    report.stale_final_threshold = staleness.threshold();
-  };
-
-  RunningMetric metric;
-  RunningMetric window;
+  const size_t num_batches = data.order.size();
   const size_t eval_every =
       std::max<size_t>(1, num_batches / std::max<size_t>(
                                             1, options_.evals_per_epoch));
-  size_t iteration = 0;
+
+  TrainerCheckpoint ck;
+  FAE_RETURN_IF_ERROR(run.Resume(ck));
   size_t start_epoch = 0;
   size_t start_batch = 0;
-
-  const CheckpointOptions& ckpt = options_.checkpoint;
-  const uint64_t dataset_fp = FaeFormat::Fingerprint(dataset);
-  const uint64_t options_fp = OptionsFingerprint();
-
-  if (ckpt.resume) {
-    if (ckpt.path.empty()) {
-      return Status::InvalidArgument(
-          "resume requested but no checkpoint path was given");
-    }
-    const CheckpointIo::Expectation expect{
-        static_cast<uint32_t>(TrainMode::kBaseline), dataset_fp, options_fp};
-    FAE_ASSIGN_OR_RETURN(TrainerCheckpoint ck,
-                         CheckpointIo::Load(ckpt.path, *model_, &expect));
+  if (run.report.resumed) {
     // Replay the shuffles consumed up to the save point — the initial id
     // shuffle above plus one batch reshuffle per started epoch — so the
     // resumed batch order matches the uninterrupted run's.
-    for (uint64_t e = 0; e <= ck.epoch; ++e) reshuffle_batches();
-    if (!(rng.state() == ck.rng)) {
+    for (uint64_t e = 0; e <= ck.epoch; ++e) data.Reshuffle();
+    if (!(data.rng.state() == ck.rng)) {
       return Status::FailedPrecondition(
           "checkpoint RNG stream does not match the replayed shuffles "
           "(was the checkpoint taken on a different dataset or split?)");
     }
-    metric.Restore(ck.metric);
-    window.Restore(ck.window);
-    report.timeline.set_state(ck.timeline);
-    report.curve = ck.curve;
-    // Stale-skip reconciliation (the knob is fingerprint-exempt): resuming
-    // with skipping on restores the tracker verbatim when the checkpoint
-    // carries one (bit-exact continuation) and starts fresh otherwise;
-    // resuming with it off ignores any stored section.
-    if (stale_on && ck.has_staleness) staleness.Restore(ck.staleness);
-    iteration = ck.iteration;
-    report.num_batches = ck.iteration;
     start_epoch = ck.epoch;
     start_batch = ck.batch_in_epoch;
-    report.resumed = true;
-    report.resumed_at = ck.iteration;
-    if (options_.fault_injector != nullptr) {
-      options_.fault_injector->SkipUntil(ck.iteration);
-    }
-    FAE_LOG(Info) << "resumed baseline training from " << ckpt.path
-                  << " at iteration " << ck.iteration;
   }
-
-  uint64_t next_save = 0;
-  if (!ckpt.path.empty() && ckpt.every_steps > 0) {
-    next_save = (iteration / ckpt.every_steps + 1) * ckpt.every_steps;
-  }
-  auto save_checkpoint = [&](size_t epoch, size_t batch_in_epoch) -> Status {
-    TrainerCheckpoint ck;
-    ck.mode = static_cast<uint32_t>(TrainMode::kBaseline);
-    ck.dataset_fingerprint = dataset_fp;
-    ck.options_fingerprint = options_fp;
-    ck.epoch = epoch;
-    ck.iteration = iteration;
-    ck.batch_in_epoch = batch_in_epoch;
-    ck.rng = rng.state();
-    ck.metric = metric.state();
-    ck.window = window.state();
-    ck.timeline = report.timeline.state();
-    ck.curve = report.curve;
-    if (stale_on) {
-      ck.has_staleness = true;
-      ck.staleness = staleness.state();
-    }
-    return CheckpointIo::Save(ckpt.path, ck, *model_);
-  };
 
   std::unique_ptr<BatchPipeline> prefetcher;
   if (pipelined) {
     prefetcher = std::make_unique<BatchPipeline>(options_.pipeline_depth);
   }
-  OverlapTracker tracker(options_.pipeline, options_.pipeline_depth,
-                         &report.timeline);
-  OracleCacheRig rig;
-  if (cache_on) {
-    LookaheadCache::Options copt;
-    copt.budget_rows = options_.cache_budget_rows;
-    copt.lookahead = options_.cache_lookahead;
-    // Same per-row payload the FAE sync machinery ships: the embedding
-    // vector plus the optimizer's row index word.
-    copt.row_bytes =
-        dataset.schema().embedding_dim * sizeof(float) + sizeof(uint32_t);
-    rig.cache.Init(dataset.schema().table_rows, copt);
-    rig.accountant = &accountant_;
-    rig.overlap_lanes = options_.pipeline == PipelineMode::kOverlap;
-  }
-  // The batch descriptors double as the cache's oracle feed: at a segment
-  // start the first `cache_lookahead` batches enter the window, and each
-  // step hands the next one over as it retires — the window stays exactly
-  // as far ahead as the configured lookahead permits.
-  auto cache_push = [&](size_t b) {
-    rig.cache.PushBatch(dataset.flat(), descs[b].ids);
-  };
-  auto cache_drain = [&] {
-    if (cache_on) {
-      rig.ChargeWriteback(rig.cache.FlushAllDirty(), report.timeline);
-    }
-  };
+  // The batch descriptors double as the cache's oracle feed.
+  run.overlay.set_cache_feed([&](size_t b) {
+    run.overlay.cache().PushBatch(dataset.flat(), descs[data.order[b]].ids);
+  });
 
   for (size_t epoch = start_epoch; epoch < options_.epochs; ++epoch) {
     // Reshuffle batch order each epoch (already replayed for the epoch a
     // resume landed in).
-    if (!(report.resumed && epoch == start_epoch)) reshuffle_batches();
+    if (!(run.report.resumed && epoch == start_epoch)) data.Reshuffle();
     const size_t first = epoch == start_epoch ? start_batch : 0;
     if (pipelined) {
       // One pipeline segment per epoch: the epoch boundary is a sync
@@ -749,86 +911,45 @@ StatusOr<TrainReport> Trainer::TrainBaseline(const Dataset& dataset,
       std::vector<BatchPipeline::Spec> specs;
       specs.reserve(num_batches - first);
       for (size_t b = first; b < num_batches; ++b) {
-        specs.push_back(
-            BatchPipeline::Spec{&dataset.flat(), descs[b].ids, false});
+        specs.push_back(BatchPipeline::Spec{
+            &dataset.flat(), descs[data.order[b]].ids, false});
       }
       prefetcher->Begin(std::move(specs));
     }
-    tracker.BeginSegment();
-    if (cache_on) {
-      rig.cache.BeginSegment();
-      const size_t ahead =
-          std::min(num_batches, first + options_.cache_lookahead);
-      for (size_t b = first; b < ahead; ++b) cache_push(b);
-    }
+    run.tracker.BeginSegment();
+    run.overlay.BeginCacheSegment(first, num_batches);
     for (size_t b = first; b < num_batches; ++b) {
       FAE_ASSIGN_OR_RETURN(const bool crashed,
-                           DrainFaults(iteration, report, nullptr));
-      if (crashed) {
-        // ~BatchPipeline cancels the abandoned segment.
-        cache_drain();
-        stale_finalize();
-        FinishReport(report, eval_set.views, metric);
-        return report;
-      }
-      const BatchView* view = nullptr;
-      const BatchWork* work = nullptr;
+                           DrainFaults(run.iteration, run.report, nullptr));
+      // ~BatchPipeline cancels an abandoned segment.
+      if (crashed) return run.Finish();
       if (pipelined) {
         const BatchView& staged = prefetcher->Acquire();
-        BatchDesc& d = descs[b];
+        BatchDesc& d = descs[data.order[b]];
         if (!d.work_valid) {
           d.work = model_->Work(staged);
           d.work_valid = true;
         }
-        view = &staged;
-        work = &d.work;
+        run.ColdStep(staged, d.work);
+        prefetcher->Release();
       } else {
-        view = &batches[b].view;
-        work = &batches[b].work;
+        const TrainBatch& batch = data.batches[data.order[b]];
+        run.ColdStep(batch.view, batch.work);
       }
-      // Identical charges in every pipeline mode — staging cost plus the
-      // hybrid step; pipelined modes then credit back what overlap hid.
-      const double prep = accountant_.ChargeInputPrep(BatchInputBytes(*view),
-                                                      report.timeline);
-      const StepAccountant::BaselineParts parts =
-          accountant_.ChargeBaselineStepParts(*work, report.timeline);
-      tracker.OnStep(prep, parts.Total(), parts.Overlapped());
-      if (cache_on) {
-        const LookaheadCache::StepCharge sc = rig.cache.OnStep();
-        rig.PriceStep(*work, parts, sc, report.timeline);
-        const size_t ahead = b + options_.cache_lookahead;
-        if (ahead < num_batches) cache_push(ahead);
+      run.EndStep();
+      if (options_.run_math && run.iteration % eval_every == 0) {
+        run.EvalPoint();
       }
-      if (options_.run_math) {
-        exec_.MathStep(*view, tables, metric, window,
-                       stale_on ? &staleness : nullptr);
-        // After the math: the tracker's step counters now hold this step's
-        // skip/update split, priced against the plain charges in `parts`.
-        if (stale_on) {
-          stale_rig.PriceStep(*work, parts, staleness, report.timeline);
-        }
-      }
-      if (pipelined) prefetcher->Release();
-      ++iteration;
-      ++report.num_batches;
-      if (options_.run_math && iteration % eval_every == 0) {
-        CurvePoint point = window.Flush(iteration);
-        const EvalResult eval = Evaluate(*model_, eval_set.views);
-        point.test_loss = eval.loss;
-        point.test_acc = eval.accuracy;
-        report.curve.push_back(point);
-        if (stale_on) staleness.OnTestLoss(eval.loss);
-      }
-      if (next_save != 0 && iteration >= next_save) {
-        FAE_RETURN_IF_ERROR(save_checkpoint(epoch, b + 1));
-        next_save = (iteration / ckpt.every_steps + 1) * ckpt.every_steps;
+      if (run.SaveDue()) {
+        TrainerCheckpoint save;
+        save.epoch = epoch;
+        save.batch_in_epoch = b + 1;
+        save.rng = data.rng.state();
+        FAE_RETURN_IF_ERROR(run.Save(std::move(save)));
       }
     }
   }
-  cache_drain();
-  stale_finalize();
-  FinishReport(report, eval_set.views, metric);
-  return report;
+  return run.Finish();
 }
 
 StatusOr<TrainReport> Trainer::TrainFae(const Dataset& dataset,
@@ -847,9 +968,7 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
                                                 const Dataset::Split& split,
                                                 const FaeConfig& config,
                                                 const FaePlan& plan) {
-  FAE_RETURN_IF_ERROR(ValidateCacheOptions(options_));
-  FAE_RETURN_IF_ERROR(ValidateColdOptions(options_));
-  FAE_RETURN_IF_ERROR(ValidateStaleOptions(options_));
+  FAE_RETURN_IF_ERROR(ValidateTrainOptions(TrainMode::kFae, system_, options_));
   if (config.cold_precision != options_.cold_precision) {
     return Status::InvalidArgument(
         "FaeConfig::cold_precision and TrainOptions::cold_precision "
@@ -857,8 +976,9 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
         "mode the trainer realizes");
   }
   exec_.MaybeQuantizeTables();
-  TrainReport report;
-  report.mode = TrainMode::kFae;
+  Run run(*this, TrainMode::kFae, dataset, split);
+  TrainReport& report = run.report;
+  Timeline& tl = report.timeline;
 
   // Bytes a quantized cold store gives back under `pl` — credited to the
   // hot budget below with the same ColdRowBytes arithmetic the calibrator
@@ -924,102 +1044,13 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
   report.hot_batches = hot_batches.size();
   report.cold_batches = cold_batches.size();
 
-  // Sharded hot-slice placement (TrainOptions::sharding): plan it from the
-  // calibration access profile against the *post-degrade* hot set, then
-  // precompute each hot batch's traffic split once — the overlay prices
-  // every hot step against it below. Pure cost model: the replicas keep
-  // holding the full slice and math never changes.
-  const bool sharded = options_.sharding != ShardingMode::kReplicate;
-  ShardingRig shard_rig;
-  if (sharded) {
-    const AccessProfile& profile = p.calibration.profile;
-    if (profile.num_tables() != schema.num_tables()) {
-      return Status::InvalidArgument(
-          "--sharding=lpt|statistical needs a fresh plan: plans loaded "
-          "from the FAE-format cache carry no per-row access profile for "
-          "the planner to consume (re-run calibration without --plan)");
-    }
-    const int world = std::max(1, system_.WorldSize());
-    StatusOr<ShardedPlacement> placement =
-        options_.sharding == ShardingMode::kLpt
-            ? ShardPlanner::PlanLpt(profile, p.hot_set, world)
-            : ShardPlanner::PlanStatistical(
-                  profile, p.hot_set,
-                  ShardPlannerOptions{world, /*replicate_mass_fraction=*/0.85,
-                                      /*replicate_byte_cap=*/0,
-                                      schema.embedding_dim});
-    FAE_RETURN_IF_ERROR(placement.status());
-    shard_rig.placement = std::move(placement).value();
-    shard_rig.accountant = &accountant_;
-    shard_rig.hot_bytes = p.hot_bytes;
-    shard_rig.replicated_bytes =
-        shard_rig.placement.ReplicatedBytes(schema.embedding_dim);
-    uint64_t shard_rows_total = 0;
-    for (uint64_t r : shard_rig.placement.device_rows) shard_rows_total += r;
-    shard_rig.shard_bytes_total =
-        shard_rows_total * schema.embedding_dim * sizeof(float);
-    shard_rig.max_shard_bytes =
-        shard_rig.placement.MaxShardBytes(schema.embedding_dim);
-    report.sharding_imbalance = shard_rig.placement.Imbalance();
-    report.sharding_replicated_rows = shard_rig.placement.replicated_rows;
-    report.sharding_replicated_bytes = shard_rig.replicated_bytes;
-    report.sharding_max_shard_bytes = shard_rig.max_shard_bytes;
-
-    // Per-batch traffic splits. Lookups count every reference; the touched
-    // splits count unique rows (the sparse-optimizer payload), mirroring
-    // BatchWork's lookup/touched distinction.
-    const uint64_t row_b = schema.embedding_dim * sizeof(float);
-    std::vector<uint64_t> dev_lookups(world);
-    std::vector<uint64_t> dev_touched(world);
-    std::vector<uint32_t> uniq;
-    shard_rig.traffic.reserve(hot_batches.size());
-    for (const TrainBatch& batch : hot_batches) {
-      std::fill(dev_lookups.begin(), dev_lookups.end(), 0);
-      std::fill(dev_touched.begin(), dev_touched.end(), 0);
-      uint64_t rep_lookups = 0;
-      uint64_t rep_touched = 0;
-      for (size_t t = 0; t < schema.num_tables(); ++t) {
-        const std::span<const uint32_t> rows = batch.view.indices(t);
-        for (uint32_t row : rows) {
-          if (shard_rig.placement.IsReplicated(t, row)) {
-            ++rep_lookups;
-          } else {
-            const int d = shard_rig.placement.DeviceOf(t, row);
-            ++dev_lookups[d < 0 ? 0 : d];
-          }
-        }
-        uniq.assign(rows.begin(), rows.end());
-        std::sort(uniq.begin(), uniq.end());
-        uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-        for (uint32_t row : uniq) {
-          if (shard_rig.placement.IsReplicated(t, row)) {
-            ++rep_touched;
-          } else {
-            const int d = shard_rig.placement.DeviceOf(t, row);
-            ++dev_touched[d < 0 ? 0 : d];
-          }
-        }
-      }
-      StepAccountant::ShardedStepTraffic traffic;
-      traffic.replicated_lookup_bytes = rep_lookups * row_b;
-      traffic.replicated_touched_bytes = rep_touched * row_b;
-      for (int d = 0; d < world; ++d) {
-        traffic.sharded_lookup_bytes += dev_lookups[d] * row_b;
-        traffic.sharded_touched_bytes += dev_touched[d] * row_b;
-        traffic.max_device_lookup_bytes = std::max(
-            traffic.max_device_lookup_bytes, dev_lookups[d] * row_b);
-        traffic.max_device_touched_bytes = std::max(
-            traffic.max_device_touched_bytes, dev_touched[d] * row_b);
-      }
-      shard_rig.traffic.push_back(traffic);
-    }
+  // Sharded hot-slice placement, planned against the *post-degrade* hot
+  // set. Pure cost model: the replicas keep holding the full slice and
+  // math never changes.
+  if (options_.sharding != ShardingMode::kReplicate) {
+    FAE_RETURN_IF_ERROR(run.overlay.PlanSharding(
+        p, schema, std::max(1, system_.WorldSize()), report));
   }
-
-  const EvalSet eval_set =
-      options_.run_math ? exec_.MakeEvalSet(dataset, split) : EvalSet{};
-
-  std::vector<EmbeddingTable*> master_tables;
-  for (EmbeddingTable& t : model_->tables()) master_tables.push_back(&t);
 
   // Stale-update skipping rides the CPU master path only (cold batches);
   // the GPU replicas' hot steps never consult the tracker. kCold pins the
@@ -1027,21 +1058,10 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
   // must keep updating or the next pull sync would ship frozen rows as if
   // they were fresh. The always-update set comes from the *post-degrade*
   // hot set, matching what the replicas actually hold.
-  const bool stale_on = options_.stale_skip != StaleSkipMode::kOff;
-  StalenessTracker staleness;
-  StaleSkipRig stale_rig;
-  if (stale_on) {
-    StalenessTracker::Options sopt;
-    sopt.threshold = options_.stale_threshold;
-    sopt.min_visits = static_cast<uint32_t>(options_.stale_min_visits);
-    staleness.Init(schema.table_rows, sopt);
-    if (options_.stale_skip == StaleSkipMode::kCold) {
-      for (size_t t = 0; t < schema.num_tables(); ++t) {
-        staleness.SetAlwaysUpdate(t, p.hot_set.HotRows(t));
-      }
+  if (options_.stale_skip == StaleSkipMode::kCold) {
+    for (size_t t = 0; t < schema.num_tables(); ++t) {
+      run.overlay.staleness()->SetAlwaysUpdate(t, p.hot_set.HotRows(t));
     }
-    stale_rig.accountant = &accountant_;
-    stale_rig.overlap_lanes = options_.pipeline == PipelineMode::kOverlap;
   }
 
   // The replica stands for every GPU's copy (they stay bit-identical under
@@ -1081,29 +1101,28 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
     std::iota(stage_ids.begin(), stage_ids.end(), 0);
     hot_stage_src = options_.run_math ? &hot_translated : &packed.hot;
   }
-  OverlapTracker tracker(options_.pipeline, options_.pipeline_depth,
-                         &report.timeline);
+  auto stage_span = [&](const FlatDataset& src, size_t i) {
+    const size_t begin = i * GlobalBatchSize();
+    return std::span<const uint64_t>(stage_ids).subspan(
+        begin, std::min(GlobalBatchSize(), src.size() - begin));
+  };
   // Cold-chunk CPU seconds awaiting a hot chunk to hide under (kOverlap).
   double pending_cold_unhidden = 0.0;
 
   ShuffleScheduler scheduler(cold_batches.size(), hot_batches.size(), config);
-  RunningMetric metric;
-  RunningMetric window;
-  size_t iteration = 0;
-  size_t start_epoch = 0;
 
   // Dirty-row tracking for SyncStrategy::kDirty: a reusable bitmap plus
   // touched list per table (see DirtyRows) holding *master* row ids;
   // tracking is index-based so it works in cost-only mode too.
   const bool dirty_sync = options_.sync_strategy == SyncStrategy::kDirty;
-  const size_t num_tables = dataset.schema().num_tables();
+  const size_t num_tables = schema.num_tables();
   const uint64_t row_bytes =
-      dataset.schema().embedding_dim * sizeof(float) + sizeof(uint32_t);
+      schema.embedding_dim * sizeof(float) + sizeof(uint32_t);
   DirtyRows master_dirty;
   DirtyRows replica_dirty;
   if (dirty_sync) {
-    master_dirty.Init(dataset.schema().table_rows);
-    replica_dirty.Init(dataset.schema().table_rows);
+    master_dirty.Init(schema.table_rows);
+    replica_dirty.Init(schema.table_rows);
   }
   bool replica_initialized = false;
 
@@ -1112,65 +1131,23 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
   // them — so the chunk boundaries keep it coherent: dirty cached hot rows
   // flush to the master before a hot chunk's pull sync, and a hot chunk's
   // push sync marks cached copies stale on the way out.
-  const bool cache_on = options_.cache == CacheMode::kOracle;
-  OracleCacheRig rig;
-  if (cache_on) {
-    LookaheadCache::Options copt;
-    copt.budget_rows = options_.cache_budget_rows;
-    copt.lookahead = options_.cache_lookahead;
-    copt.row_bytes = row_bytes;
-    rig.cache.Init(dataset.schema().table_rows, copt);
-    rig.accountant = &accountant_;
-    rig.overlap_lanes = options_.pipeline == PipelineMode::kOverlap;
-  }
-  auto cold_cache_push = [&](size_t i) {
-    const size_t begin = i * GlobalBatchSize();
-    const size_t count =
-        std::min(GlobalBatchSize(), packed.cold.size() - begin);
-    rig.cache.PushBatch(
-        packed.cold,
-        std::span<const uint64_t>(stage_ids).subspan(begin, count));
-  };
+  const bool cache_on = run.overlay.cache_on();
+  run.overlay.set_cache_feed([&](size_t i) {
+    run.overlay.cache().PushBatch(packed.cold, stage_span(packed.cold, i));
+  });
 
-  const CheckpointOptions& ckpt = options_.checkpoint;
-  const uint64_t dataset_fp = FaeFormat::Fingerprint(dataset);
-  const uint64_t options_fp = OptionsFingerprint();
-
-  if (ckpt.resume) {
-    if (ckpt.path.empty()) {
-      return Status::InvalidArgument(
-          "resume requested but no checkpoint path was given");
-    }
-    const CheckpointIo::Expectation expect{
-        static_cast<uint32_t>(TrainMode::kFae), dataset_fp, options_fp};
-    FAE_ASSIGN_OR_RETURN(TrainerCheckpoint ck,
-                         CheckpointIo::Load(ckpt.path, *model_, &expect));
-    // FAE checkpoints are taken at schedule-chunk boundaries, where the
-    // CPU master copy (restored just now) is authoritative; the replicas
-    // are rebuilt by a full pull on the next hot chunk, which is
-    // numerically identical to the uninterrupted run (the modeled sync
-    // traffic may differ by at most one full-slice sync under kDirty).
+  // FAE checkpoints are taken at schedule-chunk boundaries, where the CPU
+  // master copy (restored by the resume) is authoritative; the replicas
+  // are rebuilt by a full pull on the next hot chunk, which is numerically
+  // identical to the uninterrupted run (the modeled sync traffic may
+  // differ by at most one full-slice sync under kDirty).
+  TrainerCheckpoint ck;
+  FAE_RETURN_IF_ERROR(run.Resume(ck));
+  size_t start_epoch = 0;
+  if (report.resumed) {
     scheduler.Restore(ck.scheduler);
-    metric.Restore(ck.metric);
-    window.Restore(ck.window);
-    report.timeline.set_state(ck.timeline);
-    report.curve = ck.curve;
-    // Stale-skip reconciliation (the knob is fingerprint-exempt): keep-on
-    // restores the tracker verbatim, turn-on starts fresh, turn-off
-    // ignores the stored section. See TrainBaseline.
-    if (stale_on && ck.has_staleness) staleness.Restore(ck.staleness);
-    iteration = ck.iteration;
-    report.num_batches = ck.iteration;
     report.sync_bytes = ck.sync_bytes;
     start_epoch = ck.epoch;
-    report.resumed = true;
-    report.resumed_at = ck.iteration;
-    if (options_.fault_injector != nullptr) {
-      options_.fault_injector->SkipUntil(ck.iteration);
-    }
-    FAE_LOG(Info) << "resumed FAE training from " << ckpt.path
-                  << " at iteration " << ck.iteration << " (rate "
-                  << scheduler.rate() << ")";
   }
 
   // Cold-store reconciliation, after any resume restored the masters:
@@ -1224,13 +1201,12 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
   const bool quantized_cost = target != ColdPrecision::kFp32;
   if (quantized_cost) {
     const uint64_t fp32_row = schema.embedding_dim * sizeof(float);
-    const uint64_t cold_row =
-        ColdRowBytes(schema.embedding_dim, target);
+    const uint64_t cold_row = ColdRowBytes(schema.embedding_dim, target);
     cold_work_narrow.reserve(cold_batches.size());
     for (const TrainBatch& batch : cold_batches) {
       uint64_t hot_lookups = 0;
       uint64_t cold_lookups = 0;
-      for (size_t t = 0; t < schema.num_tables(); ++t) {
+      for (size_t t = 0; t < num_tables; ++t) {
         for (uint32_t row : batch.view.indices(t)) {
           if (p.hot_set.IsHot(t, row)) {
             ++hot_lookups;
@@ -1249,30 +1225,6 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
     return quantized_cost ? cold_work_narrow[i] : cold_batches[i].work;
   };
 
-  uint64_t next_save = 0;
-  if (!ckpt.path.empty() && ckpt.every_steps > 0) {
-    next_save = (iteration / ckpt.every_steps + 1) * ckpt.every_steps;
-  }
-  auto save_checkpoint = [&](size_t epoch) -> Status {
-    TrainerCheckpoint ck;
-    ck.mode = static_cast<uint32_t>(TrainMode::kFae);
-    ck.dataset_fingerprint = dataset_fp;
-    ck.options_fingerprint = options_fp;
-    ck.epoch = epoch;
-    ck.iteration = iteration;
-    ck.sync_bytes = report.sync_bytes;
-    ck.metric = metric.state();
-    ck.window = window.state();
-    ck.scheduler = scheduler.state();
-    ck.timeline = report.timeline.state();
-    ck.curve = report.curve;
-    if (stale_on) {
-      ck.has_staleness = true;
-      ck.staleness = staleness.state();
-    }
-    return CheckpointIo::Save(ckpt.path, ck, *model_);
-  };
-
   // Recovery from a corrupted hot-slice sync: every replica is garbage, so
   // discard them all and re-pull from the CPU master copy, which is always
   // authoritative. GPU updates not yet pushed when the fault hit are lost
@@ -1288,8 +1240,8 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
     Timeline scratch;
     accountant_.ChargeSyncToGpus(p.hot_bytes, scratch);
     const double seconds = scratch.PhaseSumSeconds();
-    report.timeline.Charge(Phase::kFaultRecovery, seconds);
-    report.timeline.AddPcieBytes(p.hot_bytes);
+    tl.Charge(Phase::kFaultRecovery, seconds);
+    tl.AddPcieBytes(p.hot_bytes);
     report.sync_bytes += p.hot_bytes;
     // Replicas now mirror the masters exactly.
     master_dirty.Clear();
@@ -1297,21 +1249,44 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
     replica_initialized = true;
   };
 
-  auto finalize = [&] {
-    if (cache_on) {
-      rig.ChargeWriteback(rig.cache.FlushAllDirty(), report.timeline);
+  // One hot-slice sync, replicas <- masters (`to_gpus`) or back. It ships
+  // the whole slice unless kDirty tracked fewer rows in `dirty` (and the
+  // replicas already hold the slice: the very first pull replicates it
+  // whole regardless). Nearly everything dirty (hot rows are frequently
+  // touched by construction) ships wholesale too, avoiding the per-row
+  // index overhead.
+  auto sync = [&](bool to_gpus, DirtyRows& dirty) {
+    const uint64_t dirty_bytes = dirty_sync && replica_initialized
+                                     ? dirty.TotalTouched() * row_bytes
+                                     : p.hot_bytes;
+    const bool whole = dirty_bytes >= p.hot_bytes;
+    const uint64_t bytes = whole ? p.hot_bytes : dirty_bytes;
+    if (to_gpus) {
+      accountant_.ChargeSyncToGpus(bytes, tl);
+    } else {
+      accountant_.ChargeSyncToCpu(bytes, tl);
     }
-    if (stale_on) {
-      Timeline::StaleSkipCounters& sc =
-          report.timeline.stale_skip_counters();
-      sc.reactivated_rows += staleness.total_reactivated_rows();
-      sc.guard_tightens += staleness.guard_tightens();
-      sc.guard_widens += staleness.guard_widens();
-      report.stale_final_threshold = staleness.threshold();
+    run.overlay.PriceSync(to_gpus, bytes, tl);
+    report.sync_bytes += bytes;
+    if (options_.run_math) {
+      std::vector<EmbeddingTable>& masters = model_->tables();
+      if (to_gpus && whole) {
+        replicator.PullFromMasters(masters);
+      } else if (to_gpus) {
+        replicator.PullRowsFromMasters(masters, dirty.touched());
+      } else if (whole) {
+        replicator.PushToMasters(masters);
+      } else {
+        replicator.PushRowsToMasters(masters, dirty.touched());
+      }
     }
+    if (dirty_sync) dirty.Clear();
+  };
+
+  auto finish = [&] {
     report.transitions = scheduler.transitions();
     report.final_rate = scheduler.rate();
-    FinishReport(report, eval_set.views, metric);
+    return run.Finish();
   };
 
   for (size_t epoch = start_epoch; epoch < options_.epochs; ++epoch) {
@@ -1319,80 +1294,42 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
     // encodes the position, so only later epochs reset it.
     if (!(report.resumed && epoch == start_epoch)) scheduler.ResetEpoch();
     while (auto chunk = scheduler.Next()) {
+      const size_t end = chunk->begin + chunk->count;
       if (pipelined) {
         const FlatDataset* src = chunk->hot ? hot_stage_src : &packed.cold;
         std::vector<BatchPipeline::Spec> specs;
         specs.reserve(chunk->count);
-        for (size_t i = chunk->begin; i < chunk->begin + chunk->count; ++i) {
-          const size_t begin = i * GlobalBatchSize();
-          const size_t count =
-              std::min(GlobalBatchSize(), src->size() - begin);
-          specs.push_back(BatchPipeline::Spec{
-              src, std::span<const uint64_t>(stage_ids).subspan(begin, count),
-              chunk->hot});
+        for (size_t i = chunk->begin; i < end; ++i) {
+          specs.push_back(
+              BatchPipeline::Spec{src, stage_span(*src, i), chunk->hot});
         }
         prefetcher->Begin(std::move(specs));
       }
-      tracker.BeginSegment();
-      rig.chunk_saved = 0.0;
-      shard_rig.chunk_saved = 0.0;
-      stale_rig.chunk_saved = 0.0;
+      run.tracker.BeginSegment();
+      run.overlay.chunk_saved = 0.0;
       // The chunk window spans everything charged for this chunk —
       // including the hot-slice syncs — so kOverlap can pair a cold
       // chunk's CPU time against the next hot chunk's GPU+DMA time.
-      if (tracker.mode() == PipelineMode::kOverlap) tracker.MarkChunkStart();
+      if (run.tracker.mode() == PipelineMode::kOverlap) {
+        run.tracker.MarkChunkStart();
+      }
       if (chunk->hot) {
         // Cold->hot boundary: dirty cached hot rows reach the master
         // *before* the replicas pull, so the pull sees every cold-chunk
         // update — the same coherence order the dirty-sync path enforces.
         if (cache_on) {
-          rig.ChargeWriteback(rig.cache.FlushDirty(p.hot_set),
-                              report.timeline);
+          run.overlay.ChargeWriteback(
+              run.overlay.cache().FlushDirty(p.hot_set), tl);
         }
         // Hot phase: replicas pull the latest rows (cold batches may have
-        // updated hot entries on the CPU master). The very first hot
-        // phase replicates the whole slice regardless of strategy.
-        if (!dirty_sync || !replica_initialized) {
-          accountant_.ChargeSyncToGpus(p.hot_bytes, report.timeline);
-          if (sharded) {
-            shard_rig.PriceSyncToGpus(p.hot_bytes, report.timeline);
-          }
-          report.sync_bytes += p.hot_bytes;
-          if (options_.run_math) replicator.PullFromMasters(model_->tables());
-          if (dirty_sync) master_dirty.Clear();
-          replica_initialized = true;
-        } else {
-          uint64_t bytes = master_dirty.TotalTouched() * row_bytes;
-          if (bytes >= p.hot_bytes) {
-            // Nearly everything is dirty (hot rows are frequently touched
-            // by construction): a wholesale copy avoids the per-row index
-            // overhead.
-            bytes = p.hot_bytes;
-            accountant_.ChargeSyncToGpus(bytes, report.timeline);
-            if (sharded) shard_rig.PriceSyncToGpus(bytes, report.timeline);
-            report.sync_bytes += bytes;
-            if (options_.run_math) {
-              replicator.PullFromMasters(model_->tables());
-            }
-          } else {
-            accountant_.ChargeSyncToGpus(bytes, report.timeline);
-            if (sharded) shard_rig.PriceSyncToGpus(bytes, report.timeline);
-            report.sync_bytes += bytes;
-            if (options_.run_math) {
-              replicator.PullRowsFromMasters(model_->tables(),
-                                             master_dirty.touched());
-            }
-          }
-          master_dirty.Clear();
-        }
-        for (size_t i = chunk->begin; i < chunk->begin + chunk->count; ++i) {
+        // updated hot entries on the CPU master).
+        sync(/*to_gpus=*/true, master_dirty);
+        replica_initialized = true;
+        for (size_t i = chunk->begin; i < end; ++i) {
           FAE_ASSIGN_OR_RETURN(
               const bool crashed,
-              DrainFaults(iteration, report, recover_corrupt_sync));
-          if (crashed) {
-            finalize();
-            return report;
-          }
+              DrainFaults(run.iteration, report, recover_corrupt_sync));
+          if (crashed) return finish();
           const BatchView* math_view =
               options_.run_math ? &hot_translated_views[i] : nullptr;
           if (pipelined) {
@@ -1400,18 +1337,15 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
             if (options_.run_math) math_view = &staged;
           }
           const double prep = accountant_.ChargeInputPrep(
-              BatchInputBytes(hot_batches[i].view), report.timeline);
-          const double before = report.timeline.PhaseSumSeconds();
-          accountant_.ChargeHotStep(hot_batches[i].work, report.timeline);
-          const double step_seconds =
-              report.timeline.PhaseSumSeconds() - before;
-          tracker.OnStep(prep, step_seconds, step_seconds);
-          if (sharded) {
-            shard_rig.PriceHotStep(hot_batches[i].work, i, step_seconds,
-                                   report.timeline);
-          }
+              BatchInputBytes(hot_batches[i].view), tl);
+          const double before = tl.PhaseSumSeconds();
+          accountant_.ChargeHotStep(hot_batches[i].work, tl);
+          const double step_seconds = tl.PhaseSumSeconds() - before;
+          run.tracker.OnStep(prep, step_seconds, step_seconds);
+          run.overlay.PriceHotStep(hot_batches[i].work, step_seconds, tl);
           if (options_.run_math) {
-            exec_.MathStep(*math_view, replica_tables, metric, window);
+            exec_.MathStep(*math_view, replica_tables, run.metric,
+                           run.window);
           }
           if (pipelined) prefetcher->Release();
           if (dirty_sync) {
@@ -1420,85 +1354,26 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
               replica_dirty.MarkAll(t, hot_batches[i].view.indices(t));
             }
           }
-          ++iteration;
-          ++report.num_batches;
+          run.EndStep();
         }
         // Leaving the hot phase: masters absorb the GPU updates.
-        if (!dirty_sync) {
-          accountant_.ChargeSyncToCpu(p.hot_bytes, report.timeline);
-          if (sharded) {
-            shard_rig.PriceSyncToCpu(p.hot_bytes, report.timeline);
-          }
-          report.sync_bytes += p.hot_bytes;
-          if (options_.run_math) replicator.PushToMasters(model_->tables());
-        } else {
-          uint64_t bytes = replica_dirty.TotalTouched() * row_bytes;
-          if (bytes >= p.hot_bytes) {
-            bytes = p.hot_bytes;
-            accountant_.ChargeSyncToCpu(bytes, report.timeline);
-            if (sharded) shard_rig.PriceSyncToCpu(bytes, report.timeline);
-            report.sync_bytes += bytes;
-            if (options_.run_math) {
-              replicator.PushToMasters(model_->tables());
-            }
-          } else {
-            accountant_.ChargeSyncToCpu(bytes, report.timeline);
-            if (sharded) shard_rig.PriceSyncToCpu(bytes, report.timeline);
-            report.sync_bytes += bytes;
-            if (options_.run_math) {
-              replicator.PushRowsToMasters(model_->tables(),
-                                           replica_dirty.touched());
-            }
-          }
-          replica_dirty.Clear();
-        }
+        sync(/*to_gpus=*/false, replica_dirty);
         // Hot->cold boundary: the push-to-masters just made every cached
         // copy of a hot row stale; the next cold reference refetches it.
-        if (cache_on) rig.cache.InvalidateHot(p.hot_set);
+        if (cache_on) run.overlay.cache().InvalidateHot(p.hot_set);
       } else {
-        if (cache_on) {
-          rig.cache.BeginSegment();
-          const size_t ahead = std::min<size_t>(
-              chunk->begin + chunk->count,
-              chunk->begin + options_.cache_lookahead);
-          for (size_t i = chunk->begin; i < ahead; ++i) cold_cache_push(i);
-        }
-        for (size_t i = chunk->begin; i < chunk->begin + chunk->count; ++i) {
+        run.overlay.BeginCacheSegment(chunk->begin, end);
+        for (size_t i = chunk->begin; i < end; ++i) {
           FAE_ASSIGN_OR_RETURN(
               const bool crashed,
-              DrainFaults(iteration, report, recover_corrupt_sync));
-          if (crashed) {
-            finalize();
-            return report;
-          }
-          const BatchView* math_view = &cold_batches[i].view;
+              DrainFaults(run.iteration, report, recover_corrupt_sync));
+          if (crashed) return finish();
           if (pipelined) {
-            const BatchView& staged = prefetcher->Acquire();
-            math_view = &staged;
+            run.ColdStep(prefetcher->Acquire(), cold_work(i));
+            prefetcher->Release();
+          } else {
+            run.ColdStep(cold_batches[i].view, cold_work(i));
           }
-          const double prep = accountant_.ChargeInputPrep(
-              BatchInputBytes(cold_batches[i].view), report.timeline);
-          const StepAccountant::BaselineParts parts =
-              accountant_.ChargeBaselineStepParts(cold_work(i),
-                                                  report.timeline);
-          tracker.OnStep(prep, parts.Total(), parts.Overlapped());
-          if (cache_on) {
-            const LookaheadCache::StepCharge sc = rig.cache.OnStep();
-            rig.PriceStep(cold_batches[i].work, parts, sc, report.timeline);
-            const size_t ahead = i + options_.cache_lookahead;
-            if (ahead < chunk->begin + chunk->count) cold_cache_push(ahead);
-          }
-          if (options_.run_math) {
-            exec_.MathStep(*math_view, master_tables, metric, window,
-                           stale_on ? &staleness : nullptr);
-            // After the math: the tracker counted this step's skip/update
-            // split, priced against the plain charges in `parts`.
-            if (stale_on) {
-              stale_rig.PriceStep(cold_work(i), parts, staleness,
-                                  report.timeline);
-            }
-          }
-          if (pipelined) prefetcher->Release();
           if (dirty_sync) {
             // Cold inputs may update hot rows on the master; those rows
             // must reach the replicas before the next hot phase.
@@ -1508,8 +1383,7 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
               }
             }
           }
-          ++iteration;
-          ++report.num_batches;
+          run.EndStep();
         }
         // End of the cold chunk: requantize every staged cold row back
         // into the store. Flushing *here* — before the boundary eval and
@@ -1517,63 +1391,52 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
         // resume always sees requantized cold rows, never a mix that
         // depends on the checkpoint cadence) and restores the alloc-free
         // steady state (the staging buffer keeps its capacity).
-        if (options_.run_math && target != ColdPrecision::kFp32) {
-          for (EmbeddingTable* t : master_tables) {
+        if (options_.run_math && quantized_cost) {
+          for (EmbeddingTable* t : run.master_tables) {
             if (t->compressed()) t->FlushStaged();
           }
         }
       }
-      if (tracker.mode() == PipelineMode::kOverlap) {
+      if (run.tracker.mode() == PipelineMode::kOverlap) {
         // Pair the interleaved phases: a cold chunk banks its unhidden
         // CPU seconds, and the next hot chunk hides them under its own
         // unhidden GPU+DMA span (capped by the shorter of the two) — the
         // overlapped hot/cold schedule the pipelined trainer models.
-        const double unhidden = tracker.ChunkUnhiddenSeconds();
+        // Seconds an overlay already removed from a chunk no longer exist
+        // to hide or to hide under — counting them would credit the same
+        // time twice.
+        const double unhidden =
+            run.tracker.ChunkUnhiddenSeconds() - run.overlay.chunk_saved;
         if (chunk->hot) {
-          // Mirror of the cold-side cache guard below: seconds the sharded
-          // placement already removed from this hot chunk cannot also hide
-          // banked cold seconds.
-          const double hid = std::min(
-              pending_cold_unhidden,
-              std::max(0.0, unhidden - shard_rig.chunk_saved));
-          if (hid > 0.0) report.timeline.AddOverlapSavedSeconds(hid);
+          const double hid =
+              std::min(pending_cold_unhidden, std::max(0.0, unhidden));
+          if (hid > 0.0) tl.AddOverlapSavedSeconds(hid);
           pending_cold_unhidden = 0.0;
         } else {
-          // Seconds the cache or the stale-skip overlay already removed
-          // from this chunk no longer exist to hide under the next hot
-          // chunk — banking them too would credit the same time twice.
-          pending_cold_unhidden = std::max(
-              0.0, unhidden - rig.chunk_saved - stale_rig.chunk_saved);
+          pending_cold_unhidden = std::max(0.0, unhidden);
         }
       }
-      if (options_.run_math) {
-        CurvePoint point = window.Flush(iteration);
-        const EvalResult eval = Evaluate(*model_, eval_set.views);
-        point.test_loss = eval.loss;
-        point.test_acc = eval.accuracy;
-        report.curve.push_back(point);
-        scheduler.ReportTestLoss(eval.loss);
-        if (stale_on) staleness.OnTestLoss(eval.loss);
-      }
+      if (options_.run_math) scheduler.ReportTestLoss(run.EvalPoint());
       // Chunk boundaries are the FAE save points: the masters have just
       // absorbed every GPU update, so the checkpoint needs no replica
       // state — a resume re-pulls the slice from the masters.
-      if (next_save != 0 && iteration >= next_save) {
-        FAE_RETURN_IF_ERROR(save_checkpoint(epoch));
-        next_save = (iteration / ckpt.every_steps + 1) * ckpt.every_steps;
+      if (run.SaveDue()) {
+        TrainerCheckpoint save;
+        save.epoch = epoch;
+        save.sync_bytes = report.sync_bytes;
+        save.scheduler = scheduler.state();
+        FAE_RETURN_IF_ERROR(run.Save(std::move(save)));
       }
     }
   }
-  finalize();
-  return report;
+  return finish();
 }
 
 StatusOr<TrainReport> Trainer::TrainNvOpt(const Dataset& dataset,
                                           const Dataset::Split& split) {
-  FAE_RETURN_IF_ERROR(ValidateComparatorOptions("NvOPT", system_, options_));
+  FAE_RETURN_IF_ERROR(
+      ValidateTrainOptions(TrainMode::kNvOpt, system_, options_));
   exec_.MaybeQuantizeTables();
-  TrainReport report;
-  report.mode = TrainMode::kNvOpt;
 
   // Greedy fp16 placement, largest tables first, into 80% of GPU memory —
   // access-oblivious, per the paper's characterization of NvOPT.
@@ -1593,41 +1456,19 @@ StatusOr<TrainReport> Trainer::TrainNvOpt(const Dataset& dataset,
     }
   }
 
-  std::vector<uint64_t> ids = split.train;
-  Xoshiro256 rng(options_.seed);
-  for (size_t i = ids.size(); i > 1; --i) {
-    std::swap(ids[i - 1], ids[rng.NextBounded(i)]);
-  }
-  const FlatDataset train_flat = dataset.flat().Gather(ids);
-  std::vector<TrainBatch> batches =
-      exec_.MakeTrainBatches(train_flat, GlobalBatchSize(), /*hot=*/false);
-  const EvalSet eval_set =
-      options_.run_math ? exec_.MakeEvalSet(dataset, split) : EvalSet{};
-  std::vector<EmbeddingTable*> tables;
-  for (EmbeddingTable& t : model_->tables()) tables.push_back(&t);
-
-  RunningMetric metric;
-  RunningMetric metric2;
-  for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    // Same per-epoch reshuffle as the baseline (see TrainModelParallel).
-    for (size_t i = batches.size(); i > 1; --i) {
-      std::swap(batches[i - 1], batches[rng.NextBounded(i)]);
-    }
-    for (const TrainBatch& batch : batches) {
-      accountant_.ChargeNvOptStep(batch.work, on_gpu, schema.embedding_dim,
-                                  batch.view.batch_size(), report.timeline);
-      if (options_.run_math) exec_.MathStep(batch.view, tables, metric, metric2);
-      ++report.num_batches;
-    }
-  }
-  FinishReport(report, eval_set.views, metric);
-  return report;
+  ShuffledBatches data = ShuffleBatches(dataset, split, /*gather=*/true);
+  return RunComparator(
+      TrainMode::kNvOpt, dataset, split, data, [&](size_t k, Timeline& tl) {
+        const TrainBatch& batch = data.batches[k];
+        accountant_.ChargeNvOptStep(batch.work, on_gpu, schema.embedding_dim,
+                                    batch.view.batch_size(), tl);
+      });
 }
 
 StatusOr<TrainReport> Trainer::TrainModelParallel(
     const Dataset& dataset, const Dataset::Split& split) {
   FAE_RETURN_IF_ERROR(
-      ValidateComparatorOptions("model-parallel", system_, options_));
+      ValidateTrainOptions(TrainMode::kModelParallel, system_, options_));
   const DatasetSchema& schema = dataset.schema();
   const int g = std::max(1, system_.num_gpus);
   // Shard tables with the LPT heuristic; the *largest realized shard*
@@ -1648,64 +1489,22 @@ StatusOr<TrainReport> Trainer::TrainModelParallel(
         HumanBytes(system_.gpu.mem_capacity).c_str()));
   }
 
-  TrainReport report;
-  report.mode = TrainMode::kModelParallel;
-  std::vector<uint64_t> ids = split.train;
-  Xoshiro256 rng(options_.seed);
-  for (size_t i = ids.size(); i > 1; --i) {
-    std::swap(ids[i - 1], ids[rng.NextBounded(i)]);
-  }
-  const FlatDataset train_flat = dataset.flat().Gather(ids);
-  std::vector<TrainBatch> batches =
-      exec_.MakeTrainBatches(train_flat, GlobalBatchSize(), /*hot=*/false);
-  const EvalSet eval_set =
-      options_.run_math ? exec_.MakeEvalSet(dataset, split) : EvalSet{};
-  std::vector<EmbeddingTable*> tables;
-  for (EmbeddingTable& t : model_->tables()) tables.push_back(&t);
-
-  RunningMetric metric;
-  RunningMetric window;
-  for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    // Same per-epoch reshuffle as the baseline, so identical seeds give
-    // identical batch orders (and identical math) across placements.
-    for (size_t i = batches.size(); i > 1; --i) {
-      std::swap(batches[i - 1], batches[rng.NextBounded(i)]);
-    }
-    for (const TrainBatch& batch : batches) {
-      accountant_.ChargeModelParallelStep(batch.work, report.timeline);
-      if (options_.run_math) exec_.MathStep(batch.view, tables, metric, window);
-      ++report.num_batches;
-    }
-  }
-  FinishReport(report, eval_set.views, metric);
-  return report;
+  ShuffledBatches data = ShuffleBatches(dataset, split, /*gather=*/true);
+  return RunComparator(TrainMode::kModelParallel, dataset, split, data,
+                       [&](size_t k, Timeline& tl) {
+                         accountant_.ChargeModelParallelStep(
+                             data.batches[k].work, tl);
+                       });
 }
 
 StatusOr<TrainReport> Trainer::TrainGpuCache(const Dataset& dataset,
                                              const Dataset::Split& split,
                                              const FaePlan& plan) {
   FAE_RETURN_IF_ERROR(
-      ValidateComparatorOptions("GPU-cache", system_, options_));
-  TrainReport report;
-  report.mode = TrainMode::kGpuCache;
-  report.hot_bytes = plan.hot_bytes;
-  report.threshold = plan.threshold;
-
+      ValidateTrainOptions(TrainMode::kGpuCache, system_, options_));
   const DatasetSchema& schema = dataset.schema();
   const uint64_t row_bytes = schema.embedding_dim * sizeof(float);
-
-  std::vector<uint64_t> ids = split.train;
-  Xoshiro256 rng(options_.seed);
-  for (size_t i = ids.size(); i > 1; --i) {
-    std::swap(ids[i - 1], ids[rng.NextBounded(i)]);
-  }
-  const FlatDataset train_flat = dataset.flat().Gather(ids);
-  std::vector<TrainBatch> batches =
-      exec_.MakeTrainBatches(train_flat, GlobalBatchSize(), /*hot=*/false);
-  const EvalSet eval_set =
-      options_.run_math ? exec_.MakeEvalSet(dataset, split) : EvalSet{};
-  std::vector<EmbeddingTable*> tables;
-  for (EmbeddingTable& t : model_->tables()) tables.push_back(&t);
+  ShuffledBatches data = ShuffleBatches(dataset, split, /*gather=*/true);
 
   // Partition each batch's lookups into cache hits and misses once — the
   // split depends only on the batch and the (fixed) cache contents.
@@ -1714,13 +1513,13 @@ StatusOr<TrainReport> Trainer::TrainGpuCache(const Dataset& dataset,
     uint64_t miss_lookups = 0;
     uint64_t miss_touched = 0;
   };
-  std::vector<CacheCost> cache_costs(batches.size());
+  std::vector<CacheCost> cache_costs(data.batches.size());
   std::vector<uint32_t> miss_scratch;
-  for (size_t b = 0; b < batches.size(); ++b) {
+  for (size_t b = 0; b < data.batches.size(); ++b) {
     CacheCost& cc = cache_costs[b];
     for (size_t t = 0; t < schema.num_tables(); ++t) {
       miss_scratch.clear();
-      for (uint32_t row : batches[b].view.indices(t)) {
+      for (uint32_t row : data.batches[b].view.indices(t)) {
         if (plan.hot_set.IsHot(t, row)) {
           ++cc.hit_lookups;
         } else {
@@ -1735,28 +1534,15 @@ StatusOr<TrainReport> Trainer::TrainGpuCache(const Dataset& dataset,
     }
   }
 
-  RunningMetric metric;
-  RunningMetric window;
-  for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    // Same per-epoch reshuffle as the baseline (see TrainModelParallel).
-    // Costs travel with their batches.
-    for (size_t i = batches.size(); i > 1; --i) {
-      const size_t j = rng.NextBounded(i);
-      std::swap(batches[i - 1], batches[j]);
-      std::swap(cache_costs[i - 1], cache_costs[j]);
-    }
-    for (size_t b = 0; b < batches.size(); ++b) {
-      const TrainBatch& batch = batches[b];
-      const CacheCost& cc = cache_costs[b];
-      accountant_.ChargeCacheStep(batch.work, cc.hit_lookups * row_bytes,
-                                  cc.miss_lookups * row_bytes,
-                                  cc.miss_touched * row_bytes,
-                                  report.timeline);
-      if (options_.run_math) exec_.MathStep(batch.view, tables, metric, window);
-      ++report.num_batches;
-    }
-  }
-  FinishReport(report, eval_set.views, metric);
+  TrainReport report = RunComparator(
+      TrainMode::kGpuCache, dataset, split, data, [&](size_t k, Timeline& tl) {
+        const CacheCost& cc = cache_costs[k];
+        accountant_.ChargeCacheStep(
+            data.batches[k].work, cc.hit_lookups * row_bytes,
+            cc.miss_lookups * row_bytes, cc.miss_touched * row_bytes, tl);
+      });
+  report.hot_bytes = plan.hot_bytes;
+  report.threshold = plan.threshold;
   return report;
 }
 

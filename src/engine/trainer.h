@@ -119,15 +119,14 @@ struct TrainOptions {
   /// modes. Mutually exclusive with fp16_embeddings and the oracle cache
   /// (their budget accounting assumes fp32 cold rows).
   ColdPrecision cold_precision = ColdPrecision::kFp32;
-  /// Multi-GPU layout of the hot embedding slice (FAE only; see
-  /// core/shard_planner.h). kReplicate is the paper's scheme; kLpt and
-  /// kStatistical shard the slice across the cluster's GPUs and reprice
-  /// every hot step and sync against the placement. Pure cost-model
-  /// overlay like the cache knobs — math always reads the CPU master, so
-  /// losses, tables, and checkpoint bytes are bit-identical across modes
-  /// and the knob is fingerprint-exempt. Non-replicate modes need a fresh
-  /// plan (the planner consumes the calibration access profile, which
-  /// cached plans do not carry).
+  /// Multi-GPU layout of the hot embedding slice (FAE only).
+  /// kReplicate is the paper's scheme; kLpt places each hot table on one
+  /// GPU by LPT over its calibration access mass (sim/partition.h) and
+  /// reprices every hot step and sync against that placement. Pure
+  /// cost-model overlay like the cache knobs — math always reads the CPU
+  /// master, so losses, tables, and checkpoint bytes are bit-identical
+  /// across modes and the knob is fingerprint-exempt. kLpt needs a fresh
+  /// plan (cached plans carry no calibration access profile).
   ShardingMode sharding = ShardingMode::kReplicate;
   /// Stale-embedding update skipping (engine/staleness_tracker.h,
   /// ROADMAP item 1 / arXiv 2404.04270): rows whose relative-update EMA
@@ -214,16 +213,14 @@ struct TrainReport {
   /// Budget the hot slice was admitted against: hot_embedding_budget plus
   /// the realized plan's reclaimed bytes (equals the plain budget at fp32).
   uint64_t effective_hot_budget = 0;
-  /// Sharded hot-slice placement (TrainOptions::sharding; all zero and
-  /// imbalance 0 when kReplicate). Net seconds the placement removed from
-  /// the modeled wall vs full replication — negative when it lost (LPT
-  /// usually does). Like the overlap/cache savings, not checkpointed.
+  /// Sharded hot-slice placement (TrainOptions::sharding; all zero when
+  /// kReplicate). Net seconds the placement removed from the modeled wall
+  /// vs full replication — negative when it lost (it usually does). Like
+  /// the overlap/cache savings, not checkpointed.
   double sharding_saved_seconds = 0.0;
   /// Expected per-device lookup-mass imbalance of the placement (max/mean,
-  /// >= 1.0; ShardedPlacement::Imbalance).
+  /// >= 1.0; Partition::Imbalance).
   double sharding_imbalance = 0.0;
-  uint64_t sharding_replicated_rows = 0;
-  uint64_t sharding_replicated_bytes = 0;
   /// Largest single-device shard (rows the bottleneck owner holds).
   uint64_t sharding_max_shard_bytes = 0;
   /// Stale-update skipping (TrainOptions::stale_skip; all zero when off).
@@ -252,6 +249,14 @@ struct TrainReport {
   FaultStats faults;
 };
 
+/// Checks `options` for a `mode` run on `system` against every rule the
+/// drivers enforce: knob ranges, the knob pairs no cost model prices, and
+/// the knobs a placement has no use for (the comparators take no overlay
+/// knob at all). Every driver calls it first; the CLI calls it before it
+/// prepares a plan. Violations are InvalidArgument naming the flag.
+Status ValidateTrainOptions(TrainMode mode, const SystemSpec& system,
+                            const TrainOptions& options);
+
 /// Drives training of a RecModel in one of the three placements. Math is
 /// executed for real (accuracy results are measured); time and energy are
 /// charged to the SystemSpec through the StepAccountant.
@@ -278,8 +283,9 @@ class Trainer {
                                          const FaePlan& plan);
 
   /// NvOPT-style comparator: fp16 embeddings on GPU where they fit.
-  /// InvalidArgument on a multi-node cluster or a quantized cold store
-  /// (the comparator models one node and fp32 tables).
+  /// InvalidArgument on a multi-node cluster, a quantized cold store, or
+  /// an overlay knob (the comparator models one node, fp32 tables and no
+  /// overlays; see ValidateTrainOptions).
   StatusOr<TrainReport> TrainNvOpt(const Dataset& dataset,
                                    const Dataset::Split& split);
 
@@ -322,6 +328,20 @@ class Trainer {
   /// keeps only the sequencing, cost accounting, and robustness logic.
   using EvalSet = StepExecutor::EvalSet;
   using TrainBatch = StepExecutor::TrainBatch;
+  /// The state and stages TrainBaseline and TrainFaeWithPlan share.
+  class Run;
+  /// The seeded shuffle of the train ids and the per-epoch batch order the
+  /// baseline and the comparators share.
+  struct ShuffledBatches;
+  ShuffledBatches ShuffleBatches(const Dataset& dataset,
+                                 const Dataset::Split& split,
+                                 bool gather) const;
+  /// The comparators' loop: per epoch a reshuffle, per batch `charge(k,
+  /// timeline)` for batch k of `data.batches`, then the math.
+  TrainReport RunComparator(
+      TrainMode mode, const Dataset& dataset, const Dataset::Split& split,
+      ShuffledBatches& data,
+      const std::function<void(size_t, Timeline&)>& charge);
   void FinishReport(TrainReport& report,
                     const std::vector<BatchView>& eval_batches,
                     RunningMetric& metric) const;

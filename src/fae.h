@@ -26,7 +26,6 @@
 #include "data/synthetic.h"
 #include "embedding/embedding_bag.h"
 #include "embedding/embedding_table.h"
-#include "embedding/rowwise_adagrad.h"
 #include "embedding/sparse_sgd.h"
 #include "engine/metrics.h"
 #include "engine/step_accountant.h"
@@ -51,7 +50,6 @@
 #include "tensor/linear.h"
 #include "tensor/loss.h"
 #include "tensor/mlp.h"
-#include "tensor/momentum_sgd.h"
 #include "tensor/ops.h"
 #include "tensor/sgd.h"
 #include "tensor/tensor.h"

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/fae_pipeline.h"
 #include "data/synthetic.h"
 #include "engine/trainer.h"
 #include "models/factory.h"
@@ -55,9 +56,8 @@ std::string Render(const GoldenRun& run) {
   return out;
 }
 
-void CheckAgainstGolden(const GoldenRun& run, const std::string& name) {
+void CheckAgainstGolden(const std::string& rendered, const std::string& name) {
   const std::string path = std::string(FAE_GOLDEN_DIR) + "/" + name;
-  const std::string rendered = Render(run);
   if (std::getenv("FAE_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::trunc);
     ASSERT_TRUE(out.good()) << "cannot write " << path;
@@ -76,7 +76,7 @@ void CheckAgainstGolden(const GoldenRun& run, const std::string& name) {
   if (rendered == golden) return;
   const auto got_lines = Split(rendered, '\n');
   const auto want_lines = Split(golden, '\n');
-  EXPECT_EQ(got_lines.size(), want_lines.size()) << "curve shape changed";
+  EXPECT_EQ(got_lines.size(), want_lines.size()) << "fixture shape changed";
   const size_t n = std::min(got_lines.size(), want_lines.size());
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(got_lines[i], want_lines[i]) << path << " line " << (i + 1);
@@ -129,7 +129,7 @@ TEST(GoldenCurveTest, BaselineCurveMatchesFixture) {
   auto r = trainer.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_FALSE(r->curve.empty());
-  CheckAgainstGolden(ToGolden(*r), "baseline_curve.txt");
+  CheckAgainstGolden(Render(ToGolden(*r)), "baseline_curve.txt");
 }
 
 TEST(GoldenCurveTest, FaeCurveMatchesFixture) {
@@ -139,7 +139,7 @@ TEST(GoldenCurveTest, FaeCurveMatchesFixture) {
   auto r = trainer.TrainFae(f.dataset, f.split, Fixture::Config());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_FALSE(r->curve.empty());
-  CheckAgainstGolden(ToGolden(*r), "fae_curve.txt");
+  CheckAgainstGolden(Render(ToGolden(*r)), "fae_curve.txt");
 }
 
 // Stale-update skipping rides the same fixture: its guarded curve is just
@@ -156,7 +156,144 @@ TEST(GoldenCurveTest, StaleSkipCurveMatchesFixture) {
   auto r = trainer.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_FALSE(r->curve.empty());
-  CheckAgainstGolden(ToGolden(*r), "stale_skip_curve.txt");
+  CheckAgainstGolden(Render(ToGolden(*r)), "stale_skip_curve.txt");
+}
+
+// One line of modeled costs per overlay configuration: the wall, the
+// phase sum, each overlay's savings, and the counters and link bytes the
+// overlays and the sync paths produce.
+std::string RenderCosts(const std::string& name, const TrainReport& r) {
+  char line[1024];
+  std::snprintf(
+      line, sizeof(line),
+      "%s %.17g %.17g %.17g %.17g %.17g %.17g %llu %llu %llu %llu %llu %llu "
+      "%llu %llu %llu %llu\n",
+      name.c_str(), r.modeled_seconds, r.timeline.PhaseSumSeconds(),
+      r.overlap_saved_seconds, r.cache_saved_seconds,
+      r.sharding_saved_seconds, r.stale_skip_saved_seconds,
+      static_cast<unsigned long long>(r.cache_hits),
+      static_cast<unsigned long long>(r.cache_misses),
+      static_cast<unsigned long long>(r.cache_writeback_bytes),
+      static_cast<unsigned long long>(r.cache_effective_transfer_bytes),
+      static_cast<unsigned long long>(r.stale_skipped_rows),
+      static_cast<unsigned long long>(r.stale_updated_rows),
+      static_cast<unsigned long long>(r.sync_bytes),
+      static_cast<unsigned long long>(r.timeline.pcie_bytes()),
+      static_cast<unsigned long long>(r.timeline.nvlink_bytes()),
+      static_cast<unsigned long long>(r.timeline.network_bytes()));
+  return line;
+}
+
+// Pins the modeled cost of every overlay path the curve fixtures above
+// leave out (they run one GPU with the pipeline and the cache off): the
+// overlap pairing, the oracle cache at a starved and an ample budget,
+// full and dirty sync, sharding across nodes, stale skipping on both
+// drivers, and int8 cold rows. Rows are cost-only except stale skip,
+// whose skip decisions read real update magnitudes.
+TEST(GoldenCurveTest, OverlayCostsMatchFixture) {
+  Fixture f;
+  const FaeConfig cfg = Fixture::Config();
+  FaePipeline pipeline(cfg);
+  auto plan = pipeline.Prepare(f.dataset, f.split.train);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  std::string out =
+      "# fae overlay costs v1: name modeled_seconds phase_sum_seconds "
+      "overlap_saved cache_saved sharding_saved stale_skip_saved "
+      "cache_hits cache_misses cache_writeback_bytes "
+      "cache_effective_transfer_bytes stale_skipped_rows stale_updated_rows "
+      "sync_bytes pcie_bytes nvlink_bytes network_bytes\n";
+  auto run = [&](const std::string& name, TrainMode mode,
+                 const TrainOptions& opt, const SystemSpec& sys) {
+    auto model = MakeModel(f.schema, /*full_size=*/false, /*seed=*/5);
+    Trainer trainer(model.get(), sys, opt);
+    StatusOr<TrainReport> r =
+        mode == TrainMode::kFae
+            ? trainer.TrainFaeWithPlan(f.dataset, f.split, cfg, *plan)
+            : trainer.TrainBaseline(f.dataset, f.split);
+    ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
+    out += RenderCosts(name, *r);
+  };
+
+  TrainOptions cost_only = Fixture::Options();
+  cost_only.run_math = false;
+  const SystemSpec server = MakePaperServer(1);
+  // Cache budgets (rows) below and above the working set the eight-batch
+  // oracle window holds.
+  constexpr size_t kStarvedRows = 64;
+  constexpr size_t kAmpleRows = 1 << 20;
+  const std::pair<const char*, PipelineMode> pipelines[] = {
+      {"off", PipelineMode::kOff},
+      {"prefetch", PipelineMode::kPrefetch},
+      {"overlap", PipelineMode::kOverlap}};
+  const std::pair<const char*, size_t> caches[] = {
+      {"nocache", 0}, {"starved", kStarvedRows}, {"ample", kAmpleRows}};
+  const std::pair<const char*, SyncStrategy> syncs[] = {
+      {"full", SyncStrategy::kFull}, {"dirty", SyncStrategy::kDirty}};
+  for (const auto& [pname, pmode] : pipelines) {
+    for (const auto& [cname, budget] : caches) {
+      if (budget > 0 && pmode == PipelineMode::kOff) continue;
+      TrainOptions opt = cost_only;
+      opt.pipeline = pmode;
+      if (budget > 0) {
+        opt.cache = CacheMode::kOracle;
+        opt.cache_budget_rows = budget;
+      }
+      run(std::string("baseline/") + pname + "/" + cname,
+          TrainMode::kBaseline, opt, server);
+      for (const auto& [sname, sync] : syncs) {
+        opt.sync_strategy = sync;
+        run(std::string("fae/") + pname + "/" + cname + "/" + sname,
+            TrainMode::kFae, opt, server);
+      }
+    }
+  }
+
+  SystemSpec cluster = MakeMultiNodeCluster(2, 4);
+  cluster.hot_embedding_budget = cfg.gpu_memory_budget;
+  for (ShardingMode sharding : {ShardingMode::kReplicate, ShardingMode::kLpt}) {
+    for (PipelineMode pmode : {PipelineMode::kOff, PipelineMode::kOverlap}) {
+      TrainOptions opt = cost_only;
+      opt.per_gpu_batch = 16;
+      opt.pipeline = pmode;
+      opt.sharding = sharding;
+      run(std::string("fae/2x4/") +
+              std::string(ShardingModeName(sharding)) + "/" +
+              std::string(PipelineModeName(pmode)),
+          TrainMode::kFae, opt, cluster);
+    }
+  }
+
+  for (PipelineMode pmode : {PipelineMode::kOff, PipelineMode::kOverlap}) {
+    TrainOptions opt = Fixture::Options();
+    opt.pipeline = pmode;
+    opt.stale_threshold = 0.5;
+    opt.stale_min_visits = 2;
+    opt.stale_skip = StaleSkipMode::kAll;
+    run(std::string("baseline/stale_all/") +
+            std::string(PipelineModeName(pmode)),
+        TrainMode::kBaseline, opt, server);
+    opt.stale_skip = StaleSkipMode::kCold;
+    run(std::string("fae/stale_cold/") + std::string(PipelineModeName(pmode)),
+        TrainMode::kFae, opt, server);
+  }
+
+  // int8 cold rows need a plan calibrated for them (the budget credit).
+  FaeConfig int8_cfg = cfg;
+  int8_cfg.cold_precision = ColdPrecision::kInt8;
+  for (PipelineMode pmode : {PipelineMode::kOff, PipelineMode::kOverlap}) {
+    TrainOptions opt = cost_only;
+    opt.pipeline = pmode;
+    opt.cold_precision = ColdPrecision::kInt8;
+    auto model = MakeModel(f.schema, /*full_size=*/false, /*seed=*/5);
+    Trainer trainer(model.get(), server, opt);
+    auto r = trainer.TrainFae(f.dataset, f.split, int8_cfg);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    out += RenderCosts(
+        std::string("fae/int8/") + std::string(PipelineModeName(pmode)), *r);
+  }
+
+  CheckAgainstGolden(out, "overlay_costs.txt");
 }
 
 }  // namespace

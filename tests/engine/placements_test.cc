@@ -261,6 +261,49 @@ TEST(Fp16EmbeddingsTest, QuantizesTouchedRowsAndKeepsAccuracy) {
   EXPECT_NEAR(fp16->final_test_acc, fp32->final_test_acc, 0.05);
 }
 
+// The comparators model no overlay: a library caller who sets an overlay
+// knob gets an error, not a run that silently ignores it — the same answer
+// the CLI gives through ValidateTrainOptions.
+TEST(ComparatorTest, RejectsEveryOverlayKnob) {
+  Fixture f;
+  const FaePlan plan = f.Plan();
+  const std::vector<std::pair<const char*, void (*)(TrainOptions&)>> knobs = {
+      {"cache",
+       [](TrainOptions& o) {
+         o.pipeline = PipelineMode::kOverlap;
+         o.cache = CacheMode::kOracle;
+       }},
+      {"stale_skip",
+       [](TrainOptions& o) {
+         o.run_math = true;
+         o.stale_skip = StaleSkipMode::kAll;
+       }},
+      {"sharding", [](TrainOptions& o) { o.sharding = ShardingMode::kLpt; }},
+  };
+  const SystemSpec sys = MakePaperServer(4);
+  for (const auto& [knob, set] : knobs) {
+    TrainOptions opt = Fixture::Options(false);
+    set(opt);
+    for (TrainMode mode : {TrainMode::kNvOpt, TrainMode::kModelParallel,
+                           TrainMode::kGpuCache}) {
+      auto model = f.NewModel();
+      Trainer trainer(model.get(), sys, opt);
+      StatusOr<TrainReport> r =
+          mode == TrainMode::kNvOpt ? trainer.TrainNvOpt(f.dataset, f.split)
+          : mode == TrainMode::kModelParallel
+              ? trainer.TrainModelParallel(f.dataset, f.split)
+              : trainer.TrainGpuCache(f.dataset, f.split, plan);
+      ASSERT_FALSE(r.ok()) << TrainModeName(mode) << " accepted " << knob;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+          << TrainModeName(mode) << " " << knob;
+      EXPECT_EQ(ValidateTrainOptions(mode, sys, opt).code(),
+                StatusCode::kInvalidArgument);
+    }
+    // The hybrid drivers take each of these knobs.
+    EXPECT_TRUE(ValidateTrainOptions(TrainMode::kFae, sys, opt).ok()) << knob;
+  }
+}
+
 TEST(TrainModeTest, NamesAreStable) {
   EXPECT_EQ(TrainModeName(TrainMode::kModelParallel), "model-parallel");
   EXPECT_EQ(TrainModeName(TrainMode::kGpuCache), "gpu-cache");

@@ -42,15 +42,14 @@ struct Fixture {
 
 // The overlay contract: sharding only reprices the timeline. Losses, the
 // whole curve, every embedding table value, and the real phase charges are
-// bit-identical across the three modes.
+// bit-identical across the two modes.
 TEST(ShardingTest, MathIsBitIdenticalAcrossModes) {
   Fixture f;
   SystemSpec sys = MakeMultiNodeCluster(2, 2);
   sys.hot_embedding_budget = Fixture::Config().gpu_memory_budget;
   std::vector<TrainReport> reports;
   std::vector<std::vector<std::vector<float>>> tables;
-  for (ShardingMode mode : {ShardingMode::kReplicate, ShardingMode::kLpt,
-                            ShardingMode::kStatistical}) {
+  for (ShardingMode mode : {ShardingMode::kReplicate, ShardingMode::kLpt}) {
     TrainOptions opt = Fixture::Options();
     opt.sharding = mode;
     auto model = MakeModel(f.schema, false, 5);
@@ -89,56 +88,15 @@ TEST(ShardingTest, MathIsBitIdenticalAcrossModes) {
       EXPECT_EQ(tables[i][t], tables[0][t]) << "table " << t;
     }
   }
-  // Replicate carries no placement; the sharded modes report one.
+  // Replicate carries no placement; LPT reports one.
   EXPECT_EQ(rep.sharding_imbalance, 0.0);
   EXPECT_GE(reports[1].sharding_imbalance, 1.0);
-  EXPECT_GE(reports[2].sharding_imbalance, 1.0);
-}
-
-TEST(ShardingTest, StatisticalBeatsLptAtFourNodes) {
-  // The bench gate's conditions (ext_multinode shard sweep): a skewed
-  // zipf-1.8 workload at large per-GPU batches, where LPT's whole-table
-  // bottleneck device dwarfs the row-level placement's.
-  DatasetSchema schema = MakeKaggleLikeSchema(DatasetScale::kTiny);
-  SyntheticOptions gen_opt;
-  gen_opt.seed = 19;
-  gen_opt.zipf_exponent = 1.8;
-  Dataset dataset = SyntheticGenerator(schema, gen_opt).Generate(12000);
-  Dataset::Split split = dataset.MakeSplit(0.1);
-  FaeConfig cfg = Fixture::Config();
-  cfg.gpu_memory_budget = 1024ULL << 10;
-  SystemSpec sys = MakeMultiNodeCluster(4, 2);
-  sys.hot_embedding_budget = cfg.gpu_memory_budget;
-  FaePipeline pipeline(cfg);
-  auto plan = pipeline.Prepare(dataset, split.train);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-
-  TrainOptions opt = Fixture::Options();
-  opt.per_gpu_batch = 1024;
-  opt.run_math = false;  // cost-only: the comparison is pure timeline
-  std::vector<TrainReport> by_mode;
-  for (ShardingMode mode : {ShardingMode::kLpt, ShardingMode::kStatistical}) {
-    opt.sharding = mode;
-    auto model = MakeModel(schema, false, 5);
-    Trainer trainer(model.get(), sys, opt);
-    auto report = trainer.TrainFaeWithPlan(dataset, split, cfg, *plan);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    by_mode.push_back(std::move(report).value());
-  }
-  const TrainReport& lpt = by_mode[0];
-  const TrainReport& stat = by_mode[1];
-  EXPECT_LT(stat.modeled_seconds, lpt.modeled_seconds);
-  EXPECT_GT(stat.sharding_saved_seconds, lpt.sharding_saved_seconds);
-  EXPECT_LE(stat.sharding_imbalance, 1.15);
-  EXPECT_LE(stat.sharding_imbalance, lpt.sharding_imbalance);
-  EXPECT_GT(stat.sharding_replicated_rows, 0u);
-  EXPECT_GT(stat.sharding_max_shard_bytes, 0u);
 }
 
 TEST(ShardingTest, BaselineRejectsSharding) {
   Fixture f;
   TrainOptions opt = Fixture::Options();
-  opt.sharding = ShardingMode::kStatistical;
+  opt.sharding = ShardingMode::kLpt;
   auto model = MakeModel(f.schema, false, 5);
   Trainer trainer(model.get(), MakePaperServer(2), opt);
   auto report = trainer.TrainBaseline(f.dataset, f.split);
@@ -158,7 +116,7 @@ TEST(ShardingTest, CachedPlanWithoutProfileIsRejected) {
   plan->calibration.profile = AccessProfile(std::vector<uint64_t>{});
 
   TrainOptions opt = Fixture::Options();
-  opt.sharding = ShardingMode::kStatistical;
+  opt.sharding = ShardingMode::kLpt;
   auto model = MakeModel(f.schema, false, 5);
   Trainer trainer(model.get(), MakePaperServer(2), opt);
   auto report = trainer.TrainFaeWithPlan(f.dataset, f.split, cfg, *plan);
@@ -168,7 +126,7 @@ TEST(ShardingTest, CachedPlanWithoutProfileIsRejected) {
 
 TEST(ShardingTest, ResumeMaySwitchShardingMode) {
   // --sharding is fingerprint-exempt: a checkpoint written under replicate
-  // resumes under statistical, and because the overlay never touches the
+  // resumes under lpt, and because the overlay never touches the
   // math, the resumed curve still matches the uninterrupted replicate run
   // bit for bit.
   DatasetSchema schema = MakeKaggleLikeSchema(DatasetScale::kTiny);
@@ -205,7 +163,7 @@ TEST(ShardingTest, ResumeMaySwitchShardingMode) {
   TrainOptions resume_opt = base_opt;
   resume_opt.checkpoint.path = path;
   resume_opt.checkpoint.resume = true;
-  resume_opt.sharding = ShardingMode::kStatistical;
+  resume_opt.sharding = ShardingMode::kLpt;
   auto model_c = MakeModel(schema, false, 999);
   Trainer resumed(model_c.get(), MakePaperServer(1), resume_opt);
   auto c = resumed.TrainFaeWithPlan(dataset, split, cfg, *plan);

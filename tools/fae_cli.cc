@@ -10,7 +10,7 @@
 //                   [--mode=baseline|fae|nvopt|model-parallel|cache]
 //                   [--gpus=4] [--nodes=1] [--batch=1024] [--epochs=1]
 //                   [--cost-only]
-//                   [--sharding=replicate|lpt|statistical]
+//                   [--sharding=replicate|lpt]
 //                   [--threads=1] [--dirty-sync] [--full-model]
 //                   [--pipeline=off|prefetch|overlap] [--pipeline-depth=2]
 //                   [--cache=off|oracle] [--cache-budget-rows=4096]
@@ -40,6 +40,7 @@
 #include <cstring>
 #include <fstream>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -173,11 +174,22 @@ bool ParseShardingFlag(const bench::Args& args, ShardingMode* out) {
   if (!ParseShardingMode(raw, out)) {
     std::fprintf(stderr,
                  "error: unknown --sharding '%s' (expected "
-                 "replicate|lpt|statistical)\n",
+                 "replicate|lpt)\n",
                  raw.c_str());
     return false;
   }
   return true;
+}
+
+/// Maps --mode to a placement; "cache" is the transparent-GPU-cache
+/// comparator.
+std::optional<TrainMode> ParseTrainMode(const std::string& name) {
+  if (name == "baseline") return TrainMode::kBaseline;
+  if (name == "fae") return TrainMode::kFae;
+  if (name == "nvopt") return TrainMode::kNvOpt;
+  if (name == "model-parallel") return TrainMode::kModelParallel;
+  if (name == "cache") return TrainMode::kGpuCache;
+  return std::nullopt;
 }
 
 /// Parses the --stale-skip triple for `train`. An unknown mode is an
@@ -215,11 +227,6 @@ bool ParseStaleFlags(const bench::Args& args, StaleSkipMode* mode,
   }
   double t = 0.0;
   if (!StrictDoubleFlag(args, "stale-threshold", 0.0, &t)) return false;
-  if (t < 0.0) {
-    std::fprintf(stderr, "error: --stale-threshold must be >= 0 (got %g)\n",
-                 t);
-    return false;
-  }
   long v = 0;
   if (!StrictLongFlag(args, "stale-min-visits", 8, 1, &v)) return false;
   *threshold = t;
@@ -349,42 +356,9 @@ int Train(const bench::Args& args) {
                        &options.cache_lookahead)) {
     return 2;
   }
-  if (options.cache == CacheMode::kOracle &&
-      options.pipeline == PipelineMode::kOff) {
-    std::fprintf(stderr,
-                 "error: --cache=oracle requires --pipeline=prefetch or "
-                 "--pipeline=overlap (the oracle window is the staging "
-                 "pipeline's forward visibility)\n");
-    return 2;
-  }
   if (!ParseColdPrecisionFlag(args, &options.cold_precision)) return 2;
-  if (options.cold_precision != ColdPrecision::kFp32 &&
-      options.cache == CacheMode::kOracle) {
-    std::fprintf(stderr,
-                 "error: --cold-precision=%s cannot be combined with "
-                 "--cache=oracle (the cache's budget accounting assumes "
-                 "fp32 cold rows)\n",
-                 std::string(ColdPrecisionName(options.cold_precision))
-                     .c_str());
-    return 2;
-  }
   if (!ParseStaleFlags(args, &options.stale_skip, &options.stale_threshold,
                        &options.stale_min_visits)) {
-    return 2;
-  }
-  if (options.stale_skip != StaleSkipMode::kOff && !options.run_math) {
-    std::fprintf(stderr,
-                 "error: --stale-skip requires real math; it cannot be "
-                 "combined with --cost-only (skip decisions read measured "
-                 "per-row update magnitudes)\n");
-    return 2;
-  }
-  if (options.stale_skip != StaleSkipMode::kOff &&
-      options.cache == CacheMode::kOracle) {
-    std::fprintf(stderr,
-                 "error: --stale-skip cannot be combined with "
-                 "--cache=oracle (both reprice the same cold-step charges, "
-                 "so their savings would double-count)\n");
     return 2;
   }
   options.checkpoint.path = args.GetString("ckpt", "");
@@ -409,6 +383,14 @@ int Train(const bench::Args& args) {
   SystemSpec system = nodes > 1 ? MakeMultiNodeCluster(nodes, gpus)
                                 : MakePaperServer(gpus);
   if (!ParseShardingFlag(args, &options.sharding)) return 2;
+  const std::optional<TrainMode> mode =
+      ParseTrainMode(args.GetString("mode", "fae"));
+  if (!mode) return Usage();
+  const Status valid = ValidateTrainOptions(*mode, system, options);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "error: %s\n", valid.ToString().c_str());
+    return 2;
+  }
 
   FaeConfig config;
   config.sample_rate = args.GetDouble("sample-rate", 0.05);
@@ -421,56 +403,14 @@ int Train(const bench::Args& args) {
                          args.GetBool("full-model", false), 7);
   Trainer trainer(model.get(), system, options);
 
-  const std::string mode = args.GetString("mode", "fae");
-  if (options.cold_precision != ColdPrecision::kFp32 && mode != "fae") {
-    std::fprintf(stderr,
-                 "error: --cold-precision applies to --mode=fae only "
-                 "(mode '%s' has no hot/cold partition, so there is no "
-                 "cold store to quantize)\n",
-                 mode.c_str());
-    return 2;
-  }
-  if (options.sharding != ShardingMode::kReplicate && mode != "fae") {
-    std::fprintf(stderr,
-                 "error: --sharding applies to --mode=fae only (mode '%s' "
-                 "has no planner-owned hot slice to shard)\n",
-                 mode.c_str());
-    return 2;
-  }
-  if (options.cache == CacheMode::kOracle && mode != "baseline" &&
-      mode != "fae") {
-    std::fprintf(stderr,
-                 "error: --cache=oracle applies to --mode=baseline or "
-                 "--mode=fae only (mode '%s' has no pipelined hybrid "
-                 "path to accelerate)\n",
-                 mode.c_str());
-    return 2;
-  }
-  if (options.stale_skip == StaleSkipMode::kCold && mode != "fae") {
-    std::fprintf(stderr,
-                 "error: --stale-skip=cold applies to --mode=fae only "
-                 "(mode '%s' has no hot/cold partition, so there is no hot "
-                 "set to pin live; use --stale-skip=all)\n",
-                 mode.c_str());
-    return 2;
-  }
-  if (options.stale_skip != StaleSkipMode::kOff && mode != "baseline" &&
-      mode != "fae") {
-    std::fprintf(stderr,
-                 "error: --stale-skip applies to --mode=baseline or "
-                 "--mode=fae only (mode '%s' runs no fused CPU sparse "
-                 "step for the tracker to ride)\n",
-                 mode.c_str());
-    return 2;
-  }
   StatusOr<TrainReport> run = Status::Internal("no train mode ran");
-  if (mode == "baseline") {
+  if (*mode == TrainMode::kBaseline) {
     run = trainer.TrainBaseline(*dataset, split);
-  } else if (mode == "nvopt") {
+  } else if (*mode == TrainMode::kNvOpt) {
     run = trainer.TrainNvOpt(*dataset, split);
-  } else if (mode == "model-parallel") {
+  } else if (*mode == TrainMode::kModelParallel) {
     run = trainer.TrainModelParallel(*dataset, split);
-  } else if (mode == "fae" || mode == "cache") {
+  } else {
     FaePipeline pipeline(config);
     StatusOr<FaePlan> plan = [&]() -> StatusOr<FaePlan> {
       const std::string plan_path = args.GetString("plan", "");
@@ -480,11 +420,9 @@ int Train(const bench::Args& args) {
       return pipeline.Prepare(*dataset, split.train);
     }();
     if (!plan.ok()) return Fail(plan.status());
-    run = mode == "cache"
+    run = *mode == TrainMode::kGpuCache
               ? trainer.TrainGpuCache(*dataset, split, *plan)
               : trainer.TrainFaeWithPlan(*dataset, split, config, *plan);
-  } else {
-    return Usage();
   }
   if (!run.ok()) return Fail(run.status());
   const TrainReport& report = *run;
@@ -530,7 +468,7 @@ int Train(const bench::Args& args) {
     if (options.sharding != ShardingMode::kReplicate) {
       std::printf(
           "sharding %s over %d device(s): %s %s vs replicate, imbalance "
-          "%.3f, replicated %llu rows (%s), max shard %s\n",
+          "%.3f, max shard %s\n",
           std::string(ShardingModeName(options.sharding)).c_str(),
           system.WorldSize(),
           report.sharding_saved_seconds >= 0.0 ? "saved" : "cost",
@@ -539,8 +477,6 @@ int Train(const bench::Args& args) {
                            : -report.sharding_saved_seconds)
               .c_str(),
           report.sharding_imbalance,
-          static_cast<unsigned long long>(report.sharding_replicated_rows),
-          HumanBytes(report.sharding_replicated_bytes).c_str(),
           HumanBytes(report.sharding_max_shard_bytes).c_str());
     }
     if (options.cold_precision != ColdPrecision::kFp32) {
