@@ -26,7 +26,6 @@
 //
 // Usage:
 //   micro_kernels [--out=bench/BENCH_kernels.json] [--reps=5] [--smoke]
-//   micro_kernels --gbench          # legacy google-benchmark registrations
 //
 // --smoke shrinks every size so the whole suite runs in well under a
 // second; ctest's bench_smoke target uses it (see EXPERIMENTS.md).
@@ -48,13 +47,10 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
-#include "core/rand_em_box.h"
 #include "embedding/embedding_bag.h"
 #include "embedding/embedding_table.h"
 #include "embedding/sparse_sgd.h"
-#include "stats/zipf.h"
 #include "tensor/dense_tiles.h"
-#include "tensor/mlp.h"
 #include "tensor/ops.h"
 #include "util/file_io.h"
 #include "util/random.h"
@@ -484,9 +480,11 @@ std::vector<BenchResult> RunSuite(const SuiteConfig& cfg) {
         },
         results);
 
-    // Sum-pooled embedding gather.
+    // Sum-pooled embedding gather. The new kernel pools into a workspace
+    // reused across iterations, as the training step does.
     const std::string lookups =
         Shape3(cfg.batch, cfg.lookups_per_sample, dim);
+    Tensor pooled;
     RunPair(
         cfg, "embedding_forward", lookups, dim, cfg.batch,
         [&] {
@@ -494,13 +492,13 @@ std::vector<BenchResult> RunSuite(const SuiteConfig& cfg) {
           benchmark::DoNotOptimize(o.data());
         },
         [&](ThreadPool* pool) {
-          Tensor o = EmbeddingBag::Forward(table, indices, offsets, pool);
-          benchmark::DoNotOptimize(o.data());
+          EmbeddingBag::ForwardInto(pooled, table, indices, offsets, pool);
+          benchmark::DoNotOptimize(pooled.data());
         },
         [&](ThreadPool* pool) {
-          return TensorsEqual(
-              LegacyEmbeddingForward(table, indices, offsets),
-              EmbeddingBag::Forward(table, indices, offsets, pool));
+          EmbeddingBag::ForwardInto(pooled, table, indices, offsets, pool);
+          return TensorsEqual(LegacyEmbeddingForward(table, indices, offsets),
+                              pooled);
         },
         results);
 
@@ -711,138 +709,11 @@ void WriteJson(const std::string& path, const SuiteConfig& cfg,
   std::fclose(f);
 }
 
-// ---------------------------------------------------------------------------
-// Legacy google-benchmark registrations (run with --gbench); these measure
-// the *current* kernels only, without the old-vs-new pairing.
-// ---------------------------------------------------------------------------
-
-void BM_EmbeddingBagForward(benchmark::State& state) {
-  const size_t batch = static_cast<size_t>(state.range(0));
-  Xoshiro256 rng(1);
-  EmbeddingTable table(100000, 16, rng);
-  std::vector<uint32_t> indices(batch);
-  std::vector<uint32_t> offsets(batch + 1);
-  for (size_t i = 0; i < batch; ++i) {
-    indices[i] = static_cast<uint32_t>(rng.NextBounded(table.rows()));
-    offsets[i + 1] = static_cast<uint32_t>(i + 1);
-  }
-  for (auto _ : state) {
-    Tensor out = EmbeddingBag::Forward(table, indices, offsets);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_EmbeddingBagForward)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_SparseSgdStep(benchmark::State& state) {
-  const size_t rows = static_cast<size_t>(state.range(0));
-  Xoshiro256 rng(2);
-  EmbeddingTable table(100000, 16, rng);
-  std::vector<uint64_t> ids(rows);
-  for (auto& id : ids) id = rng.NextBounded(table.rows());
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  SparseGrad grad;
-  grad.dim = 16;
-  grad.row_ids = std::move(ids);
-  grad.values.assign(grad.row_ids.size() * 16, 0.1f);
-  SparseSgd sgd(0.05f);
-  for (auto _ : state) {
-    sgd.Step(table, grad);
-    benchmark::DoNotOptimize(table.raw().data());
-  }
-  state.SetItemsProcessed(state.iterations() * grad.num_rows());
-}
-BENCHMARK(BM_SparseSgdStep)->Arg(256)->Arg(4096);
-
-void BM_MatMul(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Xoshiro256 rng(11);
-  Tensor a = Tensor::Randn(n, n, 1.0f, rng);
-  Tensor b = Tensor::Randn(n, n, 1.0f, rng);
-  for (auto _ : state) {
-    Tensor c = MatMul(a, b);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_MatMul)->Arg(128)->Arg(512);
-
-void BM_MlpForward(benchmark::State& state) {
-  const size_t batch = static_cast<size_t>(state.range(0));
-  Xoshiro256 rng(3);
-  Mlp mlp({13, 512, 256, 64, 16}, rng);
-  Tensor x = Tensor::Randn(batch, 13, 1.0f, rng);
-  for (auto _ : state) {
-    Tensor y = mlp.ForwardInference(x);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_MlpForward)->Arg(64)->Arg(256);
-
-void BM_PairwiseInteraction(benchmark::State& state) {
-  const size_t features = static_cast<size_t>(state.range(0));
-  Xoshiro256 rng(4);
-  std::vector<Tensor> feats;
-  std::vector<const Tensor*> ptrs;
-  for (size_t i = 0; i < features; ++i) {
-    feats.push_back(Tensor::Randn(256, 16, 1.0f, rng));
-  }
-  for (auto& f : feats) ptrs.push_back(&f);
-  for (auto _ : state) {
-    Tensor out = PairwiseDotInteraction(ptrs);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_PairwiseInteraction)->Arg(8)->Arg(27);
-
-void BM_ZipfSample(benchmark::State& state) {
-  const uint64_t n = static_cast<uint64_t>(state.range(0));
-  Xoshiro256 rng(5);
-  ZipfSampler zipf(n, 1.05);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(zipf.Sample(rng));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ZipfSample)->Arg(100000)->Arg(73100000);
-
-void BM_RandEmBoxEstimate(benchmark::State& state) {
-  const uint64_t rows = static_cast<uint64_t>(state.range(0));
-  Xoshiro256 rng(6);
-  std::vector<uint64_t> counts(rows);
-  for (auto& c : counts) c = rng.NextBounded(100);
-  RandEmBox box(35, 1024, 0.999, 7);
-  for (auto _ : state) {
-    auto est = box.EstimateTable(counts, 50);
-    benchmark::DoNotOptimize(est.mean_hot_entries);
-  }
-}
-BENCHMARK(BM_RandEmBoxEstimate)->Arg(1000000)->Arg(10000000);
-
-void BM_RandEmBoxExactScan(benchmark::State& state) {
-  const uint64_t rows = static_cast<uint64_t>(state.range(0));
-  Xoshiro256 rng(8);
-  std::vector<uint64_t> counts(rows);
-  for (auto& c : counts) c = rng.NextBounded(100);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RandEmBox::ExactCount(counts, 50));
-  }
-}
-BENCHMARK(BM_RandEmBoxExactScan)->Arg(1000000)->Arg(10000000);
-
 }  // namespace
 }  // namespace fae
 
 int main(int argc, char** argv) {
   fae::bench::Args args(argc, argv);
-  if (args.GetBool("gbench", false)) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
-  }
-
   fae::SuiteConfig cfg;
   const bool smoke = args.GetBool("smoke", false);
   if (smoke) {

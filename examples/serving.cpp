@@ -24,7 +24,7 @@ namespace {
 // Scores every candidate as the target item appended to the history of
 // sample `session` of `sessions` and returns the top-k item ids.
 std::vector<std::pair<float, uint32_t>> RankCandidates(
-    const fae::RecModel& model, const fae::FlatDataset& sessions,
+    fae::RecModel& model, const fae::FlatDataset& sessions,
     size_t session, const std::vector<uint32_t>& candidates, size_t k) {
   const fae::DatasetSchema& schema = sessions.schema();
   const float* dense = sessions.dense_row(session);
@@ -45,7 +45,7 @@ std::vector<std::pair<float, uint32_t>> RankCandidates(
     batch.FinishSample(0.0f);
   }
   const size_t b = candidates.size();
-  fae::Tensor logits =
+  const fae::Tensor& logits =
       model.EvalLogits(fae::MakeBatchView(batch, 0, b, /*hot=*/false));
   std::vector<std::pair<float, uint32_t>> scored;
   scored.reserve(b);

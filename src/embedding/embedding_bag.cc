@@ -110,15 +110,6 @@ RowGroups RowGroups::Build(std::span<const uint32_t> indices,
   return rg;
 }
 
-Tensor EmbeddingBag::Forward(const EmbeddingTable& table,
-                             std::span<const uint32_t> indices,
-                             std::span<const uint32_t> offsets,
-                             ThreadPool* pool) {
-  Tensor out;
-  ForwardInto(out, table, indices, offsets, pool);
-  return out;
-}
-
 void EmbeddingBag::ForwardInto(Tensor& out, const EmbeddingTable& table,
                                std::span<const uint32_t> indices,
                                std::span<const uint32_t> offsets,

@@ -102,20 +102,14 @@ struct RowGroups {
 ///
 /// A batch is expressed in CSR form: `indices` concatenates every lookup,
 /// `offsets[i]..offsets[i+1]` delimit sample i's lookups (rebased by
-/// `offsets.front()` — see the RowGroups contract). Forward produces
+/// `offsets.front()` — see the RowGroups contract). ForwardInto produces
 /// [B, dim]; Backward scatters the output gradient into a SparseGrad.
 class EmbeddingBag {
  public:
-  /// Pools rows of `table` per sample. With a pool, samples are
-  /// partitioned across threads (each output row is written by one
-  /// thread; bit-exact at any thread count).
-  static Tensor Forward(const EmbeddingTable& table,
-                        std::span<const uint32_t> indices,
-                        std::span<const uint32_t> offsets,
-                        ThreadPool* pool = nullptr);
-
-  /// Forward into a caller-owned workspace (Resize'd to [B, dim]) — the
-  /// allocation-free variant the training loop uses.
+  /// Pools rows of `table` per sample into a caller-owned workspace
+  /// (Resize'd to [B, dim]). With a pool, samples are partitioned across
+  /// threads (each output row is written by one thread; bit-exact at any
+  /// thread count).
   static void ForwardInto(Tensor& out, const EmbeddingTable& table,
                           std::span<const uint32_t> indices,
                           std::span<const uint32_t> offsets,

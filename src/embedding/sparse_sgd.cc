@@ -112,49 +112,4 @@ void SparseSgd::FusedBackwardStep(EmbeddingTable& table,
   }
 }
 
-void AccumulateSparseGrad(SparseGrad& dst, const SparseGrad& src) {
-  if (dst.dim == 0) dst.dim = src.dim;
-  FAE_CHECK_EQ(dst.dim, src.dim);
-  if (src.empty()) return;
-  const size_t dim = dst.dim;
-  if (dst.empty()) {
-    dst.row_ids = src.row_ids;
-    dst.values = src.values;
-    return;
-  }
-  // Merge two sorted id lists; overlapping rows accumulate src into the
-  // existing dst value (same order of additions as the historical
-  // map-based merge).
-  std::vector<uint64_t> ids;
-  std::vector<float> values;
-  ids.reserve(dst.row_ids.size() + src.row_ids.size());
-  values.reserve(ids.capacity() * dim);
-  size_t a = 0;
-  size_t b = 0;
-  auto append = [&](const SparseGrad& from, size_t slot) {
-    const float* r = from.row(slot);
-    values.insert(values.end(), r, r + dim);
-  };
-  while (a < dst.row_ids.size() || b < src.row_ids.size()) {
-    if (b >= src.row_ids.size() ||
-        (a < dst.row_ids.size() && dst.row_ids[a] < src.row_ids[b])) {
-      ids.push_back(dst.row_ids[a]);
-      append(dst, a);
-      ++a;
-    } else if (a >= dst.row_ids.size() || src.row_ids[b] < dst.row_ids[a]) {
-      ids.push_back(src.row_ids[b]);
-      append(src, b);
-      ++b;
-    } else {
-      ids.push_back(dst.row_ids[a]);
-      append(dst, a);
-      kernels::Add(dim, src.row(b), values.data() + values.size() - dim);
-      ++a;
-      ++b;
-    }
-  }
-  dst.row_ids = std::move(ids);
-  dst.values = std::move(values);
-}
-
 }  // namespace fae

@@ -76,11 +76,6 @@ class SparseSgd {
   std::vector<uint8_t> skip_;  // per-row filter verdicts, reused per call
 };
 
-/// Merges `src` into `dst` (same dim), accumulating overlapping rows —
-/// used to combine per-GPU sparse gradients before the optimizer step,
-/// mirroring the all-reduce of embedding gradients (paper §II-B(3)).
-void AccumulateSparseGrad(SparseGrad& dst, const SparseGrad& src);
-
 }  // namespace fae
 
 #endif  // FAE_EMBEDDING_SPARSE_SGD_H_

@@ -68,15 +68,14 @@ double RocAuc(const std::vector<float>& scores,
   return u / (static_cast<double>(positives) * static_cast<double>(negatives));
 }
 
-EvalResult Evaluate(const RecModel& model,
-                    const std::vector<BatchView>& batches) {
+EvalResult Evaluate(RecModel& model, const std::vector<BatchView>& batches) {
   EvalResult r;
   double loss_sum = 0.0;
   size_t correct = 0;
   std::vector<float> scores;
   std::vector<float> labels;
   for (const BatchView& batch : batches) {
-    Tensor logits = model.EvalLogits(batch);
+    const Tensor& logits = model.EvalLogits(batch);
     loss_sum += BceLossOnly(logits, batch.labels) *
                 static_cast<double>(batch.batch_size());
     for (size_t i = 0; i < batch.batch_size(); ++i) {

@@ -55,7 +55,8 @@ class RunningMetric {
   size_t batches_ = 0;
 };
 
-/// Loss, accuracy, and ROC-AUC of `model` on `batches` (inference only).
+/// Loss, accuracy, and ROC-AUC of `model` on `batches`, through
+/// RecModel::EvalLogits (so between training steps only).
 struct EvalResult {
   double loss = 0.0;
   double accuracy = 0.0;
@@ -64,8 +65,7 @@ struct EvalResult {
   double auc = 0.0;
   size_t samples = 0;
 };
-EvalResult Evaluate(const RecModel& model,
-                    const std::vector<BatchView>& batches);
+EvalResult Evaluate(RecModel& model, const std::vector<BatchView>& batches);
 
 /// ROC-AUC of `scores` against binary `labels` (>= 0.5 is positive),
 /// computed via the rank statistic with midrank tie handling. Returns 0

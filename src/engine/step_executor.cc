@@ -71,12 +71,24 @@ StepExecutor::StepExecutor(RecModel* model, const Options& options)
   // never allocates a closure. MathStep repoints ctx->tables per call.
   apply_ctx_.sgd = &sparse_sgd_;
   apply_ctx_.pool = pool_.get();
+  apply_ctx_.fp16 = options_.fp16_embeddings;
   fused_apply_ = [ctx = &apply_ctx_](size_t t, const Tensor& grad_out,
                                      std::span<const uint32_t> indices,
                                      std::span<const uint32_t> offsets) {
+    EmbeddingTable& table = *(*ctx->tables)[t];
     ctx->sgd->FusedBackwardStep(
-        *(*ctx->tables)[t], grad_out, indices, offsets, ctx->pool,
+        table, grad_out, indices, offsets, ctx->pool,
         ctx->tracker != nullptr ? ctx->tracker->filter(t) : nullptr);
+    if (!ctx->fp16) return;
+    // fp16 storage: the updated rows lose everything binary16 cannot
+    // represent. Rounding is idempotent, so a row looked up twice ends
+    // the same as a row rounded once.
+    for (uint32_t id : indices) {
+      float* row = table.row(id);
+      for (size_t k = 0; k < table.dim(); ++k) {
+        row[k] = QuantizeToHalf(row[k]);
+      }
+    }
   };
 }
 
@@ -93,49 +105,19 @@ void StepExecutor::MathStep(const BatchView& batch,
                             const std::vector<EmbeddingTable*>& tables,
                             RunningMetric& metric, RunningMetric& window,
                             StalenessTracker* tracker) {
-  ThreadPool* pool = pool_.get();
   if (dense_params_.empty()) dense_params_ = model_->DenseParams();
   if (tracker != nullptr) tracker->BeginStep();
-  if (!options_.fp16_embeddings) {
-    // Fast path: each table's backward scatter and optimizer update run as
-    // one fused pass over the batch's lookup list — the SparseGrad is
-    // never materialized. Bit-identical to the materialized path (same
-    // per-row accumulation order, same update arithmetic). Everything here
-    // runs in reused buffers: the model's workspaces, the optimizer's
-    // scratch, the prebuilt apply functor — zero heap allocations at
-    // steady state.
-    apply_ctx_.tables = &tables;
-    apply_ctx_.tracker = tracker;
-    StepResult step =
-        model_->ForwardBackwardFusedOn(batch, tables, fused_apply_);
-    dense_sgd_.Step(dense_params_);
-    // Gradients a model chose not to fuse (base-class fallback) still take
-    // the materialized optimizer step.
-    for (size_t t = 0; t < step.table_grads.size(); ++t) {
-      if (step.table_grads[t].empty()) continue;
-      sparse_sgd_.Step(*tables[t], step.table_grads[t], pool);
-    }
-    metric.Observe(step.loss, step.correct, step.batch_size);
-    window.Observe(step.loss, step.correct, step.batch_size);
-    return;
-  }
-  // fp16 storage needs the materialized gradient: its touched-row list
-  // tells us which rows to round back through binary16.
-  StepResult step = model_->ForwardBackwardOn(batch, tables);
+  // Each table's backward scatter and optimizer update run as one fused
+  // pass over the batch's lookup list — the SparseGrad is never
+  // materialized. Bit-identical to the materialized path (same per-row
+  // accumulation order, same update arithmetic). Everything here runs in
+  // reused buffers: the model's workspaces, the optimizer's scratch, the
+  // prebuilt apply functor.
+  apply_ctx_.tables = &tables;
+  apply_ctx_.tracker = tracker;
+  StepResult step =
+      model_->ForwardBackwardFusedOn(batch, tables, fused_apply_);
   dense_sgd_.Step(dense_params_);
-  for (size_t t = 0; t < step.table_grads.size(); ++t) {
-    const SparseGrad& grad = step.table_grads[t];
-    if (grad.empty()) continue;
-    sparse_sgd_.Step(*tables[t], grad, pool);
-    // fp16 storage: the updated rows lose everything binary16 cannot
-    // represent.
-    for (size_t s = 0; s < grad.num_rows(); ++s) {
-      float* row = tables[t]->row(grad.row_id(s));
-      for (size_t k = 0; k < grad.dim; ++k) {
-        row[k] = QuantizeToHalf(row[k]);
-      }
-    }
-  }
   metric.Observe(step.loss, step.correct, step.batch_size);
   window.Observe(step.loss, step.correct, step.batch_size);
 }

@@ -93,8 +93,9 @@ class OverlapTracker {
 /// prebuilt fused-apply functor, and the eval/batch-staging helpers, so a
 /// driver only sequences *which* batches step against *which* tables.
 /// Everything here preserves the batch trainer's numeric contract: the
-/// fused path runs zero heap allocations at steady state and is
-/// bit-identical at any thread count.
+/// step is bit-identical at any thread count and adds no heap allocation
+/// of its own at steady state (DLRM's whole step allocates nothing;
+/// DESIGN.md §10).
 class StepExecutor {
  public:
   /// The subset of TrainOptions the execution core needs; both TrainOptions
@@ -134,11 +135,13 @@ class StepExecutor {
   /// (no-op otherwise); drivers call it once before their first step.
   void MaybeQuantizeTables();
 
-  /// One training step into the model's workspaces. The fused (non-fp16)
-  /// path performs zero heap allocations once warmed up: the apply functor
-  /// is a prebuilt member (single-pointer capture, so std::function's SBO
-  /// holds it), dense params are gathered once, and scatter + optimizer
-  /// run in SparseSgd's reusable scratch.
+  /// One training step into the model's workspaces: forward, backward,
+  /// dense SGD, and per table a fused scatter + optimizer pass (followed,
+  /// under fp16_embeddings, by rounding the table's looked-up rows through
+  /// binary16). The step itself adds no heap allocation once warmed up:
+  /// the apply functor is a prebuilt member (single-pointer capture, so
+  /// std::function's SBO holds it), dense params are gathered once, and
+  /// scatter + optimizer run in SparseSgd's reusable scratch.
   /// With a tracker, each table's fused apply consults it per row
   /// (stale-update skipping; engine/staleness_tracker.h). Only the drivers
   /// that own a tracker pass one — the FAE hot replicas and the
@@ -167,6 +170,7 @@ class StepExecutor {
     const std::vector<EmbeddingTable*>* tables = nullptr;
     ThreadPool* pool = nullptr;
     StalenessTracker* tracker = nullptr;
+    bool fp16 = false;  // Options::fp16_embeddings
   };
 
   RecModel* model_;

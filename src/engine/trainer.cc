@@ -417,9 +417,9 @@ Status ValidateTrainOptions(TrainMode mode, const SystemSpec& system,
     }
     if (options.fp16_embeddings) {
       return Status::InvalidArgument(
-          "--stale-skip and --fp16-embeddings are mutually exclusive: fp16 "
-          "emulation materializes gradients outside the fused path that "
-          "measures per-row update magnitudes");
+          "--stale-skip and --fp16-embeddings are mutually exclusive: the "
+          "tracker measures the fp32 update, not the change binary16 "
+          "rounding leaves in the row");
     }
     if (options.cache != CacheMode::kOff) {
       return Status::InvalidArgument(

@@ -68,7 +68,8 @@ struct TrainOptions {
   /// the tables never hold more precision than fp16 would. Gradients and
   /// the optimizer stay fp32 (standard mixed precision). Lets the paper's
   /// §V "requires accuracy revalidation" claim be tested directly
-  /// (bench/abl_mixed_precision.cc).
+  /// (Fp16EmbeddingsTest; GoldenCurveTest.Fp16CurveMatchesFixture pins
+  /// the curve).
   bool fp16_embeddings = false;
   uint64_t seed = 7;
   /// Crash-safe checkpoint/resume (engine/checkpoint.h). Applies to
@@ -135,8 +136,9 @@ struct TrainOptions {
   /// saving, with an Eq-7-style guard adapting the threshold to the loss
   /// trend. kCold freezes only cold rows (requires the FAE placement —
   /// the baseline has no hot set); kAll may freeze any row. Requires
-  /// run_math (skip decisions read real update magnitudes) and the fused
-  /// fp32 path (mutually exclusive with fp16_embeddings). Like the
+  /// run_math (skip decisions read real update magnitudes) and fp32
+  /// storage (mutually exclusive with fp16_embeddings: the tracker would
+  /// measure the fp32 update, not what binary16 rounding leaves). Like the
   /// cache/sharding knobs, the real timeline's charges never change with
   /// the knob and tracker state travels inside the checkpoint, so all
   /// three fields are fingerprint-exempt: a resume may switch modes, and

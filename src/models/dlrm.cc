@@ -36,8 +36,8 @@ Dlrm::Dlrm(const DatasetSchema& schema, const ModelConfig& config,
   feat_grads_.resize(f);
 }
 
-const Tensor& Dlrm::TrainForward(const BatchView& batch,
-                                 const std::vector<EmbeddingTable*>& tables) {
+const Tensor& Dlrm::Forward(const BatchView& batch,
+                            const std::vector<EmbeddingTable*>& tables) {
   FAE_CHECK_EQ(tables.size(), schema_.num_tables());
   const Tensor& bottom_out = bottom_.Forward(batch.dense);
   for (size_t t = 0; t < tables.size(); ++t) {
@@ -57,7 +57,7 @@ const Tensor& Dlrm::TrainForward(const BatchView& batch,
 StepResult Dlrm::StepImpl(const BatchView& batch,
                           const std::vector<EmbeddingTable*>& tables,
                           const SparseApplyFn* apply) {
-  const Tensor& logits = TrainForward(batch, tables);
+  const Tensor& logits = Forward(batch, tables);
   BceWithLogitsInto(bce_, logits, batch.labels);
 
   // Top MLP backward.
@@ -106,22 +106,8 @@ StepResult Dlrm::ForwardBackwardFusedOn(
   return StepImpl(batch, tables, &apply);
 }
 
-Tensor Dlrm::EvalLogits(const BatchView& batch) const {
-  FAE_CHECK_EQ(schema_.num_tables(), tables_.size());
-  Tensor bottom_out = bottom_.ForwardInference(batch.dense);
-  std::vector<Tensor> emb_out;
-  emb_out.reserve(tables_.size());
-  for (size_t t = 0; t < tables_.size(); ++t) {
-    emb_out.push_back(EmbeddingBag::Forward(tables_[t], batch.indices(t),
-                                            batch.offsets(t), pool_));
-  }
-  std::vector<const Tensor*> features;
-  features.reserve(1 + emb_out.size());
-  features.push_back(&bottom_out);
-  for (const Tensor& e : emb_out) features.push_back(&e);
-  Tensor inter = PairwiseDotInteraction(features, pool_);
-  Tensor top_in = ConcatCols({&bottom_out, &inter});
-  return top_.ForwardInference(top_in);
+const Tensor& Dlrm::EvalLogits(const BatchView& batch) {
+  return Forward(batch, OwnTables());
 }
 
 std::vector<Parameter*> Dlrm::DenseParams() {

@@ -17,9 +17,10 @@ namespace fae {
 /// categorical table, pairwise-dot feature interaction, top MLP to a
 /// click-probability logit.
 ///
-/// Training steps run entirely in member workspaces (activations,
-/// interaction buffers, gradients) sized on the first step and reused —
-/// the fused path performs zero heap allocations at steady state.
+/// Training steps and evaluation run entirely in member workspaces
+/// (activations, interaction buffers, gradients) sized on the first batch
+/// and reused — the fused step and the eval forward perform zero heap
+/// allocations at steady state.
 class Dlrm : public RecModel {
  public:
   Dlrm(const DatasetSchema& schema, const ModelConfig& config, uint64_t seed);
@@ -38,7 +39,7 @@ class Dlrm : public RecModel {
     top_.set_thread_pool(pool);
   }
 
-  Tensor EvalLogits(const BatchView& batch) const override;
+  const Tensor& EvalLogits(const BatchView& batch) override;
 
   std::vector<Parameter*> DenseParams() override;
   std::vector<EmbeddingTable>& tables() override { return tables_; }
@@ -49,10 +50,10 @@ class Dlrm : public RecModel {
   BatchWork Work(const BatchView& batch) const override;
 
  private:
-  /// Training forward into the member workspaces; returns the top MLP's
-  /// logit workspace.
-  const Tensor& TrainForward(const BatchView& batch,
-                             const std::vector<EmbeddingTable*>& tables);
+  /// The forward into the member workspaces; returns the top MLP's logit
+  /// workspace.
+  const Tensor& Forward(const BatchView& batch,
+                        const std::vector<EmbeddingTable*>& tables);
 
   // Shared forward+backward; when `apply` is non-null every table's output
   // gradient is handed to it instead of materialized in the result.

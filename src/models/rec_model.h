@@ -52,7 +52,7 @@ struct BatchWork {
 /// receives dL/dout [B, dim] for `table` plus the batch's CSR lookup list
 /// (offsets follow the RowGroups relative-offset contract), and is
 /// expected to scatter + apply the optimizer in one pass (see
-/// SparseSgd::FusedBackwardStep). Called once per fusable table.
+/// SparseSgd::FusedBackwardStep). Called once per table.
 using SparseApplyFn = std::function<void(
     size_t table, const Tensor& grad_out,
     std::span<const uint32_t> indices,
@@ -64,7 +64,8 @@ using SparseApplyFn = std::function<void(
 /// backing store must stay alive for the duration of the call. One
 /// ForwardBackward call accumulates dense gradients in the model's
 /// Parameters and returns embedding gradients sparsely; callers then run
-/// Sgd/SparseSgd. EvalLogits is the stateless inference path.
+/// Sgd/SparseSgd. Each model has one forward, into member workspaces:
+/// training and EvalLogits share it.
 class RecModel {
  public:
   virtual ~RecModel() = default;
@@ -75,37 +76,32 @@ class RecModel {
   /// count.
   virtual void SetThreadPool(ThreadPool* pool) { (void)pool; }
 
-  /// Like ForwardBackwardOn, but tables with a fusable bag backward hand
-  /// their output gradient to `apply` (scatter + optimizer in one pass)
-  /// instead of materializing it in StepResult::table_grads; only
-  /// non-fusable tables (e.g. TBSM's item table with its custom scatter)
-  /// still return materialized gradients, and the caller must run the
-  /// plain optimizer step on those. The base implementation fuses nothing.
+  /// Like ForwardBackwardOn, but every table hands its output gradient to
+  /// `apply` (scatter + optimizer in one pass) instead of materializing it,
+  /// so StepResult::table_grads stays empty. The training step's only path.
   virtual StepResult ForwardBackwardFusedOn(
       const BatchView& batch, const std::vector<EmbeddingTable*>& tables,
-      const SparseApplyFn& apply) {
-    (void)apply;
-    return ForwardBackwardOn(batch, tables);
-  }
+      const SparseApplyFn& apply) = 0;
 
   /// Runs the step against an alternative set of tables (the FAE engine
   /// points this at GPU hot-replica tables; `batch` indices must already be
   /// in the replica's coordinate space). Returned sparse gradients use the
-  /// same coordinates.
+  /// same coordinates. The reference the fused step is tested against.
   virtual StepResult ForwardBackwardOn(
       const BatchView& batch,
       const std::vector<EmbeddingTable*>& tables) = 0;
 
   /// Step against the model's own (master) tables.
   StepResult ForwardBackward(const BatchView& batch) {
-    std::vector<EmbeddingTable*> ptrs;
-    ptrs.reserve(tables().size());
-    for (EmbeddingTable& t : tables()) ptrs.push_back(&t);
-    return ForwardBackwardOn(batch, ptrs);
+    return ForwardBackwardOn(batch, OwnTables());
   }
 
-  /// Logits [B, 1] without caching or gradient work.
-  virtual Tensor EvalLogits(const BatchView& batch) const = 0;
+  /// Logits [B, 1]: the training forward on the model's own tables, with
+  /// no gradient work. Returns the logit workspace, valid until the next
+  /// forward. It overwrites the activations a backward would read, so a
+  /// caller evaluates between steps, never between a step's forward and
+  /// its backward.
+  virtual const Tensor& EvalLogits(const BatchView& batch) = 0;
 
   virtual std::vector<Parameter*> DenseParams() = 0;
 
@@ -116,6 +112,18 @@ class RecModel {
 
   /// Cost-model work units for `batch`.
   virtual BatchWork Work(const BatchView& batch) const = 0;
+
+ protected:
+  /// Pointers to tables(), rebuilt per call in a reused buffer (so no
+  /// allocation once grown).
+  const std::vector<EmbeddingTable*>& OwnTables() {
+    own_tables_.clear();
+    for (EmbeddingTable& t : tables()) own_tables_.push_back(&t);
+    return own_tables_;
+  }
+
+ private:
+  std::vector<EmbeddingTable*> own_tables_;
 };
 
 }  // namespace fae

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "tensor/loss.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 
@@ -37,6 +36,11 @@ Tbsm::Tbsm(const DatasetSchema& schema, const ModelConfig& config,
   for (uint64_t rows : schema_.table_rows) {
     tables_.emplace_back(rows, d, rng);
   }
+  // Fixed-shape workspace wiring; the tensors themselves size lazily.
+  pooled_.resize(schema_.num_tables() - 1);
+  split_.resize(2 + schema_.num_tables());
+  for (Tensor& t : split_) split_outs_.push_back(&t);
+  split_widths_.assign(split_.size(), d);
 }
 
 std::vector<Tbsm::SequenceView> Tbsm::SplitSequences(const BatchView& batch) {
@@ -59,21 +63,21 @@ std::vector<Tbsm::SequenceView> Tbsm::SplitSequences(const BatchView& batch) {
   return views;
 }
 
-Tensor Tbsm::ForwardImpl(const BatchView& batch,
-                         const std::vector<const EmbeddingTable*>& tables,
-                         bool cache) {
+const Tensor& Tbsm::Forward(const BatchView& batch,
+                            const std::vector<EmbeddingTable*>& tables) {
   FAE_CHECK_EQ(tables.size(), schema_.num_tables());
   const size_t b = batch.batch_size();
   const size_t d = schema_.embedding_dim;
   const EmbeddingTable& item_table = *tables[0];
 
-  std::vector<SequenceView> seq = SplitSequences(batch);
+  cached_seq_ = SplitSequences(batch);
+  const std::vector<SequenceView>& seq = cached_seq_;
   // Target (query) embeddings and one stacked matrix of all history rows
   // (so the per-timestep MLP runs as a single GEMM over every timestep).
   Tensor query(b, d);
   size_t total_hist = 0;
   for (const SequenceView& v : seq) total_hist += v.history_len;
-  Tensor stacked(total_hist, d);
+  cached_stacked_.Resize(total_hist, d);
   const std::span<const uint32_t> item_idx = batch.indices(0);
   size_t row = 0;
   for (size_t i = 0; i < b; ++i) {
@@ -81,89 +85,50 @@ Tensor Tbsm::ForwardImpl(const BatchView& batch,
     // table the item rows may live in the quantized cold store.
     item_table.ReadRowInto(item_idx[seq[i].target], query.row(i));
     for (uint32_t j = 0; j < seq[i].history_len; ++j) {
-      item_table.ReadRowInto(item_idx[seq[i].begin + j], stacked.row(row++));
+      item_table.ReadRowInto(item_idx[seq[i].begin + j],
+                             cached_stacked_.row(row++));
     }
   }
-  // Per-timestep transform, then split back into per-sample matrices. The
-  // training path parks the stack in a member first: the step MLP caches a
-  // view of its input, which must outlive this frame.
-  const Tensor* transformed = nullptr;
-  Tensor transformed_local;
-  if (cache) {
-    cached_stacked_ = std::move(stacked);
-    transformed =
-        step_mlp_ ? &step_mlp_->Forward(cached_stacked_) : &cached_stacked_;
-  } else if (step_mlp_) {
-    transformed_local = step_mlp_->ForwardInference(stacked);
-    transformed = &transformed_local;
-  } else {
-    transformed_local = std::move(stacked);
-    transformed = &transformed_local;
-  }
+  // Per-timestep transform, then split back into per-sample matrices.
+  const Tensor& transformed =
+      step_mlp_ ? step_mlp_->Forward(cached_stacked_) : cached_stacked_;
   std::vector<Tensor> history;
   history.reserve(b);
   row = 0;
   for (size_t i = 0; i < b; ++i) {
     Tensor z(seq[i].history_len, d);
     for (uint32_t j = 0; j < seq[i].history_len; ++j) {
-      std::copy(transformed->row(row), transformed->row(row) + d, z.row(j));
+      std::copy(transformed.row(row), transformed.row(row) + d, z.row(j));
       ++row;
     }
     history.push_back(std::move(z));
   }
-
-  // Attention context. The inference path must not clobber the training
-  // caches, so it uses a scratch attention instance.
-  Tensor context;
-  if (cache) {
-    context = attention_.Forward(history, query);
-  } else {
-    DotAttention scratch;
-    context = scratch.Forward(history, query);
-  }
+  const Tensor context = attention_.Forward(history, query);
 
   // Remaining tables: pooled single lookups.
-  std::vector<Tensor> pooled;
-  pooled.reserve(schema_.num_tables() - 1);
   for (size_t t = 1; t < schema_.num_tables(); ++t) {
-    pooled.push_back(EmbeddingBag::Forward(*tables[t], batch.indices(t),
-                                           batch.offsets(t), pool_));
+    EmbeddingBag::ForwardInto(pooled_[t - 1], *tables[t], batch.indices(t),
+                              batch.offsets(t), pool_);
   }
 
-  std::vector<const Tensor*> blocks;
-  Tensor logits;
-  if (cache) {
-    const Tensor& bottom_out = bottom_.Forward(batch.dense);
-    blocks = {&context, &query, &bottom_out};
-    for (const Tensor& p : pooled) blocks.push_back(&p);
-    // The top MLP caches a view of its input — persist it in a member.
-    ConcatColsInto(cached_top_in_, blocks);
-    logits = top_.Forward(cached_top_in_);
-    cached_seq_ = std::move(seq);
-  } else {
-    Tensor bottom_out = bottom_.ForwardInference(batch.dense);
-    blocks = {&context, &query, &bottom_out};
-    for (const Tensor& p : pooled) blocks.push_back(&p);
-    Tensor top_in = ConcatCols(blocks);
-    logits = top_.ForwardInference(top_in);
-  }
-  return logits;
+  const Tensor& bottom_out = bottom_.Forward(batch.dense);
+  std::vector<const Tensor*> blocks = {&context, &query, &bottom_out};
+  for (const Tensor& p : pooled_) blocks.push_back(&p);
+  ConcatColsInto(cached_top_in_, blocks);
+  return top_.Forward(cached_top_in_);
 }
 
 StepResult Tbsm::StepImpl(const BatchView& batch,
                           const std::vector<EmbeddingTable*>& tables,
                           const SparseApplyFn* apply) {
-  std::vector<const EmbeddingTable*> ctables(tables.begin(), tables.end());
-  Tensor logits = ForwardImpl(batch, ctables, /*cache=*/true);
-  BceResult bce = BceWithLogits(logits, batch.labels);
+  BceWithLogitsInto(bce_, Forward(batch, tables), batch.labels);
 
   const size_t d = schema_.embedding_dim;
-  const Tensor& g_top_in = top_.Backward(bce.grad_logits);
-  std::vector<size_t> widths(2 + schema_.num_tables(), d);
-  std::vector<Tensor> split = SplitCols(g_top_in, widths);
-  Tensor& g_context = split[0];
-  Tensor& g_query = split[1];
-  Tensor& g_bottom = split[2];
+  const Tensor& g_top_in = top_.Backward(bce_.grad_logits);
+  SplitColsInto(split_outs_, g_top_in, split_widths_);
+  Tensor& g_context = split_[0];
+  Tensor& g_query = split_[1];
+  Tensor& g_bottom = split_[2];
 
   bottom_.Backward(g_bottom);
 
@@ -188,8 +153,8 @@ StepResult Tbsm::StepImpl(const BatchView& batch,
       step_mlp_ ? step_mlp_->Backward(stacked_grad) : stacked_grad;
 
   StepResult result;
-  result.loss = bce.mean_loss;
-  result.correct = bce.correct;
+  result.loss = bce_.mean_loss;
+  result.correct = bce_.correct;
   result.batch_size = batch.batch_size();
 
   // Item table: the history/target contributions form a synthesized lookup
@@ -227,7 +192,7 @@ StepResult Tbsm::StepImpl(const BatchView& batch,
   if (apply != nullptr) {
     (*apply)(0, item_grad_out, item_scatter_idx, item_scatter_off);
     for (size_t t = 1; t < schema_.num_tables(); ++t) {
-      (*apply)(t, split[2 + t], batch.indices(t), batch.offsets(t));
+      (*apply)(t, split_[2 + t], batch.indices(t), batch.offsets(t));
     }
   } else {
     result.table_grads.resize(schema_.num_tables());
@@ -235,7 +200,7 @@ StepResult Tbsm::StepImpl(const BatchView& batch,
         item_grad_out, item_scatter_idx, item_scatter_off, d, pool_);
     for (size_t t = 1; t < schema_.num_tables(); ++t) {
       result.table_grads[t] = EmbeddingBag::Backward(
-          split[2 + t], batch.indices(t), batch.offsets(t), d, pool_);
+          split_[2 + t], batch.indices(t), batch.offsets(t), d, pool_);
     }
   }
   return result;
@@ -252,14 +217,8 @@ StepResult Tbsm::ForwardBackwardFusedOn(
   return StepImpl(batch, tables, &apply);
 }
 
-Tensor Tbsm::EvalLogits(const BatchView& batch) const {
-  std::vector<const EmbeddingTable*> ctables;
-  ctables.reserve(tables_.size());
-  for (const EmbeddingTable& t : tables_) ctables.push_back(&t);
-  // ForwardImpl only mutates caches when cache=true, so the const_cast is
-  // safe for the inference path.
-  return const_cast<Tbsm*>(this)->ForwardImpl(batch, ctables,
-                                              /*cache=*/false);
+const Tensor& Tbsm::EvalLogits(const BatchView& batch) {
+  return Forward(batch, OwnTables());
 }
 
 std::vector<Parameter*> Tbsm::DenseParams() {

@@ -10,6 +10,7 @@
 #include "models/model_config.h"
 #include "models/rec_model.h"
 #include "tensor/attention.h"
+#include "tensor/loss.h"
 #include "tensor/mlp.h"
 
 namespace fae {
@@ -26,7 +27,8 @@ namespace fae {
 /// The variable-length history split keeps TBSM off the strict zero-alloc
 /// path (per-sample history matrices are sized by the data); the dense
 /// stacks it feeds (stacked history, top input) are members so the MLPs'
-/// cached input views stay valid through Backward.
+/// cached input views stay valid through Backward. Evaluation runs the
+/// same forward.
 class Tbsm : public RecModel {
  public:
   Tbsm(const DatasetSchema& schema, const ModelConfig& config, uint64_t seed);
@@ -46,7 +48,7 @@ class Tbsm : public RecModel {
     if (step_mlp_) step_mlp_->set_thread_pool(pool);
   }
 
-  Tensor EvalLogits(const BatchView& batch) const override;
+  const Tensor& EvalLogits(const BatchView& batch) override;
 
   std::vector<Parameter*> DenseParams() override;
   std::vector<EmbeddingTable>& tables() override { return tables_; }
@@ -67,9 +69,10 @@ class Tbsm : public RecModel {
 
   static std::vector<SequenceView> SplitSequences(const BatchView& batch);
 
-  Tensor ForwardImpl(const BatchView& batch,
-                     const std::vector<const EmbeddingTable*>& tables,
-                     bool cache);
+  /// The forward into the member workspaces; returns the top MLP's logit
+  /// workspace.
+  const Tensor& Forward(const BatchView& batch,
+                        const std::vector<EmbeddingTable*>& tables);
 
   // Shared forward+backward; when `apply` is non-null every table's sparse
   // backward (including the item table's synthesized scatter list) is
@@ -88,13 +91,20 @@ class Tbsm : public RecModel {
   std::vector<EmbeddingTable> tables_;
   ThreadPool* pool_ = nullptr;  // not owned
 
-  // Forward caches consumed by the following backward (cache=true only).
-  // cached_stacked_ and cached_top_in_ back the step/top MLPs' input
-  // views, so they must live here, not on the forward's stack.
+  // Forward caches consumed by the following backward. cached_stacked_
+  // and cached_top_in_ back the step/top MLPs' input views, so they must
+  // live here, not on the forward's stack.
   DotAttention attention_;
   Tensor cached_stacked_;
   Tensor cached_top_in_;
   std::vector<SequenceView> cached_seq_;
+  // Step workspaces, reused across batches. `split_` holds the gradients
+  // of the top MLP's input blocks.
+  std::vector<Tensor> pooled_;
+  BceResult bce_;
+  std::vector<Tensor> split_;
+  std::vector<Tensor*> split_outs_;
+  std::vector<size_t> split_widths_;
   mutable DistinctCounter work_distinct_;  // Work()'s touched-row counts
 };
 

@@ -2,8 +2,9 @@
 #define FAE_TENSOR_DENSE_TILES_H_
 
 // Private to the tensor layer, its kernel tests and bench/micro_kernels:
-// the register-tiled dense kernels behind ops.h's MatMul, MatMulTransA,
-// MatMulTransB and pairwise interaction, one build per instruction set.
+// the register-tiled dense kernels behind ops.h's MatMulInto,
+// MatMulTransAInto, MatMulTransBInto and pairwise interaction, one build
+// per instruction set.
 //
 // ops.cc writes the kernels once over a vector lane count and builds them
 // twice: 4 lanes (16-byte vectors, SSE2 on baseline x86-64 and the only

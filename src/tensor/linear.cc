@@ -23,13 +23,6 @@ const Tensor& Linear::Forward(MatView x) {
   return out_;
 }
 
-Tensor Linear::ForwardInference(MatView x) const {
-  Tensor y;
-  MatMulInto(y, x, weight_.value, pool_);
-  AddBiasRowwise(y, bias_.value);
-  return y;
-}
-
 Tensor& Linear::Backward(const Tensor& grad_out) {
   FAE_CHECK_EQ(grad_out.rows(), cached_input_.rows);
   FAE_CHECK_EQ(grad_out.cols(), weight_.value.cols());

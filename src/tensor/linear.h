@@ -38,9 +38,6 @@ class Linear {
   /// place).
   Tensor& Backward(const Tensor& grad_out);
 
-  /// Forward without caching (inference / evaluation path); allocates.
-  Tensor ForwardInference(MatView x) const;
-
   /// Layer output of the last Forward.
   const Tensor& out() const { return out_; }
 

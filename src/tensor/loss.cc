@@ -36,12 +36,6 @@ void BceWithLogitsInto(BceResult& result, const Tensor& logits,
   result.mean_loss = b > 0 ? total / static_cast<double>(b) : 0.0;
 }
 
-BceResult BceWithLogits(const Tensor& logits, std::span<const float> labels) {
-  BceResult result;
-  BceWithLogitsInto(result, logits, labels);
-  return result;
-}
-
 double BceLossOnly(const Tensor& logits, std::span<const float> labels) {
   FAE_CHECK_EQ(logits.cols(), 1u);
   FAE_CHECK_EQ(logits.rows(), labels.size());

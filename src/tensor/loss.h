@@ -19,12 +19,9 @@ struct BceResult {
 };
 
 /// Numerically-stable binary cross entropy on logits [B, 1] against labels
-/// (0/1), returning the mean loss, the gradient, and the hit count used for
-/// the paper's accuracy metric (Fig 12, Table III).
-BceResult BceWithLogits(const Tensor& logits, std::span<const float> labels);
-
-/// Into variant reusing `result.grad_logits` as a workspace (scalar fields
-/// are reset) — the allocation-free training-loop path.
+/// (0/1): the mean loss, the gradient, and the hit count used for the
+/// paper's accuracy metric (Fig 12, Table III). Reuses `result.grad_logits`
+/// as a workspace and resets the scalar fields.
 void BceWithLogitsInto(BceResult& result, const Tensor& logits,
                        std::span<const float> labels);
 

@@ -1,7 +1,5 @@
 #include "tensor/mlp.h"
 
-#include <algorithm>
-
 #include "tensor/ops.h"
 #include "util/string_util.h"
 
@@ -29,22 +27,11 @@ const Tensor& Mlp::Forward(MatView x) {
   return layers_.back().out();
 }
 
-Tensor Mlp::ForwardInference(MatView x) const {
-  Tensor h = layers_.front().ForwardInference(x);
-  for (size_t i = 1; i < layers_.size(); ++i) {
-    for (size_t j = 0; j < h.numel(); ++j) {
-      h.data()[j] = std::max(0.0f, h.data()[j]);
-    }
-    h = layers_[i].ForwardInference(h);
-  }
-  return h;
-}
-
 const Tensor& Mlp::Backward(const Tensor& grad_out) {
   const Tensor* g = &grad_out;
   for (size_t i = layers_.size(); i-- > 0;) {
     // Backward returns the layer's grad_in workspace; masking it in place
-    // by the previous layer's pre-ReLU output reproduces ReluBackward.
+    // by the previous layer's pre-ReLU output is the ReLU backward.
     Tensor& gi = layers_[i].Backward(*g);
     if (i > 0) {
       ReluBackwardInPlace(gi, layers_[i - 1].out());

@@ -34,9 +34,6 @@ class Mlp {
   /// accumulates layer parameter gradients.
   const Tensor& Backward(const Tensor& grad_out);
 
-  /// Stateless evaluation path; allocates.
-  Tensor ForwardInference(MatView x) const;
-
   std::vector<Parameter*> Params();
 
   size_t in_features() const;

@@ -1,7 +1,6 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "tensor/dense_tiles.h"
@@ -135,32 +134,14 @@ void MatMulInto(Tensor& c, MatView a, const Tensor& b, ThreadPool* pool) {
   tiles::Dispatched().mat_mul(c, a, b, pool);
 }
 
-Tensor MatMul(const Tensor& a, const Tensor& b, ThreadPool* pool) {
-  Tensor c;
-  MatMulInto(c, a, b, pool);
-  return c;
-}
-
 void MatMulTransAInto(Tensor& c, MatView a, const Tensor& b,
                       ThreadPool* pool) {
   tiles::Dispatched().mat_mul_trans_a(c, a, b, pool);
 }
 
-Tensor MatMulTransA(const Tensor& a, const Tensor& b, ThreadPool* pool) {
-  Tensor c;
-  MatMulTransAInto(c, a, b, pool);
-  return c;
-}
-
 void MatMulTransBInto(Tensor& c, const Tensor& a, const Tensor& b,
                       ThreadPool* pool) {
   tiles::Dispatched().mat_mul_trans_b(c, a, b, pool);
-}
-
-Tensor MatMulTransB(const Tensor& a, const Tensor& b, ThreadPool* pool) {
-  Tensor c;
-  MatMulTransBInto(c, a, b, pool);
-  return c;
 }
 
 void AddBiasRowwise(Tensor& x, const Tensor& bias) {
@@ -181,12 +162,6 @@ void ColumnSumsInto(Tensor& out, const Tensor& x) {
   }
 }
 
-Tensor ColumnSums(const Tensor& x) {
-  Tensor out;
-  ColumnSumsInto(out, x);
-  return out;
-}
-
 void ReluForwardInto(Tensor& y, const Tensor& x) {
   y.Resize(x.rows(), x.cols());
   const float* src = x.data();
@@ -194,12 +169,6 @@ void ReluForwardInto(Tensor& y, const Tensor& x) {
   for (size_t i = 0; i < x.numel(); ++i) {
     dst[i] = std::max(0.0f, src[i]);
   }
-}
-
-Tensor ReluForward(const Tensor& x) {
-  Tensor y;
-  ReluForwardInto(y, x);
-  return y;
 }
 
 void ReluBackwardInPlace(Tensor& grad, const Tensor& x) {
@@ -213,20 +182,6 @@ void ReluBackwardInPlace(Tensor& grad, const Tensor& x) {
   for (size_t i = 0; i < n; ++i) {
     g[i] = (xs[i] <= 0.0f) ? 0.0f : g[i];
   }
-}
-
-Tensor ReluBackward(const Tensor& grad_out, const Tensor& x) {
-  Tensor g = grad_out;
-  ReluBackwardInPlace(g, x);
-  return g;
-}
-
-Tensor SigmoidForward(const Tensor& x) {
-  Tensor y = x;
-  for (size_t i = 0; i < y.numel(); ++i) {
-    y.data()[i] = 1.0f / (1.0f + std::exp(-y.data()[i]));
-  }
-  return y;
 }
 
 void ConcatColsInto(Tensor& out, const std::vector<const Tensor*>& blocks) {
@@ -249,12 +204,6 @@ void ConcatColsInto(Tensor& out, const std::vector<const Tensor*>& blocks) {
   }
 }
 
-Tensor ConcatCols(const std::vector<const Tensor*>& blocks) {
-  Tensor out;
-  ConcatColsInto(out, blocks);
-  return out;
-}
-
 void SplitColsInto(const std::vector<Tensor*>& outs, const Tensor& grad,
                    const std::vector<size_t>& widths) {
   FAE_CHECK_EQ(outs.size(), widths.size());
@@ -274,57 +223,16 @@ void SplitColsInto(const std::vector<Tensor*>& outs, const Tensor& grad,
   }
 }
 
-std::vector<Tensor> SplitCols(const Tensor& grad,
-                              const std::vector<size_t>& widths) {
-  std::vector<Tensor> out(widths.size());
-  std::vector<Tensor*> ptrs;
-  ptrs.reserve(widths.size());
-  for (Tensor& t : out) ptrs.push_back(&t);
-  SplitColsInto(ptrs, grad, widths);
-  return out;
-}
-
-Tensor SoftmaxRows(const Tensor& x) {
-  Tensor y = x;
-  for (size_t r = 0; r < y.rows(); ++r) {
-    float* row = y.row(r);
-    float mx = row[0];
-    for (size_t c = 1; c < y.cols(); ++c) mx = std::max(mx, row[c]);
-    float sum = 0.0f;
-    for (size_t c = 0; c < y.cols(); ++c) {
-      row[c] = std::exp(row[c] - mx);
-      sum += row[c];
-    }
-    for (size_t c = 0; c < y.cols(); ++c) row[c] /= sum;
-  }
-  return y;
-}
-
 void PairwiseDotInteractionInto(Tensor& out,
                                 const std::vector<const Tensor*>& features,
                                 ThreadPool* pool) {
   tiles::Dispatched().interaction(out, features, pool);
 }
 
-Tensor PairwiseDotInteraction(const std::vector<const Tensor*>& features,
-                              ThreadPool* pool) {
-  Tensor out;
-  PairwiseDotInteractionInto(out, features, pool);
-  return out;
-}
-
 void PairwiseDotInteractionBackwardInto(
     std::vector<Tensor>& grads, const Tensor& grad_out,
     const std::vector<const Tensor*>& features, ThreadPool* pool) {
   tiles::Dispatched().interaction_backward(grads, grad_out, features, pool);
-}
-
-std::vector<Tensor> PairwiseDotInteractionBackward(
-    const Tensor& grad_out, const std::vector<const Tensor*>& features,
-    ThreadPool* pool) {
-  std::vector<Tensor> grads(features.size());
-  PairwiseDotInteractionBackwardInto(grads, grad_out, features, pool);
-  return grads;
 }
 
 }  // namespace fae

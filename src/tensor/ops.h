@@ -8,12 +8,10 @@
 
 namespace fae {
 
-// Every kernel exists in two forms: the historical allocating form
-// returning a fresh Tensor, and an `*Into` form writing a caller-owned
-// workspace (Tensor::Resize reuses the allocation once grown). The
-// allocating forms are thin wrappers over the Into forms — one
-// implementation, so both are bit-identical. A-operands are MatViews so
-// activations can be consumed straight out of flat dataset buffers.
+// Every kernel writes a caller-owned workspace (Tensor::Resize reuses the
+// allocation once grown), so a warmed-up caller allocates nothing.
+// A-operands are MatViews so activations can be consumed straight out of
+// flat dataset buffers.
 
 /// C = A[m,k] * B[k,n], register-tiled. Each C element is +0 plus its
 /// products in ascending k — the scalar i-k-j loop's sequence, so the
@@ -21,22 +19,17 @@ namespace fae {
 /// `pool` is non-null the work is split over A's rows;
 /// output rows are written by exactly one thread each, so the result is
 /// bit-identical at any thread count.
-Tensor MatMul(const Tensor& a, const Tensor& b, ThreadPool* pool = nullptr);
 void MatMulInto(Tensor& c, MatView a, const Tensor& b,
                 ThreadPool* pool = nullptr);
 
-/// C = A^T[k,m] * B[k,n] — i.e. MatMul(transpose(a), b) without
-/// materializing the transpose, with MatMul's per-element order. Used for
-/// weight gradients.
-Tensor MatMulTransA(const Tensor& a, const Tensor& b,
-                    ThreadPool* pool = nullptr);
+/// C = A^T[k,m] * B[k,n] — i.e. MatMulInto(transpose(a), b) without
+/// materializing the transpose, with MatMulInto's per-element order. Used
+/// for weight gradients.
 void MatMulTransAInto(Tensor& c, MatView a, const Tensor& b,
                       ThreadPool* pool = nullptr);
 
 /// C = A[m,k] * B^T[n,k], C(i, j) = kernels::Dot(k, a.row(i), b.row(j))
 /// bit for bit — used for input gradients.
-Tensor MatMulTransB(const Tensor& a, const Tensor& b,
-                    ThreadPool* pool = nullptr);
 void MatMulTransBInto(Tensor& c, const Tensor& a, const Tensor& b,
                       ThreadPool* pool = nullptr);
 
@@ -44,54 +37,37 @@ void MatMulTransBInto(Tensor& c, const Tensor& a, const Tensor& b,
 void AddBiasRowwise(Tensor& x, const Tensor& bias);
 
 /// Column-wise sum of grad rows into a [1, cols] tensor (bias gradient).
-Tensor ColumnSums(const Tensor& x);
 void ColumnSumsInto(Tensor& out, const Tensor& x);
 
 /// Elementwise max(x, 0).
-Tensor ReluForward(const Tensor& x);
 void ReluForwardInto(Tensor& y, const Tensor& x);
 
-/// dL/dx given dL/dy and the forward *input* x: grad where x > 0 else 0.
-Tensor ReluBackward(const Tensor& grad_out, const Tensor& x);
-/// In-place variant: zeroes grad entries where x <= 0.
+/// dL/dx given dL/dy and the forward *input* x, in place: zeroes grad
+/// entries where x <= 0.
 void ReluBackwardInPlace(Tensor& grad, const Tensor& x);
 
-/// Elementwise logistic sigmoid.
-Tensor SigmoidForward(const Tensor& x);
-
 /// Horizontal concatenation of equally-tall blocks.
-Tensor ConcatCols(const std::vector<const Tensor*>& blocks);
 void ConcatColsInto(Tensor& out, const std::vector<const Tensor*>& blocks);
 
-/// Splits `grad` (the gradient of a ConcatCols output) back into per-block
-/// gradients with the given widths.
-std::vector<Tensor> SplitCols(const Tensor& grad,
-                              const std::vector<size_t>& widths);
-/// Into variant: `outs` supplies one workspace per width.
+/// Splits `grad` (the gradient of a ConcatColsInto output) back into
+/// per-block gradients with the given widths; `outs` supplies one
+/// workspace per width.
 void SplitColsInto(const std::vector<Tensor*>& outs, const Tensor& grad,
                    const std::vector<size_t>& widths);
-
-/// Row-wise softmax.
-Tensor SoftmaxRows(const Tensor& x);
 
 /// DLRM-style pairwise-dot feature interaction.
 ///
 /// Inputs: F feature blocks, each [B, d]. Output: [B, F*(F-1)/2] whose
 /// columns are the dot products kernels::Dot(d, f_i, f_j) for i < j, per
 /// sample, i-major.
-Tensor PairwiseDotInteraction(const std::vector<const Tensor*>& features,
-                              ThreadPool* pool = nullptr);
 void PairwiseDotInteractionInto(Tensor& out,
                                 const std::vector<const Tensor*>& features,
                                 ThreadPool* pool = nullptr);
 
-/// Backward of PairwiseDotInteraction: given dL/dout [B, F*(F-1)/2] and the
-/// forward feature blocks, returns dL/df for each block:
+/// Backward of PairwiseDotInteractionInto: given dL/dout [B, F*(F-1)/2]
+/// and the forward feature blocks, writes dL/df for each block:
 /// dL/df_x = sum over y != x, ascending, of dL/dout(x, y) * f_y.
-std::vector<Tensor> PairwiseDotInteractionBackward(
-    const Tensor& grad_out, const std::vector<const Tensor*>& features,
-    ThreadPool* pool = nullptr);
-/// Into variant: `grads` must already hold features.size() workspaces.
+/// `grads` must already hold features.size() workspaces.
 void PairwiseDotInteractionBackwardInto(
     std::vector<Tensor>& grads, const Tensor& grad_out,
     const std::vector<const Tensor*>& features, ThreadPool* pool = nullptr);

@@ -9,7 +9,7 @@ namespace fae {
 /// dependency). Used to emulate fp16 embedding storage: the NvOPT-style
 /// comparator stores tables at half precision, and the paper argues such
 /// representation changes "require accuracy revalidation" (§V) — which
-/// bench/abl_mixed_precision.cc performs.
+/// Fp16EmbeddingsTest performs.
 
 /// Round-to-nearest-even conversion. Overflow becomes infinity; NaN is
 /// preserved (as a quiet NaN); subnormal halves are produced for tiny

@@ -54,7 +54,8 @@ TEST(EmbeddingBagTest, SingleLookupReturnsRow) {
   Xoshiro256 rng(5);
   EmbeddingTable table(10, 4, rng);
   const std::vector<uint32_t> idx = {3}, off = {0, 1};
-  Tensor out = EmbeddingBag::Forward(table, idx, off);
+  Tensor out;
+  EmbeddingBag::ForwardInto(out, table, idx, off);
   for (size_t k = 0; k < 4; ++k) EXPECT_EQ(out(0, k), table.row(3)[k]);
 }
 
@@ -62,7 +63,8 @@ TEST(EmbeddingBagTest, SumPoolsMultipleLookups) {
   Xoshiro256 rng(6);
   EmbeddingTable table(10, 4, rng);
   const std::vector<uint32_t> idx = {1, 2, 5}, off = {0, 3};
-  Tensor out = EmbeddingBag::Forward(table, idx, off);
+  Tensor out;
+  EmbeddingBag::ForwardInto(out, table, idx, off);
   for (size_t k = 0; k < 4; ++k) {
     EXPECT_NEAR(out(0, k),
                 table.row(1)[k] + table.row(2)[k] + table.row(5)[k], 1e-6f);
@@ -73,7 +75,8 @@ TEST(EmbeddingBagTest, EmptyBagYieldsZeros) {
   Xoshiro256 rng(7);
   EmbeddingTable table(10, 4, rng);
   const std::vector<uint32_t> idx, off = {0, 0};
-  Tensor out = EmbeddingBag::Forward(table, idx, off);
+  Tensor out;
+  EmbeddingBag::ForwardInto(out, table, idx, off);
   for (size_t k = 0; k < 4; ++k) EXPECT_EQ(out(0, k), 0.0f);
 }
 
@@ -82,7 +85,8 @@ TEST(EmbeddingBagTest, BatchedOffsets) {
   EmbeddingTable table(10, 2, rng);
   // Sample 0: rows {0,1}; sample 1: row {2}.
   const std::vector<uint32_t> idx = {0, 1, 2}, off = {0, 2, 3};
-  Tensor out = EmbeddingBag::Forward(table, idx, off);
+  Tensor out;
+  EmbeddingBag::ForwardInto(out, table, idx, off);
   EXPECT_EQ(out.rows(), 2u);
   EXPECT_NEAR(out(0, 0), table.row(0)[0] + table.row(1)[0], 1e-6f);
   EXPECT_NEAR(out(1, 0), table.row(2)[0], 1e-6f);
@@ -137,9 +141,10 @@ TEST(EmbeddingBagTest, ParallelForwardAndBackwardBitExact) {
   Tensor grad_out = Tensor::Randn(300, 8, 1.0f, rng);
 
   ThreadPool pool(4);
-  Tensor fwd_serial = EmbeddingBag::Forward(table, indices, offsets);
-  Tensor fwd_parallel =
-      EmbeddingBag::Forward(table, indices, offsets, &pool);
+  Tensor fwd_serial;
+  EmbeddingBag::ForwardInto(fwd_serial, table, indices, offsets);
+  Tensor fwd_parallel;
+  EmbeddingBag::ForwardInto(fwd_parallel, table, indices, offsets, &pool);
   ASSERT_EQ(fwd_serial.numel(), fwd_parallel.numel());
   for (size_t i = 0; i < fwd_serial.numel(); ++i) {
     EXPECT_EQ(fwd_serial.data()[i], fwd_parallel.data()[i]);
@@ -163,7 +168,8 @@ TEST(EmbeddingBagTest, ForwardBackwardGradientCheck) {
   Tensor grad_out = Tensor::Randn(2, 3, 1.0f, rng);
 
   auto loss = [&]() {
-    Tensor out = EmbeddingBag::Forward(table, indices, offsets);
+    Tensor out;
+    EmbeddingBag::ForwardInto(out, table, indices, offsets);
     double l = 0;
     for (size_t i = 0; i < out.numel(); ++i) {
       l += out.data()[i] * grad_out.data()[i];
@@ -201,41 +207,6 @@ TEST(SparseSgdTest, UpdatesOnlyTouchedRows) {
   sgd.Step(table, g);
   EXPECT_EQ(table.row(0)[0], before_r0);
   EXPECT_FLOAT_EQ(table.row(2)[0], before_r2 - 0.5f);
-}
-
-TEST(SparseSgdTest, AccumulateMergesOverlappingRows) {
-  SparseGrad a;
-  a.dim = 2;
-  float* a1 = a.Upsert(1);
-  a1[0] = 1;
-  a1[1] = 1;
-  SparseGrad b;
-  b.dim = 2;
-  float* b1 = b.Upsert(1);
-  b1[0] = 2;
-  b1[1] = 3;
-  float* b5 = b.Upsert(5);
-  b5[0] = 4;
-  b5[1] = 4;
-  AccumulateSparseGrad(a, b);
-  EXPECT_EQ(a.num_rows(), 2u);
-  EXPECT_FLOAT_EQ(a.Find(1)[0], 3);
-  EXPECT_FLOAT_EQ(a.Find(1)[1], 4);
-  EXPECT_FLOAT_EQ(a.Find(5)[0], 4);
-  EXPECT_TRUE(std::is_sorted(a.row_ids.begin(), a.row_ids.end()));
-}
-
-TEST(SparseSgdTest, AccumulateIntoEmptyAdoptsDim) {
-  SparseGrad a;
-  SparseGrad b;
-  b.dim = 3;
-  float* b0 = b.Upsert(0);
-  b0[0] = 1;
-  b0[1] = 2;
-  b0[2] = 3;
-  AccumulateSparseGrad(a, b);
-  EXPECT_EQ(a.dim, 3u);
-  EXPECT_EQ(a.num_rows(), 1u);
 }
 
 }  // namespace

@@ -248,7 +248,8 @@ TEST(CompressedTableTest, EmbeddingBagPoolsMixedHotCold) {
   table.CompressCold(QuarterHotMask(64), ColdPrecision::kInt8);
   const std::vector<uint32_t> idx = {0, 1, 4, 7};  // hot, cold, hot, cold
   const std::vector<uint32_t> off = {0, 4};
-  Tensor out = EmbeddingBag::Forward(table, idx, off);
+  Tensor out;
+  EmbeddingBag::ForwardInto(out, table, idx, off);
   std::vector<float> expect(8, 0.0f);
   for (uint32_t r : idx) table.AddRowTo(r, expect.data());
   for (size_t i = 0; i < 8; ++i) EXPECT_EQ(out(0, i), expect[i]);

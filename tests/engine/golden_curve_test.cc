@@ -15,7 +15,7 @@
 
 // Golden-curve regression fixtures: the committed files under
 // tests/engine/golden/ pin the exact learning curve (and modeled wall) of
-// one tiny baseline run and one tiny FAE run at a fixed seed. Every value
+// tiny DLRM and TBSM runs at a fixed seed. Every value
 // is printed with %.17g, so the round trip through text is bit-exact and
 // any numeric drift — an optimizer tweak, a reordered reduction, a changed
 // default — fails loudly here instead of shifting results silently.
@@ -84,8 +84,8 @@ void CheckAgainstGolden(const std::string& rendered, const std::string& name) {
 }
 
 struct Fixture {
-  Fixture()
-      : schema(MakeSchema(WorkloadKind::kKaggleDlrm, DatasetScale::kTiny)),
+  explicit Fixture(WorkloadKind kind = WorkloadKind::kKaggleDlrm)
+      : schema(MakeSchema(kind, DatasetScale::kTiny)),
         dataset(SyntheticGenerator(schema, {.seed = 71}).Generate(2400)),
         split(dataset.MakeSplit(0.15)) {}
 
@@ -157,6 +157,37 @@ TEST(GoldenCurveTest, StaleSkipCurveMatchesFixture) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_FALSE(r->curve.empty());
   CheckAgainstGolden(Render(ToGolden(*r)), "stale_skip_curve.txt");
+}
+
+// fp16 embedding emulation rounds every updated row through binary16, so
+// its curve differs from the fp32 baseline's and needs its own fixture.
+TEST(GoldenCurveTest, Fp16CurveMatchesFixture) {
+  Fixture f;
+  auto model = MakeModel(f.schema, /*full_size=*/false, /*seed=*/5);
+  TrainOptions opt = Fixture::Options();
+  opt.fp16_embeddings = true;
+  Trainer trainer(model.get(), MakePaperServer(1), opt);
+  auto r = trainer.TrainBaseline(f.dataset, f.split);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_FALSE(r->curve.empty());
+  CheckAgainstGolden(Render(ToGolden(*r)), "fp16_curve.txt");
+}
+
+// TBSM (the paper's RMC1) in the configuration hostbench's
+// train-taobao-cached runs: FAE with the overlapped pipeline and the
+// oracle cache. The cache and the pipeline reprice steps but must not move
+// a loss, so the curve pins TBSM's step and eval math.
+TEST(GoldenCurveTest, TbsmCurveMatchesFixture) {
+  Fixture f(WorkloadKind::kTaobaoTbsm);
+  auto model = MakeModel(f.schema, /*full_size=*/false, /*seed=*/5);
+  TrainOptions opt = Fixture::Options();
+  opt.pipeline = PipelineMode::kOverlap;
+  opt.cache = CacheMode::kOracle;
+  Trainer trainer(model.get(), MakePaperServer(1), opt);
+  auto r = trainer.TrainFae(f.dataset, f.split, Fixture::Config());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_FALSE(r->curve.empty());
+  CheckAgainstGolden(Render(ToGolden(*r)), "tbsm_curve.txt");
 }
 
 // One line of modeled costs per overlay configuration: the wall, the

@@ -1,9 +1,9 @@
 // Steady-state allocation freedom of the fused training step: after a few
 // warm-up steps have sized every workspace, a DLRM training step (forward,
-// backward, dense SGD, fused sparse scatter+update) must perform zero heap
-// allocations. Enforced with a global operator new hook, which is why this
-// test lives in its own binary (fae_zero_alloc_test) — the hook is
-// process-wide.
+// backward, dense SGD, fused sparse scatter+update) and its eval forward
+// must perform zero heap allocations. Enforced with a global operator new
+// hook, which is why this test lives in its own binary
+// (fae_zero_alloc_test) — the hook is process-wide.
 
 #include <atomic>
 #include <execinfo.h>
@@ -109,6 +109,67 @@ TEST(ZeroAllocTest, FusedDlrmStepIsAllocationFreeAfterWarmup) {
   g_track.store(false);
   EXPECT_EQ(g_allocs.load(), 0u)
       << "the fused steady-state step touched the heap";
+}
+
+// Evaluation runs the training forward on the model's own tables, so it
+// shares the step's workspaces: with training steps interleaved, as the
+// trainer interleaves them, a warm eval forward must not touch the heap
+// either. Only EvalLogits is tracked; Evaluate also collects scores for the
+// AUC, which allocates by design.
+TEST(ZeroAllocTest, DlrmEvalLogitsIsAllocationFreeAfterWarmup) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer runtimes allocate behind the hook";
+#endif
+  const DatasetSchema schema =
+      MakeSchema(WorkloadKind::kKaggleDlrm, DatasetScale::kTiny);
+  const Dataset dataset = SyntheticGenerator(schema, {.seed = 53}).Generate(96);
+  std::vector<uint64_t> train_ids(64);
+  std::vector<uint64_t> eval_ids(32);
+  for (size_t i = 0; i < train_ids.size(); ++i) train_ids[i] = i;
+  for (size_t i = 0; i < eval_ids.size(); ++i) eval_ids[i] = 64 + i;
+  const FlatDataset train = dataset.flat().Gather(train_ids);
+  const FlatDataset eval = dataset.flat().Gather(eval_ids);
+  // Eval batches are larger than training batches: the workspaces must
+  // keep the eval shapes' capacity across the steps in between.
+  const std::vector<BatchView> train_views = MakeBatchViews(train, 16, false);
+  const std::vector<BatchView> eval_views = MakeBatchViews(eval, 32, false);
+
+  std::unique_ptr<RecModel> model =
+      MakeModel(schema, /*full_size=*/false, /*seed=*/4);
+  std::vector<EmbeddingTable*> tables;
+  for (EmbeddingTable& t : model->tables()) tables.push_back(&t);
+  const std::vector<Parameter*> dense_params = model->DenseParams();
+
+  Sgd dense_sgd(0.1f);
+  SparseSgd sparse_sgd(0.1f);
+  struct Ctx {
+    SparseSgd* sgd;
+    std::vector<EmbeddingTable*>* tables;
+  } ctx{&sparse_sgd, &tables};
+  const SparseApplyFn apply = [c = &ctx](size_t t, const Tensor& grad_out,
+                                         std::span<const uint32_t> indices,
+                                         std::span<const uint32_t> offsets) {
+    c->sgd->FusedBackwardStep(*(*c->tables)[t], grad_out, indices, offsets,
+                              nullptr);
+  };
+
+  auto train_then_eval = [&](bool track) {
+    for (const BatchView& view : train_views) {
+      model->ForwardBackwardFusedOn(view, tables, apply);
+      dense_sgd.Step(dense_params);
+    }
+    for (const BatchView& view : eval_views) {
+      g_track.store(track);
+      model->EvalLogits(view);
+      g_track.store(false);
+    }
+  };
+
+  for (int rep = 0; rep < 2; ++rep) train_then_eval(/*track=*/false);
+
+  g_allocs.store(0);
+  for (int rep = 0; rep < 3; ++rep) train_then_eval(/*track=*/true);
+  EXPECT_EQ(g_allocs.load(), 0u) << "the warm eval forward touched the heap";
 }
 
 // Same property with quantized cold storage: once a full sync interval has
