@@ -1,7 +1,7 @@
 // Pipelined-trainer ablation (the PR gate for --pipeline, DESIGN.md §11):
 // runs the real engine in every pipeline mode — off (serial), prefetch
-// (double-buffered input staging), overlap (staging + hot/cold phase
-// overlap) — for both the baseline and the FAE trainer, on a skewed
+// (modeled double-buffered input staging), overlap (staging + hot/cold
+// phase overlap) — for both the baseline and the FAE trainer, on a skewed
 // workload where most inputs are hot.
 //
 // Two things are checked, and both fail the binary (ctest's

@@ -2,9 +2,9 @@
 // DESIGN.md §16): runs the real engine — math ON, the skip decisions read
 // measured per-row update magnitudes — sweeping the freeze threshold over
 // zipf exponents, with the baseline driver in --stale-skip=all and the FAE
-// driver in --stale-skip=cold for context.
+// driver in --stale-skip=cold.
 //
-// Three things are checked, and all fail the binary (ctest's
+// Four things are checked, and all fail the binary (ctest's
 // bench_stale_skip_smoke runs it with --smoke):
 //   1. Identity: --stale-threshold=0 is bit-identical to --stale-skip=off —
 //      same learning curve, same modeled wall. The guard only multiplies
@@ -16,6 +16,11 @@
 //      time — modeled time-to-accuracy).
 //   3. Loss band: the gate winner's loss delta itself (checked as part of
 //      2 — a speedup bought with divergence does not count).
+//   4. The guard on the path FAE trains: at the gate zipf the FAE cold run
+//      must tighten its guard at least once, skip at least one row, and end
+//      within the same loss band of FAE off (Slipstream's accuracy band,
+//      arXiv 2404.04270). Its saving is small — the hot set is pinned live
+//      — so this checks the guard acts, not a speedup.
 //
 // The zipf sweep shows where skipping bites: heavier skew concentrates
 // updates on few hot rows, so the long tail's EMAs settle fast and most
@@ -108,10 +113,23 @@ bool SameCurve(const std::vector<CurvePoint>& a,
   return true;
 }
 
+/// The FAE --stale-skip=cold run at the gate zipf, against FAE off.
+struct FaeColdGate {
+  uint64_t guard_tightens = 0;
+  uint64_t skipped_rows = 0;
+  double loss_delta = 0.0;
+  bool ok = false;
+};
+
+double RelativeLossDelta(double loss, double reference) {
+  return reference > 0.0 ? std::abs(loss - reference) / reference : 0.0;
+}
+
 void WriteJson(const std::string& path, const Suite& s,
                const std::vector<CaseResult>& results, bool identity_ok,
                double best_speedup, double best_loss_delta,
-               double best_threshold, bool gate_ok) {
+               double best_threshold, const FaeColdGate& fae_cold,
+               bool gate_ok) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -133,6 +151,14 @@ void WriteJson(const std::string& path, const Suite& s,
                best_loss_delta);
   std::fprintf(f, "  \"criterion_loss_band\": %.3f,\n", kLossBand);
   std::fprintf(f, "  \"criterion_best_threshold\": %.3f,\n", best_threshold);
+  std::fprintf(f, "  \"criterion_fae_cold_guard_tightens\": %llu,\n",
+               static_cast<unsigned long long>(fae_cold.guard_tightens));
+  std::fprintf(f, "  \"criterion_fae_cold_skipped_rows\": %llu,\n",
+               static_cast<unsigned long long>(fae_cold.skipped_rows));
+  std::fprintf(f, "  \"criterion_fae_cold_loss_delta\": %.5f,\n",
+               fae_cold.loss_delta);
+  std::fprintf(f, "  \"criterion_fae_cold_ok\": %s,\n",
+               fae_cold.ok ? "true" : "false");
   std::fprintf(f, "  \"criterion_ok\": %s,\n", gate_ok ? "true" : "false");
   std::fprintf(f, "  \"cases\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
@@ -216,6 +242,7 @@ int Run(int argc, char** argv) {
   double best_speedup = 0.0;
   double best_loss_delta = 0.0;
   double best_threshold = 0.0;
+  FaeColdGate fae_cold;
 
   for (double zipf : s.zipfs) {
     DatasetSchema schema = MakeKaggleLikeSchema(DatasetScale::kTiny);
@@ -271,10 +298,7 @@ int Run(int argc, char** argv) {
                   static_cast<unsigned long long>(c.guard_widens));
       if (zipf == s.gate_zipf) {
         const double loss_delta =
-            off.final_test_loss > 0.0
-                ? std::abs(c.final_test_loss - off.final_test_loss) /
-                      off.final_test_loss
-                : 0.0;
+            RelativeLossDelta(c.final_test_loss, off.final_test_loss);
         const double speedup = c.modeled_seconds > 0.0
                                    ? off.modeled_seconds / c.modeled_seconds
                                    : 0.0;
@@ -286,8 +310,8 @@ int Run(int argc, char** argv) {
       }
     }
 
-    // FAE context: cold-only skipping rides the hot/cold schedule (the hot
-    // set is pinned live, so only cold batches are credited).
+    // FAE: cold-only skipping rides the hot/cold schedule (the hot set is
+    // pinned live, so only cold batches are credited).
     FaeConfig cfg;
     cfg.sample_rate = 0.25;
     cfg.large_table_bytes = bench::LargeTableCutoff(DatasetScale::kTiny);
@@ -300,6 +324,7 @@ int Run(int argc, char** argv) {
                    plan.status().ToString().c_str());
       return 2;
     }
+    double fae_off_loss = 0.0;
     for (StaleSkipMode mode : {StaleSkipMode::kOff, StaleSkipMode::kCold}) {
       const double threshold =
           mode == StaleSkipMode::kOff ? 0.0 : s.thresholds.back();
@@ -321,23 +346,39 @@ int Run(int argc, char** argv) {
                   100.0 * c.skip_fraction, c.final_test_loss,
                   static_cast<unsigned long long>(c.guard_tightens),
                   static_cast<unsigned long long>(c.guard_widens));
+      if (mode == StaleSkipMode::kOff) {
+        fae_off_loss = c.final_test_loss;
+      } else if (zipf == s.gate_zipf) {
+        fae_cold.guard_tightens = c.guard_tightens;
+        fae_cold.skipped_rows = c.skipped_rows;
+        fae_cold.loss_delta =
+            RelativeLossDelta(c.final_test_loss, fae_off_loss);
+        fae_cold.ok = fae_cold.guard_tightens >= 1 &&
+                      fae_cold.skipped_rows >= 1 &&
+                      fae_cold.loss_delta <= kLossBand;
+      }
     }
   }
 
-  const bool gate_ok =
-      identity_ok && best_speedup >= kWallGate && best_loss_delta <= kLossBand;
+  const bool gate_ok = identity_ok && best_speedup >= kWallGate &&
+                       best_loss_delta <= kLossBand && fae_cold.ok;
 
   std::printf(
       "\nthreshold-0 bit-identical to off:    %s\n"
       "best in-band time-to-accuracy gain:  %.2fx at threshold %.2f "
       "(gate: >= %.2fx)\n"
-      "its final-loss delta:                %.3f%% (band: <= %.1f%%)\n",
+      "its final-loss delta:                %.3f%% (band: <= %.1f%%)\n"
+      "FAE cold guard at zipf %.2f:         %llu tightens, %llu rows skipped, "
+      "loss delta %.3f%% (%s)\n",
       identity_ok ? "yes" : "NO", best_speedup, best_threshold, kWallGate,
-      100.0 * best_loss_delta, 100.0 * kLossBand);
+      100.0 * best_loss_delta, 100.0 * kLossBand, s.gate_zipf,
+      static_cast<unsigned long long>(fae_cold.guard_tightens),
+      static_cast<unsigned long long>(fae_cold.skipped_rows),
+      100.0 * fae_cold.loss_delta, fae_cold.ok ? "ok" : "FAIL");
 
   const std::string out = args.GetString("out", "BENCH_stale_skip.json");
   WriteJson(out, s, results, identity_ok, best_speedup, best_loss_delta,
-            best_threshold, gate_ok);
+            best_threshold, fae_cold, gate_ok);
   std::printf("wrote %s\n", out.c_str());
 
   if (!identity_ok) {
@@ -349,6 +390,13 @@ int Run(int argc, char** argv) {
                  "FAIL: best in-band speedup %.2fx < %.2fx gate (loss band "
                  "%.1f%%)\n",
                  best_speedup, kWallGate, 100.0 * kLossBand);
+    return 1;
+  }
+  if (!fae_cold.ok) {
+    std::fprintf(stderr,
+                 "FAIL: FAE --stale-skip=cold at zipf %.2f must tighten its "
+                 "guard, skip a row and stay in the %.1f%% loss band\n",
+                 s.gate_zipf, 100.0 * kLossBand);
     return 1;
   }
   return 0;

@@ -15,24 +15,31 @@ namespace fae {
 
 /// Double-buffered mini-batch prefetcher: a dedicated producer thread
 /// gathers/packs upcoming batches into a ring of reusable FlatDataset
-/// workspaces while the trainer computes on the current one, so input
-/// staging overlaps training (the --pipeline flag; DESIGN.md §11).
+/// workspaces while the consumer computes on the current one, so input
+/// staging overlaps training.
 ///
-/// Work arrives in *segments* (one per baseline epoch / FAE schedule
-/// chunk): Begin() hands the producer an ordered list of batch specs, and
-/// the consumer then alternates Acquire()/Release() exactly once per spec,
-/// in order. Segments are the pipeline's sync boundaries — the producer
-/// never runs ahead into the next segment, which is what keeps the
-/// pipelined trainer's math bit-identical to the serial one (the scheduler
-/// may change the upcoming batch mix at a boundary, so nothing beyond it
-/// may be staged speculatively).
+/// No library code calls it: the Trainer trains every --pipeline mode on
+/// zero-copy views and only models the staging (DESIGN.md §11), because
+/// the real thread measured slower than no staging at all. The class
+/// stays for hostbench's replay of the FAE loop (hostbench/
+/// train_workload.cc) and goes when that replay does (ROADMAP items 2
+/// and 5).
+///
+/// Work arrives in *segments* (one per FAE schedule chunk in the replay):
+/// Begin() hands the producer an ordered list of batch specs, and the
+/// consumer then alternates Acquire()/Release() exactly once per spec, in
+/// order. Segments are the pipeline's sync boundaries — the producer never
+/// runs ahead into the next segment, which is what keeps a staged run's
+/// math bit-identical to a serial one (the scheduler may change the
+/// upcoming batch mix at a boundary, so nothing beyond it may be staged
+/// speculatively).
 ///
 /// Determinism contract: Acquire() returns batches in exactly Begin()
 /// order, and each staged batch is a sample-for-sample copy of what the
-/// serial trainer would have viewed zero-copy (GatherInto produces
-/// zero-based CSR offsets; kernels rebase via offsets.front(), so the
-/// results are bit-identical). The producer thread touches only its own
-/// slot buffers — it never reads or writes model state.
+/// trainer views zero-copy (GatherInto produces zero-based CSR offsets;
+/// kernels rebase via offsets.front(), so the results are bit-identical).
+/// The producer thread touches only its own slot buffers — it never reads
+/// or writes model state.
 ///
 /// Shutdown: the destructor works with any number of unconsumed specs in
 /// flight (e.g. an injected crash abandoning a segment) — it signals stop,

@@ -11,14 +11,14 @@
 namespace fae {
 
 /// Shared bounds for every batch-granular ring or window in the engine:
-/// the BatchPipeline's staging ring (--pipeline-depth) and the
-/// LookaheadCache's oracle window (--cache-lookahead). One definition so
+/// the staging ring (--pipeline-depth) and the LookaheadCache's oracle
+/// window (--cache-lookahead). One definition so
 /// the CLI, the Trainer, and the components themselves agree on what a
 /// sane depth is — PR 5 fixed a negative --pipeline-depth wrapping through
 /// size_t into a huge allocation; that validation now lives here for every
 /// such knob instead of being re-derived per flag.
 inline constexpr size_t kMinRingDepth = 1;
-/// Backstop against absurd allocations: every pipeline slot owns a
+/// Backstop against absurd allocations: every staging slot owns a
 /// FlatDataset workspace and every window slot a per-batch row-id list, so
 /// a depth beyond this is a typo, not a configuration.
 inline constexpr size_t kMaxRingDepth = size_t{1} << 20;
@@ -42,7 +42,7 @@ inline StatusOr<size_t> ValidateRingDepth(long long value,
 }
 
 /// Clamp for internal construction sites that promise a usable ring no
-/// matter what (the BatchPipeline's documented "clamped to >= 1").
+/// matter what (the staging ring's documented "clamped to >= 1").
 inline size_t ClampRingDepth(size_t depth) {
   if (depth < kMinRingDepth) return kMinRingDepth;
   if (depth > kMaxRingDepth) return kMaxRingDepth;

@@ -6,11 +6,6 @@
 
 namespace fae {
 
-/// Gathers through a GPU-side cache index (hash/indirection) run ~1.5x a
-/// direct gather. Shared by the transparent-cache baseline and the
-/// lookahead oracle cache so the two models stay comparable.
-constexpr double kCacheIndirection = 1.5;
-
 StepAccountant::BaselineParts StepAccountant::ChargeBaselineStepParts(
     const BatchWork& w, Timeline& tl) const {
   return ChargeBaselineStepParts(
@@ -394,7 +389,7 @@ void StepAccountant::ChargeCacheStep(const BatchWork& w,
   const uint64_t shard = w.batch_size / g;
 
   // Cache hits: local HBM gathers on each GPU's shard, through the cache
-  // index (see kCacheIndirection above).
+  // index (see kCacheIndirection).
   tl.ChargeGpu(Phase::kEmbeddingForward,
                kCacheIndirection *
                    cost_->GatherSeconds(hit_lookup_bytes / g, sys.gpu));

@@ -11,6 +11,13 @@
 
 namespace fae {
 
+/// Gathers through a GPU-side cache index (hash/indirection) run ~1.5x a
+/// direct gather. One factor for every cache model — the transparent-cache
+/// comparator, the trainer's lookahead oracle cache and the serving cache
+/// tier (whose sharded-replica peer-link hop it also covers) — so they
+/// stay comparable.
+inline constexpr double kCacheIndirection = 1.5;
+
 /// Charges one training step's work to the simulated hardware, per the
 /// execution placements the paper compares:
 ///   - baseline (Fig 3): embeddings + sparse optimizer on CPU, MLPs on
@@ -67,8 +74,8 @@ class StepAccountant {
                                         Timeline& tl) const;
 
   /// Gather/pack of one mini-batch into a staging workspace on the CPU
-  /// (the BatchPipeline's per-batch work). Charged in every pipeline mode;
-  /// prefetching modes hide it under the previous step via
+  /// (the modeled staging ring's per-batch work). Charged in every pipeline
+  /// mode; prefetching modes hide it under the previous step via
   /// Timeline::AddOverlapSavedSeconds. Returns the charged seconds.
   double ChargeInputPrep(uint64_t batch_bytes, Timeline& tl) const;
 

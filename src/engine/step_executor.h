@@ -18,18 +18,18 @@ namespace fae {
 
 class StalenessTracker;
 
-/// Pipelined execution for the baseline and FAE drivers (comparator
-/// placements ignore it). Every mode runs the identical math in the
-/// identical order — pipelining changes only how input staging and device
-/// phases are scheduled (and modeled), never what is computed, so results
-/// are bit-exact across modes (tests/engine/pipeline_determinism_test.cc).
+/// Modeled pipelining for the baseline and FAE drivers (comparator
+/// placements ignore it). A pure cost-model overlay: the host trains every
+/// mode on the same batch views with the identical math in the identical
+/// order, so results are bit-exact across modes
+/// (tests/engine/pipeline_determinism_test.cc); only the modeled wall
+/// changes.
 enum class PipelineMode {
   /// Fully serial: stage a batch, then step on it.
   kOff,
-  /// Double-buffered staging (engine/batch_pipeline.h): a background
-  /// thread gathers/packs batch b+1 while batch b trains, hiding input
-  /// prep under compute. Prefetch never crosses an epoch or schedule-chunk
-  /// boundary (the pipeline's explicit sync points).
+  /// Modeled double-buffered staging: batch b+1's gather/pack runs while
+  /// batch b trains, hiding input prep under compute. Prefetch never
+  /// crosses an epoch or schedule-chunk boundary (the sync points).
   kPrefetch,
   /// kPrefetch plus overlapped phases: the hybrid step's CPU and GPU lanes
   /// run concurrently, and FAE's cold-CPU chunks overlap the subsequent
@@ -40,19 +40,19 @@ enum class PipelineMode {
 std::string_view PipelineModeName(PipelineMode mode);
 
 /// Input payload of one mini-batch — dense features, labels, CSR offsets
-/// and lookup indices: what the staging gather streams into a workspace.
-/// Derived from the batch's shape only, so a zero-copy view and its staged
-/// copy yield the same value and every pipeline mode charges the same prep
-/// time.
+/// and lookup indices: what the modeled staging gather streams into a
+/// workspace. Derived from the batch's shape only, so every pipeline mode
+/// charges the same prep time.
 uint64_t BatchInputBytes(const BatchView& v);
 
-/// Per-step overlap bookkeeping shared by the serial and pipelined drivers
+/// Per-step overlap bookkeeping for the baseline and FAE drivers
 /// (DESIGN.md §11). Phase charges are identical in every mode; modes
 /// differ only in the seconds credited back through
 /// Timeline::AddOverlapSavedSeconds:
-///   - kPrefetch (depth >= 2): batch b's staging gather runs on the
-///     prefetch thread while step b-1 computes, so up to the previous
-///     step's unhidden seconds of b's prep are hidden;
+///   - kPrefetch (depth >= 2): batch b's staging gather is modeled to run
+///     while step b-1 computes, so up to the previous step's unhidden
+///     seconds of b's prep are hidden (depth 1 hides none; deeper rings
+///     hide no more than depth 2);
 ///   - kOverlap: additionally the hybrid step's CPU and GPU lanes overlap,
 ///     hiding min(cpu, gpu) per step.
 /// Prefetch cannot reach across a segment boundary (epoch / schedule

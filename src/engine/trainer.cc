@@ -9,7 +9,6 @@
 #include "core/fae_format.h"
 #include "core/input_processor.h"
 #include "core/shuffle_scheduler.h"
-#include "engine/batch_pipeline.h"
 #include "engine/dirty_rows.h"
 #include "engine/ring_limits.h"
 #include "sim/partition.h"
@@ -381,8 +380,8 @@ Status ValidateTrainOptions(TrainMode mode, const SystemSpec& system,
     if (options.pipeline == PipelineMode::kOff) {
       return Status::InvalidArgument(
           "--cache=oracle requires a pipelined run (--pipeline=prefetch or "
-          "overlap): the oracle window is the batch pipeline's forward "
-          "visibility into staged batches");
+          "overlap): the oracle window is the modeled staging ring's view "
+          "of upcoming batches");
     }
     if (options.cache_budget_rows < 1) {
       return Status::InvalidArgument(
@@ -398,9 +397,9 @@ Status ValidateTrainOptions(TrainMode mode, const SystemSpec& system,
   if (options.cold_precision != ColdPrecision::kFp32) {
     if (options.fp16_embeddings) {
       return Status::InvalidArgument(
-          "--cold-precision and --fp16-embeddings are mutually exclusive: "
-          "fp16 emulation rounds rows through the fp32 tables that the "
-          "quantized cold store no longer holds");
+          "--cold-precision and TrainOptions::fp16_embeddings are mutually "
+          "exclusive: fp16 emulation rounds rows through the fp32 tables "
+          "that the quantized cold store no longer holds");
     }
     if (options.cache != CacheMode::kOff) {
       return Status::InvalidArgument(
@@ -417,9 +416,9 @@ Status ValidateTrainOptions(TrainMode mode, const SystemSpec& system,
     }
     if (options.fp16_embeddings) {
       return Status::InvalidArgument(
-          "--stale-skip and --fp16-embeddings are mutually exclusive: the "
-          "tracker measures the fp32 update, not the change binary16 "
-          "rounding leaves in the row");
+          "--stale-skip and TrainOptions::fp16_embeddings are mutually "
+          "exclusive: the tracker measures the fp32 update, not the change "
+          "binary16 rounding leaves in the row");
     }
     if (options.cache != CacheMode::kOff) {
       return Status::InvalidArgument(
@@ -770,16 +769,10 @@ class Trainer::Run {
 };
 
 struct Trainer::ShuffledBatches {
-  ShuffledBatches(const std::vector<uint64_t>& train, uint64_t seed)
-      : ids(train), rng(seed) {
-    for (size_t i = ids.size(); i > 1; --i) {
-      std::swap(ids[i - 1], ids[rng.NextBounded(i)]);
-    }
-  }
+  explicit ShuffledBatches(uint64_t seed) : rng(seed) {}
 
-  std::vector<uint64_t> ids;
   Xoshiro256 rng;
-  FlatDataset flat;                 // `ids` gathered once (serial path)
+  FlatDataset flat;                 // the shuffled train ids, gathered once
   std::vector<TrainBatch> batches;  // views into `flat`
   std::vector<size_t> order;        // this epoch's batch order
 
@@ -790,17 +783,17 @@ struct Trainer::ShuffledBatches {
   }
 };
 
-Trainer::ShuffledBatches Trainer::ShuffleBatches(const Dataset& dataset,
-                                                 const Dataset::Split& split,
-                                                 bool gather) const {
-  ShuffledBatches data(split.train, options_.seed);
-  const size_t global_batch = GlobalBatchSize();
-  if (gather) {
-    data.flat = dataset.flat().Gather(data.ids);
-    data.batches =
-        exec_.MakeTrainBatches(data.flat, global_batch, /*hot=*/false);
+Trainer::ShuffledBatches Trainer::ShuffleBatches(
+    const Dataset& dataset, const Dataset::Split& split) const {
+  ShuffledBatches data(options_.seed);
+  std::vector<uint64_t> ids = split.train;
+  for (size_t i = ids.size(); i > 1; --i) {
+    std::swap(ids[i - 1], ids[data.rng.NextBounded(i)]);
   }
-  data.order.resize((data.ids.size() + global_batch - 1) / global_batch);
+  data.flat = dataset.flat().Gather(ids);
+  data.batches =
+      exec_.MakeTrainBatches(data.flat, GlobalBatchSize(), /*hot=*/false);
+  data.order.resize(data.batches.size());
   std::iota(data.order.begin(), data.order.end(), 0);
   return data;
 }
@@ -838,36 +831,13 @@ StatusOr<TrainReport> Trainer::TrainBaseline(const Dataset& dataset,
       ValidateTrainOptions(TrainMode::kBaseline, system_, options_));
   exec_.MaybeQuantizeTables();
   Run run(*this, TrainMode::kBaseline, dataset, split);
-  const bool pipelined = options_.pipeline != PipelineMode::kOff;
 
-  // Serial data path: one gather into epoch order; batches are views into
-  // the gathered buffers (consecutive sample ranges), with cost-model work
-  // units computed once. Per-epoch reshuffles permute the batch order —
-  // the underlying data is never copied again.
-  //
-  // Pipelined data path: no epoch-wide materialization at all. Each batch
-  // is a descriptor — a fixed subspan of the shuffled ids — that the
-  // BatchPipeline stages into a ring workspace just in time, overlapping
-  // the gather with the previous step's compute. Work units are computed
-  // at a descriptor's first staging and cached (Work is pure per batch
-  // contents). Both paths share one batch order and so one NextBounded
-  // call sequence: the batch order and checkpoint bytes match exactly.
-  struct BatchDesc {
-    std::span<const uint64_t> ids;
-    BatchWork work;
-    bool work_valid = false;
-  };
-  ShuffledBatches data = ShuffleBatches(dataset, split, !pipelined);
-  std::vector<BatchDesc> descs;
-  const size_t global_batch = GlobalBatchSize();
-  if (pipelined) {
-    for (size_t begin = 0; begin < data.ids.size(); begin += global_batch) {
-      BatchDesc d;
-      d.ids = std::span<const uint64_t>(data.ids).subspan(
-          begin, std::min(global_batch, data.ids.size() - begin));
-      descs.push_back(std::move(d));
-    }
-  }
+  // One gather into epoch order; batches are views into the gathered
+  // buffers (consecutive sample ranges), with cost-model work units
+  // computed once. Per-epoch reshuffles permute the batch order — the
+  // underlying data is never copied again. Every pipeline mode trains on
+  // these views: --pipeline only changes what the cost model hides.
+  ShuffledBatches data = ShuffleBatches(dataset, split);
   const size_t num_batches = data.order.size();
   const size_t eval_every =
       std::max<size_t>(1, num_batches / std::max<size_t>(
@@ -891,13 +861,9 @@ StatusOr<TrainReport> Trainer::TrainBaseline(const Dataset& dataset,
     start_batch = ck.batch_in_epoch;
   }
 
-  std::unique_ptr<BatchPipeline> prefetcher;
-  if (pipelined) {
-    prefetcher = std::make_unique<BatchPipeline>(options_.pipeline_depth);
-  }
-  // The batch descriptors double as the cache's oracle feed.
+  // The cache's oracle window reads the epoch's upcoming batches.
   run.overlay.set_cache_feed([&](size_t b) {
-    run.overlay.cache().PushBatch(dataset.flat(), descs[data.order[b]].ids);
+    run.overlay.cache().PushBatch(data.batches[data.order[b]].view);
   });
 
   for (size_t epoch = start_epoch; epoch < options_.epochs; ++epoch) {
@@ -905,37 +871,16 @@ StatusOr<TrainReport> Trainer::TrainBaseline(const Dataset& dataset,
     // resume landed in).
     if (!(run.report.resumed && epoch == start_epoch)) data.Reshuffle();
     const size_t first = epoch == start_epoch ? start_batch : 0;
-    if (pipelined) {
-      // One pipeline segment per epoch: the epoch boundary is a sync
-      // point the prefetcher never crosses.
-      std::vector<BatchPipeline::Spec> specs;
-      specs.reserve(num_batches - first);
-      for (size_t b = first; b < num_batches; ++b) {
-        specs.push_back(BatchPipeline::Spec{
-            &dataset.flat(), descs[data.order[b]].ids, false});
-      }
-      prefetcher->Begin(std::move(specs));
-    }
+    // An epoch is one modeled prefetch segment: the boundary is a sync
+    // point nothing is staged across.
     run.tracker.BeginSegment();
     run.overlay.BeginCacheSegment(first, num_batches);
     for (size_t b = first; b < num_batches; ++b) {
       FAE_ASSIGN_OR_RETURN(const bool crashed,
                            DrainFaults(run.iteration, run.report, nullptr));
-      // ~BatchPipeline cancels an abandoned segment.
       if (crashed) return run.Finish();
-      if (pipelined) {
-        const BatchView& staged = prefetcher->Acquire();
-        BatchDesc& d = descs[data.order[b]];
-        if (!d.work_valid) {
-          d.work = model_->Work(staged);
-          d.work_valid = true;
-        }
-        run.ColdStep(staged, d.work);
-        prefetcher->Release();
-      } else {
-        const TrainBatch& batch = data.batches[data.order[b]];
-        run.ColdStep(batch.view, batch.work);
-      }
+      const TrainBatch& batch = data.batches[data.order[b]];
+      run.ColdStep(batch.view, batch.work);
       run.EndStep();
       if (options_.run_math && run.iteration % eval_every == 0) {
         run.EvalPoint();
@@ -1080,32 +1025,6 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
         MakeBatchViews(hot_translated, GlobalBatchSize(), /*hot=*/true);
   }
 
-  // Pipelined staging: each schedule chunk is one BatchPipeline segment
-  // (the chunk boundary is FAE's sync point — the scheduler's rate
-  // feedback can change the upcoming mix there, so nothing is staged
-  // across it). Batches of the packed classes are contiguous sample
-  // ranges, so staging specs index through one shared iota pool. Hot
-  // batches stage from the replica-coordinate clone when math runs (the
-  // staged copy feeds MathStep directly); the untranslated views keep
-  // serving work units and dirty tracking in every mode.
-  const bool pipelined = options_.pipeline != PipelineMode::kOff;
-  // stage_ids must outlive the prefetcher: the producer thread reads
-  // Spec::ids spans into it until ~BatchPipeline joins, including on early
-  // returns that abandon a segment mid-chunk (injected crashes).
-  std::vector<uint64_t> stage_ids;
-  std::unique_ptr<BatchPipeline> prefetcher;
-  const FlatDataset* hot_stage_src = nullptr;
-  if (pipelined) {
-    prefetcher = std::make_unique<BatchPipeline>(options_.pipeline_depth);
-    stage_ids.resize(std::max(packed.hot.size(), packed.cold.size()));
-    std::iota(stage_ids.begin(), stage_ids.end(), 0);
-    hot_stage_src = options_.run_math ? &hot_translated : &packed.hot;
-  }
-  auto stage_span = [&](const FlatDataset& src, size_t i) {
-    const size_t begin = i * GlobalBatchSize();
-    return std::span<const uint64_t>(stage_ids).subspan(
-        begin, std::min(GlobalBatchSize(), src.size() - begin));
-  };
   // Cold-chunk CPU seconds awaiting a hot chunk to hide under (kOverlap).
   double pending_cold_unhidden = 0.0;
 
@@ -1133,7 +1052,7 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
   // push sync marks cached copies stale on the way out.
   const bool cache_on = run.overlay.cache_on();
   run.overlay.set_cache_feed([&](size_t i) {
-    run.overlay.cache().PushBatch(packed.cold, stage_span(packed.cold, i));
+    run.overlay.cache().PushBatch(cold_batches[i].view);
   });
 
   // FAE checkpoints are taken at schedule-chunk boundaries, where the CPU
@@ -1295,16 +1214,9 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
     if (!(report.resumed && epoch == start_epoch)) scheduler.ResetEpoch();
     while (auto chunk = scheduler.Next()) {
       const size_t end = chunk->begin + chunk->count;
-      if (pipelined) {
-        const FlatDataset* src = chunk->hot ? hot_stage_src : &packed.cold;
-        std::vector<BatchPipeline::Spec> specs;
-        specs.reserve(chunk->count);
-        for (size_t i = chunk->begin; i < end; ++i) {
-          specs.push_back(
-              BatchPipeline::Spec{src, stage_span(*src, i), chunk->hot});
-        }
-        prefetcher->Begin(std::move(specs));
-      }
+      // A chunk is one modeled prefetch segment: the boundary is FAE's
+      // sync point (the scheduler's rate feedback can change the upcoming
+      // mix there), so nothing is staged across it.
       run.tracker.BeginSegment();
       run.overlay.chunk_saved = 0.0;
       // The chunk window spans everything charged for this chunk —
@@ -1330,12 +1242,6 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
               const bool crashed,
               DrainFaults(run.iteration, report, recover_corrupt_sync));
           if (crashed) return finish();
-          const BatchView* math_view =
-              options_.run_math ? &hot_translated_views[i] : nullptr;
-          if (pipelined) {
-            const BatchView& staged = prefetcher->Acquire();
-            if (options_.run_math) math_view = &staged;
-          }
           const double prep = accountant_.ChargeInputPrep(
               BatchInputBytes(hot_batches[i].view), tl);
           const double before = tl.PhaseSumSeconds();
@@ -1344,10 +1250,9 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
           run.tracker.OnStep(prep, step_seconds, step_seconds);
           run.overlay.PriceHotStep(hot_batches[i].work, step_seconds, tl);
           if (options_.run_math) {
-            exec_.MathStep(*math_view, replica_tables, run.metric,
-                           run.window);
+            exec_.MathStep(hot_translated_views[i], replica_tables,
+                           run.metric, run.window);
           }
-          if (pipelined) prefetcher->Release();
           if (dirty_sync) {
             // Untranslated indices — dirty tracking speaks master ids.
             for (size_t t = 0; t < num_tables; ++t) {
@@ -1368,12 +1273,7 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
               const bool crashed,
               DrainFaults(run.iteration, report, recover_corrupt_sync));
           if (crashed) return finish();
-          if (pipelined) {
-            run.ColdStep(prefetcher->Acquire(), cold_work(i));
-            prefetcher->Release();
-          } else {
-            run.ColdStep(cold_batches[i].view, cold_work(i));
-          }
+          run.ColdStep(cold_batches[i].view, cold_work(i));
           if (dirty_sync) {
             // Cold inputs may update hot rows on the master; those rows
             // must reach the replicas before the next hot phase.
@@ -1456,7 +1356,7 @@ StatusOr<TrainReport> Trainer::TrainNvOpt(const Dataset& dataset,
     }
   }
 
-  ShuffledBatches data = ShuffleBatches(dataset, split, /*gather=*/true);
+  ShuffledBatches data = ShuffleBatches(dataset, split);
   return RunComparator(
       TrainMode::kNvOpt, dataset, split, data, [&](size_t k, Timeline& tl) {
         const TrainBatch& batch = data.batches[k];
@@ -1489,7 +1389,7 @@ StatusOr<TrainReport> Trainer::TrainModelParallel(
         HumanBytes(system_.gpu.mem_capacity).c_str()));
   }
 
-  ShuffledBatches data = ShuffleBatches(dataset, split, /*gather=*/true);
+  ShuffledBatches data = ShuffleBatches(dataset, split);
   return RunComparator(TrainMode::kModelParallel, dataset, split, data,
                        [&](size_t k, Timeline& tl) {
                          accountant_.ChargeModelParallelStep(
@@ -1504,7 +1404,7 @@ StatusOr<TrainReport> Trainer::TrainGpuCache(const Dataset& dataset,
       ValidateTrainOptions(TrainMode::kGpuCache, system_, options_));
   const DatasetSchema& schema = dataset.schema();
   const uint64_t row_bytes = schema.embedding_dim * sizeof(float);
-  ShuffledBatches data = ShuffleBatches(dataset, split, /*gather=*/true);
+  ShuffledBatches data = ShuffleBatches(dataset, split);
 
   // Partition each batch's lookups into cache hits and misses once — the
   // split depends only on the batch and the (fixed) cache contents.

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/fae_config.h"
@@ -89,22 +88,24 @@ struct TrainOptions {
   /// any thread count — which is why this field is deliberately excluded
   /// from OptionsFingerprint (a resume may change it freely).
   size_t num_threads = 1;
-  /// Pipelined execution (see PipelineMode). Like num_threads, excluded
-  /// from OptionsFingerprint: results, phase charges, and checkpoint bytes
-  /// are identical in every mode, so a resume may switch modes freely.
-  /// kOverlap on the baseline is the strongest baseline in the repo: its
-  /// CPU embedding work overlaps the GPUs' dense work.
+  /// Pipelined execution (see PipelineMode): a pure cost-model overlay
+  /// like the cache and sharding knobs — every mode trains on the same
+  /// batch views. Like num_threads, excluded from OptionsFingerprint:
+  /// results, phase charges, and checkpoint bytes are identical in every
+  /// mode, so a resume may switch modes freely. kOverlap on the baseline
+  /// is the strongest baseline in the repo: its CPU embedding work
+  /// overlaps the GPUs' dense work.
   PipelineMode pipeline = PipelineMode::kOff;
-  /// Staging-ring depth for kPrefetch/kOverlap (>= 1). Depth 1 keeps the
-  /// background producer but allows no lookahead (no prep is hidden);
-  /// depth 2 is classic double buffering. Also fingerprint-exempt.
+  /// Modeled staging-ring depth for kPrefetch/kOverlap (>= 1). It only
+  /// decides whether prefetch hides input prep: depth 1 hides none, and
+  /// any depth >= 2 (classic double buffering) prices the same as 2. Also
+  /// fingerprint-exempt.
   size_t pipeline_depth = 2;
-  /// Lookahead oracle embedding cache fused into the batch pipeline
-  /// (engine/lookahead_cache.h). Requires pipeline != kOff: the oracle
-  /// window is the staging pipeline's forward visibility into upcoming
-  /// batches. Pure cost-model overlay — losses, tables, and checkpoint
-  /// bytes are bit-identical cache on/off, so all three knobs are
-  /// fingerprint-exempt like the pipeline's.
+  /// Lookahead oracle embedding cache (engine/lookahead_cache.h). Requires
+  /// pipeline != kOff: the oracle window is the modeled staging ring's
+  /// view of the schedule's upcoming batches. Pure cost-model overlay —
+  /// losses, tables, and checkpoint bytes are bit-identical cache on/off,
+  /// so all three knobs are fingerprint-exempt like the pipeline's.
   CacheMode cache = CacheMode::kOff;
   /// Hard cache capacity in embedding rows (>= 1), across all tables.
   size_t cache_budget_rows = 4096;
@@ -255,7 +256,8 @@ struct TrainReport {
 /// drivers enforce: knob ranges, the knob pairs no cost model prices, and
 /// the knobs a placement has no use for (the comparators take no overlay
 /// knob at all). Every driver calls it first; the CLI calls it before it
-/// prepares a plan. Violations are InvalidArgument naming the flag.
+/// prepares a plan. Violations are InvalidArgument naming the flag, or
+/// the TrainOptions field for an option no flag sets (fp16_embeddings).
 Status ValidateTrainOptions(TrainMode mode, const SystemSpec& system,
                             const TrainOptions& options);
 
@@ -332,12 +334,11 @@ class Trainer {
   using TrainBatch = StepExecutor::TrainBatch;
   /// The state and stages TrainBaseline and TrainFaeWithPlan share.
   class Run;
-  /// The seeded shuffle of the train ids and the per-epoch batch order the
-  /// baseline and the comparators share.
+  /// The seeded shuffle of the train ids, gathered once into batches, and
+  /// the per-epoch batch order the baseline and the comparators share.
   struct ShuffledBatches;
   ShuffledBatches ShuffleBatches(const Dataset& dataset,
-                                 const Dataset::Split& split,
-                                 bool gather) const;
+                                 const Dataset::Split& split) const;
   /// The comparators' loop: per epoch a reshuffle, per batch `charge(k,
   /// timeline)` for batch k of `data.batches`, then the math.
   TrainReport RunComparator(

@@ -23,11 +23,6 @@ namespace {
 constexpr uint32_t kMaxServeRetries = 5;
 constexpr double kServeRetryBackoffSeconds = 0.001;
 
-/// Oracle-cache hits read a replica sharded across the GPUs; the peer-link
-/// hop folds into one indirection factor, matching the trainer's cache
-/// steps (engine/step_accountant.cc).
-constexpr double kCacheIndirection = 1.5;
-
 StepExecutor::Options ExecOptions(const ServeOptions& options) {
   StepExecutor::Options exec;
   exec.dense_lr = options.dense_lr;
@@ -137,9 +132,11 @@ StatusOr<ServeReport> ServingLoop::Serve(const Dataset& dataset,
   // Lookahead oracle cache over the *cold* traffic, with the hot slice as
   // the pinned tier (engine/lookahead_cache.h). The request stream replays
   // deterministically, so peeking `cache_lookahead` batches ahead gives
-  // the cache the same exact-future visibility the trainer's staging ring
-  // does. Unlike training there is no checkpoint-identity constraint, so
-  // cache traffic is charged into the timeline directly.
+  // the cache the same exact-future visibility the trainer's oracle window
+  // has over its schedule. Unlike training there is no checkpoint-identity
+  // constraint, so cache traffic is charged into the timeline directly.
+  // Oracle-cache hits read a replica sharded across the GPUs; the
+  // peer-link hop folds into kCacheIndirection (engine/step_accountant.h).
   const bool cache_on = options_.cache == CacheMode::kOracle;
   const double cache_hit_seconds = kCacheIndirection * hit_seconds;
   LookaheadCache cache;

@@ -72,11 +72,6 @@ double CostModel::NetworkTransferSeconds(uint64_t bytes) const {
          static_cast<double>(bytes) / sys_.network.bandwidth;
 }
 
-double CostModel::BusyEnergyJoules(double seconds,
-                                   const DeviceSpec& dev) const {
-  return seconds * (dev.busy_watts - dev.idle_watts);
-}
-
 double CostModel::AverageGpuWatts(double elapsed_seconds,
                                   double gpu_busy_seconds,
                                   double comm_seconds) const {

@@ -44,9 +44,6 @@ class CostModel {
   /// One node-to-node transfer of `bytes` over the cluster network.
   double NetworkTransferSeconds(uint64_t bytes) const;
 
-  /// Energy (J) drawn by `dev` when busy for `seconds`, above idle.
-  double BusyEnergyJoules(double seconds, const DeviceSpec& dev) const;
-
   /// Average per-GPU power (the paper's Table VI metric) over a run of
   /// `elapsed_seconds` during which each GPU computed for `gpu_busy_seconds`
   /// and PCIe traffic kept it communication-active for `comm_seconds`.

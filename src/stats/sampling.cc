@@ -1,8 +1,5 @@
 #include "stats/sampling.h"
 
-#include <algorithm>
-#include <unordered_set>
-
 #include "util/logging.h"
 
 namespace fae {
@@ -17,37 +14,6 @@ std::vector<uint64_t> BernoulliSampleIndices(uint64_t n, double rate,
     if (rng.NextBernoulli(rate)) out.push_back(i);
   }
   return out;
-}
-
-std::vector<uint64_t> FixedSampleIndices(uint64_t n, uint64_t k,
-                                         Xoshiro256& rng) {
-  FAE_CHECK_LE(k, n);
-  // Floyd's algorithm: k iterations, expected O(k) set operations.
-  std::unordered_set<uint64_t> chosen;
-  chosen.reserve(k * 2);
-  for (uint64_t j = n - k; j < n; ++j) {
-    const uint64_t t = rng.NextBounded(j + 1);
-    if (!chosen.insert(t).second) chosen.insert(j);
-  }
-  std::vector<uint64_t> out(chosen.begin(), chosen.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-ReservoirSampler::ReservoirSampler(size_t capacity, uint64_t seed)
-    : capacity_(capacity), rng_(seed) {
-  FAE_CHECK_GE(capacity, 1u);
-  reservoir_.reserve(capacity);
-}
-
-void ReservoirSampler::Add(uint64_t value) {
-  ++seen_;
-  if (reservoir_.size() < capacity_) {
-    reservoir_.push_back(value);
-    return;
-  }
-  const uint64_t j = rng_.NextBounded(seen_);
-  if (j < capacity_) reservoir_[j] = value;
 }
 
 std::vector<uint64_t> RandomChunkStarts(uint64_t table_rows,

@@ -1,7 +1,6 @@
 #ifndef FAE_STATS_SAMPLING_H_
 #define FAE_STATS_SAMPLING_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -14,33 +13,6 @@ namespace fae {
 /// x% ≈ 5% of the training inputs.
 std::vector<uint64_t> BernoulliSampleIndices(uint64_t n, double rate,
                                              Xoshiro256& rng);
-
-/// Uniform sample of exactly `k` distinct indices from {0,..,n-1}
-/// (Floyd's algorithm), returned sorted.
-std::vector<uint64_t> FixedSampleIndices(uint64_t n, uint64_t k,
-                                         Xoshiro256& rng);
-
-/// Streaming uniform sample of at most `capacity` items from a sequence
-/// whose length is unknown up front (Vitter's Algorithm R). After Add()ing
-/// n items, each is present with probability capacity/n. Lets FAE's
-/// Sparse Input Sampler run over out-of-core datasets in one pass.
-class ReservoirSampler {
- public:
-  ReservoirSampler(size_t capacity, uint64_t seed);
-
-  /// Offers item `value` (e.g. a sample index) to the reservoir.
-  void Add(uint64_t value);
-
-  const std::vector<uint64_t>& sample() const { return reservoir_; }
-  uint64_t seen() const { return seen_; }
-  size_t capacity() const { return capacity_; }
-
- private:
-  size_t capacity_;
-  Xoshiro256 rng_;
-  std::vector<uint64_t> reservoir_;
-  uint64_t seen_ = 0;
-};
 
 /// Starting offsets for `num_chunks` random chunks of `chunk_len`
 /// consecutive rows inside a table of `table_rows` rows. Used by the

@@ -91,17 +91,6 @@ inline float Dot(size_t n, const float* FAE_RESTRICT x,
   return ((s0 + s1) + (s2 + s3)) + tail;
 }
 
-/// sum(x[i]^2) accumulated in double, strictly ascending — the exact
-/// association the row-wise Adagrad accumulator has always used, kept so
-/// optimizer state stays bit-identical to the scalar implementation.
-inline double SumSquaresOrdered(size_t n, const float* FAE_RESTRICT x) {
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    s += static_cast<double>(x[i]) * x[i];
-  }
-  return s;
-}
-
 // -- Cold-row quantization (ROADMAP item 4) ---------------------------------
 //
 // Cold embedding rows are stored row-wise quantized — int8 with a per-row

@@ -1,9 +1,10 @@
-// Property tests for the FlatDataset CSR invariants that the pipelined
-// trainer leans on (DESIGN.md §11): offsets start at 0 and grow
-// monotonically, every index is in-bounds for its table, batch views carry
-// dataset-absolute offsets, and a GatherInto workspace recycled across
-// differently shaped fills never leaks stale samples. Shapes are fuzzed
-// with a fixed seed so failures replay deterministically.
+// Property tests for the FlatDataset CSR invariants that the trainer's
+// batch views and BatchPipeline's recycled workspaces lean on (DESIGN.md
+// §10, §11): offsets start at 0 and grow monotonically, every index is
+// in-bounds for its table, batch views carry dataset-absolute offsets, and
+// a GatherInto workspace recycled across differently shaped fills never
+// leaks stale samples. Shapes are fuzzed with a fixed seed so failures
+// replay deterministically.
 
 #include <cstdint>
 #include <random>

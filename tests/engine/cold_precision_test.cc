@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -243,7 +244,8 @@ TEST(ColdPrecisionTest, RejectsIllegalCombinations) {
 
   {
     // fp16 whole-table emulation and the quantized cold store both change
-    // the representation; stacking them is refused.
+    // the representation; stacking them is refused. No flag sets fp16
+    // emulation, so the refusal names the field.
     TrainOptions opt = Fixture::Options(ColdPrecision::kInt8);
     opt.fp16_embeddings = true;
     auto model = f.NewModel(5);
@@ -251,6 +253,9 @@ TEST(ColdPrecisionTest, RejectsIllegalCombinations) {
     auto r = t.TrainFaeWithPlan(f.dataset, f.split, cfg, *plan);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("TrainOptions::fp16_embeddings"),
+              std::string_view::npos)
+        << r.status().ToString();
   }
   {
     // The oracle cache's budget accounting assumes fp32 cold rows.

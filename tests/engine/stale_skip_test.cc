@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -607,12 +608,18 @@ TEST(StaleSkipTest, ResumeMayToggleStaleMode) {
 
 // -- Validation ---------------------------------------------------------------
 
-void ExpectInvalidBaseline(const Fixture& f, const TrainOptions& opt) {
+/// Expects the baseline to refuse `opt` with InvalidArgument, and the
+/// message to name `setting` (a flag or, for options no flag sets, the
+/// TrainOptions field) when one is given.
+void ExpectInvalidBaseline(const Fixture& f, const TrainOptions& opt,
+                           std::string_view setting = {}) {
   auto model = f.NewModel(5);
   Trainer t(model.get(), MakePaperServer(1), opt);
   auto r = t.TrainBaseline(f.dataset, f.split);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find(setting), std::string_view::npos)
+      << r.status().ToString();
 }
 
 TEST(StaleSkipTest, RejectsIllegalCombinations) {
@@ -624,8 +631,11 @@ TEST(StaleSkipTest, RejectsIllegalCombinations) {
   }
   {
     TrainOptions opt = Fixture::StaleOptions(StaleSkipMode::kAll);
-    opt.fp16_embeddings = true;  // needs the fused fp32 path
-    ExpectInvalidBaseline(f, opt);
+    // The tracker measures the fp32 update, not what binary16 rounding
+    // leaves in the row. No flag sets fp16 emulation, so the refusal names
+    // the field.
+    opt.fp16_embeddings = true;
+    ExpectInvalidBaseline(f, opt, "TrainOptions::fp16_embeddings");
   }
   {
     TrainOptions opt = Fixture::StaleOptions(StaleSkipMode::kAll);

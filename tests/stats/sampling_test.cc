@@ -31,68 +31,6 @@ TEST(SamplingTest, BernoulliIndicesSortedAndUnique) {
   for (uint64_t i : s) EXPECT_LT(i, 10000u);
 }
 
-TEST(SamplingTest, FixedSampleExactSize) {
-  Xoshiro256 rng(4);
-  auto s = FixedSampleIndices(1000, 35, rng);
-  EXPECT_EQ(s.size(), 35u);
-  EXPECT_TRUE(std::is_sorted(s.begin(), s.end()));
-  EXPECT_EQ(std::set<uint64_t>(s.begin(), s.end()).size(), 35u);
-  for (uint64_t i : s) EXPECT_LT(i, 1000u);
-}
-
-TEST(SamplingTest, FixedSampleDegenerateCases) {
-  Xoshiro256 rng(5);
-  EXPECT_TRUE(FixedSampleIndices(10, 0, rng).empty());
-  auto all = FixedSampleIndices(10, 10, rng);
-  EXPECT_EQ(all.size(), 10u);
-  EXPECT_EQ(all.front(), 0u);
-  EXPECT_EQ(all.back(), 9u);
-}
-
-TEST(SamplingTest, FixedSampleIsRoughlyUniform) {
-  constexpr int kTrials = 20000;
-  constexpr uint64_t kN = 20;
-  std::vector<int> hits(kN, 0);
-  Xoshiro256 rng(6);
-  for (int t = 0; t < kTrials; ++t) {
-    for (uint64_t i : FixedSampleIndices(kN, 5, rng)) hits[i]++;
-  }
-  // Each index has probability 5/20 = 0.25 of selection.
-  for (uint64_t i = 0; i < kN; ++i) {
-    EXPECT_NEAR(hits[i], kTrials * 0.25, 300) << "index " << i;
-  }
-}
-
-TEST(SamplingTest, ReservoirFillsThenStaysAtCapacity) {
-  ReservoirSampler r(10, 1);
-  for (uint64_t i = 0; i < 5; ++i) r.Add(i);
-  EXPECT_EQ(r.sample().size(), 5u);
-  for (uint64_t i = 5; i < 1000; ++i) r.Add(i);
-  EXPECT_EQ(r.sample().size(), 10u);
-  EXPECT_EQ(r.seen(), 1000u);
-  for (uint64_t v : r.sample()) EXPECT_LT(v, 1000u);
-}
-
-TEST(SamplingTest, ReservoirShortStreamKeepsEverything) {
-  ReservoirSampler r(100, 2);
-  for (uint64_t i = 0; i < 7; ++i) r.Add(i * 3);
-  EXPECT_EQ(r.sample(), (std::vector<uint64_t>{0, 3, 6, 9, 12, 15, 18}));
-}
-
-TEST(SamplingTest, ReservoirIsUniform) {
-  // Each of 20 items should land in a 5-slot reservoir with p = 0.25.
-  constexpr int kTrials = 20000;
-  std::vector<int> hits(20, 0);
-  for (int t = 0; t < kTrials; ++t) {
-    ReservoirSampler r(5, 1000 + t);
-    for (uint64_t i = 0; i < 20; ++i) r.Add(i);
-    for (uint64_t v : r.sample()) hits[v]++;
-  }
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_NEAR(hits[i], kTrials * 0.25, 350) << "item " << i;
-  }
-}
-
 TEST(SamplingTest, ChunkStartsRespectBounds) {
   Xoshiro256 rng(7);
   auto starts = RandomChunkStarts(100000, 1024, 35, rng);
