@@ -112,3 +112,24 @@ add_test(NAME bench_serving_smoke
   COMMAND ext_serving --smoke
     --out=${CMAKE_BINARY_DIR}/bench/BENCH_serving_smoke.json
     --swap=${CMAKE_BINARY_DIR}/bench/BENCH_serving_swap.faef)
+
+# Pinned outputs: the five deterministic gate benches rerun with their
+# default arguments into the build tree, and each output must equal the
+# committed bench/BENCH_<name>.json byte for byte. Their numbers are modeled
+# seconds and seeded counters, so a change that moves any of them shows up
+# here; regenerate the committed file only with a change that means to.
+function(fae_pin_bench name bench)
+  add_test(NAME bench_${name}_pinned
+    COMMAND sh -c [[out=$1 ref=$2; shift 2
+"$0" --out="$out" "$@" >/dev/null && cmp "$out" "$ref"]]
+      $<TARGET_FILE:${bench}> ${CMAKE_BINARY_DIR}/bench/BENCH_${name}.json
+      ${CMAKE_SOURCE_DIR}/bench/BENCH_${name}.json ${ARGN})
+endfunction()
+
+fae_pin_bench(pipelined abl_pipelined)
+fae_pin_bench(cache abl_lookahead_cache)
+fae_pin_bench(multinode ext_multinode)
+fae_pin_bench(stale_skip abl_stale_skip)
+# Its own swap artifact, so it never races bench_serving_smoke's.
+fae_pin_bench(serving ext_serving
+  --swap=${CMAKE_BINARY_DIR}/bench/BENCH_serving_pinned_swap.faef)

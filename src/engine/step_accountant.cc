@@ -6,6 +6,89 @@
 
 namespace fae {
 
+std::string_view PipelineModeName(PipelineMode mode) {
+  switch (mode) {
+    case PipelineMode::kOff:
+      return "off";
+    case PipelineMode::kPrefetch:
+      return "prefetch";
+    case PipelineMode::kOverlap:
+      return "overlap";
+  }
+  return "unknown";
+}
+
+uint64_t BatchInputBytes(const BatchView& v) {
+  uint64_t elems = static_cast<uint64_t>(v.dense.rows) * v.dense.cols  //
+                   + v.batch_size()      // labels
+                   + v.TotalLookups();   // lookup indices
+  for (size_t t = 0; t < v.num_tables(); ++t) {
+    elems += v.offsets(t).size();  // CSR offsets
+  }
+  return elems * 4;  // every stream is 4-byte elements
+}
+
+void OverlapTracker::OnStep(double prep, double total, double overlapped) {
+  if (mode_ == PipelineMode::kOff) return;
+  double saved = 0.0;
+  double unhidden = total;
+  if (mode_ == PipelineMode::kOverlap) {
+    saved += total - overlapped;
+    unhidden = overlapped;
+  }
+  if (depth_ >= 2 && has_prev_) {
+    saved += std::min(prep, prev_unhidden_);
+  }
+  prev_unhidden_ = unhidden;
+  has_prev_ = true;
+  if (saved > 0.0) tl_->AddOverlapSavedSeconds(saved);
+}
+
+void OverlapTracker::MarkChunkStart() {
+  chunk_phase0_ = tl_->PhaseSumSeconds();
+  chunk_saved0_ = tl_->overlap_saved_seconds();
+}
+
+double OverlapTracker::ChunkUnhiddenSeconds() const {
+  return (tl_->PhaseSumSeconds() - chunk_phase0_) -
+         (tl_->overlap_saved_seconds() - chunk_saved0_);
+}
+
+void StepAccountant::ChargeDenseNetwork(const BatchWork& w, Timeline& tl,
+                                        BaselineParts* lanes) const {
+  const SystemSpec& sys = cost_->system();
+  const int world = std::max(1, sys.num_gpus) * std::max(1, sys.num_nodes);
+  const uint64_t shard = w.batch_size / world;
+  const double fwd =
+      cost_->DenseComputeSeconds(w.forward_flops / world, shard, sys.gpu);
+  tl.ChargeGpu(Phase::kMlpForward, fwd);
+  const double bwd =
+      cost_->DenseComputeSeconds(2 * w.forward_flops / world, shard, sys.gpu);
+  tl.ChargeGpu(Phase::kMlpBackward, bwd);
+  if (lanes != nullptr) lanes->gpu += fwd + bwd;
+}
+
+void StepAccountant::ChargeDenseUpdate(const BatchWork& w,
+                                       uint64_t embedding_grad_bytes,
+                                       Timeline& tl,
+                                       BaselineParts* lanes) const {
+  const SystemSpec& sys = cost_->system();
+  const int g = std::max(1, sys.num_gpus);
+  const int nodes = std::max(1, sys.num_nodes);
+  const uint64_t dense_bytes = w.dense_param_count * sizeof(float);
+  const uint64_t grad_bytes = dense_bytes + embedding_grad_bytes;
+  const double allreduce = cost_->AllReduceSeconds(grad_bytes);
+  tl.Charge(Phase::kAllReduce, allreduce);
+  if (g > 1) tl.AddNvlinkBytes(2 * (g - 1) * grad_bytes / g * g);
+  if (nodes > 1) tl.AddNetworkBytes(2 * (nodes - 1) * grad_bytes / nodes);
+  const double dense_opt = cost_->StreamSeconds(3 * dense_bytes, sys.gpu);
+  tl.ChargeGpu(Phase::kOptimizerDense, dense_opt);
+  if (lanes != nullptr) {
+    lanes->serial += allreduce;
+    lanes->gpu += dense_opt;
+  }
+}
+
 StepAccountant::BaselineParts StepAccountant::ChargeBaselineStepParts(
     const BatchWork& w, Timeline& tl) const {
   return ChargeBaselineStepParts(
@@ -16,9 +99,8 @@ StepAccountant::BaselineParts StepAccountant::ChargeBaselineStepParts(
     const BatchWork& w, const StaleSkipTraffic& live, Timeline& tl) const {
   BaselineParts parts;
   const SystemSpec& sys = cost_->system();
-  const int g = std::max(1, sys.num_gpus);
   const int nodes = std::max(1, sys.num_nodes);
-  const int world = g * nodes;
+  const int world = std::max(1, sys.num_gpus) * nodes;
 
   // Embedding forward: random gathers on the CPUs. With one node the CPU
   // handles the full global batch (the baseline's bottleneck); multi-node
@@ -47,15 +129,7 @@ StepAccountant::BaselineParts StepAccountant::ChargeBaselineStepParts(
   parts.serial += xfer;
   tl.AddPcieBytes(w.embedding_activation_bytes);
 
-  // Dense network on the GPUs, data-parallel over the batch shards.
-  const uint64_t shard = w.batch_size / world;
-  const double mlp_fwd = cost_->DenseComputeSeconds(w.forward_flops / world,
-                                                    shard, sys.gpu);
-  tl.ChargeGpu(Phase::kMlpForward, mlp_fwd);
-  const double mlp_bwd = cost_->DenseComputeSeconds(
-      2 * w.forward_flops / world, shard, sys.gpu);
-  tl.ChargeGpu(Phase::kMlpBackward, mlp_bwd);
-  parts.gpu += mlp_fwd + mlp_bwd;
+  ChargeDenseNetwork(w, tl, &parts);
 
   // Embedding gradients back to the CPU, in full: the pooled gradient
   // tensor is batch-shaped, and stale skipping decides per row only after
@@ -76,16 +150,7 @@ StepAccountant::BaselineParts StepAccountant::ChargeBaselineStepParts(
   tl.ChargeCpu(Phase::kOptimizerSparse, sparse_opt);
   parts.cpu += emb_bwd + sparse_opt;
 
-  // Dense parameters: all-reduce across the cluster, optimizer on GPUs.
-  const uint64_t dense_bytes = w.dense_param_count * sizeof(float);
-  const double allreduce = cost_->AllReduceSeconds(dense_bytes);
-  tl.Charge(Phase::kAllReduce, allreduce);
-  parts.serial += allreduce;
-  if (g > 1) tl.AddNvlinkBytes(2 * (g - 1) * dense_bytes / g * g);
-  if (nodes > 1) tl.AddNetworkBytes(2 * (nodes - 1) * dense_bytes / nodes);
-  const double dense_opt = cost_->StreamSeconds(3 * dense_bytes, sys.gpu);
-  tl.ChargeGpu(Phase::kOptimizerDense, dense_opt);
-  parts.gpu += dense_opt;
+  ChargeDenseUpdate(w, /*embedding_grad_bytes=*/0, tl, &parts);
   return parts;
 }
 
@@ -108,43 +173,24 @@ double StepAccountant::ChargeInputPrep(uint64_t batch_bytes,
 
 void StepAccountant::ChargeHotStep(const BatchWork& w, Timeline& tl) const {
   const SystemSpec& sys = cost_->system();
-  const int g = std::max(1, sys.num_gpus);
-  const int nodes = std::max(1, sys.num_nodes);
-  const int world = g * nodes;
+  const int world = std::max(1, sys.num_gpus) * std::max(1, sys.num_nodes);
 
   // Embedding lookups on each GPU's replica, sharded over the batch.
   tl.ChargeGpu(Phase::kEmbeddingForward,
                cost_->GatherSeconds(w.embedding_read_bytes / world, sys.gpu));
-
-  const uint64_t shard = w.batch_size / world;
-  tl.ChargeGpu(Phase::kMlpForward,
-               cost_->DenseComputeSeconds(w.forward_flops / world, shard,
-                                          sys.gpu));
-  tl.ChargeGpu(Phase::kMlpBackward,
-               cost_->DenseComputeSeconds(2 * w.forward_flops / world, shard,
-                                          sys.gpu));
-
+  ChargeDenseNetwork(w, tl);
   tl.ChargeGpu(Phase::kEmbeddingBackward,
                cost_->GatherSeconds(w.embedding_read_bytes / world, sys.gpu));
 
-  // One all-reduce covering dense *and* hot-embedding gradients (§II-B(3):
-  // "all-reduce on all the gradients including both embedding and neural
-  // network layers over the fast NVLink").
-  const uint64_t grad_bytes =
-      w.dense_param_count * sizeof(float) + w.touched_bytes;
-  tl.Charge(Phase::kAllReduce, cost_->AllReduceSeconds(grad_bytes));
-  if (g > 1) tl.AddNvlinkBytes(2 * (g - 1) * grad_bytes / g * g);
-  if (nodes > 1) tl.AddNetworkBytes(2 * (nodes - 1) * grad_bytes / nodes);
-
   // Optimizers run on every GPU against its own replica (full update each,
   // concurrently) — the "massively parallel" step the baseline wastes on
-  // the CPU.
+  // the CPU. One all-reduce covers dense *and* hot-embedding gradients
+  // (§II-B(3): "all-reduce on all the gradients including both embedding
+  // and neural network layers over the fast NVLink").
   tl.ChargeGpu(Phase::kOptimizerSparse,
                sys.gpu.sparse_update_overhead *
                    cost_->GatherSeconds(3 * w.touched_bytes, sys.gpu));
-  tl.ChargeGpu(
-      Phase::kOptimizerDense,
-      cost_->StreamSeconds(3 * w.dense_param_count * sizeof(float), sys.gpu));
+  ChargeDenseUpdate(w, w.touched_bytes, tl);
 }
 
 void StepAccountant::ChargeSyncToGpus(uint64_t hot_bytes,
@@ -174,15 +220,13 @@ void StepAccountant::ChargeSyncToCpu(uint64_t hot_bytes, Timeline& tl) const {
   tl.AddPcieBytes(hot_bytes);
 }
 
-void StepAccountant::ChargeShardedHotStep(const BatchWork& w,
-                                          uint64_t max_device_lookup_bytes,
-                                          uint64_t max_device_touched_bytes,
-                                          Timeline& tl) const {
+void StepAccountant::ChargeShardedHotStep(
+    const BatchWork& w, uint64_t max_device_lookup_bytes,
+    uint64_t max_device_optimizer_bytes, Timeline& tl) const {
   const SystemSpec& sys = cost_->system();
   const int g = std::max(1, sys.num_gpus);
   const int nodes = std::max(1, sys.num_nodes);
   const int world = g * nodes;
-  const uint64_t shard = w.batch_size / world;
 
   // Owners gather their tables' lookups for the whole global batch, so the
   // step waits on the most loaded owner.
@@ -218,34 +262,19 @@ void StepAccountant::ChargeShardedHotStep(const BatchWork& w,
     }
   }
 
-  // Dense network: identical to every other placement.
-  tl.ChargeGpu(Phase::kMlpForward,
-               cost_->DenseComputeSeconds(w.forward_flops / world, shard,
-                                          sys.gpu));
-  tl.ChargeGpu(Phase::kMlpBackward,
-               cost_->DenseComputeSeconds(2 * w.forward_flops / world, shard,
-                                          sys.gpu));
-
+  ChargeDenseNetwork(w, tl);
   // Scatter mirrors the forward gathers.
   tl.ChargeGpu(Phase::kEmbeddingBackward,
                cost_->GatherSeconds(max_device_lookup_bytes, sys.gpu));
 
-  // Embedding gradients already reached their owners through the
-  // all-to-all above; only the dense gradients are all-reduced.
-  const uint64_t grad_bytes = w.dense_param_count * sizeof(float);
-  tl.Charge(Phase::kAllReduce, cost_->AllReduceSeconds(grad_bytes));
-  if (g > 1) tl.AddNvlinkBytes(2 * (g - 1) * grad_bytes / g * g);
-  if (nodes > 1) tl.AddNetworkBytes(2 * (nodes - 1) * grad_bytes / nodes);
-
-  // Each table is updated only by its owner, so the sparse optimizer
-  // waits on the most touched one.
+  // Each table is updated only by its owner, so the sparse optimizer waits
+  // on the busiest one. Embedding gradients already reached their owners
+  // through the all-to-all above; only the dense gradients are
+  // all-reduced.
   tl.ChargeGpu(Phase::kOptimizerSparse,
                sys.gpu.sparse_update_overhead *
-                   cost_->GatherSeconds(3 * max_device_touched_bytes,
-                                        sys.gpu));
-  tl.ChargeGpu(
-      Phase::kOptimizerDense,
-      cost_->StreamSeconds(3 * w.dense_param_count * sizeof(float), sys.gpu));
+                   cost_->GatherSeconds(max_device_optimizer_bytes, sys.gpu));
+  ChargeDenseUpdate(w, /*embedding_grad_bytes=*/0, tl);
 }
 
 void StepAccountant::ChargeShardedSync(uint64_t shard_bytes_total,
@@ -315,68 +344,9 @@ void StepAccountant::ChargeNvOptStep(const BatchWork& w,
                      cost_->GatherSeconds(3 * cpu_touched_bytes, sys.cpu));
   }
 
-  // Dense network identical to the other placements.
-  const uint64_t shard = w.batch_size / g;
-  tl.ChargeGpu(Phase::kMlpForward,
-               cost_->DenseComputeSeconds(w.forward_flops / g, shard,
-                                          sys.gpu));
-  tl.ChargeGpu(Phase::kMlpBackward,
-               cost_->DenseComputeSeconds(2 * w.forward_flops / g, shard,
-                                          sys.gpu));
-  const uint64_t grad_bytes =
-      w.dense_param_count * sizeof(float) + gpu_touched_bytes / 2;
-  tl.Charge(Phase::kAllReduce, cost_->AllReduceSeconds(grad_bytes));
-  if (g > 1) tl.AddNvlinkBytes(2 * (g - 1) * grad_bytes / g * g);
-  tl.ChargeGpu(
-      Phase::kOptimizerDense,
-      cost_->StreamSeconds(3 * w.dense_param_count * sizeof(float), sys.gpu));
-}
-
-void StepAccountant::ChargeModelParallelStep(const BatchWork& w,
-                                             Timeline& tl) const {
-  const SystemSpec& sys = cost_->system();
-  const int g = std::max(1, sys.num_gpus);
-  const uint64_t shard = w.batch_size / g;
-
-  // Each GPU gathers the lookups landing in its table shard (balanced
-  // partition assumed).
-  tl.ChargeGpu(Phase::kEmbeddingForward,
-               cost_->GatherSeconds(w.embedding_read_bytes / g, sys.gpu));
-
-  // All-to-all of pooled activations: every GPU owns 1/g of the features
-  // for the whole batch but needs all features for its 1/g batch shard.
-  if (g > 1) {
-    const uint64_t exchanged =
-        w.embedding_activation_bytes * (g - 1) / g;
-    const double a2a = 2.0 * sys.nvlink.latency +
-                       static_cast<double>(exchanged) /
-                           static_cast<double>(g) / sys.nvlink.bandwidth;
-    tl.Charge(Phase::kAllReduce, a2a);
-    tl.AddNvlinkBytes(exchanged);
-    // Gradients of the pooled activations flow back the same way.
-    tl.Charge(Phase::kAllReduce, a2a);
-    tl.AddNvlinkBytes(exchanged);
-  }
-
-  tl.ChargeGpu(Phase::kMlpForward,
-               cost_->DenseComputeSeconds(w.forward_flops / g, shard,
-                                          sys.gpu));
-  tl.ChargeGpu(Phase::kMlpBackward,
-               cost_->DenseComputeSeconds(2 * w.forward_flops / g, shard,
-                                          sys.gpu));
-
-  tl.ChargeGpu(Phase::kEmbeddingBackward,
-               cost_->GatherSeconds(w.embedding_read_bytes / g, sys.gpu));
-  // Sharded sparse optimizer: each GPU updates only its tables.
-  tl.ChargeGpu(Phase::kOptimizerSparse,
-               sys.gpu.sparse_update_overhead *
-                   cost_->GatherSeconds(3 * w.touched_bytes / g, sys.gpu));
-
-  const uint64_t dense_bytes = w.dense_param_count * sizeof(float);
-  tl.Charge(Phase::kAllReduce, cost_->AllReduceSeconds(dense_bytes));
-  if (g > 1) tl.AddNvlinkBytes(2 * (g - 1) * dense_bytes / g * g);
-  tl.ChargeGpu(Phase::kOptimizerDense,
-               cost_->StreamSeconds(3 * dense_bytes, sys.gpu));
+  ChargeDenseNetwork(w, tl);
+  // The fp16 rows' gradients ride the dense all-reduce.
+  ChargeDenseUpdate(w, gpu_touched_bytes / 2, tl);
 }
 
 void StepAccountant::ChargeCacheStep(const BatchWork& w,
@@ -386,7 +356,6 @@ void StepAccountant::ChargeCacheStep(const BatchWork& w,
                                      Timeline& tl) const {
   const SystemSpec& sys = cost_->system();
   const int g = std::max(1, sys.num_gpus);
-  const uint64_t shard = w.batch_size / g;
 
   // Cache hits: local HBM gathers on each GPU's shard, through the cache
   // index (see kCacheIndirection).
@@ -410,12 +379,7 @@ void StepAccountant::ChargeCacheStep(const BatchWork& w,
                      cost_->GatherSeconds(3 * miss_touched_bytes, sys.cpu));
   }
 
-  tl.ChargeGpu(Phase::kMlpForward,
-               cost_->DenseComputeSeconds(w.forward_flops / g, shard,
-                                          sys.gpu));
-  tl.ChargeGpu(Phase::kMlpBackward,
-               cost_->DenseComputeSeconds(2 * w.forward_flops / g, shard,
-                                          sys.gpu));
+  ChargeDenseNetwork(w, tl);
 
   // Cached rows: scatter + optimizer on the GPUs, gradients all-reduced
   // with the dense parameters (replicated cache, as in FAE's hot path).
@@ -429,28 +393,21 @@ void StepAccountant::ChargeCacheStep(const BatchWork& w,
   tl.ChargeGpu(Phase::kOptimizerSparse,
                sys.gpu.sparse_update_overhead *
                    cost_->GatherSeconds(3 * hit_touched_bytes, sys.gpu));
-  const uint64_t grad_bytes =
-      w.dense_param_count * sizeof(float) + hit_touched_bytes;
-  tl.Charge(Phase::kAllReduce, cost_->AllReduceSeconds(grad_bytes));
-  if (g > 1) tl.AddNvlinkBytes(2 * (g - 1) * grad_bytes / g * g);
-  tl.ChargeGpu(
-      Phase::kOptimizerDense,
-      cost_->StreamSeconds(3 * w.dense_param_count * sizeof(float), sys.gpu));
+  ChargeDenseUpdate(w, hit_touched_bytes, tl);
 }
 
-StepAccountant::OracleCacheParts StepAccountant::OracleCacheStepParts(
-    const BatchWork& w, const OracleCacheTraffic& t) const {
-  OracleCacheParts parts;
+StepAccountant::BaselineParts StepAccountant::ChargeOracleCacheStep(
+    const BatchWork& w, const OracleCacheTraffic& t, Timeline& tl) const {
+  BaselineParts parts;
   const SystemSpec& sys = cost_->system();
-  const int g = std::max(1, sys.num_gpus);
   const int nodes = std::max(1, sys.num_nodes);
-  const int world = g * nodes;
-  const uint64_t shard = w.batch_size / world;
+  const int world = std::max(1, sys.num_gpus) * nodes;
 
   // Hit lookups: HBM gathers through the cache index, sharded over GPUs.
   const double hit_fwd =
       kCacheIndirection *
       cost_->GatherSeconds(t.hit_lookup_bytes / world, sys.gpu);
+  tl.ChargeGpu(Phase::kEmbeddingForward, hit_fwd);
   parts.gpu += hit_fwd;
 
   // Miss lookups follow the plain hybrid path: CPU gathers, pooled
@@ -464,58 +421,54 @@ StepAccountant::OracleCacheParts StepAccountant::OracleCacheStepParts(
         w.embedding_activation_bytes * t.miss_lookup_bytes / lookup_total;
     const double miss_fwd =
         cost_->GatherSeconds(t.miss_lookup_bytes / nodes, sys.cpu);
+    tl.ChargeCpu(Phase::kEmbeddingForward, miss_fwd);
     const double xfer =
         cost_->PcieTransferSeconds(miss_activation_bytes / world);
+    tl.Charge(Phase::kCpuGpuTransfer, xfer);
+    tl.Charge(Phase::kCpuGpuTransfer, xfer);
+    tl.AddPcieBytes(2 * miss_activation_bytes);
     parts.serial += 2 * xfer;
-    parts.transfer_bytes += 2 * miss_activation_bytes;
     const double miss_bwd =
         cost_->GatherSeconds(t.miss_lookup_bytes / nodes, sys.cpu);
+    tl.ChargeCpu(Phase::kEmbeddingBackward, miss_bwd);
     const double miss_opt =
         sys.cpu.sparse_update_overhead *
         cost_->GatherSeconds(3 * t.miss_touched_bytes / nodes, sys.cpu);
+    tl.ChargeCpu(Phase::kOptimizerSparse, miss_opt);
     parts.cpu += miss_fwd + miss_bwd + miss_opt;
   }
 
-  // Dense network: identical to every other placement.
-  const double mlp_fwd =
-      cost_->DenseComputeSeconds(w.forward_flops / world, shard, sys.gpu);
-  const double mlp_bwd = cost_->DenseComputeSeconds(
-      2 * w.forward_flops / world, shard, sys.gpu);
-  parts.gpu += mlp_fwd + mlp_bwd;
+  ChargeDenseNetwork(w, tl, &parts);
 
   // Hit rows: scatter + sparse optimizer on the GPUs; their gradients ride
   // the dense all-reduce over NVLink (as in the FAE hot path).
   const double hit_bwd =
       kCacheIndirection *
       cost_->GatherSeconds(t.hit_lookup_bytes / world, sys.gpu);
+  tl.ChargeGpu(Phase::kEmbeddingBackward, hit_bwd);
   const double hit_opt =
       sys.gpu.sparse_update_overhead *
       cost_->GatherSeconds(3 * t.hit_touched_bytes, sys.gpu);
+  tl.ChargeGpu(Phase::kOptimizerSparse, hit_opt);
   parts.gpu += hit_bwd + hit_opt;
-
-  const uint64_t grad_bytes =
-      w.dense_param_count * sizeof(float) + t.hit_touched_bytes;
-  const double allreduce = cost_->AllReduceSeconds(grad_bytes);
-  parts.serial += allreduce;
-  const double dense_opt = cost_->StreamSeconds(
-      3 * w.dense_param_count * sizeof(float), sys.gpu);
-  parts.gpu += dense_opt;
+  ChargeDenseUpdate(w, t.hit_touched_bytes, tl, &parts);
 
   // Cache DMA, each GPU's shard over its own PCIe link in parallel. Late
   // fetches and writebacks sit on the critical path (the batch waits);
-  // timely prefetch targets otherwise-idle PCIe and is returned in its own
-  // lane so the caller only pays what compute cannot hide.
-  if (t.late_prefetch_bytes + t.writeback_bytes > 0) {
-    const double sync = cost_->PcieTransferSeconds(
-        (t.late_prefetch_bytes + t.writeback_bytes) / world);
+  // timely prefetch targets otherwise-idle PCIe, in its own lane so the
+  // wall only pays what compute cannot hide.
+  const uint64_t waited = t.late_prefetch_bytes + t.writeback_bytes;
+  if (waited > 0) {
+    const double sync = cost_->PcieTransferSeconds(waited / world);
+    tl.Charge(Phase::kCpuGpuTransfer, sync);
+    tl.AddPcieBytes(waited);
     parts.serial += sync;
-    parts.transfer_bytes += t.late_prefetch_bytes + t.writeback_bytes;
   }
   if (t.timely_prefetch_bytes > 0) {
-    const double dma =
+    parts.timely_dma =
         cost_->PcieTransferSeconds(t.timely_prefetch_bytes / world);
-    parts.timely_dma = dma;
-    parts.transfer_bytes += t.timely_prefetch_bytes;
+    tl.Charge(Phase::kCpuGpuTransfer, parts.timely_dma);
+    tl.AddPcieBytes(t.timely_prefetch_bytes);
   }
   return parts;
 }

@@ -1,60 +1,10 @@
 #include "engine/step_executor.h"
 
-#include <algorithm>
-
 #include "engine/staleness_tracker.h"
 #include "util/half.h"
 #include "util/logging.h"
 
 namespace fae {
-
-std::string_view PipelineModeName(PipelineMode mode) {
-  switch (mode) {
-    case PipelineMode::kOff:
-      return "off";
-    case PipelineMode::kPrefetch:
-      return "prefetch";
-    case PipelineMode::kOverlap:
-      return "overlap";
-  }
-  return "unknown";
-}
-
-uint64_t BatchInputBytes(const BatchView& v) {
-  uint64_t elems = static_cast<uint64_t>(v.dense.rows) * v.dense.cols  //
-                   + v.batch_size()      // labels
-                   + v.TotalLookups();   // lookup indices
-  for (size_t t = 0; t < v.num_tables(); ++t) {
-    elems += v.offsets(t).size();  // CSR offsets
-  }
-  return elems * 4;  // every stream is 4-byte elements
-}
-
-void OverlapTracker::OnStep(double prep, double total, double overlapped) {
-  if (mode_ == PipelineMode::kOff) return;
-  double saved = 0.0;
-  double unhidden = total;
-  if (mode_ == PipelineMode::kOverlap) {
-    saved += total - overlapped;
-    unhidden = overlapped;
-  }
-  if (depth_ >= 2 && has_prev_) {
-    saved += std::min(prep, prev_unhidden_);
-  }
-  prev_unhidden_ = unhidden;
-  has_prev_ = true;
-  if (saved > 0.0) tl_->AddOverlapSavedSeconds(saved);
-}
-
-void OverlapTracker::MarkChunkStart() {
-  chunk_phase0_ = tl_->PhaseSumSeconds();
-  chunk_saved0_ = tl_->overlap_saved_seconds();
-}
-
-double OverlapTracker::ChunkUnhiddenSeconds() const {
-  return (tl_->PhaseSumSeconds() - chunk_phase0_) -
-         (tl_->overlap_saved_seconds() - chunk_saved0_);
-}
 
 StepExecutor::StepExecutor(RecModel* model, const Options& options)
     : model_(model),

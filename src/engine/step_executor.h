@@ -1,7 +1,6 @@
 #ifndef FAE_ENGINE_STEP_EXECUTOR_H_
 #define FAE_ENGINE_STEP_EXECUTOR_H_
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -10,83 +9,12 @@
 #include "embedding/sparse_sgd.h"
 #include "engine/metrics.h"
 #include "models/rec_model.h"
-#include "sim/timeline.h"
 #include "tensor/sgd.h"
 #include "util/thread_pool.h"
 
 namespace fae {
 
 class StalenessTracker;
-
-/// Modeled pipelining for the baseline and FAE drivers (comparator
-/// placements ignore it). A pure cost-model overlay: the host trains every
-/// mode on the same batch views with the identical math in the identical
-/// order, so results are bit-exact across modes
-/// (tests/engine/pipeline_determinism_test.cc); only the modeled wall
-/// changes.
-enum class PipelineMode {
-  /// Fully serial: stage a batch, then step on it.
-  kOff,
-  /// Modeled double-buffered staging: batch b+1's gather/pack runs while
-  /// batch b trains, hiding input prep under compute. Prefetch never
-  /// crosses an epoch or schedule-chunk boundary (the sync points).
-  kPrefetch,
-  /// kPrefetch plus overlapped phases: the hybrid step's CPU and GPU lanes
-  /// run concurrently, and FAE's cold-CPU chunks overlap the subsequent
-  /// hot-GPU chunk (including the hot-slice DMA syncs).
-  kOverlap,
-};
-
-std::string_view PipelineModeName(PipelineMode mode);
-
-/// Input payload of one mini-batch — dense features, labels, CSR offsets
-/// and lookup indices: what the modeled staging gather streams into a
-/// workspace. Derived from the batch's shape only, so every pipeline mode
-/// charges the same prep time.
-uint64_t BatchInputBytes(const BatchView& v);
-
-/// Per-step overlap bookkeeping for the baseline and FAE drivers
-/// (DESIGN.md §11). Phase charges are identical in every mode; modes
-/// differ only in the seconds credited back through
-/// Timeline::AddOverlapSavedSeconds:
-///   - kPrefetch (depth >= 2): batch b's staging gather is modeled to run
-///     while step b-1 computes, so up to the previous step's unhidden
-///     seconds of b's prep are hidden (depth 1 hides none; deeper rings
-///     hide no more than depth 2);
-///   - kOverlap: additionally the hybrid step's CPU and GPU lanes overlap,
-///     hiding min(cpu, gpu) per step.
-/// Prefetch cannot reach across a segment boundary (epoch / schedule
-/// chunk): the first batch of a segment pays its prep in full.
-class OverlapTracker {
- public:
-  OverlapTracker(PipelineMode mode, size_t depth, Timeline* tl)
-      : mode_(mode), depth_(depth), tl_(tl) {}
-
-  void BeginSegment() { has_prev_ = false; }
-
-  /// One training step: `prep` staging seconds, `total` compute seconds
-  /// charged, `overlapped` the step's wall with its CPU/GPU lanes
-  /// overlapped (== `total` for single-lane steps).
-  void OnStep(double prep, double total, double overlapped);
-
-  /// Chunk-window marks for FAE's hot/cold overlap (kOverlap only): a cold
-  /// chunk's unhidden CPU seconds later overlap the next hot chunk's
-  /// unhidden GPU+DMA seconds. "Unhidden" subtracts savings already
-  /// recorded inside the window, so nothing is credited twice.
-  void MarkChunkStart();
-  double ChunkUnhiddenSeconds() const;
-
-  PipelineMode mode() const { return mode_; }
-
- private:
-  PipelineMode mode_;
-  size_t depth_;
-  Timeline* tl_;
-  bool has_prev_ = false;
-  double prev_unhidden_ = 0.0;
-  double chunk_phase0_ = 0.0;
-  double chunk_saved0_ = 0.0;
-};
 
 /// The reusable execution core shared by the batch Trainer and the online
 /// ServingLoop: it owns the optimizers, the kernel thread pool, the

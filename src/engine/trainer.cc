@@ -168,8 +168,7 @@ class StepOverlay {
   void PriceColdStep(const BatchWork& w,
                      const StepAccountant::BaselineParts& plain,
                      Timeline& tl) {
-    const double plain_eff =
-        overlap_lanes_ ? plain.Overlapped() : plain.Total();
+    const double plain_wall = plain.Wall(overlap_lanes_);
     if (cache_on_) {
       const LookaheadCache::StepCharge sc = cache_.OnStep();
       StepAccountant::OracleCacheTraffic t;
@@ -187,10 +186,11 @@ class StepOverlay {
       t.timely_prefetch_bytes = sc.timely_prefetch_bytes;
       t.late_prefetch_bytes = sc.late_prefetch_bytes;
       t.writeback_bytes = sc.writeback_bytes;
-      const StepAccountant::OracleCacheParts parts =
-          accountant_.OracleCacheStepParts(w, t);
+      Timeline scratch;
+      const StepAccountant::BaselineParts cached =
+          accountant_.ChargeOracleCacheStep(w, t, scratch);
       tl.AddCacheSavedSeconds(
-          Bank(plain_eff - parts.EffectiveSeconds(overlap_lanes_)));
+          Bank(plain_wall - cached.Wall(overlap_lanes_)));
       Timeline::CacheCounters& cc = tl.cache_counters();
       cc.hits += sc.hit_lookups;
       cc.misses += sc.miss_lookups;
@@ -198,7 +198,7 @@ class StepOverlay {
       cc.prefetch_bytes += sc.timely_prefetch_bytes + sc.late_prefetch_bytes;
       cc.writeback_bytes += sc.writeback_bytes;
       cc.plain_transfer_bytes += 2 * w.embedding_activation_bytes;
-      cc.effective_transfer_bytes += parts.transfer_bytes;
+      cc.effective_transfer_bytes += scratch.pcie_bytes();
       if (next_feed_ < segment_end_) cache_feed_(next_feed_++);
     } else if (stale_on_) {
       const uint64_t skipped_rows = staleness_.step_skipped_rows();
@@ -220,9 +220,8 @@ class StepOverlay {
       Timeline scratch;
       const StepAccountant::BaselineParts skipped =
           accountant_.ChargeBaselineStepParts(w, live, scratch);
-      tl.AddStaleSkipSavedSeconds(Bank(
-          plain_eff -
-          (overlap_lanes_ ? skipped.Overlapped() : skipped.Total())));
+      tl.AddStaleSkipSavedSeconds(
+          Bank(plain_wall - skipped.Wall(overlap_lanes_)));
     }
   }
 
@@ -242,7 +241,7 @@ class StepOverlay {
         w,
         *std::max_element(device_lookups_.begin(), device_lookups_.end()) *
             row_bytes_,
-        *std::max_element(device_touched_.begin(), device_touched_.end()) *
+        3 * *std::max_element(device_touched_.begin(), device_touched_.end()) *
             row_bytes_,
         sharded);
     tl.AddShardingSavedSeconds(
@@ -1389,12 +1388,16 @@ StatusOr<TrainReport> Trainer::TrainModelParallel(
         HumanBytes(system_.gpu.mem_capacity).c_str()));
   }
 
+  // The step is the sharded one with balanced owners: each GPU gathers
+  // 1/g of the lookups and streams 1/g of the optimizer bytes.
   ShuffledBatches data = ShuffleBatches(dataset, split);
-  return RunComparator(TrainMode::kModelParallel, dataset, split, data,
-                       [&](size_t k, Timeline& tl) {
-                         accountant_.ChargeModelParallelStep(
-                             data.batches[k].work, tl);
-                       });
+  return RunComparator(
+      TrainMode::kModelParallel, dataset, split, data,
+      [&](size_t k, Timeline& tl) {
+        const BatchWork& w = data.batches[k].work;
+        accountant_.ChargeShardedHotStep(w, w.embedding_read_bytes / g,
+                                         3 * w.touched_bytes / g, tl);
+      });
 }
 
 StatusOr<TrainReport> Trainer::TrainGpuCache(const Dataset& dataset,

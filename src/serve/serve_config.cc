@@ -1,6 +1,5 @@
 #include "serve/serve_config.h"
 
-#include <cstdlib>
 #include <limits>
 #include <set>
 
@@ -11,31 +10,6 @@ namespace fae {
 namespace {
 
 constexpr std::string_view kHeader = "FAESERVE v1";
-
-bool ParseU64Text(std::string_view text, uint64_t* out) {
-  if (text.empty()) return false;
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
-      return false;  // overflow
-    }
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseF64Text(std::string_view text, double* out) {
-  if (text.empty()) return false;
-  const std::string copy(text);
-  char* end = nullptr;
-  const double value = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size()) return false;
-  *out = value;
-  return true;
-}
 
 }  // namespace
 
@@ -86,6 +60,11 @@ Status ServeOptions::Validate() const {
     const StatusOr<size_t> depth = ValidateRingDepth(
         static_cast<long long>(cache_lookahead), "cache_lookahead");
     if (!depth.ok()) return depth.status();
+    if (cold_precision != ColdPrecision::kFp32) {
+      return Status::InvalidArgument(
+          "serve config: cold_precision must be fp32 with cache=oracle: the "
+          "cache's budget and transfer accounting assume fp32 cold rows");
+    }
   }
   return Status::OK();
 }
@@ -148,34 +127,34 @@ StatusOr<ServeOptions> ServeOptions::Parse(const std::string& text) {
     uint64_t u = 0;
     double f = 0.0;
     if (key == "batch_size") {
-      if (!ParseU64Text(value, &u)) return bad_value();
+      if (!ParseU64(value, &u)) return bad_value();
       opts.batch_size = u;
     } else if (key == "num_batches") {
-      if (!ParseU64Text(value, &u)) return bad_value();
+      if (!ParseU64(value, &u)) return bad_value();
       opts.num_batches = u;
     } else if (key == "slo_hit_rate") {
-      if (!ParseF64Text(value, &f)) return bad_value();
+      if (!ParseDouble(value, &f)) return bad_value();
       opts.slo_hit_rate = f;
     } else if (key == "ema_alpha") {
-      if (!ParseF64Text(value, &f)) return bad_value();
+      if (!ParseDouble(value, &f)) return bad_value();
       opts.ema_alpha = f;
     } else if (key == "recal_window") {
-      if (!ParseU64Text(value, &u)) return bad_value();
+      if (!ParseU64(value, &u)) return bad_value();
       opts.recal_window = u;
     } else if (key == "recal_cooldown") {
-      if (!ParseU64Text(value, &u)) return bad_value();
+      if (!ParseU64(value, &u)) return bad_value();
       opts.recal_cooldown = u;
     } else if (key == "watchdog_deadline_seconds") {
-      if (!ParseF64Text(value, &f)) return bad_value();
+      if (!ParseDouble(value, &f)) return bad_value();
       opts.watchdog_deadline_seconds = f;
     } else if (key == "max_recal_retries") {
-      if (!ParseU64Text(value, &u) ||
+      if (!ParseU64(value, &u) ||
           u > std::numeric_limits<uint32_t>::max()) {
         return bad_value();
       }
       opts.max_recal_retries = static_cast<uint32_t>(u);
     } else if (key == "retry_backoff_seconds") {
-      if (!ParseF64Text(value, &f)) return bad_value();
+      if (!ParseDouble(value, &f)) return bad_value();
       opts.retry_backoff_seconds = f;
     } else if (key == "continuous_training") {
       if (value == "0") {
@@ -186,16 +165,16 @@ StatusOr<ServeOptions> ServeOptions::Parse(const std::string& text) {
         return bad_value();
       }
     } else if (key == "dense_lr") {
-      if (!ParseF64Text(value, &f)) return bad_value();
+      if (!ParseDouble(value, &f)) return bad_value();
       opts.dense_lr = static_cast<float>(f);
     } else if (key == "sparse_lr") {
-      if (!ParseF64Text(value, &f)) return bad_value();
+      if (!ParseDouble(value, &f)) return bad_value();
       opts.sparse_lr = static_cast<float>(f);
     } else if (key == "num_threads") {
-      if (!ParseU64Text(value, &u)) return bad_value();
+      if (!ParseU64(value, &u)) return bad_value();
       opts.num_threads = u;
     } else if (key == "seed") {
-      if (!ParseU64Text(value, &u)) return bad_value();
+      if (!ParseU64(value, &u)) return bad_value();
       opts.seed = u;
     } else {
       return Status::InvalidArgument(

@@ -86,13 +86,14 @@ struct ServeOptions {
   /// partition is the *offline plan's* and stays fixed across hot-swaps
   /// (requantizing on every swap would re-round; a swap only changes which
   /// rows are served from the GPU). Like the cache knobs, a deployment
-  /// decision — runtime wiring, not serialized. Mutually exclusive with
+  /// decision — runtime wiring, not serialized. Validate refuses it with
   /// the oracle cache, whose accounting assumes fp32 cold rows.
   ColdPrecision cold_precision = ColdPrecision::kFp32;
 
   /// Range-checks every field (batch_size >= 1, rates in (0, 1], positive
-  /// deadlines, ...). Parse calls this; the CLI calls it on flag-built
-  /// configs so both construction paths reject the same garbage.
+  /// deadlines, ...) and refuses quantized cold rows with the oracle
+  /// cache. Parse, the CLI (on flag-built configs) and ServingLoop::Serve
+  /// call it, so every construction path rejects the same garbage.
   Status Validate() const;
 
   /// Versioned `key=value` text form of the serializable fields.

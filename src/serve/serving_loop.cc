@@ -59,11 +59,6 @@ StatusOr<ServeReport> ServingLoop::Serve(const Dataset& dataset,
                                          const FaePlan& plan) {
   FAE_RETURN_IF_ERROR(options_.Validate());
   const bool quantized = options_.cold_precision != ColdPrecision::kFp32;
-  if (quantized && options_.cache != CacheMode::kOff) {
-    return Status::InvalidArgument(
-        "--cold-precision cannot be combined with --cache=oracle: the "
-        "cache's budget and transfer accounting assume fp32 cold rows");
-  }
 
   const size_t dim = dataset.schema().embedding_dim;
   const uint64_t row_bytes = dim * sizeof(float);

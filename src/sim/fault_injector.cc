@@ -1,39 +1,11 @@
 #include "sim/fault_injector.h"
 
-#include <cstdlib>
 #include <limits>
 
 #include "util/string_util.h"
 
 namespace fae {
 namespace {
-
-// Parses a non-negative integer covering the whole of `text`. Overflow
-// past uint64 is reported as failure, not silently wrapped.
-bool ParseU64(std::string_view text, uint64_t* out) {
-  if (text.empty()) return false;
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
-      return false;  // overflow
-    }
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseDouble(std::string_view text, double* out) {
-  if (text.empty()) return false;
-  const std::string copy(text);
-  char* end = nullptr;
-  const double value = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size()) return false;
-  *out = value;
-  return true;
-}
 
 bool KindTakesStall(FaultKind kind) {
   return kind == FaultKind::kLinkStall || kind == FaultKind::kRecalStall;

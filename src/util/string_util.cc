@@ -2,6 +2,8 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 namespace fae {
 
@@ -43,6 +45,31 @@ std::vector<std::string> Split(std::string_view text, char sep) {
     }
   }
   return out;
+}
+
+bool ParseU64(std::string_view text, uint64_t* out) {
+  if (text.empty()) return false;
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
+      return false;  // overflow
+    }
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
+
+bool ParseDouble(std::string_view text, double* out) {
+  if (text.empty()) return false;
+  const std::string copy(text);
+  char* end = nullptr;
+  const double value = std::strtod(copy.c_str(), &end);
+  if (end != copy.c_str() + copy.size()) return false;
+  *out = value;
+  return true;
 }
 
 std::string StrFormat(const char* fmt, ...) {

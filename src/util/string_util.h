@@ -20,6 +20,14 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// Splits on a single-character separator; keeps empty fields.
 std::vector<std::string> Split(std::string_view text, char sep);
 
+/// Parses a non-negative decimal integer spanning all of `text`. False on
+/// an empty string, a non-digit, or overflow past uint64 (never wraps).
+bool ParseU64(std::string_view text, uint64_t* out);
+
+/// Parses a double (strtod syntax) spanning all of `text`. False on an
+/// empty string or trailing characters.
+bool ParseDouble(std::string_view text, double* out);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -129,11 +129,21 @@ TEST_F(AccountantTest, CacheMoreMissesCostsMore) {
   EXPECT_GT(many.PhaseSumSeconds(), few.PhaseSumSeconds());
 }
 
+// The model-parallel comparator's step: the sharded step with every one of
+// the g GPUs owning an equal share of the lookups and optimizer bytes.
+void ChargeModelParallel(const StepAccountant& accountant, int g,
+                         Timeline& tl) {
+  const BatchWork w = MakeWork();
+  accountant.ChargeShardedHotStep(w, w.embedding_read_bytes / g,
+                                  3 * w.touched_bytes / g, tl);
+}
+
 TEST_F(AccountantTest, ModelParallelUsesNvlinkOnly) {
   Timeline tl;
-  accountant_.ChargeModelParallelStep(MakeWork(), tl);
+  ChargeModelParallel(accountant_, 4, tl);
   EXPECT_EQ(tl.pcie_bytes(), 0u);
   EXPECT_GT(tl.nvlink_bytes(), 0u);
+  EXPECT_EQ(tl.network_bytes(), 0u);
   EXPECT_EQ(tl.cpu_busy_seconds(), 0.0);
 }
 
@@ -141,7 +151,7 @@ TEST_F(AccountantTest, ModelParallelSingleGpuHasNoExchange) {
   CostModel cost(MakePaperServer(1));
   StepAccountant accountant(&cost);
   Timeline tl;
-  accountant.ChargeModelParallelStep(MakeWork(), tl);
+  ChargeModelParallel(accountant, 1, tl);
   EXPECT_EQ(tl.nvlink_bytes(), 0u);
 }
 

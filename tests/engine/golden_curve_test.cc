@@ -1,6 +1,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -325,6 +326,82 @@ TEST(GoldenCurveTest, OverlayCostsMatchFixture) {
   }
 
   CheckAgainstGolden(out, "overlay_costs.txt");
+}
+
+// One line per placement run: the modeled wall, the average GPU watts, and
+// every Timeline::State field — the per-phase seconds, the busy times the
+// power model reads, and the link bytes — which checkpoints carry.
+std::string RenderPlacement(const std::string& name, const TrainReport& r) {
+  const Timeline::State s = r.timeline.state();
+  std::string out = StrFormat("%s %.17g %.17g", name.c_str(),
+                              r.modeled_seconds, r.avg_gpu_watts);
+  for (double seconds : s.seconds) out += StrFormat(" %.17g", seconds);
+  out += StrFormat(" %.17g %.17g %llu %llu %llu\n", s.cpu_busy, s.gpu_busy,
+                   static_cast<unsigned long long>(s.pcie_bytes),
+                   static_cast<unsigned long long>(s.nvlink_bytes),
+                   static_cast<unsigned long long>(s.network_bytes));
+  return out;
+}
+
+// Pins every placement's modeled cost, the comparators included, at 1 to 4
+// GPUs (3 is where an uneven split of the batch or the tables rounds), and
+// the hybrid drivers on a two-node cluster. Cost-only, overlays off except
+// FAE's sharded placement.
+TEST(GoldenCurveTest, PlacementCostsMatchFixture) {
+  Fixture f;
+  const FaeConfig cfg = Fixture::Config();
+  FaePipeline pipeline(cfg);
+  auto plan = pipeline.Prepare(f.dataset, f.split.train);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  std::string out =
+      "# fae placement costs v1: name modeled_seconds avg_gpu_watts";
+  for (int p = 0; p < static_cast<int>(Phase::kNumPhases); ++p) {
+    out += " " + std::string(PhaseName(static_cast<Phase>(p)));
+  }
+  out += " cpu_busy gpu_busy pcie_bytes nvlink_bytes network_bytes\n";
+  TrainOptions cost_only = Fixture::Options();
+  cost_only.run_math = false;
+  TrainOptions lpt = cost_only;
+  lpt.sharding = ShardingMode::kLpt;
+  auto run = [&](const std::string& name, const TrainOptions& opt,
+                 const SystemSpec& sys,
+                 const std::function<StatusOr<TrainReport>(Trainer&)>& drive) {
+    auto model = MakeModel(f.schema, /*full_size=*/false, /*seed=*/5);
+    Trainer trainer(model.get(), sys, opt);
+    StatusOr<TrainReport> r = drive(trainer);
+    ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
+    out += RenderPlacement(name, *r);
+  };
+  auto baseline = [&](Trainer& t) {
+    return t.TrainBaseline(f.dataset, f.split);
+  };
+  auto fae = [&](Trainer& t) {
+    return t.TrainFaeWithPlan(f.dataset, f.split, cfg, *plan);
+  };
+  auto hybrid = [&](const std::string& where, const SystemSpec& sys) {
+    run("baseline/" + where, cost_only, sys, baseline);
+    run("fae/" + where, cost_only, sys, fae);
+    run("fae_lpt/" + where, lpt, sys, fae);
+  };
+
+  for (int gpus : {1, 2, 3, 4}) {
+    const SystemSpec server = MakePaperServer(gpus);
+    const std::string where = StrFormat("%dgpu", gpus);
+    hybrid(where, server);
+    run("nvopt/" + where, cost_only, server,
+        [&](Trainer& t) { return t.TrainNvOpt(f.dataset, f.split); });
+    run("model_parallel/" + where, cost_only, server,
+        [&](Trainer& t) { return t.TrainModelParallel(f.dataset, f.split); });
+    run("gpu_cache/" + where, cost_only, server, [&](Trainer& t) {
+      return t.TrainGpuCache(f.dataset, f.split, *plan);
+    });
+  }
+  SystemSpec cluster = MakeMultiNodeCluster(2, 4);
+  cluster.hot_embedding_budget = cfg.gpu_memory_budget;
+  hybrid("2x4", cluster);
+
+  CheckAgainstGolden(out, "placement_costs.txt");
 }
 
 }  // namespace

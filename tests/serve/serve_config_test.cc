@@ -117,6 +117,21 @@ TEST(ServeConfigTest, ValidateNamesTheBadField) {
   EXPECT_NE(status.ToString().find("recal_cooldown"), std::string::npos);
 }
 
+TEST(ServeConfigTest, ValidateRefusesQuantizedColdRowsWithOracleCache) {
+  ServeOptions opts;
+  opts.cache = CacheMode::kOracle;
+  EXPECT_TRUE(opts.Validate().ok());
+  for (ColdPrecision p : {ColdPrecision::kFp16, ColdPrecision::kInt8}) {
+    opts.cold_precision = p;
+    const Status status = opts.Validate();
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.ToString().find("cold_precision"), std::string::npos);
+  }
+  opts.cache = CacheMode::kOff;
+  EXPECT_TRUE(opts.Validate().ok());
+}
+
 TEST(ServeConfigTest, ParseToleratesBlankLines) {
   auto parsed = ServeOptions::Parse("FAESERVE v1\n\nbatch_size=8\n\n");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();

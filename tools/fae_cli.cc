@@ -623,15 +623,6 @@ int Serve(const bench::Args& args) {
     return 2;
   }
   if (!ParseColdPrecisionFlag(args, &opts.cold_precision)) return 2;
-  if (opts.cold_precision != ColdPrecision::kFp32 &&
-      opts.cache == CacheMode::kOracle) {
-    std::fprintf(stderr,
-                 "error: --cold-precision=%s cannot be combined with "
-                 "--cache=oracle (the cache's budget accounting assumes "
-                 "fp32 cold rows)\n",
-                 std::string(ColdPrecisionName(opts.cold_precision)).c_str());
-    return 2;
-  }
   const Status valid = opts.Validate();
   if (!valid.ok()) return Fail(valid);
 
