@@ -17,9 +17,10 @@
 // 21 history rows) and 80-30-1 top MLPs, plus DLRM's 27-feature dim-16
 // pairwise interaction, forward and backward. The GEMM and interaction
 // rows run once per build of the tiled kernels the host supports (4-lane
-// baseline, and 8-lane AVX2 where the CPU has it; src/tensor/dense_tiles.h),
-// each such row naming its build in an "isa" field; the JSON header names
-// the build the dispatcher picked. A last pair of rows times
+// baseline, 8-lane AVX2 and the AVX-512 table, which picks 16- or 8-lane
+// GEMM tiles per class of shapes; src/tensor/ops.cc), each such
+// row naming its build in an "isa" field; the JSON header names the build
+// the dispatcher picked. A last pair of rows times
 // Crc32, the checksum of every file the library saves and loads, over an
 // 18 MB buffer (about a Kaggle-like dataset file) against the
 // byte-at-a-time loop it replaced, in MB/s.
@@ -273,7 +274,7 @@ struct BenchResult {
                        // interaction_fwd | interaction_bwd |
                        // embedding_forward | embedding_backward_opt | crc32
   std::string impl;    // seed | new
-  // Build of the tiled kernels (baseline | avx2) on the GEMM and
+  // Build of the tiled kernels (baseline | avx2 | avx512) on the GEMM and
   // interaction kernels' new rows; empty elsewhere.
   std::string isa;
   // GEMMs: "m x k x n" of the product; interaction: "rows x features x
@@ -401,7 +402,8 @@ void RunTiledPair(
   const BenchResult seed =
       MeasureSeed(cfg, kernel, shape, dim, batch, run_seed);
   out.push_back(seed);
-  for (tiles::Isa isa : {tiles::Isa::kBaseline, tiles::Isa::kAvx2}) {
+  for (tiles::Isa isa :
+       {tiles::Isa::kBaseline, tiles::Isa::kAvx2, tiles::Isa::kAvx512}) {
     if (!tiles::IsaSupported(isa)) continue;
     const tiles::Kernels& ops = tiles::KernelsFor(isa);
     AppendNewRows(

@@ -122,8 +122,12 @@ inline void DequantAddI8(size_t n, const uint8_t* FAE_RESTRICT q, float scale,
 /// (staging a row for an optimizer update, checkpoint widening, eval).
 inline void DequantRowI8(size_t n, const uint8_t* FAE_RESTRICT q, float scale,
                          float zero, float* FAE_RESTRICT y) {
+  // The tail is counted from n % 8, so GCC sees that it is short: a tail
+  // loop bounded by n alone drew a false -Waggressive-loop-optimizations
+  // wherever a constant n was inlined.
+  const size_t body = n - n % 8;
   size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
+  for (; i < body; i += 8) {
     y[i + 0] = zero + scale * static_cast<float>(q[i + 0]);
     y[i + 1] = zero + scale * static_cast<float>(q[i + 1]);
     y[i + 2] = zero + scale * static_cast<float>(q[i + 2]);
@@ -133,7 +137,9 @@ inline void DequantRowI8(size_t n, const uint8_t* FAE_RESTRICT q, float scale,
     y[i + 6] = zero + scale * static_cast<float>(q[i + 6]);
     y[i + 7] = zero + scale * static_cast<float>(q[i + 7]);
   }
-  for (; i < n; ++i) y[i] = zero + scale * static_cast<float>(q[i]);
+  for (size_t t = 0; t < n % 8; ++t) {
+    y[body + t] = zero + scale * static_cast<float>(q[body + t]);
+  }
 }
 
 /// Row-wise affine int8 quantization: zero_point = min(x), scale =

@@ -7,6 +7,13 @@
 #include "tensor/kernels.h"
 #include "util/logging.h"
 
+#if FAE_DENSE_TILES_AVX512
+// For the few 16-lane lane moves dense_tiles.inc writes as intrinsics.
+// GCC's intrinsic functions carry their own target attributes, so
+// including them here compiles nothing for AVX-512.
+#include <immintrin.h>
+#endif
+
 namespace fae {
 namespace tiles {
 namespace {
@@ -32,19 +39,17 @@ void RowParallel(ThreadPool* pool, size_t n, size_t flops, Fn&& fn) {
 // -- What the tiled kernels of dense_tiles.inc share across builds.
 
 /// A 16-byte float vector (GCC/Clang vector extension): SSE2 on baseline
-/// x86-64, and the 8-lane build's vector for 4-column remainders.
+/// x86-64, and the wider builds' vector for 4-column remainders.
 typedef float V4 __attribute__((vector_size(16)));
+/// A 32-byte float vector: the AVX2 build's, and the AVX-512 build's for
+/// 8-column remainders. Only the wider builds touch it.
+typedef float V8 __attribute__((vector_size(32)));
 
 template <typename V>
 constexpr size_t kLanesOf = sizeof(V) / sizeof(float);
 
-// GEMM tile: kTileRows rows x kTileVecs vectors of C (4 x 8 floats at 4
-// lanes, 4 x 16 at 8: eight accumulators plus two B vectors and one
-// broadcast fit the sixteen SSE2 or AVX2 registers). k is blocked so that
-// a block of B and the A strips it meets stay in L1/L2 across the tiles
-// of one block.
-constexpr size_t kTileRows = 4;
-constexpr size_t kTileVecs = 2;
+// k is blocked so that a block of B and the A strips it meets stay in
+// L1/L2 across the GEMM tiles of one block.
 constexpr size_t kBlockK = 128;
 // A * B^T walks B by rows; a block of 64 of them (16 KB at the workloads'
 // k <= 64) stays in L1 while every row group of A passes over it.
@@ -85,35 +90,114 @@ using Vec = V4;
 #pragma GCC push_options
 #pragma GCC target("avx2")
 namespace avx2 {
-typedef float Vec __attribute__((vector_size(32)));
+using Vec = V8;
 #include "tensor/dense_tiles.inc"
 }  // namespace avx2
 #pragma GCC pop_options
 #endif
 
+#if FAE_DENSE_TILES_AVX512
+// The 16-lane build, compiled for AVX-512F alone, under the same rules as
+// the AVX2 build. AVX-512F brings EVEX multiply-adds with it, so here too
+// only -ffp-contract=off keeps every a * b + c rounded twice.
+#pragma GCC push_options
+#pragma GCC target("avx512f")
+namespace avx512 {
+typedef float Vec __attribute__((vector_size(64)));
+#include "tensor/dense_tiles.inc"
+}  // namespace avx512
+#pragma GCC pop_options
+
+// The AVX-512 table. The three GEMMs run the AVX2 build's kernel
+// (AVX-512F implies AVX2) on the classes of shapes where bench/micro_kernels
+// measured a workload layer slower at 16 lanes, and their 16-lane forms on
+// the rest; the choice reads only the operands' sizes. Compiled for the
+// baseline target, so that neither build's kernel is inlined here.
+namespace avx512_by_shape {
+namespace {
+
+/// The GEMM loop nest's 16-lane form needs a full 16-column vector and
+/// an 8-row tile; with less (the workloads' n = 1 output layers, TBSM's
+/// 3-row bottom weight gradient) its remainders ran slower than the
+/// 8-lane tiles.
+bool WideGemm(size_t m, size_t n) { return m >= 8 && n >= 16; }
+
+void MatMul(Tensor& c, MatView a, const Tensor& b, ThreadPool* pool) {
+  (WideGemm(a.rows, b.cols()) ? avx512::kKernels : avx2::kKernels)
+      .mat_mul(c, a, b, pool);
+}
+
+void MatMulTransA(Tensor& c, MatView a, const Tensor& b, ThreadPool* pool) {
+  (WideGemm(a.cols, b.cols()) ? avx512::kKernels : avx2::kKernels)
+      .mat_mul_trans_a(c, a, b, pool);
+}
+
+/// Packed dot tiles need a full quad of k (k = 1, the output layers'
+/// input gradient, ran slower packed).
+void MatMulTransB(Tensor& c, const Tensor& a, const Tensor& b,
+                  ThreadPool* pool) {
+  (a.cols() >= 4 ? avx512::kKernels : avx2::kKernels)
+      .mat_mul_trans_b(c, a, b, pool);
+}
+
+/// The interaction kernels run their 16-lane forms at every d.
+const Kernels kKernels = {&MatMul, &MatMulTransA, &MatMulTransB,
+                          &avx512::Interaction, &avx512::InteractionBackward};
+
+}  // namespace
+}  // namespace avx512_by_shape
+#endif
+
 const char* IsaName(Isa isa) {
-  return isa == Isa::kAvx2 ? "avx2" : "baseline";
+  switch (isa) {
+    case Isa::kAvx512:
+      return "avx512";
+    case Isa::kAvx2:
+      return "avx2";
+    case Isa::kBaseline:
+      break;
+  }
+  return "baseline";
 }
 
 bool IsaSupported(Isa isa) {
-  if (isa == Isa::kBaseline) return true;
+  // __builtin_cpu_supports also checks that the OS saves the wide
+  // registers (XCR0).
+  switch (isa) {
+    case Isa::kBaseline:
+      return true;
+    case Isa::kAvx2:
 #if FAE_DENSE_TILES_AVX2
-  // Also checks that the OS saves the 256-bit registers (XCR0).
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2");
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avx2");
 #else
-  return false;
+      return false;
 #endif
+    case Isa::kAvx512:
+#if FAE_DENSE_TILES_AVX512
+      // The AVX-512 table also runs AVX2 kernels (KernelsFor).
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx2");
+#else
+      return false;
+#endif
+  }
+  return false;
 }
 
 Isa DispatchedIsa() {
-  static const Isa isa =
-      IsaSupported(Isa::kAvx2) ? Isa::kAvx2 : Isa::kBaseline;
+  static const Isa isa = IsaSupported(Isa::kAvx512) ? Isa::kAvx512
+                         : IsaSupported(Isa::kAvx2) ? Isa::kAvx2
+                                                    : Isa::kBaseline;
   return isa;
 }
 
 const Kernels& KernelsFor(Isa isa) {
   FAE_CHECK(IsaSupported(isa)) << IsaName(isa) << " is not supported here";
+#if FAE_DENSE_TILES_AVX512
+  if (isa == Isa::kAvx512) return avx512_by_shape::kKernels;
+#endif
 #if FAE_DENSE_TILES_AVX2
   if (isa == Isa::kAvx2) return avx2::kKernels;
 #endif
@@ -129,6 +213,10 @@ const Kernels& Dispatched() {
 
 }  // namespace
 }  // namespace tiles
+
+const char* DenseKernelsName() {
+  return tiles::IsaName(tiles::DispatchedIsa());
+}
 
 void MatMulInto(Tensor& c, MatView a, const Tensor& b, ThreadPool* pool) {
   tiles::Dispatched().mat_mul(c, a, b, pool);

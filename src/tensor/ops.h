@@ -13,6 +13,11 @@ namespace fae {
 // A-operands are MatViews so activations can be consumed straight out of
 // flat dataset buffers.
 
+/// The build of the register-tiled kernels below that this process runs:
+/// "baseline" (4 lanes), "avx2" (8) or "avx512" (16), the widest the CPU
+/// supports. Every build gives the same bits; only the speed differs.
+const char* DenseKernelsName();
+
 /// C = A[m,k] * B[k,n], register-tiled. Each C element is +0 plus its
 /// products in ascending k — the scalar i-k-j loop's sequence, so the
 /// result is that loop's bit for bit (for finite inputs; kernels.h). When

@@ -357,7 +357,8 @@ TEST(GoldenCurveTest, PlacementCostsMatchFixture) {
   std::string out =
       "# fae placement costs v1: name modeled_seconds avg_gpu_watts";
   for (int p = 0; p < static_cast<int>(Phase::kNumPhases); ++p) {
-    out += " " + std::string(PhaseName(static_cast<Phase>(p)));
+    out += ' ';
+    out += PhaseName(static_cast<Phase>(p));
   }
   out += " cpu_busy gpu_busy pcie_bytes nvlink_bytes network_bytes\n";
   TrainOptions cost_only = Fixture::Options();

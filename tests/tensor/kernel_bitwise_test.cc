@@ -214,24 +214,29 @@ void ExpectInteractionBitExact(const tiles::Kernels& ops, size_t rows,
   }
 }
 
-// Every tile remainder. GEMM tiles are 4 rows x 8 columns at 4 lanes and
-// 4 x 16 at 8, with 8-, 4- and 1-column tails and single-row remainders;
-// n up to 35 reaches every tail after two full tiles. Dot tiles are 2 or
-// 4 rows x 4 columns, and the input gradient's last `in` % 4 columns run
-// as one buffered tile. A zero batch or input width gives the forward and
-// weight-gradient GEMMs an empty inner dimension, whose product is all
-// +0.
+// Every tile remainder. GEMM tiles are 4 rows x 8 columns at 4 lanes, 4 x
+// 16 at 8 and 8 x 32 at 16, with 16-, 8-, 4- and 1-column tails and 4-row
+// and single-row remainders; n up to 67 reaches every tail after two full
+// 16-lane tiles. Dot tiles are 2 or 4 rows x 4 columns at 4 and 8 lanes
+// and 4 or 8 rows x 4 columns at 16, and the input gradient's last `in` %
+// 4 columns run as one buffered tile. A zero batch or input width gives
+// the forward and weight-gradient GEMMs an empty inner dimension, whose
+// product is all +0. The last layers give the input gradient a k of
+// several 16-lane pack blocks (256), with and without a k % 4 tail, and
+// more than one 64-row block of B.
 void ExpectGemmsBitExactOnEveryTileRemainder(const tiles::Kernels& ops,
                                              ThreadPool* pool) {
   Xoshiro256 rng(13);
   for (size_t m = 0; m <= 19; ++m) {
     for (size_t k = 0; k <= 19; ++k) {
-      for (size_t n = 1; n <= 35; ++n) {
+      for (size_t n = 1; n <= 67; ++n) {
         ExpectLayerBitExact(ops, m, k, n, rng, pool);
         if (::testing::Test::HasFailure()) return;
       }
     }
   }
+  ExpectLayerBitExact(ops, 21, 70, 600, rng, pool);
+  ExpectLayerBitExact(ops, 13, 5, 603, rng, pool);
 }
 
 // The layers the benchmark's workloads train, at batch sizes that leave
@@ -255,18 +260,22 @@ void ExpectGemmsBitExactOnWorkloadLayers(const tiles::Kernels& ops,
   ExpectLayerBitExact(ops, 67 * 21, 16, 16, rng, pool);
 }
 
-// Feature counts 2..11 cover the backward's groups of two or four features
-// and every remainder, and the forward's buffered first and partial last
-// tiles; d 1..19 covers the backward's 16-element strips, single vectors
-// and scalar tail, and the forward's dot tails.
+// Feature counts 2..19 cover the backward's groups of two, four or eight
+// features and every remainder, and the forward's buffered first and
+// partial last tiles, two features per tile at 4 and 8 lanes and groups
+// of eight and four at 16; d 1..31 covers the backward's 16-element
+// strips, single vectors (8 and 4 lanes at 16) and scalar tail, and the
+// forward's dot tails. The wide case gives the 16-lane forward more than
+// one 64-partner block and a d of two pack blocks plus a tail.
 void ExpectInteractionBitExactOnEveryRemainder(const tiles::Kernels& ops,
                                                ThreadPool* pool) {
   Xoshiro256 rng(15);
-  for (size_t f = 2; f <= 11; ++f) {
-    for (size_t d = 1; d <= 19; ++d) {
+  for (size_t f = 2; f <= 19; ++f) {
+    for (size_t d = 1; d <= 31; ++d) {
       ExpectInteractionBitExact(ops, 3, f, d, rng, pool);
     }
   }
+  ExpectInteractionBitExact(ops, 2, 70, 515, rng, pool);
   // Kaggle DLRM: 26 tables plus the bottom MLP, embedding dim 16.
   ExpectInteractionBitExact(ops, 203, 27, 16, rng, pool);
 }
@@ -383,25 +392,61 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(IsaParam{tiles::Isa::kBaseline, 1},
                       IsaParam{tiles::Isa::kBaseline, 4},
                       IsaParam{tiles::Isa::kAvx2, 1},
-                      IsaParam{tiles::Isa::kAvx2, 4}),
+                      IsaParam{tiles::Isa::kAvx2, 4},
+                      IsaParam{tiles::Isa::kAvx512, 1},
+                      IsaParam{tiles::Isa::kAvx512, 4}),
     [](const ::testing::TestParamInfo<IsaParam>& info) {
-      return std::string(info.param.isa == tiles::Isa::kAvx2 ? "Avx2"
-                                                             : "Baseline") +
-             (info.param.threads == 1 ? "Serial" : "Pool4");
+      // "avx512" -> "Avx512Serial".
+      std::string name = tiles::IsaName(info.param.isa);
+      name[0] = static_cast<char>(name[0] - 'a' + 'A');
+      return name + (info.param.threads == 1 ? "Serial" : "Pool4");
     });
 
+/// Whether this binary has the build for `isa` and the CPU can run it,
+/// asked of the CPU directly rather than of IsaSupported.
+bool CpuRuns(tiles::Isa isa) {
+  switch (isa) {
+    case tiles::Isa::kBaseline:
+      return true;
+    case tiles::Isa::kAvx2:
+#if FAE_DENSE_TILES_AVX2
+      return __builtin_cpu_supports("avx2");
+#else
+      return false;
+#endif
+    case tiles::Isa::kAvx512:
+#if FAE_DENSE_TILES_AVX512
+      return __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx2");
+#else
+      return false;
+#endif
+  }
+  return false;
+}
+
+// A build is supported exactly when it is compiled in and the CPU has its
+// instructions, and the dispatcher runs the widest supported build, which
+// ops.h names.
+TEST(KernelDispatchTest, PicksTheWidestCompiledAndSupportedBuild) {
+  tiles::Isa widest = tiles::Isa::kBaseline;
+  for (tiles::Isa isa :
+       {tiles::Isa::kBaseline, tiles::Isa::kAvx2, tiles::Isa::kAvx512}) {
+    EXPECT_EQ(tiles::IsaSupported(isa), CpuRuns(isa)) << tiles::IsaName(isa);
+    if (CpuRuns(isa)) widest = isa;
+  }
+  EXPECT_EQ(tiles::DispatchedIsa(), widest);
+  EXPECT_STREQ(DenseKernelsName(), tiles::IsaName(widest));
+}
+
 // The dispatcher runs the AVX2 build exactly when the CPU has AVX2 and
-// this binary has that build.
+// this binary has that build, but no wider one the CPU can run.
 TEST(KernelDispatchTest, PicksAvx2ExactlyWhenTheCpuHasIt) {
   EXPECT_TRUE(tiles::IsaSupported(tiles::Isa::kBaseline));
-#if FAE_DENSE_TILES_AVX2
-  const bool avx2 = __builtin_cpu_supports("avx2");
-#else
-  const bool avx2 = false;
-#endif
+  const bool avx2 = CpuRuns(tiles::Isa::kAvx2);
   EXPECT_EQ(tiles::IsaSupported(tiles::Isa::kAvx2), avx2);
-  EXPECT_EQ(tiles::DispatchedIsa(),
-            avx2 ? tiles::Isa::kAvx2 : tiles::Isa::kBaseline);
+  EXPECT_EQ(tiles::DispatchedIsa() == tiles::Isa::kAvx2,
+            avx2 && !CpuRuns(tiles::Isa::kAvx512));
 }
 
 }  // namespace

@@ -53,6 +53,7 @@
 #include "engine/trainer.h"
 #include "models/factory.h"
 #include "serve/serving_loop.h"
+#include "tensor/ops.h"
 #include "util/string_util.h"
 
 namespace fae {
@@ -427,9 +428,11 @@ int Train(const bench::Args& args) {
   if (!run.ok()) return Fail(run.status());
   const TrainReport& report = *run;
 
-  std::printf("mode %s, %d GPU(s), %zu batches\n",
+  // The dense-kernel build goes on the first line so that a run's timing
+  // says which table produced it (every build gives the same bits).
+  std::printf("mode %s, %d GPU(s), %zu batches, kernels %s\n",
               std::string(TrainModeName(report.mode)).c_str(), gpus,
-              report.num_batches);
+              report.num_batches, DenseKernelsName());
   std::printf("modeled time: %s   per-GPU power: %.1fW\n",
               HumanSeconds(report.modeled_seconds).c_str(),
               report.avg_gpu_watts);
@@ -664,10 +667,11 @@ int Serve(const bench::Args& args) {
   auto report = loop.Serve(*dataset, *plan);
   if (!report.ok()) return Fail(report.status());
 
-  std::printf("served %zu batches, %llu requests, %llu lookups\n",
+  std::printf("served %zu batches, %llu requests, %llu lookups, kernels %s\n",
               report->batches,
               static_cast<unsigned long long>(report->requests),
-              static_cast<unsigned long long>(report->lookups));
+              static_cast<unsigned long long>(report->lookups),
+              DenseKernelsName());
   std::printf(
       "hit rate %.1f%% (stale %.1f%%, master fallback %.1f%%, miss %.1f%%), "
       "coverage ema %.3f\n",
