@@ -20,13 +20,18 @@
 // baseline, 8-lane AVX2 and the AVX-512 table, which picks 16- or 8-lane
 // GEMM tiles per class of shapes; src/tensor/ops.cc), each such
 // row naming its build in an "isa" field; the JSON header names the build
-// the dispatcher picked. A last pair of rows times
-// Crc32, the checksum of every file the library saves and loads, over an
-// 18 MB buffer (about a Kaggle-like dataset file) against the
-// byte-at-a-time loop it replaced, in MB/s.
+// the dispatcher picked. The last rows time Crc32, the checksum of every
+// file the library saves and loads, over an 18 MB buffer (about a
+// Kaggle-like dataset file) in MB/s: the byte-at-a-time loop as the seed,
+// then one row per build the host supports (slicing8 and the pclmul fold;
+// src/util/crc32.h), each naming its build in "isa".
 //
 // Usage:
-//   micro_kernels [--out=bench/BENCH_kernels.json] [--reps=5] [--smoke]
+//   micro_kernels [--out=<build>/bench/BENCH_kernels.json] [--reps=5]
+//                 [--smoke]
+//
+// The default --out is in the build tree; to refresh the committed file,
+// run the full suite from the repo root with --out=bench/BENCH_kernels.json.
 //
 // --smoke shrinks every size so the whole suite runs in well under a
 // second; ctest's bench_smoke target uses it (see EXPERIMENTS.md).
@@ -45,14 +50,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_util.h"
 #include "embedding/embedding_bag.h"
 #include "embedding/embedding_table.h"
 #include "embedding/sparse_sgd.h"
 #include "tensor/dense_tiles.h"
 #include "tensor/ops.h"
+#include "util/crc32.h"
 #include "util/file_io.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
@@ -60,6 +64,14 @@
 
 namespace fae {
 namespace {
+
+/// A compiler barrier for timed loops: the empty asm claims to read
+/// `value` and all of memory, so the computation that produced it (and
+/// every store it depends on) cannot be dropped as unused.
+template <typename T>
+inline void DoNotOptimize(const T& value) {
+  __asm__ __volatile__("" : : "r,m"(value) : "memory");
+}
 
 // ---------------------------------------------------------------------------
 // Seed implementations (the pre-kernel-layer scalar path), kept here as the
@@ -470,11 +482,11 @@ std::vector<BenchResult> RunSuite(const SuiteConfig& cfg) {
         cfg, "gemm", Shape3(cfg.batch, dim, dim), dim, cfg.batch,
         [&] {
           Tensor c = LegacyMatMulBlocked(a, b);
-          benchmark::DoNotOptimize(c.data());
+          DoNotOptimize(c.data());
         },
         [&](const tiles::Kernels& ops, ThreadPool* pool) {
           Tensor c = Gemm(ops, a, b, pool);
-          benchmark::DoNotOptimize(c.data());
+          DoNotOptimize(c.data());
         },
         [&](const tiles::Kernels& ops, ThreadPool* pool) {
           return TensorsEqual(LegacyMatMulBlocked(a, b),
@@ -491,11 +503,11 @@ std::vector<BenchResult> RunSuite(const SuiteConfig& cfg) {
         cfg, "embedding_forward", lookups, dim, cfg.batch,
         [&] {
           Tensor o = LegacyEmbeddingForward(table, indices, offsets);
-          benchmark::DoNotOptimize(o.data());
+          DoNotOptimize(o.data());
         },
         [&](ThreadPool* pool) {
           EmbeddingBag::ForwardInto(pooled, table, indices, offsets, pool);
-          benchmark::DoNotOptimize(pooled.data());
+          DoNotOptimize(pooled.data());
         },
         [&](ThreadPool* pool) {
           EmbeddingBag::ForwardInto(pooled, table, indices, offsets, pool);
@@ -516,11 +528,11 @@ std::vector<BenchResult> RunSuite(const SuiteConfig& cfg) {
           LegacySparseGrad g =
               LegacyEmbeddingBackward(grad_out, indices, offsets, dim);
           LegacySparseSgdStep(seed_table, g, lr);
-          benchmark::DoNotOptimize(seed_table.raw().data());
+          DoNotOptimize(seed_table.raw().data());
         },
         [&](ThreadPool* pool) {
           sgd.FusedBackwardStep(new_table, grad_out, indices, offsets, pool);
-          benchmark::DoNotOptimize(new_table.raw().data());
+          DoNotOptimize(new_table.raw().data());
         },
         [&](ThreadPool* pool) {
           // One step from identical fresh states must land on identical
@@ -564,9 +576,9 @@ void RunLayerSuite(const SuiteConfig& cfg, std::vector<BenchResult>& results) {
     const Tensor g = Tensor::Randn(m, l.out, 0.1f, rng);
     RunTiledPair(
         cfg, "gemm", Shape3(m, l.in, l.out), 0, m,
-        [&] { benchmark::DoNotOptimize(LegacyMatMulBlocked(x, w).data()); },
+        [&] { DoNotOptimize(LegacyMatMulBlocked(x, w).data()); },
         [&](const tiles::Kernels& ops, ThreadPool* pool) {
-          benchmark::DoNotOptimize(Gemm(ops, x, w, pool).data());
+          DoNotOptimize(Gemm(ops, x, w, pool).data());
         },
         [&](const tiles::Kernels& ops, ThreadPool* pool) {
           return TensorsEqual(LegacyMatMulBlocked(x, w),
@@ -575,9 +587,9 @@ void RunLayerSuite(const SuiteConfig& cfg, std::vector<BenchResult>& results) {
         results);
     RunTiledPair(
         cfg, "gemm_trans_a", Shape3(l.in, m, l.out), 0, m,
-        [&] { benchmark::DoNotOptimize(LegacyMatMulTransA(x, g).data()); },
+        [&] { DoNotOptimize(LegacyMatMulTransA(x, g).data()); },
         [&](const tiles::Kernels& ops, ThreadPool* pool) {
-          benchmark::DoNotOptimize(GemmTransA(ops, x, g, pool).data());
+          DoNotOptimize(GemmTransA(ops, x, g, pool).data());
         },
         [&](const tiles::Kernels& ops, ThreadPool* pool) {
           return TensorsEqual(LegacyMatMulTransA(x, g),
@@ -586,9 +598,9 @@ void RunLayerSuite(const SuiteConfig& cfg, std::vector<BenchResult>& results) {
         results);
     RunTiledPair(
         cfg, "gemm_trans_b", Shape3(m, l.out, l.in), 0, m,
-        [&] { benchmark::DoNotOptimize(LegacyMatMulTransB(g, w).data()); },
+        [&] { DoNotOptimize(LegacyMatMulTransB(g, w).data()); },
         [&](const tiles::Kernels& ops, ThreadPool* pool) {
-          benchmark::DoNotOptimize(GemmTransB(ops, g, w, pool).data());
+          DoNotOptimize(GemmTransB(ops, g, w, pool).data());
         },
         [&](const tiles::Kernels& ops, ThreadPool* pool) {
           return TensorsEqual(LegacyMatMulTransB(g, w),
@@ -611,9 +623,9 @@ void RunLayerSuite(const SuiteConfig& cfg, std::vector<BenchResult>& results) {
   const std::string shape = Shape3(rows, kFeatures, kDim);
   RunTiledPair(
       cfg, "interaction_fwd", shape, kDim, rows,
-      [&] { benchmark::DoNotOptimize(LegacyInteraction(ptrs).data()); },
+      [&] { DoNotOptimize(LegacyInteraction(ptrs).data()); },
       [&](const tiles::Kernels& ops, ThreadPool* pool) {
-        benchmark::DoNotOptimize(Interaction(ops, ptrs, pool).data());
+        DoNotOptimize(Interaction(ops, ptrs, pool).data());
       },
       [&](const tiles::Kernels& ops, ThreadPool* pool) {
         return TensorsEqual(LegacyInteraction(ptrs),
@@ -623,11 +635,11 @@ void RunLayerSuite(const SuiteConfig& cfg, std::vector<BenchResult>& results) {
   RunTiledPair(
       cfg, "interaction_bwd", shape, kDim, rows,
       [&] {
-        benchmark::DoNotOptimize(
+        DoNotOptimize(
             LegacyInteractionBackward(grad_out, ptrs).data());
       },
       [&](const tiles::Kernels& ops, ThreadPool* pool) {
-        benchmark::DoNotOptimize(
+        DoNotOptimize(
             InteractionBackward(ops, grad_out, ptrs, pool).data());
       },
       [&](const tiles::Kernels& ops, ThreadPool* pool) {
@@ -637,9 +649,10 @@ void RunLayerSuite(const SuiteConfig& cfg, std::vector<BenchResult>& results) {
       results);
 }
 
-/// Crc32 against the byte loop over one buffer; single-threaded, so one
-/// seed and one new row. Bit-exact means equal checksums of the whole
-/// buffer and of a misaligned, odd-length slice of it.
+/// Crc32's builds against the byte loop over one buffer; single-threaded,
+/// so one seed row and one new row per build the host supports.
+/// Bit-exact means equal checksums of the whole buffer and of a
+/// misaligned, odd-length slice of it.
 void RunCrcSuite(const SuiteConfig& cfg, std::vector<BenchResult>& results) {
   Xoshiro256 rng(777);
   std::vector<unsigned char> buf(cfg.crc_bytes);
@@ -650,22 +663,27 @@ void RunCrcSuite(const SuiteConfig& cfg, std::vector<BenchResult>& results) {
   seed.impl = "seed";
   seed.shape = std::to_string(buf.size());
   seed.seconds_per_iter = SecondsPerIter(
-      [&] { benchmark::DoNotOptimize(LegacyCrc32(buf.data(), buf.size())); },
+      [&] { DoNotOptimize(LegacyCrc32(buf.data(), buf.size())); },
       cfg.timing);
   seed.mb_per_s = mb / seed.seconds_per_iter;
-  BenchResult r = seed;
-  r.impl = "new";
-  r.bitexact_vs_seed =
-      Crc32(buf.data(), buf.size()) == LegacyCrc32(buf.data(), buf.size()) &&
-      Crc32(buf.data() + 3, buf.size() - 8) ==
-          LegacyCrc32(buf.data() + 3, buf.size() - 8);
-  r.seconds_per_iter = SecondsPerIter(
-      [&] { benchmark::DoNotOptimize(Crc32(buf.data(), buf.size())); },
-      cfg.timing);
-  r.mb_per_s = mb / r.seconds_per_iter;
-  r.speedup_vs_seed = seed.seconds_per_iter / r.seconds_per_iter;
   results.push_back(seed);
-  results.push_back(r);
+  for (crc::Isa isa : {crc::Isa::kSlicing8, crc::Isa::kPclmul}) {
+    if (!crc::IsaSupported(isa)) continue;
+    const crc::Fn crc32 = crc::CrcFor(isa);
+    BenchResult r = seed;
+    r.impl = "new";
+    r.isa = crc::IsaName(isa);
+    r.bitexact_vs_seed =
+        crc32(buf.data(), buf.size(), 0) ==
+            LegacyCrc32(buf.data(), buf.size()) &&
+        crc32(buf.data() + 3, buf.size() - 8, 0) ==
+            LegacyCrc32(buf.data() + 3, buf.size() - 8);
+    r.seconds_per_iter = SecondsPerIter(
+        [&] { DoNotOptimize(crc32(buf.data(), buf.size(), 0)); }, cfg.timing);
+    r.mb_per_s = mb / r.seconds_per_iter;
+    r.speedup_vs_seed = seed.seconds_per_iter / r.seconds_per_iter;
+    results.push_back(r);
+  }
 }
 
 void WriteJson(const std::string& path, const SuiteConfig& cfg,
@@ -685,6 +703,8 @@ void WriteJson(const std::string& path, const SuiteConfig& cfg,
   std::fprintf(f, "  \"crc_bytes\": %zu,\n", cfg.crc_bytes);
   std::fprintf(f, "  \"dispatched_isa\": \"%s\",\n",
                tiles::IsaName(tiles::DispatchedIsa()));
+  std::fprintf(f, "  \"dispatched_crc32\": \"%s\",\n",
+               crc::IsaName(crc::DispatchedIsa()));
   std::fprintf(f, "  \"criterion_backward_dim64_t4_speedup\": %.3f,\n",
                criterion);
   std::fprintf(f, "  \"benchmarks\": [\n");
@@ -744,8 +764,9 @@ int main(int argc, char** argv) {
 
   bool all_bitexact = true;
   double criterion = 0.0;
-  std::printf("dispatched isa: %s\n",
-              fae::tiles::IsaName(fae::tiles::DispatchedIsa()));
+  std::printf("dispatched isa: %s, crc32: %s\n",
+              fae::tiles::IsaName(fae::tiles::DispatchedIsa()),
+              fae::crc::IsaName(fae::crc::DispatchedIsa()));
   std::printf("%-24s %-5s %-8s %-13s %8s %12s %9s %9s\n", "kernel", "impl",
               "isa", "shape", "threads", "sec/iter", "speedup", "bitexact");
   for (const fae::BenchResult& r : results) {
@@ -769,8 +790,21 @@ int main(int argc, char** argv) {
         "threads=4 -> %.2fx vs seed\n",
         cfg.batch, criterion);
   }
+  double slicing_s = 0.0;
+  for (const fae::BenchResult& r : results) {
+    if (r.kernel != "crc32" || r.impl != "new") continue;
+    if (r.isa == "slicing8") {
+      slicing_s = r.seconds_per_iter;
+    } else if (slicing_s > 0.0) {
+      std::printf("crc32 %s fold: %.2fx slicing8\n", r.isa.c_str(),
+                  slicing_s / r.seconds_per_iter);
+    }
+  }
 
-  const std::string out = args.GetString("out", "bench/BENCH_kernels.json");
+  // The build tree, not the working directory: a run from the repo root
+  // must not overwrite the committed bench/BENCH_kernels.json.
+  const std::string out = args.GetString(
+      "out", std::string(FAE_BENCH_OUT_DIR) + "/BENCH_kernels.json");
   fae::WriteJson(out, cfg, results, criterion);
   std::printf("wrote %s\n", out.c_str());
 

@@ -44,8 +44,12 @@ foreach(bench ${FAE_BENCHES})
 endforeach()
 
 add_executable(micro_kernels ${CMAKE_SOURCE_DIR}/bench/micro_kernels.cc)
-target_link_libraries(micro_kernels PRIVATE fae benchmark::benchmark)
+target_link_libraries(micro_kernels PRIVATE fae)
 target_include_directories(micro_kernels PRIVATE ${CMAKE_SOURCE_DIR})
+# Its default --out, so that a run from any directory writes into the
+# build tree rather than over the committed bench/BENCH_kernels.json.
+target_compile_definitions(micro_kernels
+  PRIVATE FAE_BENCH_OUT_DIR="${CMAKE_BINARY_DIR}/bench")
 set_target_properties(micro_kernels PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 

@@ -188,7 +188,6 @@ void EmbeddingTable::RestoreCompressed(
     std::vector<float> resident, std::vector<uint8_t> codes_i8,
     std::vector<uint16_t> half, std::vector<float> scale,
     std::vector<float> zero) {
-  FAE_CHECK(!compressed()) << "restore into a compressed table";
   FAE_CHECK(precision != ColdPrecision::kFp32);
   FAE_CHECK_EQ(slot.size(), rows_);
 

@@ -188,9 +188,10 @@ class EmbeddingTable {
 
   /// Restores a compressed state captured by the accessors above. The
   /// caller (ModelIo) has already validated section sizes against
-  /// rows/dim; this checks internal consistency and adopts the buffers.
-  /// The table must be plain and no rows staged (checkpoints are taken at
-  /// flushed sync boundaries).
+  /// rows/dim; this checks internal consistency and adopts the buffers,
+  /// replacing any compressed state the table held (a checkpoint chain's
+  /// delta restores over its base) and dropping staged rows (checkpoints
+  /// are taken at flushed sync boundaries, so none are pending).
   void RestoreCompressed(ColdPrecision precision, std::vector<uint32_t> slot,
                          std::vector<float> resident,
                          std::vector<uint8_t> codes_i8,

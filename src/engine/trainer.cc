@@ -639,8 +639,13 @@ class Trainer::Run {
         master_tables(MasterTables(*trainer.model_)),
         trainer_(trainer),
         dataset_fp_(FaeFormat::Fingerprint(dataset)),
-        options_fp_(trainer.OptionsFingerprint()) {
+        options_fp_(trainer.OptionsFingerprint()),
+        chain_(trainer.options_.checkpoint.path) {
     report.mode = mode;
+    const CheckpointOptions& ckpt = trainer.options_.checkpoint;
+    if (!ckpt.path.empty() && ckpt.every_steps > 0) {
+      written_.Init(dataset.schema().table_rows);
+    }
   }
 
   /// Under options.checkpoint.resume, loads the checkpoint into `ck`,
@@ -657,7 +662,16 @@ class Trainer::Run {
       const CheckpointIo::Expectation expect{
           static_cast<uint32_t>(report.mode), dataset_fp_, options_fp_};
       FAE_ASSIGN_OR_RETURN(
-          ck, CheckpointIo::Load(ckpt.path, *trainer_.model_, &expect));
+          CheckpointIo::Loaded loaded,
+          CheckpointIo::Load(ckpt.path, *trainer_.model_, &expect));
+      ck = std::move(loaded.state);
+      report.resumed_deltas = loaded.deltas;
+      report.resume_damage = loaded.damage;
+      if (!loaded.damage.ok()) {
+        FAE_LOG(Warning) << "resuming from the checkpoint chain's consistent "
+                            "prefix: "
+                         << loaded.damage.ToString();
+      }
       metric.Restore(ck.metric);
       window.Restore(ck.window);
       report.timeline.set_state(ck.timeline);
@@ -677,7 +691,8 @@ class Trainer::Run {
         trainer_.options_.fault_injector->SkipUntil(ck.iteration);
       }
       FAE_LOG(Info) << "resumed " << TrainModeName(report.mode)
-                    << " training from " << ckpt.path << " at iteration "
+                    << " training from " << ckpt.path << " (base + "
+                    << loaded.deltas << " deltas) at iteration "
                     << ck.iteration;
     }
     if (!ckpt.path.empty() && ckpt.every_steps > 0) {
@@ -704,9 +719,31 @@ class Trainer::Run {
       ck.has_staleness = true;
       ck.staleness = overlay.staleness()->state();
     }
-    FAE_RETURN_IF_ERROR(CheckpointIo::Save(ckpt.path, ck, *trainer_.model_));
+    Stopwatch watch;
+    FAE_ASSIGN_OR_RETURN(
+        const CheckpointChain::Saved saved,
+        chain_.Save(ck, *trainer_.model_, written_.touched()));
+    report.checkpoint_seconds += watch.ElapsedSeconds();
+    report.checkpoint_bytes += saved.bytes;
+    if (saved.kind == CheckpointChain::Kind::kBase) {
+      ++report.checkpoint_base_saves;
+    } else {
+      ++report.checkpoint_delta_saves;
+    }
+    written_.Clear();
     next_save_ = (iteration / ckpt.every_steps + 1) * ckpt.every_steps;
     return Status::OK();
+  }
+
+  /// Records the master rows a step on `view` (in master ids) writes: a
+  /// cold step's updates, and a hot step's, which reach the masters with
+  /// the push sync that ends its chunk, before any save.
+  void MarkWritten(const BatchView& view) {
+    // Cost-only runs write no rows, so their deltas carry none.
+    if (written_.num_tables() == 0 || !trainer_.options_.run_math) return;
+    for (size_t t = 0; t < written_.num_tables(); ++t) {
+      written_.MarkAll(t, view.indices(t));
+    }
   }
 
   /// Appends one learning-curve point and returns its test loss.
@@ -737,6 +774,7 @@ class Trainer::Run {
       trainer_.exec_.MathStep(view, master_tables, metric, window,
                               overlay.staleness());
     }
+    MarkWritten(view);
     overlay.PriceColdStep(work, parts, report.timeline);
   }
 
@@ -765,6 +803,8 @@ class Trainer::Run {
   const uint64_t dataset_fp_;
   const uint64_t options_fp_;
   uint64_t next_save_ = 0;
+  CheckpointChain chain_;
+  DirtyRows written_;  // master rows written since the last save
 };
 
 struct Trainer::ShuffledBatches {
@@ -1252,6 +1292,7 @@ StatusOr<TrainReport> Trainer::TrainFaeWithPlan(const Dataset& dataset,
             exec_.MathStep(hot_translated_views[i], replica_tables,
                            run.metric, run.window);
           }
+          run.MarkWritten(hot_batches[i].view);
           if (dirty_sync) {
             // Untranslated indices — dirty tracking speaks master ids.
             for (size_t t = 0; t < num_tables; ++t) {

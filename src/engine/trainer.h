@@ -249,7 +249,21 @@ struct TrainReport {
   bool interrupted = false;
   bool resumed = false;
   uint64_t resumed_at = 0;  // iteration the run resumed from
+  /// Deltas the resume applied after its base (CheckpointIo::Load).
+  uint64_t resumed_deltas = 0;
+  /// OK, or the DataLoss naming the first delta the resume could not
+  /// apply: the run resumed from the chain's consistent prefix.
+  Status resume_damage;
   FaultStats faults;
+
+  // Checkpoint saves (TrainOptions::checkpoint), measured on the host:
+  // saves of each kind, the bytes they wrote, and the wall seconds they
+  // took. Like the overlay savings, not checkpointed: a resumed run counts
+  // its own saves.
+  uint64_t checkpoint_base_saves = 0;
+  uint64_t checkpoint_delta_saves = 0;
+  uint64_t checkpoint_bytes = 0;
+  double checkpoint_seconds = 0.0;
 };
 
 /// Checks `options` for a `mode` run on `system` against every rule the

@@ -1,5 +1,8 @@
 #include "models/model_io.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "util/file_io.h"
 #include "util/string_util.h"
 
@@ -9,15 +12,79 @@ namespace {
 constexpr uint32_t kMagic = 0x4d454146;  // "FAEM"
 // v2 added the crash-safety envelope: atomic temp+rename writes and the
 // whole-file CRC-32 footer. v3 added the per-table storage-mode tag and
-// the verbatim quantized cold-store sections.
-constexpr uint32_t kVersion = 3;
+// the verbatim quantized cold-store sections. v4 added the per-table
+// layout word: a section holds the whole table or (row id, row) pairs.
+constexpr uint32_t kVersion = 4;
 constexpr uint32_t kTrailer = 0x444e454d;  // "MEND"
 
-Status WriteTable(BinaryWriter& w, const EmbeddingTable& t) {
+enum class Layout : uint32_t { kWhole = 0, kRows = 1 };
+
+// Row sections move through a buffer of this many bytes, never one the
+// size of the table.
+constexpr size_t kRowChunkBytes = 64 << 10;
+
+/// The (row id, row) pairs of `ids`, streamed in chunks.
+Status WriteRows(BinaryWriter& w, const EmbeddingTable& t,
+                 const std::vector<uint32_t>& ids) {
+  FAE_RETURN_IF_ERROR(w.WriteU64(ids.size()));
+  const size_t row_bytes = t.dim() * sizeof(float);
+  const size_t record = sizeof(uint32_t) + row_bytes;
+  std::vector<unsigned char> chunk(std::max(record, kRowChunkBytes));
+  size_t used = 0;
+  for (uint32_t id : ids) {
+    if (used + record > chunk.size()) {
+      FAE_RETURN_IF_ERROR(w.WriteBytes(chunk.data(), used));
+      used = 0;
+    }
+    std::memcpy(chunk.data() + used, &id, sizeof(id));
+    std::memcpy(chunk.data() + used + sizeof(id), t.row(id), row_bytes);
+    used += record;
+  }
+  return w.WriteBytes(chunk.data(), used);
+}
+
+/// Overwrites the rows a row section names, read in chunks.
+Status ReadRows(BinaryReader& r, EmbeddingTable& t) {
+  FAE_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
+  const size_t row_bytes = t.dim() * sizeof(float);
+  const size_t record = sizeof(uint32_t) + row_bytes;
+  if (count > t.rows() || count > r.RemainingBytes() / record) {
+    return Status::DataLoss("row count exceeds the table or file remainder");
+  }
+  if (t.compressed()) {
+    return Status::FailedPrecondition(
+        "cannot apply rows to a compressed table");
+  }
+  const size_t per_chunk = std::max<size_t>(1, kRowChunkBytes / record);
+  std::vector<unsigned char> chunk(std::min<uint64_t>(count, per_chunk) *
+                                   record);
+  for (uint64_t done = 0; done < count;) {
+    const size_t n = static_cast<size_t>(
+        std::min<uint64_t>(count - done, per_chunk));
+    FAE_RETURN_IF_ERROR(r.ReadBytes(chunk.data(), n * record));
+    for (size_t i = 0; i < n; ++i) {
+      const unsigned char* rec = chunk.data() + i * record;
+      uint32_t id = 0;
+      std::memcpy(&id, rec, sizeof(id));
+      if (id >= t.rows()) return Status::DataLoss("row id out of range");
+      std::memcpy(t.row(id), rec + sizeof(id), row_bytes);
+    }
+    done += n;
+  }
+  return Status::OK();
+}
+
+Status WriteTable(BinaryWriter& w, const EmbeddingTable& t,
+                  const std::vector<uint32_t>* ids) {
   FAE_RETURN_IF_ERROR(w.WriteU64(t.rows()));
   FAE_RETURN_IF_ERROR(w.WriteU64(t.dim()));
   FAE_RETURN_IF_ERROR(
       w.WriteU32(static_cast<uint32_t>(t.cold_precision())));
+  // A compressed store goes in whole: its rows are not fp32 images.
+  const bool rows = ids != nullptr && !t.compressed();
+  FAE_RETURN_IF_ERROR(w.WriteU32(
+      static_cast<uint32_t>(rows ? Layout::kRows : Layout::kWhole)));
+  if (rows) return WriteRows(w, t, *ids);
   if (!t.compressed()) {
     return w.WriteBytes(t.raw().data(), t.raw().size() * sizeof(float));
   }
@@ -36,7 +103,7 @@ Status WriteTable(BinaryWriter& w, const EmbeddingTable& t) {
   return w.WriteVector(t.cold_zero());
 }
 
-Status ReadTable(BinaryReader& r, EmbeddingTable& t) {
+Status ReadTable(BinaryReader& r, EmbeddingTable& t, bool allow_rows) {
   FAE_ASSIGN_OR_RETURN(uint64_t rows, r.ReadU64());
   FAE_ASSIGN_OR_RETURN(uint64_t dim, r.ReadU64());
   if (rows != t.rows() || dim != t.dim()) {
@@ -46,12 +113,28 @@ Status ReadTable(BinaryReader& r, EmbeddingTable& t) {
   if (mode > static_cast<uint32_t>(ColdPrecision::kInt8)) {
     return Status::DataLoss("unknown table storage mode");
   }
-  if (t.compressed()) {
-    return Status::FailedPrecondition(
-        "cannot restore into a compressed table");
+  FAE_ASSIGN_OR_RETURN(uint32_t layout, r.ReadU32());
+  if (layout > static_cast<uint32_t>(Layout::kRows) ||
+      (layout == static_cast<uint32_t>(Layout::kRows) &&
+       mode != static_cast<uint32_t>(ColdPrecision::kFp32))) {
+    return Status::DataLoss("unknown table section layout");
+  }
+  if (layout == static_cast<uint32_t>(Layout::kRows)) {
+    if (!allow_rows) {
+      return Status::DataLoss("a row section in a file that must hold whole "
+                              "tables");
+    }
+    return ReadRows(r, t);
   }
   const ColdPrecision precision = static_cast<ColdPrecision>(mode);
   if (precision == ColdPrecision::kFp32) {
+    // Whole fp32 sections restore plain tables only: a compressed table
+    // here was restored by an earlier save of the same chain, which keeps
+    // its storage mode throughout.
+    if (t.compressed()) {
+      return Status::FailedPrecondition(
+          "cannot restore an fp32 section into a compressed table");
+    }
     return r.ReadBytes(t.raw().data(), t.raw().size() * sizeof(float));
   }
   FAE_ASSIGN_OR_RETURN(std::vector<uint32_t> slot, r.ReadVector<uint32_t>());
@@ -88,7 +171,9 @@ Status ReadTable(BinaryReader& r, EmbeddingTable& t) {
 
 }  // namespace
 
-Status ModelIo::WriteModelState(BinaryWriter& w, RecModel& model) {
+Status ModelIo::WriteModelState(
+    BinaryWriter& w, RecModel& model,
+    const std::vector<std::vector<uint32_t>>* rows) {
   const std::vector<Parameter*> params = model.DenseParams();
   FAE_RETURN_IF_ERROR(w.WriteU64(params.size()));
   for (const Parameter* p : params) {
@@ -100,14 +185,19 @@ Status ModelIo::WriteModelState(BinaryWriter& w, RecModel& model) {
   }
 
   const std::vector<EmbeddingTable>& tables = model.tables();
+  if (rows != nullptr && rows->size() != tables.size()) {
+    return Status::InvalidArgument("row lists do not match the table count");
+  }
   FAE_RETURN_IF_ERROR(w.WriteU64(tables.size()));
-  for (const EmbeddingTable& t : tables) {
-    FAE_RETURN_IF_ERROR(WriteTable(w, t));
+  for (size_t t = 0; t < tables.size(); ++t) {
+    FAE_RETURN_IF_ERROR(
+        WriteTable(w, tables[t], rows != nullptr ? &(*rows)[t] : nullptr));
   }
   return Status::OK();
 }
 
-Status ModelIo::ReadModelState(BinaryReader& r, RecModel& model) {
+Status ModelIo::ReadModelState(BinaryReader& r, RecModel& model,
+                               bool allow_rows) {
   std::vector<Parameter*> params = model.DenseParams();
   FAE_ASSIGN_OR_RETURN(uint64_t param_count, r.ReadU64());
   if (param_count != params.size()) {
@@ -138,7 +228,7 @@ Status ModelIo::ReadModelState(BinaryReader& r, RecModel& model) {
     return Status::FailedPrecondition("checkpoint table count mismatch");
   }
   for (EmbeddingTable& t : tables) {
-    FAE_RETURN_IF_ERROR(ReadTable(r, t));
+    FAE_RETURN_IF_ERROR(ReadTable(r, t, allow_rows));
   }
   return Status::OK();
 }

@@ -22,14 +22,18 @@ namespace fae {
 /// file records parameter names and shapes and refuses mismatches, so a
 /// checkpoint cannot be silently loaded into the wrong model.
 ///
-/// Format v3 records a per-table storage mode: plain fp32 tables are
-/// written raw as before, compressed tables (EmbeddingTable::CompressCold)
-/// persist their quantized sections *verbatim* — slot map, resident fp32
+/// Format v4 records a per-table storage mode and layout: plain fp32
+/// tables are written raw, whole or (inside a delta checkpoint,
+/// engine/checkpoint.h) as (row id, row) pairs of the rows a run wrote
+/// since its previous save; compressed tables
+/// (EmbeddingTable::CompressCold) always go in whole, persisting their
+/// quantized sections *verbatim* — slot map, resident fp32
 /// rows, int8 codes + scale/zero_point arrays or binary16 payload — under
 /// the same whole-file CRC. Verbatim matters: requantizing a dequantized
 /// row re-rounds the scale, so round-tripping through fp32 would not be
-/// bit-stable. A compressed section read into a plain table restores the
-/// compressed state; the trainer then keeps it (same cold_precision),
+/// bit-stable. A compressed section read into a table restores the
+/// compressed state (replacing any earlier one of the same chain); the
+/// trainer then keeps it (same cold_precision),
 /// widens it exactly via Decompress (resuming at fp32), or rejects the
 /// combination. Tables must have no staged rows at save time (checkpoints
 /// are taken at flushed sync boundaries).
@@ -43,8 +47,19 @@ class ModelIo {
   /// Raw model-state section (dense params + embedding tables), embeddable
   /// inside larger containers — the full-run training checkpoint
   /// (engine/checkpoint.h) reuses it so both formats stay in lockstep.
-  static Status WriteModelState(BinaryWriter& w, RecModel& model);
-  static Status ReadModelState(BinaryReader& r, RecModel& model);
+  /// `rows`, when given, holds for each table the ids of the rows to write:
+  /// a plain table's section then holds only those (row id, row) pairs,
+  /// streamed through a fixed-size buffer; a compressed table goes in
+  /// whole. Without it every table goes in whole.
+  static Status WriteModelState(
+      BinaryWriter& w, RecModel& model,
+      const std::vector<std::vector<uint32_t>>* rows = nullptr);
+  /// Reads a section WriteModelState wrote into `model`: a whole section
+  /// replaces its table, a row section overwrites the rows it names.
+  /// Unless `allow_rows`, a row section is DataLoss (a file that must
+  /// stand alone holds whole tables).
+  static Status ReadModelState(BinaryReader& r, RecModel& model,
+                               bool allow_rows = false);
 };
 
 }  // namespace fae

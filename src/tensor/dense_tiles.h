@@ -17,9 +17,10 @@
 //
 // FAE_DENSE_TILES_MAX_ISA_LEVEL compiles the wider builds out: 2 keeps all
 // three, 1 keeps baseline and AVX2, 0 keeps baseline alone. Only the
-// test-only CMake cache variable FAE_DENSE_TILES_MAX_ISA (src/tensor/
+// test-only CMake cache variable FAE_DENSE_TILES_MAX_ISA (src/
 // CMakeLists.txt, avx512 by default) sets it, as a compile definition of
-// fae_tensor and of everything that links it.
+// fae_util and of everything that links it; it caps Crc32's builds
+// (util/crc32.h) the same way.
 
 #include <vector>
 

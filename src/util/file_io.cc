@@ -1,66 +1,35 @@
 #include "util/file_io.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <array>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 
 namespace fae {
 namespace {
 
-// Slicing-by-8 tables: kCrcTables[0] is the byte-at-a-time table for the
-// reflected polynomial, and kCrcTables[k][b] is kCrcTables[0][b] carried
-// through k more zero bytes. A byte that still has k bytes after it in an
-// 8-byte step is looked up in table k, so one step is eight independent
-// lookups instead of eight dependent ones.
-using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
-
-constexpr CrcTables BuildCrcTables() {
-  CrcTables t{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-    }
-    t[0][i] = c;
-  }
-  for (size_t k = 1; k < t.size(); ++k) {
-    for (uint32_t i = 0; i < 256; ++i) {
-      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
-    }
-  }
-  return t;
-}
-
-constexpr CrcTables kCrcTables = BuildCrcTables();
-
-/// Little-endian u32 at `p`, assembled bytewise so the code is the same on
-/// any host byte order and alignment (compilers fuse it into one load).
-inline uint32_t LoadLe32(const unsigned char* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
 // Large reads are split so each chunk is checksummed while it is still in
 // cache, rather than in a second pass over the whole buffer.
 constexpr size_t kReadChunkBytes = 256 << 10;
 
-}  // namespace
-
-uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
-  const auto& t = kCrcTables;
-  const auto* p = static_cast<const unsigned char*>(data);
-  uint32_t c = seed ^ 0xffffffffu;
-  for (; n >= 8; n -= 8, p += 8) {
-    const uint32_t lo = c ^ LoadLe32(p);
-    const uint32_t hi = LoadLe32(p + 4);
-    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
-        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
-        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
-  }
-  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
-  return c ^ 0xffffffffu;
+/// fsync(2) of a file's data, or of a directory's entries.
+Status SyncPath(const std::string& path, bool directory) {
+  const int fd = ::open(path.c_str(),
+                        O_RDONLY | O_CLOEXEC | (directory ? O_DIRECTORY : 0));
+  if (fd < 0) return Status::IOError("cannot open to sync: " + path);
+  const int rc = ::fsync(fd);
+  // A file system that cannot sync a directory says so with EINVAL; the
+  // rename is then as durable as it can be made.
+  const bool ok = rc == 0 || (directory && errno == EINVAL);
+  ::close(fd);
+  if (!ok) return Status::IOError("fsync failed: " + path);
+  return Status::OK();
 }
+
+}  // namespace
 
 StatusOr<BinaryWriter> BinaryWriter::Open(const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -86,6 +55,7 @@ Status BinaryWriter::WriteBytes(const void* data, size_t n) {
   out_.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
   if (!out_.good()) return Status::IOError("write failed");
   crc_ = Crc32(data, n, crc_);
+  bytes_ += n;
   return Status::OK();
 }
 
@@ -117,6 +87,13 @@ Status BinaryWriter::Commit() {
   if (!out_.good()) return Status::IOError("flush failed");
   out_.close();
   if (temp_path_.empty()) return Status::OK();
+  // The data reaches the disk before the rename can: otherwise, after a
+  // power loss, the new name could point at a file whose blocks never
+  // arrived, with the previous good file already replaced.
+  if (Status synced = SyncPath(temp_path_, /*directory=*/false); !synced.ok()) {
+    (void)RemoveFile(temp_path_);
+    return synced;
+  }
   std::error_code ec;
   std::filesystem::rename(temp_path_, final_path_, ec);
   if (ec) {
@@ -125,7 +102,10 @@ Status BinaryWriter::Commit() {
                            final_path_);
   }
   temp_path_.clear();
-  return Status::OK();
+  // And the rename itself is durable once the directory entry is.
+  const std::string dir =
+      std::filesystem::path(final_path_).parent_path().string();
+  return SyncPath(dir.empty() ? "." : dir, /*directory=*/true);
 }
 
 StatusOr<BinaryReader> BinaryReader::Open(const std::string& path) {

@@ -13,9 +13,10 @@ namespace fae {
 
 /// CRC-32 (IEEE, reflected polynomial 0xEDB88320) of `n` bytes. Streaming:
 /// pass the previous return value as `seed` to continue a running checksum
-/// (the seed of a fresh checksum is 0). Portable slicing-by-8: eight input
-/// bytes per step through eight 256-entry tables, the same checksums as
-/// the byte-at-a-time table loop.
+/// (the seed of a fresh checksum is 0). Runs the widest build the CPU
+/// supports, chosen once per process (util/crc32.h): a PCLMULQDQ fold by
+/// carry-less multiply or portable slicing-by-8, both with the same
+/// checksums as the byte-at-a-time table loop.
 uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 
 /// Little-endian binary writer with Status-based error reporting. Used by
@@ -54,19 +55,26 @@ class BinaryWriter {
   /// CRC-32 of everything written so far.
   uint32_t crc() const { return crc_; }
 
+  /// Bytes written so far.
+  uint64_t bytes() const { return bytes_; }
+
   /// Flushes and closes; further writes are invalid. An atomic writer that
   /// is closed without Commit() leaves the target file untouched (the temp
   /// file is removed).
   Status Close();
 
-  /// Close(), then for atomic writers atomically rename the temp file over
-  /// the final path. Equivalent to Close() for plain Open() writers.
+  /// Close(), then for atomic writers durably replace the final path:
+  /// fsync the temp file, rename it over the final path, and fsync the
+  /// directory, so that neither a crash nor a power loss can leave the
+  /// final path naming a file whose data never reached the disk.
+  /// Equivalent to Close() for plain Open() writers.
   Status Commit();
 
  private:
   explicit BinaryWriter(std::ofstream out) : out_(std::move(out)) {}
   std::ofstream out_;
   uint32_t crc_ = 0;
+  uint64_t bytes_ = 0;
   std::string temp_path_;   // non-empty for atomic writers
   std::string final_path_;  // rename target of an atomic writer
 };

@@ -1,13 +1,18 @@
 #include "engine/checkpoint.h"
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
 #include "engine/trainer.h"
+#include "engine/resume_golden.h"
 #include "models/factory.h"
 #include "test_temp_dir.h"
 #include "util/file_io.h"
@@ -64,50 +69,36 @@ void ExpectSameCurve(const std::vector<CurvePoint>& a,
 }
 
 // The golden resume property: crash mid-run, resume from the periodic
-// checkpoint, and the loss curve (and modeled time) match an uninterrupted
-// run bit for bit.
+// checkpoint chain, and the loss curve (and modeled time) match an
+// uninterrupted run bit for bit — from base + deltas and from the base
+// alone.
 TEST(CheckpointTest, BaselineResumeReproducesRunExactly) {
   Fixture f;
-  const std::string path = TempPath("fae_resume_baseline.faec");
-
   auto model_a = f.NewModel(5);
   Trainer uninterrupted(model_a.get(), MakePaperServer(1), Fixture::Options());
   auto a = uninterrupted.TrainBaseline(f.dataset, f.split);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_FALSE(a->interrupted);
 
-  TrainOptions opt = Fixture::Options();
-  opt.checkpoint.path = path;
-  opt.checkpoint.every_steps = 5;
-  auto crash_plan = FaultInjector::Parse("crash@13");
-  ASSERT_TRUE(crash_plan.ok());
-  opt.fault_injector = &*crash_plan;
-  auto model_b = f.NewModel(5);
-  Trainer crashing(model_b.get(), MakePaperServer(1), opt);
-  auto b = crashing.TrainBaseline(f.dataset, f.split);
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_TRUE(b->interrupted);
-  EXPECT_EQ(b->num_batches, 13u);
-  EXPECT_EQ(b->faults.crashes, 1u);
-
-  // Resume into a model with a *different* init seed: every weight must
-  // come from the checkpoint for the curves to match.
-  TrainOptions resume_opt = Fixture::Options();
-  resume_opt.checkpoint.path = path;
-  resume_opt.checkpoint.every_steps = 5;
-  resume_opt.checkpoint.resume = true;
-  auto model_c = f.NewModel(999);
-  Trainer resumed(model_c.get(), MakePaperServer(1), resume_opt);
-  auto c = resumed.TrainBaseline(f.dataset, f.split);
-  ASSERT_TRUE(c.ok()) << c.status().ToString();
-  EXPECT_TRUE(c->resumed);
-  EXPECT_EQ(c->resumed_at, 10u);  // last multiple of every_steps before 13
-  EXPECT_EQ(c->num_batches, a->num_batches);
-  ExpectSameCurve(a->curve, c->curve);
-  EXPECT_DOUBLE_EQ(c->final_test_loss, a->final_test_loss);
-  EXPECT_DOUBLE_EQ(c->final_test_acc, a->final_test_acc);
-  EXPECT_DOUBLE_EQ(c->modeled_seconds, a->modeled_seconds);
-  (void)RemoveFile(path);
+  const test::ResumeRuns runs = test::CrashAndResume(
+      Fixture::Options(), TempPath("fae_resume_baseline.faec"), 5,
+      "crash@13", [&](const TrainOptions& opt, uint64_t seed) {
+        auto model = f.NewModel(seed);
+        Trainer trainer(model.get(), MakePaperServer(1), opt);
+        return trainer.TrainBaseline(f.dataset, f.split);
+      });
+  EXPECT_EQ(runs.crashed.num_batches, 13u);
+  EXPECT_EQ(runs.crashed.faults.crashes, 1u);
+  // The last multiple of every_steps before 13 (a delta), then the base.
+  EXPECT_EQ(runs.from_chain.resumed_at, 10u);
+  EXPECT_EQ(runs.from_base.resumed_at, 5u);
+  for (const TrainReport* c : {&runs.from_chain, &runs.from_base}) {
+    EXPECT_EQ(c->num_batches, a->num_batches);
+    ExpectSameCurve(a->curve, c->curve);
+    EXPECT_DOUBLE_EQ(c->final_test_loss, a->final_test_loss);
+    EXPECT_DOUBLE_EQ(c->final_test_acc, a->final_test_acc);
+    EXPECT_DOUBLE_EQ(c->modeled_seconds, a->modeled_seconds);
+  }
 }
 
 // Same golden property for FAE, whose checkpoints land at schedule-chunk
@@ -116,11 +107,6 @@ TEST(CheckpointTest, BaselineResumeReproducesRunExactly) {
 // costs at most one extra full-slice pull while the math stays identical.
 void RunFaeResumeGolden(SyncStrategy strategy) {
   Fixture f;
-  // Unique per strategy: the two instantiations run concurrently under
-  // a parallel ctest.
-  const std::string path = TempPath(
-      strategy == SyncStrategy::kFull ? "fae_resume_fae_full.faec"
-                                      : "fae_resume_fae_dirty.faec");
   const FaeConfig cfg = Fixture::Config();
   FaePipeline pipeline(cfg);
   auto plan = pipeline.Prepare(f.dataset, f.split.train);
@@ -135,41 +121,33 @@ void RunFaeResumeGolden(SyncStrategy strategy) {
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_GT(a->num_batches, 45u);  // the crash step must fall inside the run
 
-  TrainOptions opt = base_opt;
-  opt.checkpoint.path = path;
-  opt.checkpoint.every_steps = 1;  // save at every chunk boundary
-  auto crash_plan = FaultInjector::Parse("crash@45");
-  ASSERT_TRUE(crash_plan.ok());
-  opt.fault_injector = &*crash_plan;
-  auto model_b = f.NewModel(5);
-  Trainer crashing(model_b.get(), MakePaperServer(1), opt);
-  auto b = crashing.TrainFaeWithPlan(f.dataset, f.split, cfg, *plan);
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_TRUE(b->interrupted);
-  EXPECT_EQ(b->faults.crashes, 1u);
-
-  TrainOptions resume_opt = base_opt;
-  resume_opt.checkpoint.path = path;
-  resume_opt.checkpoint.resume = true;
-  auto model_c = f.NewModel(999);
-  Trainer resumed(model_c.get(), MakePaperServer(1), resume_opt);
-  auto c = resumed.TrainFaeWithPlan(f.dataset, f.split, cfg, *plan);
-  ASSERT_TRUE(c.ok()) << c.status().ToString();
-  EXPECT_TRUE(c->resumed);
-  EXPECT_LE(c->resumed_at, 45u);
-  EXPECT_EQ(c->num_batches, a->num_batches);
-  ExpectSameCurve(a->curve, c->curve);
-  EXPECT_DOUBLE_EQ(c->final_test_loss, a->final_test_loss);
-  if (strategy == SyncStrategy::kFull) {
-    EXPECT_EQ(c->sync_bytes, a->sync_bytes);
-    EXPECT_DOUBLE_EQ(c->modeled_seconds, a->modeled_seconds);
-  } else {
-    // The first hot chunk after a resume re-pulls the full slice instead
-    // of only the dirty rows.
-    EXPECT_GE(c->sync_bytes, a->sync_bytes);
-    EXPECT_LE(c->sync_bytes, a->sync_bytes + a->hot_bytes);
+  // Unique per strategy: the two instantiations run concurrently under
+  // a parallel ctest. Saves land at every chunk boundary.
+  const test::ResumeRuns runs = test::CrashAndResume(
+      base_opt,
+      TempPath(strategy == SyncStrategy::kFull ? "fae_resume_fae_full.faec"
+                                               : "fae_resume_fae_dirty.faec"),
+      1, "crash@45", [&](const TrainOptions& opt, uint64_t seed) {
+        auto model = f.NewModel(seed);
+        Trainer trainer(model.get(), MakePaperServer(1), opt);
+        return trainer.TrainFaeWithPlan(f.dataset, f.split, cfg, *plan);
+      });
+  EXPECT_EQ(runs.crashed.faults.crashes, 1u);
+  for (const TrainReport* c : {&runs.from_chain, &runs.from_base}) {
+    EXPECT_LE(c->resumed_at, 45u);
+    EXPECT_EQ(c->num_batches, a->num_batches);
+    ExpectSameCurve(a->curve, c->curve);
+    EXPECT_DOUBLE_EQ(c->final_test_loss, a->final_test_loss);
+    if (strategy == SyncStrategy::kFull) {
+      EXPECT_EQ(c->sync_bytes, a->sync_bytes);
+      EXPECT_DOUBLE_EQ(c->modeled_seconds, a->modeled_seconds);
+    } else {
+      // The first hot chunk after a resume re-pulls the full slice instead
+      // of only the dirty rows.
+      EXPECT_GE(c->sync_bytes, a->sync_bytes);
+      EXPECT_LE(c->sync_bytes, a->sync_bytes + a->hot_bytes);
+    }
   }
-  (void)RemoveFile(path);
 }
 
 TEST(CheckpointTest, FaeResumeReproducesRunExactlyFullSync) {
@@ -316,35 +294,35 @@ TEST(CheckpointTest, IoRoundTripRestoresEveryField) {
   auto restored_model = f.NewModel(999);
   auto loaded = CheckpointIo::Load(path, *restored_model);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->mode, ck.mode);
-  EXPECT_EQ(loaded->dataset_fingerprint, ck.dataset_fingerprint);
-  EXPECT_EQ(loaded->options_fingerprint, ck.options_fingerprint);
-  EXPECT_EQ(loaded->epoch, 3u);
-  EXPECT_EQ(loaded->iteration, 1234u);
-  EXPECT_EQ(loaded->batch_in_epoch, 17u);
-  EXPECT_EQ(loaded->hot_batches, 40u);
-  EXPECT_EQ(loaded->cold_batches, 21u);
-  EXPECT_EQ(loaded->sync_bytes, 1u << 20);
-  EXPECT_TRUE(loaded->rng == ck.rng);
-  EXPECT_DOUBLE_EQ(loaded->metric.loss_sum, ck.metric.loss_sum);
-  EXPECT_EQ(loaded->metric.correct, ck.metric.correct);
-  EXPECT_EQ(loaded->metric.samples, ck.metric.samples);
-  EXPECT_DOUBLE_EQ(loaded->window.loss_sum, 2.5);
-  EXPECT_DOUBLE_EQ(loaded->scheduler.rate, 37.5);
-  EXPECT_EQ(loaded->scheduler.issued_hot, 9u);
-  EXPECT_EQ(loaded->scheduler.transitions, 4u);
-  EXPECT_TRUE(loaded->scheduler.has_prev_loss);
-  EXPECT_DOUBLE_EQ(loaded->scheduler.prev_loss, 0.61);
-  EXPECT_DOUBLE_EQ(loaded->timeline.seconds[static_cast<size_t>(
+  EXPECT_EQ(loaded->state.mode, ck.mode);
+  EXPECT_EQ(loaded->state.dataset_fingerprint, ck.dataset_fingerprint);
+  EXPECT_EQ(loaded->state.options_fingerprint, ck.options_fingerprint);
+  EXPECT_EQ(loaded->state.epoch, 3u);
+  EXPECT_EQ(loaded->state.iteration, 1234u);
+  EXPECT_EQ(loaded->state.batch_in_epoch, 17u);
+  EXPECT_EQ(loaded->state.hot_batches, 40u);
+  EXPECT_EQ(loaded->state.cold_batches, 21u);
+  EXPECT_EQ(loaded->state.sync_bytes, 1u << 20);
+  EXPECT_TRUE(loaded->state.rng == ck.rng);
+  EXPECT_DOUBLE_EQ(loaded->state.metric.loss_sum, ck.metric.loss_sum);
+  EXPECT_EQ(loaded->state.metric.correct, ck.metric.correct);
+  EXPECT_EQ(loaded->state.metric.samples, ck.metric.samples);
+  EXPECT_DOUBLE_EQ(loaded->state.window.loss_sum, 2.5);
+  EXPECT_DOUBLE_EQ(loaded->state.scheduler.rate, 37.5);
+  EXPECT_EQ(loaded->state.scheduler.issued_hot, 9u);
+  EXPECT_EQ(loaded->state.scheduler.transitions, 4u);
+  EXPECT_TRUE(loaded->state.scheduler.has_prev_loss);
+  EXPECT_DOUBLE_EQ(loaded->state.scheduler.prev_loss, 0.61);
+  EXPECT_DOUBLE_EQ(loaded->state.timeline.seconds[static_cast<size_t>(
                        Phase::kEmbeddingSync)],
                    1.25);
-  EXPECT_DOUBLE_EQ(loaded->timeline.seconds[static_cast<size_t>(
+  EXPECT_DOUBLE_EQ(loaded->state.timeline.seconds[static_cast<size_t>(
                        Phase::kFaultRecovery)],
                    0.75);
-  EXPECT_EQ(loaded->timeline.pcie_bytes, 4096u);
-  ASSERT_EQ(loaded->curve.size(), 2u);
-  EXPECT_EQ(loaded->curve[1].iteration, 20u);
-  EXPECT_DOUBLE_EQ(loaded->curve[1].test_loss, 0.65);
+  EXPECT_EQ(loaded->state.timeline.pcie_bytes, 4096u);
+  ASSERT_EQ(loaded->state.curve.size(), 2u);
+  EXPECT_EQ(loaded->state.curve[1].iteration, 20u);
+  EXPECT_DOUBLE_EQ(loaded->state.curve[1].test_loss, 0.65);
   (void)RemoveFile(path);
 }
 
@@ -419,6 +397,297 @@ TEST(CheckpointTest, IoRejectsOtherVersions) {
   EXPECT_NE(loaded.status().message().find("version 3"),
             std::string_view::npos)
       << loaded.status().ToString();
+}
+
+/// Every weight of `model`, dense parameters then tables, as bytes.
+std::string ModelBytes(RecModel& model) {
+  std::string bytes;
+  for (const Parameter* p : model.DenseParams()) {
+    bytes.append(reinterpret_cast<const char*>(p->value.data()),
+                 p->value.numel() * sizeof(float));
+  }
+  for (const EmbeddingTable& t : model.tables()) {
+    bytes.append(reinterpret_cast<const char*>(t.raw().data()),
+                 t.raw().size() * sizeof(float));
+  }
+  return bytes;
+}
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteAll(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// A chain of a base and three deltas written through CheckpointChain at
+/// iterations 10, 20, 30 and 40. Before each delta a few rows of two
+/// tables and one dense weight change; `after[k]` is the model's bytes
+/// after save k (0 = the base).
+struct Chain {
+  Chain(const Fixture& f, const std::string& chain_path) : path(chain_path) {
+    test::RemoveChain(path);
+    auto model = f.NewModel(5);
+    CheckpointChain chain(path);
+    std::vector<std::vector<uint32_t>> written(model->tables().size());
+    for (uint64_t k = 0; k < 4; ++k) {
+      if (k > 0) {
+        for (size_t t : {size_t{0}, size_t{3}}) {
+          EmbeddingTable& table = model->tables()[t];
+          for (uint32_t row : {uint32_t(k), uint32_t(2 * k + 5)}) {
+            const uint32_t r = row % static_cast<uint32_t>(table.rows());
+            table.row(r)[0] += 0.5f * static_cast<float>(k);
+            written[t].push_back(r);
+          }
+        }
+        model->DenseParams()[0]->value.data()[0] += 1.0f;
+      }
+      TrainerCheckpoint ck;
+      ck.iteration = 10 * (k + 1);
+      auto saved = chain.Save(ck, *model, written);
+      EXPECT_TRUE(saved.ok()) << saved.status().ToString();
+      EXPECT_EQ(saved->kind, k == 0 ? CheckpointChain::Kind::kBase
+                                    : CheckpointChain::Kind::kDelta);
+      after.push_back(ModelBytes(*model));
+      for (std::vector<uint32_t>& rows : written) rows.clear();
+    }
+  }
+  ~Chain() { test::RemoveChain(path); }
+
+  std::string delta(uint64_t n) const {
+    return CheckpointIo::DeltaPath(path, n);
+  }
+
+  /// Loads the chain into a fresh model and checks that it restored
+  /// exactly the first `deltas` deltas, with `damaged` (when non-empty)
+  /// named by a DataLoss.
+  void ExpectLoads(const Fixture& f, uint64_t deltas,
+                   const std::string& damaged,
+                   const std::string& label) const {
+    auto model = f.NewModel(999);
+    auto loaded = CheckpointIo::Load(path, *model);
+    ASSERT_TRUE(loaded.ok()) << label << ": " << loaded.status().ToString();
+    EXPECT_EQ(loaded->deltas, deltas) << label;
+    EXPECT_EQ(loaded->state.iteration, 10 * (deltas + 1)) << label;
+    EXPECT_TRUE(ModelBytes(*model) == after[deltas]) << label;
+    if (damaged.empty()) {
+      EXPECT_TRUE(loaded->damage.ok())
+          << label << ": " << loaded->damage.ToString();
+    } else {
+      EXPECT_EQ(loaded->damage.code(), StatusCode::kDataLoss) << label;
+      EXPECT_NE(loaded->damage.message().find(damaged), std::string::npos)
+          << label << ": " << loaded->damage.ToString();
+    }
+  }
+
+  std::string path;
+  std::vector<std::string> after;
+};
+
+TEST(CheckpointTest, ChainLoadsBaseThenDeltasInOrder) {
+  Fixture f;
+  const Chain chain(f, TempPath("fae_chain_intact.faec"));
+  EXPECT_EQ(*CheckpointIo::ChainFiles(chain.path),
+            (std::vector<std::string>{chain.path, chain.delta(1),
+                                      chain.delta(2), chain.delta(3)}));
+  // A delta holds the trainer state, the dense parameters and only the
+  // rows written since the previous save.
+  EXPECT_LT(std::filesystem::file_size(chain.delta(1)) * 4,
+            std::filesystem::file_size(chain.path));
+  chain.ExpectLoads(f, 3, "", "intact");
+  // A leftover temp file of a delta save that died before its commit is
+  // not part of the chain.
+  WriteAll(chain.delta(4) + ".tmp", ReadAll(chain.delta(3)).substr(0, 100));
+  chain.ExpectLoads(f, 3, "", "interrupted delta save");
+  (void)RemoveFile(chain.delta(4) + ".tmp");
+  // The base alone is a complete checkpoint.
+  for (uint64_t n : {3, 2, 1}) (void)RemoveFile(chain.delta(n));
+  chain.ExpectLoads(f, 0, "", "base alone");
+}
+
+TEST(CheckpointTest, ChainResumesFromItsConsistentPrefix) {
+  Fixture f;
+  const Chain chain(f, TempPath("fae_chain_damaged.faec"));
+  const std::string pristine = ReadAll(chain.delta(2));
+
+  // Every flipped byte of delta 2 stops the chain after delta 1: each of
+  // its first and last 32 bytes (header and footer) and a hundred more
+  // spread across its body.
+  const size_t size = pristine.size();
+  const size_t stride = std::max<size_t>(1, size / 100);
+  for (size_t at = 0; at < size;
+       at += at < 32 || at + 33 > size ? 1 : stride) {
+    std::string bytes = pristine;
+    bytes[at] = static_cast<char>(bytes[at] ^ 0x10);
+    WriteAll(chain.delta(2), bytes);
+    chain.ExpectLoads(f, 1, chain.delta(2), "flip at " + std::to_string(at));
+    if (HasFatalFailure()) return;
+  }
+  // So does a truncated delta 2, down to nothing.
+  for (size_t keep : {size_t{0}, size_t{9}, size / 2, size - 1}) {
+    WriteAll(chain.delta(2), pristine.substr(0, keep));
+    chain.ExpectLoads(f, 1, chain.delta(2),
+                      "truncated to " + std::to_string(keep));
+  }
+  // A delta save torn at its final name (what a crash could leave without
+  // the fsync before the rename) is damage too.
+  WriteAll(chain.delta(2), pristine);
+  WriteAll(chain.delta(4), ReadAll(chain.delta(3)).substr(0, 200));
+  chain.ExpectLoads(f, 3, chain.delta(4), "torn delta 4");
+  (void)RemoveFile(chain.delta(4));
+  // A missing delta with a later one on disk: damage naming the gap.
+  (void)RemoveFile(chain.delta(2));
+  chain.ExpectLoads(f, 1, chain.delta(2), "missing delta 2");
+  // A missing last delta is indistinguishable from one never written.
+  WriteAll(chain.delta(2), pristine);
+  (void)RemoveFile(chain.delta(3));
+  chain.ExpectLoads(f, 2, "", "missing last delta");
+}
+
+// A delta that cannot be read is not damage: the load fails with the
+// reader's error instead of stopping the chain there, so a transient read
+// error never costs the deltas after it (the resumed run's first save
+// would write a base and delete them). A directory in the delta's place
+// stands in for the read error: it opens, but every read fails, for any
+// user.
+TEST(CheckpointTest, ChainLoadFailsOnAnUnreadableDelta) {
+  Fixture f;
+  const Chain chain(f, TempPath("fae_chain_unreadable.faec"));
+  const std::string pristine = ReadAll(chain.delta(2));
+  ASSERT_TRUE(RemoveFile(chain.delta(2)).ok());
+  ASSERT_TRUE(std::filesystem::create_directory(chain.delta(2)));
+  auto model = f.NewModel(999);
+  auto loaded = CheckpointIo::Load(chain.path, *model);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError)
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find(chain.delta(2)), std::string::npos)
+      << loaded.status().ToString();
+  // The chain on disk is as it was: with the delta readable again, all of
+  // it loads.
+  std::filesystem::remove(chain.delta(2));
+  WriteAll(chain.delta(2), pristine);
+  chain.ExpectLoads(f, 3, "", "readable again");
+}
+
+TEST(CheckpointTest, ChainRefusesUnknownVersionsAndIgnoresStaleDeltas) {
+  Fixture f;
+  const Chain chain(f, TempPath("fae_chain_versions.faec"));
+  // A delta of another container version is damage that names the
+  // version and the file (the CRC footer is refreshed, so the version word
+  // is what stops it).
+  const std::string pristine = ReadAll(chain.delta(2));
+  std::string bytes = pristine;
+  const uint32_t future = 6;
+  std::memcpy(bytes.data() + 4, &future, sizeof(future));
+  const uint32_t crc = Crc32(bytes.data(), bytes.size() - 4);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+  WriteAll(chain.delta(2), bytes);
+  chain.ExpectLoads(f, 1, "version 6", "future version");
+  chain.ExpectLoads(f, 1, chain.delta(2), "future version");
+  WriteAll(chain.delta(2), pristine);
+
+  // A new base removes the old deltas once it has committed. Were that
+  // interrupted, a delta naming the old base would be left over: it ends
+  // the chain without damage.
+  const std::string stale = ReadAll(chain.delta(1));
+  auto model = f.NewModel(5);
+  TrainerCheckpoint ck;
+  ck.iteration = 50;
+  ASSERT_TRUE(CheckpointIo::Save(chain.path, ck, *model).ok());
+  EXPECT_EQ(*CheckpointIo::ChainFiles(chain.path),
+            std::vector<std::string>{chain.path});
+  WriteAll(chain.delta(1), stale);
+  auto fresh = f.NewModel(999);
+  auto loaded = CheckpointIo::Load(chain.path, *fresh);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->deltas, 0u);
+  EXPECT_TRUE(loaded->damage.ok()) << loaded->damage.ToString();
+  EXPECT_TRUE(ModelBytes(*fresh) == ModelBytes(*model));
+}
+
+// A resume from a damaged chain continues from its consistent prefix,
+// reports the damage, reproduces the uninterrupted run, and its first save
+// writes a fresh base that clears the damaged deltas away.
+TEST(CheckpointTest, ResumeFromDamagedChainStartsAFreshBase) {
+  Fixture f;
+  auto model_a = f.NewModel(5);
+  Trainer uninterrupted(model_a.get(), MakePaperServer(1), Fixture::Options());
+  auto a = uninterrupted.TrainBaseline(f.dataset, f.split);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+
+  const std::string path = TempPath("fae_resume_damaged.faec");
+  test::RemoveChain(path);
+  TrainOptions opt = Fixture::Options();
+  opt.checkpoint.path = path;
+  opt.checkpoint.every_steps = 5;
+  auto crash_plan = FaultInjector::Parse("crash@18");
+  ASSERT_TRUE(crash_plan.ok());
+  opt.fault_injector = &*crash_plan;
+  {
+    auto model = f.NewModel(5);
+    Trainer crashing(model.get(), MakePaperServer(1), opt);
+    auto b = crashing.TrainBaseline(f.dataset, f.split);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    ASSERT_EQ(b->checkpoint_delta_saves, 2u);  // saves at 5, 10 and 15
+  }
+  const std::string bad = CheckpointIo::DeltaPath(path, 1);
+  std::string bytes = ReadAll(bad);
+  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 1);
+  WriteAll(bad, bytes);
+
+  TrainOptions resume_opt = Fixture::Options();
+  resume_opt.checkpoint.path = path;
+  resume_opt.checkpoint.every_steps = 5;
+  resume_opt.checkpoint.resume = true;
+  auto model_c = f.NewModel(999);
+  Trainer resumed(model_c.get(), MakePaperServer(1), resume_opt);
+  auto c = resumed.TrainBaseline(f.dataset, f.split);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  EXPECT_EQ(c->resumed_at, 5u);
+  EXPECT_EQ(c->resumed_deltas, 0u);
+  EXPECT_EQ(c->resume_damage.code(), StatusCode::kDataLoss);
+  EXPECT_NE(c->resume_damage.message().find(bad), std::string::npos)
+      << c->resume_damage.ToString();
+  ExpectSameCurve(a->curve, c->curve);
+  EXPECT_DOUBLE_EQ(c->final_test_loss, a->final_test_loss);
+  EXPECT_GT(c->checkpoint_base_saves, 0u);
+
+  // What is on disk now is the resumed run's own chain, whole.
+  auto model_d = f.NewModel(999);
+  auto loaded = CheckpointIo::Load(path, *model_d);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->damage.ok()) << loaded->damage.ToString();
+  EXPECT_GT(loaded->state.iteration, 15u);
+  test::RemoveChain(path);
+}
+
+// A cost-only run writes no rows, so its deltas hold the trainer state and
+// the dense parameters alone (a new base follows once they add up to the
+// base), and the chain loads.
+TEST(CheckpointTest, CostOnlyRunSavesDeltasWithoutRows) {
+  Fixture f;
+  const std::string path = TempPath("fae_ckpt_cost_only.faec");
+  TrainOptions opt = Fixture::Options();
+  opt.run_math = false;
+  opt.checkpoint.path = path;
+  opt.checkpoint.every_steps = 5;
+  auto model = f.NewModel(5);
+  Trainer trainer(model.get(), MakePaperServer(1), opt);
+  auto report = trainer.TrainBaseline(f.dataset, f.split);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->checkpoint_base_saves, 0u);
+  EXPECT_GT(report->checkpoint_delta_saves, report->checkpoint_base_saves);
+  auto restored = f.NewModel(999);
+  auto loaded = CheckpointIo::Load(path, *restored);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_GT(loaded->deltas, 0u);
+  EXPECT_TRUE(loaded->damage.ok()) << loaded->damage.ToString();
+  EXPECT_TRUE(ModelBytes(*restored) == ModelBytes(*model));
 }
 
 TEST(CheckpointTest, OverBudgetPlanDegradesGracefully) {

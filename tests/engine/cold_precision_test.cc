@@ -12,6 +12,7 @@
 
 #include "core/fae_pipeline.h"
 #include "data/synthetic.h"
+#include "engine/resume_golden.h"
 #include "engine/trainer.h"
 #include "models/factory.h"
 #include "test_temp_dir.h"
@@ -133,49 +134,47 @@ TEST(ColdPrecisionTest, HotPathBitIdenticalWhenEverythingHot) {
 }
 
 // The golden resume property holds in quantized mode: crash mid-run,
-// resume from the periodic checkpoint (whose model section carries the
-// compressed tables verbatim), and the curve matches an uninterrupted
-// quantized run bit for bit.
+// resume from the periodic checkpoint chain (whose base and deltas carry
+// the compressed tables verbatim), and the curve matches an uninterrupted
+// quantized run bit for bit — for each cold precision, from base + deltas
+// and from the base alone.
 TEST(ColdPrecisionTest, QuantizedResumeReproducesRunExactly) {
   Fixture f;
-  const std::string path = TempPath("fae_resume_quant_int8.faec");
-  const FaeConfig cfg = Fixture::Config(ColdPrecision::kInt8);
-  FaePipeline pipeline(cfg);
-  auto plan = pipeline.Prepare(f.dataset, f.split.train);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  const TrainOptions base_opt = Fixture::Options(ColdPrecision::kInt8);
+  for (const ColdPrecision precision :
+       {ColdPrecision::kInt8, ColdPrecision::kFp16}) {
+    SCOPED_TRACE(std::string(ColdPrecisionName(precision)));
+    const FaeConfig cfg = Fixture::Config(precision);
+    FaePipeline pipeline(cfg);
+    auto plan = pipeline.Prepare(f.dataset, f.split.train);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const TrainOptions base_opt = Fixture::Options(precision);
 
-  auto model_a = f.NewModel(5);
-  Trainer uninterrupted(model_a.get(), MakePaperServer(1), base_opt);
-  auto a = uninterrupted.TrainFaeWithPlan(f.dataset, f.split, cfg, *plan);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  ASSERT_GT(a->num_batches, 45u);
+    auto model_a = f.NewModel(5);
+    Trainer uninterrupted(model_a.get(), MakePaperServer(1), base_opt);
+    auto a = uninterrupted.TrainFaeWithPlan(f.dataset, f.split, cfg, *plan);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_GT(a->num_batches, 45u);
+    ASSERT_GT(a->cold_rows, 0u);
 
-  TrainOptions opt = base_opt;
-  opt.checkpoint.path = path;
-  opt.checkpoint.every_steps = 1;
-  auto crash_plan = FaultInjector::Parse("crash@45");
-  ASSERT_TRUE(crash_plan.ok());
-  opt.fault_injector = &*crash_plan;
-  auto model_b = f.NewModel(5);
-  Trainer crashing(model_b.get(), MakePaperServer(1), opt);
-  auto b = crashing.TrainFaeWithPlan(f.dataset, f.split, cfg, *plan);
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_TRUE(b->interrupted);
-
-  TrainOptions resume_opt = base_opt;
-  resume_opt.checkpoint.path = path;
-  resume_opt.checkpoint.resume = true;
-  auto model_c = f.NewModel(999);
-  Trainer resumed(model_c.get(), MakePaperServer(1), resume_opt);
-  auto c = resumed.TrainFaeWithPlan(f.dataset, f.split, cfg, *plan);
-  ASSERT_TRUE(c.ok()) << c.status().ToString();
-  EXPECT_TRUE(c->resumed);
-  EXPECT_EQ(c->num_batches, a->num_batches);
-  ExpectSameCurve(a->curve, c->curve);
-  EXPECT_DOUBLE_EQ(c->final_test_loss, a->final_test_loss);
-  EXPECT_EQ(c->cold_rows, a->cold_rows);
-  std::filesystem::remove(path);
+    // Saves land at every chunk boundary. Compressed tables go into every
+    // delta whole, so here the chain alternates a base and one delta; the
+    // crash at step 44 follows a delta.
+    const test::ResumeRuns runs = test::CrashAndResume(
+        base_opt,
+        TempPath("fae_resume_quant_" +
+                 std::string(ColdPrecisionName(precision)) + ".faec"),
+        1, "crash@44", [&](const TrainOptions& opt, uint64_t seed) {
+          auto model = f.NewModel(seed);
+          Trainer trainer(model.get(), MakePaperServer(1), opt);
+          return trainer.TrainFaeWithPlan(f.dataset, f.split, cfg, *plan);
+        });
+    for (const TrainReport* c : {&runs.from_chain, &runs.from_base}) {
+      EXPECT_EQ(c->num_batches, a->num_batches);
+      ExpectSameCurve(a->curve, c->curve);
+      EXPECT_DOUBLE_EQ(c->final_test_loss, a->final_test_loss);
+      EXPECT_EQ(c->cold_rows, a->cold_rows);
+    }
+  }
 }
 
 // The legal widening direction: an int8 checkpoint resumes at fp32 (cold

@@ -1,7 +1,8 @@
 // Locks down the pipelined trainer's determinism contract (DESIGN.md §11):
 // every --pipeline mode, at every staging depth and kernel thread count,
 // produces bit-identical training results — final embedding tables, every
-// loss on the learning curve, and the exact bytes of periodic checkpoints.
+// loss on the learning curve, and the exact bytes of every file of the
+// periodic checkpoint chain.
 // Every mode trains on the same batch views; the pipeline is a cost model
 // and may only change the modeled wall-clock (overlap savings), never what
 // is computed or what a resume sees. The lookahead oracle cache
@@ -19,6 +20,8 @@
 
 #include "core/fae_pipeline.h"
 #include "data/synthetic.h"
+#include "engine/checkpoint.h"
+#include "engine/resume_golden.h"
 #include "engine/trainer.h"
 #include "models/factory.h"
 #include "test_temp_dir.h"
@@ -33,6 +36,19 @@ std::string Slurp(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// Every file of the checkpoint chain at `path` (base, then deltas), each
+/// under its name relative to `path`, so that a run's whole chain compares
+/// as one string.
+std::string SlurpChain(const std::string& path) {
+  std::string bytes;
+  const std::vector<std::string> files = *CheckpointIo::ChainFiles(path);
+  for (const std::string& file : files) {
+    bytes.append("[").append(file, path.size()).append("]");
+    bytes.append(Slurp(file));
+  }
+  return bytes;
 }
 
 struct RunResult {
@@ -85,7 +101,7 @@ struct Fixture {
   RunResult RunBaseline(PipelineMode mode, size_t depth, size_t threads,
                         size_t cache_budget = 0, size_t cache_lookahead = 4) {
     const std::string ckpt = TempPath("pipe_det_base.faec");
-    std::filesystem::remove(ckpt);
+    test::RemoveChain(ckpt);
     auto model = MakeModel(schema, false, 5);
     Trainer trainer(model.get(), MakePaperServer(2),
                     WithCache(Options(mode, depth, threads, ckpt),
@@ -97,8 +113,8 @@ struct Fixture {
     for (const EmbeddingTable& t : model->tables()) {
       r.tables.push_back(t.raw());
     }
-    r.checkpoint_bytes = Slurp(ckpt);
-    std::filesystem::remove(ckpt);
+    r.checkpoint_bytes = SlurpChain(ckpt);
+    test::RemoveChain(ckpt);
     return r;
   }
 
@@ -106,7 +122,7 @@ struct Fixture {
                    size_t threads, size_t cache_budget = 0,
                    size_t cache_lookahead = 4) {
     const std::string ckpt = TempPath("pipe_det_fae.faec");
-    std::filesystem::remove(ckpt);
+    test::RemoveChain(ckpt);
     auto model = MakeModel(schema, false, 5);
     Trainer trainer(model.get(), MakePaperServer(2),
                     WithCache(Options(mode, depth, threads, ckpt),
@@ -118,8 +134,8 @@ struct Fixture {
     for (const EmbeddingTable& t : model->tables()) {
       r.tables.push_back(t.raw());
     }
-    r.checkpoint_bytes = Slurp(ckpt);
-    std::filesystem::remove(ckpt);
+    r.checkpoint_bytes = SlurpChain(ckpt);
+    test::RemoveChain(ckpt);
     return r;
   }
 
@@ -149,7 +165,7 @@ void ExpectBitIdentical(const RunResult& ref, const RunResult& got,
   }
   // Phase charges are identical in every mode and the overlap accumulator
   // lives outside Timeline::State, so periodic checkpoints must be
-  // byte-for-byte identical files.
+  // byte-for-byte identical chains: the same base and the same deltas.
   ASSERT_FALSE(ref.checkpoint_bytes.empty());
   EXPECT_EQ(ref.checkpoint_bytes, got.checkpoint_bytes) << label;
 }
@@ -165,6 +181,8 @@ TEST(PipelineDeterminismTest, BaselineBitExactAcrossModesDepthsAndThreads) {
   Fixture f;
   const RunResult ref = f.RunBaseline(PipelineMode::kOff, 1, 1);
   ASSERT_FALSE(ref.checkpoint_bytes.empty());
+  // The chain holds deltas too, so they are compared as well.
+  EXPECT_GT(ref.report.checkpoint_delta_saves, 0u);
   for (PipelineMode mode : {PipelineMode::kOff, PipelineMode::kPrefetch,
                             PipelineMode::kOverlap}) {
     for (size_t depth : {size_t{1}, size_t{2}, size_t{4}}) {
@@ -187,6 +205,7 @@ TEST(PipelineDeterminismTest, FaeBitExactAcrossModesDepthsAndThreads) {
 
   const RunResult ref = f.RunFae(*plan, PipelineMode::kOff, 1, 1);
   ASSERT_FALSE(ref.checkpoint_bytes.empty());
+  EXPECT_GT(ref.report.checkpoint_delta_saves, 0u);
   for (PipelineMode mode : {PipelineMode::kOff, PipelineMode::kPrefetch,
                             PipelineMode::kOverlap}) {
     for (size_t depth : {size_t{1}, size_t{2}, size_t{4}}) {
@@ -238,7 +257,7 @@ TEST(PipelineDeterminismTest, ResumeMaySwitchPipelineModes) {
   const RunResult uninterrupted = f.RunBaseline(PipelineMode::kOff, 1, 1);
 
   const std::string ckpt = TempPath("pipe_det_switch.faec");
-  std::filesystem::remove(ckpt);
+  test::RemoveChain(ckpt);
   auto crash_plan = FaultInjector::Parse("crash@15");
   ASSERT_TRUE(crash_plan.ok());
   FaultInjector injector = std::move(crash_plan).value();
@@ -267,7 +286,7 @@ TEST(PipelineDeterminismTest, ResumeMaySwitchPipelineModes) {
   for (size_t t = 0; t < tables.size(); ++t) {
     EXPECT_EQ(tables[t], uninterrupted.tables[t]) << "table " << t;
   }
-  std::filesystem::remove(ckpt);
+  test::RemoveChain(ckpt);
 }
 
 TEST(PipelineDeterminismTest, FaeCrashMidChunkWhilePipelined) {
@@ -282,7 +301,7 @@ TEST(PipelineDeterminismTest, FaeCrashMidChunkWhilePipelined) {
   const RunResult uninterrupted = f.RunFae(*plan, PipelineMode::kOff, 1, 1);
 
   const std::string ckpt = TempPath("pipe_det_fae_crash.faec");
-  std::filesystem::remove(ckpt);
+  test::RemoveChain(ckpt);
   auto crash_plan = FaultInjector::Parse("crash@15");
   ASSERT_TRUE(crash_plan.ok());
   FaultInjector injector = std::move(crash_plan).value();
@@ -316,7 +335,7 @@ TEST(PipelineDeterminismTest, FaeCrashMidChunkWhilePipelined) {
   for (size_t t = 0; t < tables.size(); ++t) {
     EXPECT_EQ(tables[t], uninterrupted.tables[t]) << "table " << t;
   }
-  std::filesystem::remove(ckpt);
+  test::RemoveChain(ckpt);
 }
 
 TEST(PipelineDeterminismTest, CacheBitExactAcrossDepthsThreadsAndBudgets) {
@@ -397,7 +416,7 @@ TEST(PipelineDeterminismTest, ResumeMaySwitchCacheModes) {
   const RunResult uninterrupted = f.RunBaseline(PipelineMode::kOff, 1, 1);
 
   const std::string ckpt = TempPath("pipe_det_cache_switch.faec");
-  std::filesystem::remove(ckpt);
+  test::RemoveChain(ckpt);
   auto crash_plan = FaultInjector::Parse("crash@15");
   ASSERT_TRUE(crash_plan.ok());
   FaultInjector injector = std::move(crash_plan).value();
@@ -426,7 +445,7 @@ TEST(PipelineDeterminismTest, ResumeMaySwitchCacheModes) {
   for (size_t t = 0; t < tables.size(); ++t) {
     EXPECT_EQ(tables[t], uninterrupted.tables[t]) << "table " << t;
   }
-  std::filesystem::remove(ckpt);
+  test::RemoveChain(ckpt);
 }
 
 TEST(PipelineDeterminismTest, CacheRequiresAPipelinedRun) {

@@ -10,6 +10,7 @@
 #include "embedding/embedding_table.h"
 #include "embedding/sparse_sgd.h"
 #include "engine/checkpoint.h"
+#include "engine/resume_golden.h"
 #include "engine/trainer.h"
 #include "models/factory.h"
 #include "tensor/tensor.h"
@@ -472,7 +473,6 @@ TEST(StaleSkipTest, FaeColdModeSkipsAndReportsSavings) {
 
 TEST(StaleSkipTest, BaselineResumeGoldenWithSkippingActive) {
   Fixture f;
-  const std::string path = TempPath("fae_stale_resume_baseline.faec");
   const TrainOptions base_opt = Fixture::StaleOptions(StaleSkipMode::kAll);
 
   auto model_a = f.NewModel(5);
@@ -481,42 +481,29 @@ TEST(StaleSkipTest, BaselineResumeGoldenWithSkippingActive) {
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_GT(a->stale_skipped_rows, 0u);
 
-  TrainOptions opt = base_opt;
-  opt.checkpoint.path = path;
-  opt.checkpoint.every_steps = 5;
-  auto crash_plan = FaultInjector::Parse("crash@13");
-  ASSERT_TRUE(crash_plan.ok());
-  opt.fault_injector = &*crash_plan;
-  auto model_b = f.NewModel(5);
-  Trainer crashing(model_b.get(), MakePaperServer(1), opt);
-  auto b = crashing.TrainBaseline(f.dataset, f.split);
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_TRUE(b->interrupted);
-
-  TrainOptions resume_opt = base_opt;
-  resume_opt.checkpoint.path = path;
-  resume_opt.checkpoint.resume = true;
-  auto model_c = f.NewModel(999);
-  Trainer resumed(model_c.get(), MakePaperServer(1), resume_opt);
-  auto c = resumed.TrainBaseline(f.dataset, f.split);
-  ASSERT_TRUE(c.ok()) << c.status().ToString();
-  EXPECT_TRUE(c->resumed);
-  EXPECT_EQ(c->num_batches, a->num_batches);
-  ExpectSameCurve(a->curve, c->curve);
-  EXPECT_DOUBLE_EQ(c->final_test_loss, a->final_test_loss);
-  // The adapted threshold travels inside the checkpoint, so the guard ends
-  // exactly where the uninterrupted run's did.
-  EXPECT_DOUBLE_EQ(c->stale_final_threshold, a->stale_final_threshold);
-  // Savings are reporting-only overlay state (not checkpointed): the
-  // resumed run only credits skips after the restore point.
-  EXPECT_LE(c->stale_skipped_rows, a->stale_skipped_rows);
-  EXPECT_GE(c->modeled_seconds, a->modeled_seconds - 1e-9);
-  (void)RemoveFile(path);
+  const test::ResumeRuns runs = test::CrashAndResume(
+      base_opt, TempPath("fae_stale_resume_baseline.faec"), 5, "crash@13",
+      [&](const TrainOptions& opt, uint64_t seed) {
+        auto model = f.NewModel(seed);
+        Trainer trainer(model.get(), MakePaperServer(1), opt);
+        return trainer.TrainBaseline(f.dataset, f.split);
+      });
+  for (const TrainReport* c : {&runs.from_chain, &runs.from_base}) {
+    EXPECT_EQ(c->num_batches, a->num_batches);
+    ExpectSameCurve(a->curve, c->curve);
+    EXPECT_DOUBLE_EQ(c->final_test_loss, a->final_test_loss);
+    // The adapted threshold travels inside the checkpoint, so the guard
+    // ends exactly where the uninterrupted run's did.
+    EXPECT_DOUBLE_EQ(c->stale_final_threshold, a->stale_final_threshold);
+    // Savings are reporting-only overlay state (not checkpointed): the
+    // resumed run only credits skips after the restore point.
+    EXPECT_LE(c->stale_skipped_rows, a->stale_skipped_rows);
+    EXPECT_GE(c->modeled_seconds, a->modeled_seconds - 1e-9);
+  }
 }
 
 TEST(StaleSkipTest, FaeResumeGoldenWithColdSkippingActive) {
   Fixture f;
-  const std::string path = TempPath("fae_stale_resume_fae.faec");
   const FaeConfig cfg = Fixture::Config();
   FaePipeline pipeline(cfg);
   auto plan = pipeline.Prepare(f.dataset, f.split.train);
@@ -530,32 +517,21 @@ TEST(StaleSkipTest, FaeResumeGoldenWithColdSkippingActive) {
   ASSERT_GT(a->num_batches, 45u);
   ASSERT_GT(a->stale_skipped_rows, 0u);
 
-  TrainOptions opt = base_opt;
-  opt.checkpoint.path = path;
-  opt.checkpoint.every_steps = 1;  // save at every chunk boundary
-  auto crash_plan = FaultInjector::Parse("crash@45");
-  ASSERT_TRUE(crash_plan.ok());
-  opt.fault_injector = &*crash_plan;
-  auto model_b = f.NewModel(5);
-  Trainer crashing(model_b.get(), MakePaperServer(1), opt);
-  auto b = crashing.TrainFaeWithPlan(f.dataset, f.split, cfg, *plan);
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_TRUE(b->interrupted);
-
-  TrainOptions resume_opt = base_opt;
-  resume_opt.checkpoint.path = path;
-  resume_opt.checkpoint.resume = true;
-  auto model_c = f.NewModel(999);
-  Trainer resumed(model_c.get(), MakePaperServer(1), resume_opt);
-  auto c = resumed.TrainFaeWithPlan(f.dataset, f.split, cfg, *plan);
-  ASSERT_TRUE(c.ok()) << c.status().ToString();
-  EXPECT_TRUE(c->resumed);
-  EXPECT_EQ(c->num_batches, a->num_batches);
-  ExpectSameCurve(a->curve, c->curve);
-  EXPECT_DOUBLE_EQ(c->final_test_loss, a->final_test_loss);
-  EXPECT_DOUBLE_EQ(c->stale_final_threshold, a->stale_final_threshold);
-  EXPECT_EQ(c->sync_bytes, a->sync_bytes);
-  (void)RemoveFile(path);
+  // Saves land at every chunk boundary.
+  const test::ResumeRuns runs = test::CrashAndResume(
+      base_opt, TempPath("fae_stale_resume_fae.faec"), 1, "crash@45",
+      [&](const TrainOptions& opt, uint64_t seed) {
+        auto model = f.NewModel(seed);
+        Trainer trainer(model.get(), MakePaperServer(1), opt);
+        return trainer.TrainFaeWithPlan(f.dataset, f.split, cfg, *plan);
+      });
+  for (const TrainReport* c : {&runs.from_chain, &runs.from_base}) {
+    EXPECT_EQ(c->num_batches, a->num_batches);
+    ExpectSameCurve(a->curve, c->curve);
+    EXPECT_DOUBLE_EQ(c->final_test_loss, a->final_test_loss);
+    EXPECT_DOUBLE_EQ(c->stale_final_threshold, a->stale_final_threshold);
+    EXPECT_EQ(c->sync_bytes, a->sync_bytes);
+  }
 }
 
 TEST(StaleSkipTest, ResumeMayToggleStaleMode) {
@@ -696,16 +672,18 @@ TEST(StaleSkipTest, CheckpointRoundTripRestoresStalenessSection) {
   auto restored_model = f.NewModel(999);
   auto loaded = CheckpointIo::Load(path, *restored_model);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_TRUE(loaded->has_staleness);
-  EXPECT_DOUBLE_EQ(loaded->staleness.threshold, 0.125);
-  EXPECT_TRUE(loaded->staleness.has_prev_loss);
-  EXPECT_DOUBLE_EQ(loaded->staleness.prev_loss, 0.37);
-  EXPECT_EQ(loaded->staleness.consecutive_decreases, 2);
-  ASSERT_EQ(loaded->staleness.tables.size(), 2u);
-  EXPECT_EQ(loaded->staleness.tables[0].ema, ck.staleness.tables[0].ema);
-  EXPECT_EQ(loaded->staleness.tables[0].visits, ck.staleness.tables[0].visits);
-  EXPECT_EQ(loaded->staleness.tables[0].streak, ck.staleness.tables[0].streak);
-  EXPECT_EQ(loaded->staleness.tables[1].ema, ck.staleness.tables[1].ema);
+  ASSERT_TRUE(loaded->state.has_staleness);
+  EXPECT_DOUBLE_EQ(loaded->state.staleness.threshold, 0.125);
+  EXPECT_TRUE(loaded->state.staleness.has_prev_loss);
+  EXPECT_DOUBLE_EQ(loaded->state.staleness.prev_loss, 0.37);
+  EXPECT_EQ(loaded->state.staleness.consecutive_decreases, 2);
+  ASSERT_EQ(loaded->state.staleness.tables.size(), 2u);
+  EXPECT_EQ(loaded->state.staleness.tables[0].ema, ck.staleness.tables[0].ema);
+  EXPECT_EQ(loaded->state.staleness.tables[0].visits,
+            ck.staleness.tables[0].visits);
+  EXPECT_EQ(loaded->state.staleness.tables[0].streak,
+            ck.staleness.tables[0].streak);
+  EXPECT_EQ(loaded->state.staleness.tables[1].ema, ck.staleness.tables[1].ema);
 
   // A checkpoint without the section reads back has_staleness = false.
   TrainerCheckpoint plain;
@@ -713,8 +691,8 @@ TEST(StaleSkipTest, CheckpointRoundTripRestoresStalenessSection) {
   ASSERT_TRUE(CheckpointIo::Save(path, plain, *model).ok());
   auto loaded2 = CheckpointIo::Load(path, *restored_model);
   ASSERT_TRUE(loaded2.ok()) << loaded2.status().ToString();
-  EXPECT_FALSE(loaded2->has_staleness);
-  EXPECT_TRUE(loaded2->staleness.tables.empty());
+  EXPECT_FALSE(loaded2->state.has_staleness);
+  EXPECT_TRUE(loaded2->state.staleness.tables.empty());
   (void)RemoveFile(path);
 }
 

@@ -4,12 +4,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "test_temp_dir.h"
+#include "util/crc32.h"
 
 namespace fae {
 namespace {
@@ -270,6 +272,127 @@ TEST(FileIoTest, WriterCrcMatchesStandaloneCrc) {
   const uint32_t bytes_le[] = {0x01020304};
   EXPECT_EQ(w->crc(), Crc32(bytes_le, 4));
   ASSERT_TRUE(w->Close().ok());
+}
+
+/// One build of Crc32 (util/crc32.h); a build the CPU cannot run skips.
+class Crc32IsaTest : public ::testing::TestWithParam<crc::Isa> {
+ protected:
+  void SetUp() override {
+    if (!crc::IsaSupported(GetParam())) {
+      GTEST_SKIP() << crc::IsaName(GetParam())
+                   << " is not supported on this CPU";
+    }
+    crc_ = crc::CrcFor(GetParam());
+  }
+
+  crc::Fn crc_ = nullptr;
+};
+
+TEST_P(Crc32IsaTest, MatchesKnownAnswer) {
+  const char digits[] = "123456789";
+  EXPECT_EQ(crc_(digits, 9, 0), 0xCBF43926u);
+  EXPECT_EQ(crc_(digits, 0, 0), 0u);
+  EXPECT_EQ(crc_(digits + 4, 5, crc_(digits, 4, 0)), 0xCBF43926u);
+}
+
+TEST_P(Crc32IsaTest, MatchesByteLoopAtEveryLengthAndAlignment) {
+  // Lengths 0..599 cover every tail of the fold's 16- and 64-byte steps
+  // and the switch from the tables to the fold; a few longer ones
+  // run the main loops many times. Start offsets 0..7 cover every
+  // misalignment of the loads.
+  const std::vector<unsigned char> bytes = RandomBytes(70000 + 8, 3);
+  std::vector<size_t> lengths(600);
+  for (size_t n = 0; n < lengths.size(); ++n) lengths[n] = n;
+  for (size_t n : {1023, 1024, 1025, 4099, 65536, 70000}) {
+    lengths.push_back(n);
+  }
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t n : lengths) {
+      ASSERT_EQ(crc_(bytes.data() + start, n, 0),
+                ByteLoopCrc32(bytes.data() + start, n))
+          << "start " << start << " length " << n;
+    }
+  }
+}
+
+TEST_P(Crc32IsaTest, ChainsAcrossOddSplits) {
+  const std::vector<unsigned char> bytes = RandomBytes(5000, 4);
+  const uint32_t whole = ByteLoopCrc32(bytes.data(), bytes.size());
+  for (const size_t step : {1, 3, 7, 9, 13, 61, 257, 333, 1021, 4999}) {
+    uint32_t c = 0;
+    for (size_t at = 0; at < bytes.size(); at += step) {
+      c = crc_(bytes.data() + at, std::min(step, bytes.size() - at), c);
+    }
+    EXPECT_EQ(c, whole) << "pieces of " << step << " bytes";
+  }
+  // A byte-loop prefix continued by the build, and the reverse.
+  EXPECT_EQ(crc_(bytes.data() + 11, bytes.size() - 11,
+                 ByteLoopCrc32(bytes.data(), 11)),
+            whole);
+  EXPECT_EQ(ByteLoopCrc32(bytes.data() + 700, bytes.size() - 700,
+                          crc_(bytes.data(), 700, 0)),
+            whole);
+}
+
+TEST_P(Crc32IsaTest, MatchesWriterAndReaderCrc) {
+  // The writer and the reader checksum through the dispatched build; each
+  // build must agree with them over the file's bytes.
+  const std::string path = TempPath("fae_isa_crc.bin");
+  const std::vector<unsigned char> payload = RandomBytes(300001, 5);
+  uint32_t written = 0;
+  {
+    auto w = BinaryWriter::Open(path);
+    ASSERT_TRUE(w.ok());
+    ASSERT_TRUE(w->WriteString("header").ok());
+    ASSERT_TRUE(w->WriteVector(payload).ok());
+    written = w->crc();
+    ASSERT_TRUE(w->Close().ok());
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<unsigned char> file((std::istreambuf_iterator<char>(in)),
+                                        std::istreambuf_iterator<char>());
+  EXPECT_EQ(crc_(file.data(), file.size(), 0), written);
+  auto r = BinaryReader::Open(path);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r->ReadString().ok());
+  ASSERT_TRUE(r->ReadVector<unsigned char>().ok());
+  EXPECT_EQ(r->crc(), written);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Isa, Crc32IsaTest,
+    ::testing::Values(crc::Isa::kSlicing8, crc::Isa::kPclmul),
+    [](const ::testing::TestParamInfo<crc::Isa>& info) {
+      std::string name = crc::IsaName(info.param);
+      name[0] = static_cast<char>(name[0] - 'a' + 'A');
+      return name;
+    });
+
+/// Whether this binary has the build for `isa` and the CPU can run it,
+/// asked of the CPU directly rather than of IsaSupported.
+bool CpuRuns(crc::Isa isa) {
+  switch (isa) {
+    case crc::Isa::kSlicing8:
+      return true;
+    case crc::Isa::kPclmul:
+#if FAE_CRC32_PCLMUL
+      return __builtin_cpu_supports("pclmul");
+#else
+      return false;
+#endif
+  }
+  return false;
+}
+
+// A build is supported exactly when it is compiled in and the CPU has its
+// instructions, and Crc32 runs the widest supported build.
+TEST(Crc32DispatchTest, PicksTheWidestCompiledAndSupportedBuild) {
+  crc::Isa widest = crc::Isa::kSlicing8;
+  for (crc::Isa isa : {crc::Isa::kSlicing8, crc::Isa::kPclmul}) {
+    EXPECT_EQ(crc::IsaSupported(isa), CpuRuns(isa)) << crc::IsaName(isa);
+    if (CpuRuns(isa)) widest = isa;
+  }
+  EXPECT_EQ(crc::DispatchedIsa(), widest);
 }
 
 TEST(FileIoTest, AtomicWriterCommitsOrLeavesTargetUntouched) {

@@ -7,6 +7,7 @@
 //   fae preprocess  --data=data.faed --out=plan.faef [--budget-kb=384]
 //                   [--sample-rate=0.05] [--cutoff-kb=4]
 //   fae train       --data=data.faed [--plan=plan.faef]
+//                   [--budget-kb=384] [--sample-rate=0.05] [--cutoff-kb=4]
 //                   [--mode=baseline|fae|nvopt|model-parallel|cache]
 //                   [--gpus=4] [--nodes=1] [--batch=1024] [--epochs=1]
 //                   [--cost-only]
@@ -20,6 +21,7 @@
 //                   [--ckpt=run.faec] [--ckpt-every=100] [--resume]
 //                   [--fault-plan=device@30,stall@50:0.2,corrupt@75,crash@120]
 //   fae serve       --data=data.faed [--plan=plan.faef] [--swap=swap.faef]
+//                   [--budget-kb=384] [--sample-rate=0.05] [--cutoff-kb=4]
 //                   [--batch=256] [--batches=N] [--slo=0.75]
 //                   [--ema-alpha=0.05] [--recal-window=8192]
 //                   [--recal-cooldown=32] [--deadline-ms=250]
@@ -32,7 +34,12 @@
 // The `generate -> preprocess -> train` flow mirrors the paper's once-per-
 // dataset static pass followed by repeated training runs; `serve` replays
 // the dataset as drifting online traffic against the preprocessed hot set
-// (DESIGN.md §12).
+// (DESIGN.md §12). Without --plan, `train` and `serve` compute the plan
+// themselves from --budget-kb, --sample-rate and --cutoff-kb, as
+// `preprocess` would; --budget-kb is also their per-GPU hot budget.
+// `train --ckpt=run.faec` writes a checkpoint chain (DESIGN.md §7): a full
+// base at run.faec and deltas of the rows written since the previous save
+// at run.faec.1, run.faec.2, ...; --resume replays the chain.
 
 #include <cerrno>
 #include <cstdio>
@@ -514,9 +521,22 @@ int Train(const bench::Args& args) {
         report.stale_final_threshold);
   }
   if (report.resumed) {
-    std::printf("resumed from %s at iteration %llu\n",
+    std::printf("resumed from %s (base + %llu deltas) at iteration %llu\n",
                 options.checkpoint.path.c_str(),
+                static_cast<unsigned long long>(report.resumed_deltas),
                 static_cast<unsigned long long>(report.resumed_at));
+    if (!report.resume_damage.ok()) {
+      std::printf("resume stopped at a damaged delta: %s\n",
+                  report.resume_damage.ToString().c_str());
+    }
+  }
+  if (report.checkpoint_base_saves + report.checkpoint_delta_saves > 0) {
+    std::printf(
+        "checkpoints: %llu base + %llu delta saves, %s written in %s\n",
+        static_cast<unsigned long long>(report.checkpoint_base_saves),
+        static_cast<unsigned long long>(report.checkpoint_delta_saves),
+        HumanBytes(report.checkpoint_bytes).c_str(),
+        HumanSeconds(report.checkpoint_seconds).c_str());
   }
   if (report.degraded) {
     std::printf(
