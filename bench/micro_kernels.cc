@@ -14,17 +14,24 @@
 // benchmark's workloads train (hostbench/): the forward, weight-gradient
 // and input-gradient GEMMs of Kaggle DLRM's 13-64-16 bottom and 367-64-1
 // top MLPs and of Taobao TBSM's 3-16 bottom, 16-16 per-timestep (batch x
-// 21 history rows) and 80-30-1 top MLPs, plus DLRM's 27-feature dim-16
-// pairwise interaction, forward and backward. The GEMM and interaction
-// rows run once per build of the tiled kernels the host supports (4-lane
-// baseline, 8-lane AVX2 and the AVX-512 table, which picks 16- or 8-lane
-// GEMM tiles per class of shapes; src/tensor/ops.cc), each such
-// row naming its build in an "isa" field; the JSON header names the build
-// the dispatcher picked. The last rows time Crc32, the checksum of every
-// file the library saves and loads, over an 18 MB buffer (about a
-// Kaggle-like dataset file) in MB/s: the byte-at-a-time loop as the seed,
-// then one row per build the host supports (slicing8 and the pclmul fold;
-// src/util/crc32.h), each naming its build in "isa".
+// 21 history rows) and 80-30-1 top MLPs, plus DLRM's 27-feature pairwise
+// interaction: forward, backward and the two back to back, at dim 16 for
+// the training, eval and serving batches (1024, 512, 256) and at dim 64
+// for the training batch. The new GEMM and interaction rows write
+// workspaces reused across iterations, as a training step does, so they
+// time no allocation or first touch of an output. The interaction's new
+// rows write the top MLP's input [bottom out | pairs] and read its
+// gradient [direct | pairs]; the seed loops produce and read the pairs
+// alone. The GEMM and interaction rows run once per build of the tiled
+// kernels the host supports (4-lane baseline, 8-lane AVX2 and the AVX-512
+// table, which picks 16- or 8-lane GEMM tiles per class of shapes;
+// src/tensor/ops.cc), each such row naming its build in an "isa" field;
+// the JSON header names the build the dispatcher picked. The last rows
+// time Crc32, the checksum of every file the library saves and loads,
+// over an 18 MB buffer (about a Kaggle-like dataset file) in MB/s: the
+// byte-at-a-time loop as the seed, then one row per build the host
+// supports (slicing8 and the pclmul fold; src/util/crc32.h), each naming
+// its build in "isa".
 //
 // Usage:
 //   micro_kernels [--out=<build>/bench/BENCH_kernels.json] [--reps=5]
@@ -284,7 +291,8 @@ double SecondsPerIter(const std::function<void()>& fn,
 struct BenchResult {
   std::string kernel;  // gemm | gemm_trans_a | gemm_trans_b |
                        // interaction_fwd | interaction_bwd |
-                       // embedding_forward | embedding_backward_opt | crc32
+                       // interaction_fwd_bwd | embedding_forward |
+                       // embedding_backward_opt | crc32
   std::string impl;    // seed | new
   // Build of the tiled kernels (baseline | avx2 | avx512) on the GEMM and
   // interaction kernels' new rows; empty elsewhere.
@@ -425,42 +433,35 @@ void RunTiledPair(
   }
 }
 
-// The tiled kernels of one build, in ops.h's allocating form.
+// The seed interaction's results in the new kernels' layout, for the
+// bit-exactness checks only.
 
-Tensor Gemm(const tiles::Kernels& ops, const Tensor& a, const Tensor& b,
-            ThreadPool* pool) {
-  Tensor c;
-  ops.mat_mul(c, a, b, pool);
-  return c;
-}
-
-Tensor GemmTransA(const tiles::Kernels& ops, const Tensor& a,
-                  const Tensor& b, ThreadPool* pool) {
-  Tensor c;
-  ops.mat_mul_trans_a(c, a, b, pool);
-  return c;
-}
-
-Tensor GemmTransB(const tiles::Kernels& ops, const Tensor& a,
-                  const Tensor& b, ThreadPool* pool) {
-  Tensor c;
-  ops.mat_mul_trans_b(c, a, b, pool);
-  return c;
-}
-
-Tensor Interaction(const tiles::Kernels& ops,
-                   const std::vector<const Tensor*>& features,
-                   ThreadPool* pool) {
-  Tensor out;
-  ops.interaction(out, features, pool);
+/// [features[0] | the seed's pairs]: the top MLP's input.
+Tensor LegacyTopInput(const std::vector<const Tensor*>& f) {
+  const Tensor pairs = LegacyInteraction(f);
+  const size_t d = f[0]->cols();
+  Tensor out(pairs.rows(), d + pairs.cols());
+  for (size_t r = 0; r < out.rows(); ++r) {
+    std::copy(f[0]->row(r), f[0]->row(r) + d, out.row(r));
+    std::copy(pairs.row(r), pairs.row(r) + pairs.cols(), out.row(r) + d);
+  }
   return out;
 }
 
-std::vector<Tensor> InteractionBackward(
-    const tiles::Kernels& ops, const Tensor& grad_out,
-    const std::vector<const Tensor*>& features, ThreadPool* pool) {
-  std::vector<Tensor> grads(features.size());
-  ops.interaction_backward(grads, grad_out, features, pool);
+/// The seed backward of the pair columns of `grad_top` [direct | pairs],
+/// then the direct columns added to the first feature's gradient.
+std::vector<Tensor> LegacyTopBackward(const Tensor& grad_top,
+                                      const std::vector<const Tensor*>& f) {
+  const size_t d = f[0]->cols();
+  Tensor pairs(grad_top.rows(), grad_top.cols() - d);
+  for (size_t r = 0; r < pairs.rows(); ++r) {
+    std::copy(grad_top.row(r) + d, grad_top.row(r) + grad_top.cols(),
+              pairs.row(r));
+  }
+  std::vector<Tensor> grads = LegacyInteractionBackward(pairs, f);
+  for (size_t r = 0; r < grads[0].rows(); ++r) {
+    for (size_t e = 0; e < d; ++e) grads[0](r, e) += grad_top(r, e);
+  }
   return grads;
 }
 
@@ -478,19 +479,20 @@ std::vector<BenchResult> RunSuite(const SuiteConfig& cfg) {
     // GEMM shaped like an MLP layer at this batch: [B, dim] x [dim, dim].
     Tensor a = Tensor::Randn(cfg.batch, dim, 1.0f, rng);
     Tensor b = Tensor::Randn(dim, dim, 1.0f, rng);
+    Tensor c;
     RunTiledPair(
         cfg, "gemm", Shape3(cfg.batch, dim, dim), dim, cfg.batch,
         [&] {
-          Tensor c = LegacyMatMulBlocked(a, b);
+          Tensor seed_c = LegacyMatMulBlocked(a, b);
+          DoNotOptimize(seed_c.data());
+        },
+        [&](const tiles::Kernels& ops, ThreadPool* pool) {
+          ops.mat_mul(c, a, b, pool);
           DoNotOptimize(c.data());
         },
         [&](const tiles::Kernels& ops, ThreadPool* pool) {
-          Tensor c = Gemm(ops, a, b, pool);
-          DoNotOptimize(c.data());
-        },
-        [&](const tiles::Kernels& ops, ThreadPool* pool) {
-          return TensorsEqual(LegacyMatMulBlocked(a, b),
-                              Gemm(ops, a, b, pool));
+          ops.mat_mul(c, a, b, pool);
+          return TensorsEqual(LegacyMatMulBlocked(a, b), c);
         },
         results);
 
@@ -565,10 +567,84 @@ constexpr LayerShape kWorkloadLayers[] = {
     {1, 3, 16},   {21, 16, 16}, {1, 80, 30}, {1, 30, 1},  // Taobao TBSM
 };
 
+/// The Kaggle DLRM interaction (26 tables + bottom MLP) at one batch and
+/// dim: forward, backward, and forward then backward.
+void RunInteractionRows(const SuiteConfig& cfg, size_t rows, size_t dim,
+                        Xoshiro256& rng, std::vector<BenchResult>& results) {
+  constexpr size_t kFeatures = 27;
+  constexpr size_t kPairs = kFeatures * (kFeatures - 1) / 2;
+  std::vector<Tensor> feats;
+  std::vector<const Tensor*> ptrs;
+  for (size_t i = 0; i < kFeatures; ++i) {
+    feats.push_back(Tensor::Randn(rows, dim, 1.0f, rng));
+  }
+  for (const Tensor& f : feats) ptrs.push_back(&f);
+  // The seed reads the pair columns alone; the new kernels [direct |
+  // pairs], whose pair columns are the same values.
+  const Tensor grad_top = Tensor::Randn(rows, dim + kPairs, 0.1f, rng);
+  Tensor grad_pairs(rows, kPairs);
+  for (size_t r = 0; r < rows; ++r) {
+    std::copy(grad_top.row(r) + dim, grad_top.row(r) + dim + kPairs,
+              grad_pairs.row(r));
+  }
+  Tensor top_in;
+  std::vector<Tensor> grads(kFeatures);
+  const std::string shape = Shape3(rows, kFeatures, dim);
+  RunTiledPair(
+      cfg, "interaction_fwd", shape, dim, rows,
+      [&] { DoNotOptimize(LegacyInteraction(ptrs).data()); },
+      [&](const tiles::Kernels& ops, ThreadPool* pool) {
+        ops.interaction(top_in, ptrs, pool);
+        DoNotOptimize(top_in.data());
+      },
+      [&](const tiles::Kernels& ops, ThreadPool* pool) {
+        ops.interaction(top_in, ptrs, pool);
+        return TensorsEqual(LegacyTopInput(ptrs), top_in);
+      },
+      results);
+  RunTiledPair(
+      cfg, "interaction_bwd", shape, dim, rows,
+      [&] {
+        DoNotOptimize(LegacyInteractionBackward(grad_pairs, ptrs).data());
+      },
+      [&](const tiles::Kernels& ops, ThreadPool* pool) {
+        ops.interaction_backward(grads, grad_top, ptrs, pool);
+        DoNotOptimize(grads.data());
+      },
+      [&](const tiles::Kernels& ops, ThreadPool* pool) {
+        ops.interaction_backward(grads, grad_top, ptrs, pool);
+        return TensorsEqual(LegacyTopBackward(grad_top, ptrs), grads);
+      },
+      results);
+  // Back to back, as a training step runs them (with the top MLP
+  // between): the backward reads the features the forward just read.
+  RunTiledPair(
+      cfg, "interaction_fwd_bwd", shape, dim, rows,
+      [&] {
+        DoNotOptimize(LegacyInteraction(ptrs).data());
+        DoNotOptimize(LegacyInteractionBackward(grad_pairs, ptrs).data());
+      },
+      [&](const tiles::Kernels& ops, ThreadPool* pool) {
+        ops.interaction(top_in, ptrs, pool);
+        DoNotOptimize(top_in.data());
+        ops.interaction_backward(grads, grad_top, ptrs, pool);
+        DoNotOptimize(grads.data());
+      },
+      [&](const tiles::Kernels& ops, ThreadPool* pool) {
+        ops.interaction(top_in, ptrs, pool);
+        ops.interaction_backward(grads, grad_top, ptrs, pool);
+        return TensorsEqual(LegacyTopInput(ptrs), top_in) &&
+               TensorsEqual(LegacyTopBackward(grad_top, ptrs), grads);
+      },
+      results);
+}
+
 /// The forward and both gradient GEMMs of every workload layer, and the
-/// Kaggle DLRM interaction (26 tables + bottom MLP, dim 16).
+/// Kaggle DLRM interaction at dim 16 for the training, eval and serving
+/// batches and at dim 64 for the training batch.
 void RunLayerSuite(const SuiteConfig& cfg, std::vector<BenchResult>& results) {
   Xoshiro256 rng(4321);
+  Tensor c;
   for (const LayerShape& l : kWorkloadLayers) {
     const size_t m = cfg.layer_batch * l.rows_per_sample;
     const Tensor x = Tensor::Randn(m, l.in, 1.0f, rng);
@@ -578,75 +654,43 @@ void RunLayerSuite(const SuiteConfig& cfg, std::vector<BenchResult>& results) {
         cfg, "gemm", Shape3(m, l.in, l.out), 0, m,
         [&] { DoNotOptimize(LegacyMatMulBlocked(x, w).data()); },
         [&](const tiles::Kernels& ops, ThreadPool* pool) {
-          DoNotOptimize(Gemm(ops, x, w, pool).data());
+          ops.mat_mul(c, x, w, pool);
+          DoNotOptimize(c.data());
         },
         [&](const tiles::Kernels& ops, ThreadPool* pool) {
-          return TensorsEqual(LegacyMatMulBlocked(x, w),
-                              Gemm(ops, x, w, pool));
+          ops.mat_mul(c, x, w, pool);
+          return TensorsEqual(LegacyMatMulBlocked(x, w), c);
         },
         results);
     RunTiledPair(
         cfg, "gemm_trans_a", Shape3(l.in, m, l.out), 0, m,
         [&] { DoNotOptimize(LegacyMatMulTransA(x, g).data()); },
         [&](const tiles::Kernels& ops, ThreadPool* pool) {
-          DoNotOptimize(GemmTransA(ops, x, g, pool).data());
+          ops.mat_mul_trans_a(c, x, g, pool);
+          DoNotOptimize(c.data());
         },
         [&](const tiles::Kernels& ops, ThreadPool* pool) {
-          return TensorsEqual(LegacyMatMulTransA(x, g),
-                              GemmTransA(ops, x, g, pool));
+          ops.mat_mul_trans_a(c, x, g, pool);
+          return TensorsEqual(LegacyMatMulTransA(x, g), c);
         },
         results);
     RunTiledPair(
         cfg, "gemm_trans_b", Shape3(m, l.out, l.in), 0, m,
         [&] { DoNotOptimize(LegacyMatMulTransB(g, w).data()); },
         [&](const tiles::Kernels& ops, ThreadPool* pool) {
-          DoNotOptimize(GemmTransB(ops, g, w, pool).data());
+          ops.mat_mul_trans_b(c, g, w, pool);
+          DoNotOptimize(c.data());
         },
         [&](const tiles::Kernels& ops, ThreadPool* pool) {
-          return TensorsEqual(LegacyMatMulTransB(g, w),
-                              GemmTransB(ops, g, w, pool));
+          ops.mat_mul_trans_b(c, g, w, pool);
+          return TensorsEqual(LegacyMatMulTransB(g, w), c);
         },
         results);
   }
-
-  constexpr size_t kFeatures = 27;
-  constexpr size_t kDim = 16;
-  const size_t rows = cfg.layer_batch;
-  std::vector<Tensor> feats;
-  std::vector<const Tensor*> ptrs;
-  for (size_t i = 0; i < kFeatures; ++i) {
-    feats.push_back(Tensor::Randn(rows, kDim, 1.0f, rng));
-  }
-  for (const Tensor& f : feats) ptrs.push_back(&f);
-  const Tensor grad_out =
-      Tensor::Randn(rows, kFeatures * (kFeatures - 1) / 2, 0.1f, rng);
-  const std::string shape = Shape3(rows, kFeatures, kDim);
-  RunTiledPair(
-      cfg, "interaction_fwd", shape, kDim, rows,
-      [&] { DoNotOptimize(LegacyInteraction(ptrs).data()); },
-      [&](const tiles::Kernels& ops, ThreadPool* pool) {
-        DoNotOptimize(Interaction(ops, ptrs, pool).data());
-      },
-      [&](const tiles::Kernels& ops, ThreadPool* pool) {
-        return TensorsEqual(LegacyInteraction(ptrs),
-                            Interaction(ops, ptrs, pool));
-      },
-      results);
-  RunTiledPair(
-      cfg, "interaction_bwd", shape, kDim, rows,
-      [&] {
-        DoNotOptimize(
-            LegacyInteractionBackward(grad_out, ptrs).data());
-      },
-      [&](const tiles::Kernels& ops, ThreadPool* pool) {
-        DoNotOptimize(
-            InteractionBackward(ops, grad_out, ptrs, pool).data());
-      },
-      [&](const tiles::Kernels& ops, ThreadPool* pool) {
-        return TensorsEqual(LegacyInteractionBackward(grad_out, ptrs),
-                            InteractionBackward(ops, grad_out, ptrs, pool));
-      },
-      results);
+  RunInteractionRows(cfg, cfg.layer_batch, 16, rng, results);
+  RunInteractionRows(cfg, cfg.layer_batch, 64, rng, results);
+  RunInteractionRows(cfg, cfg.layer_batch / 2, 16, rng, results);
+  RunInteractionRows(cfg, cfg.layer_batch / 4, 16, rng, results);
 }
 
 /// Crc32's builds against the byte loop over one buffer; single-threaded,

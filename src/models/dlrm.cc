@@ -30,9 +30,6 @@ Dlrm::Dlrm(const DatasetSchema& schema, const ModelConfig& config,
   const size_t f = schema_.num_tables() + 1;
   emb_out_.resize(schema_.num_tables());
   features_.reserve(f);
-  concat_blocks_.resize(2);
-  split_widths_ = {schema_.embedding_dim, f * (f - 1) / 2};
-  split_outs_ = {&g_bottom_direct_, &g_inter_};
   feat_grads_.resize(f);
 }
 
@@ -47,10 +44,8 @@ const Tensor& Dlrm::Forward(const BatchView& batch,
   features_.clear();
   features_.push_back(&bottom_out);
   for (const Tensor& e : emb_out_) features_.push_back(&e);
-  PairwiseDotInteractionInto(inter_, features_, pool_);
-  concat_blocks_[0] = &bottom_out;
-  concat_blocks_[1] = &inter_;
-  ConcatColsInto(top_in_, concat_blocks_);
+  // The interaction writes the top MLP's input, [bottom out | pairs].
+  PairwiseDotInteractionInto(top_in_, features_, pool_);
   return top_.Forward(top_in_);
 }
 
@@ -60,20 +55,19 @@ StepResult Dlrm::StepImpl(const BatchView& batch,
   const Tensor& logits = Forward(batch, tables);
   BceWithLogitsInto(bce_, logits, batch.labels);
 
-  // Top MLP backward.
-  const Tensor& g_top_in = top_.Backward(bce_.grad_logits);
-  const size_t d = schema_.embedding_dim;
-  SplitColsInto(split_outs_, g_top_in, split_widths_);
-
-  // Interaction backward. `features_` still points at this step's forward
+  // Top MLP backward, then the interaction's from the top input's gradient
+  // [direct | pairs]: feat_grads_[0] is the bottom output's pair sum plus
+  // its direct gradient. `features_` still points at this step's forward
   // activations (bottom out lives in the bottom MLP's head layer, which
   // the top MLP's backward does not touch).
-  PairwiseDotInteractionBackwardInto(feat_grads_, g_inter_, features_,
+  const Tensor& g_top_in = top_.Backward(bce_.grad_logits);
+  const size_t d = schema_.embedding_dim;
+  PairwiseDotInteractionBackwardInto(feat_grads_, g_top_in, features_,
                                      pool_);
 
-  // Bottom MLP backward (direct concat path + interaction path).
-  feat_grads_[0].Add(g_bottom_direct_);
-  bottom_.Backward(feat_grads_[0]);
+  // Bottom MLP backward. Its input is the dense features, whose gradient
+  // nothing reads.
+  bottom_.BackwardParamsOnly(feat_grads_[0]);
 
   // Embedding gradients: either materialize per-table SparseGrads or hand
   // each table's output gradient straight to the fused scatter+optimizer.

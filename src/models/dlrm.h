@@ -71,16 +71,11 @@ class Dlrm : public RecModel {
   // Step workspaces, reused across batches (capacity sticks at the largest
   // batch seen). `features_` holds {bottom out, emb_out_...} pointers for
   // the interaction kernels; its pointees live for the whole step.
+  // `top_in_` is the interaction's output, [bottom out | pairs].
   std::vector<Tensor> emb_out_;
   std::vector<const Tensor*> features_;
-  std::vector<const Tensor*> concat_blocks_;
-  Tensor inter_;
   Tensor top_in_;
   BceResult bce_;
-  Tensor g_bottom_direct_;
-  Tensor g_inter_;
-  std::vector<Tensor*> split_outs_;
-  std::vector<size_t> split_widths_;
   std::vector<Tensor> feat_grads_;
   mutable DistinctCounter work_distinct_;  // Work()'s touched-row counts
 };

@@ -130,7 +130,8 @@ StepResult Tbsm::StepImpl(const BatchView& batch,
   Tensor& g_query = split_[1];
   Tensor& g_bottom = split_[2];
 
-  bottom_.Backward(g_bottom);
+  // The bottom MLP's input is the dense features: no input gradient.
+  bottom_.BackwardParamsOnly(g_bottom);
 
   DotAttention::BackwardResult attn = attention_.Backward(g_context);
   // Total query gradient: direct concat path + attention path.

@@ -15,10 +15,11 @@
 // reproducibility, and only Dot uses multiple accumulators.
 //
 // The dense GEMMs and the DLRM pairwise interaction are register-tiled
-// instead (src/tensor/dense_tiles.inc, built for 4- and 8-lane vectors and
-// dispatched by CPU in ops.cc). Each of their outputs keeps the operation
+// instead (src/tensor/dense_tiles.inc, built for 4-, 8- and 16-lane
+// vectors and dispatched by CPU in ops.cc; the interaction puts samples in
+// the lanes at 4 and 16). Each of their outputs keeps the operation
 // sequence of the scalar loop it replaced, Dot's association included, so
-// results are bit-identical at either width (DESIGN.md §9).
+// results are bit-identical at every width (DESIGN.md §9).
 //
 // Both arguments assume every a * b + c is rounded twice, as written: no
 // multiply-add contraction. src/CMakeLists.txt compiles everything that

@@ -24,14 +24,18 @@ const Tensor& Linear::Forward(MatView x) {
 }
 
 Tensor& Linear::Backward(const Tensor& grad_out) {
+  BackwardParams(grad_out);
+  MatMulTransBInto(grad_in_, grad_out, weight_.value, pool_);
+  return grad_in_;
+}
+
+void Linear::BackwardParams(const Tensor& grad_out) {
   FAE_CHECK_EQ(grad_out.rows(), cached_input_.rows);
   FAE_CHECK_EQ(grad_out.cols(), weight_.value.cols());
   MatMulTransAInto(wgrad_ws_, cached_input_, grad_out, pool_);
   weight_.grad.Add(wgrad_ws_);
   ColumnSumsInto(bgrad_ws_, grad_out);
   bias_.grad.Add(bgrad_ws_);
-  MatMulTransBInto(grad_in_, grad_out, weight_.value, pool_);
-  return grad_in_;
 }
 
 std::vector<Parameter*> Linear::Params() { return {&weight_, &bias_}; }

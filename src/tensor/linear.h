@@ -38,6 +38,9 @@ class Linear {
   /// place).
   Tensor& Backward(const Tensor& grad_out);
 
+  /// Accumulates dW and db only, for a caller that has no use for dL/dx.
+  void BackwardParams(const Tensor& grad_out);
+
   /// Layer output of the last Forward.
   const Tensor& out() const { return out_; }
 

@@ -27,18 +27,24 @@ const Tensor& Mlp::Forward(MatView x) {
   return layers_.back().out();
 }
 
-const Tensor& Mlp::Backward(const Tensor& grad_out) {
+const Tensor& Mlp::BackwardToFirst(const Tensor& grad_out) {
   const Tensor* g = &grad_out;
-  for (size_t i = layers_.size(); i-- > 0;) {
+  for (size_t i = layers_.size(); i-- > 1;) {
     // Backward returns the layer's grad_in workspace; masking it in place
     // by the previous layer's pre-ReLU output is the ReLU backward.
     Tensor& gi = layers_[i].Backward(*g);
-    if (i > 0) {
-      ReluBackwardInPlace(gi, layers_[i - 1].out());
-    }
+    ReluBackwardInPlace(gi, layers_[i - 1].out());
     g = &gi;
   }
   return *g;
+}
+
+const Tensor& Mlp::Backward(const Tensor& grad_out) {
+  return layers_.front().Backward(BackwardToFirst(grad_out));
+}
+
+void Mlp::BackwardParamsOnly(const Tensor& grad_out) {
+  layers_.front().BackwardParams(BackwardToFirst(grad_out));
 }
 
 std::vector<Parameter*> Mlp::Params() {

@@ -34,6 +34,11 @@ class Mlp {
   /// accumulates layer parameter gradients.
   const Tensor& Backward(const Tensor& grad_out);
 
+  /// The same parameter gradients for a caller that discards dL/dx (the
+  /// models' bottom MLPs, whose input is the dense features): the first
+  /// layer's input-gradient GEMM is skipped.
+  void BackwardParamsOnly(const Tensor& grad_out);
+
   std::vector<Parameter*> Params();
 
   size_t in_features() const;
@@ -52,6 +57,10 @@ class Mlp {
   }
 
  private:
+  /// Backward through layers [1, size) into layer 0's output gradient,
+  /// masked by its ReLU.
+  const Tensor& BackwardToFirst(const Tensor& grad_out);
+
   std::vector<Linear> layers_;
   // post_[i] holds ReLU(layers_[i].out()) — the input view layer i+1
   // caches, so it must stay alive (and unmodified) until Backward. The

@@ -68,8 +68,8 @@ struct StridedA {
   }
 };
 
-/// Column of pair (i, j), i < j, in an interaction row: pairs run
-/// i-major, so row i's block starts at PairCol(f, i, i + 1).
+/// Column of pair (i, j), i < j, among an interaction row's pair columns:
+/// pairs run i-major, so row i's block starts at PairCol(f, i, i + 1).
 inline size_t PairCol(size_t f, size_t i, size_t j) {
   return i * (2 * f - i - 1) / 2 + (j - i - 1);
 }

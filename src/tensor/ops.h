@@ -60,18 +60,21 @@ void ConcatColsInto(Tensor& out, const std::vector<const Tensor*>& blocks);
 void SplitColsInto(const std::vector<Tensor*>& outs, const Tensor& grad,
                    const std::vector<size_t>& widths);
 
-/// DLRM-style pairwise-dot feature interaction.
+/// DLRM-style pairwise-dot feature interaction, written as DLRM's top-MLP
+/// input (the reference DLRM's interact_features, cat([x] + [Zflat])).
 ///
-/// Inputs: F feature blocks, each [B, d]. Output: [B, F*(F-1)/2] whose
-/// columns are the dot products kernels::Dot(d, f_i, f_j) for i < j, per
-/// sample, i-major.
+/// Inputs: F feature blocks, each [B, d]; features[0] is the bottom MLP's
+/// output. Output: [B, d + F*(F-1)/2]: columns [0, d) are bit-copies of
+/// features[0], then the dot products kernels::Dot(d, f_i, f_j) for i < j,
+/// per sample, i-major.
 void PairwiseDotInteractionInto(Tensor& out,
                                 const std::vector<const Tensor*>& features,
                                 ThreadPool* pool = nullptr);
 
-/// Backward of PairwiseDotInteractionInto: given dL/dout [B, F*(F-1)/2]
-/// and the forward feature blocks, writes dL/df for each block:
-/// dL/df_x = sum over y != x, ascending, of dL/dout(x, y) * f_y.
+/// Backward of PairwiseDotInteractionInto: given dL/dout [B, d +
+/// F*(F-1)/2] ([direct | pairs]) and the forward feature blocks, writes
+/// dL/df for each block: dL/df_x = sum over y != x, ascending, of
+/// dL/dout(x, y) * f_y, from +0; dL/df_0 then adds the direct columns.
 /// `grads` must already hold features.size() workspaces.
 void PairwiseDotInteractionBackwardInto(
     std::vector<Tensor>& grads, const Tensor& grad_out,

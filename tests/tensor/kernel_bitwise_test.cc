@@ -84,25 +84,30 @@ Tensor RefMatMulTransB(const Tensor& a, const Tensor& b) {
   return c;
 }
 
+/// The top MLP's input: columns [0, d) copy f[0], then the pairs.
 Tensor RefInteraction(const std::vector<const Tensor*>& f) {
-  Tensor out(f[0]->rows(), f.size() * (f.size() - 1) / 2);
+  const size_t d = f[0]->cols();
+  Tensor out(f[0]->rows(), d + f.size() * (f.size() - 1) / 2);
   for (size_t r = 0; r < out.rows(); ++r) {
-    size_t col = 0;
+    std::memcpy(out.row(r), f[0]->row(r), d * sizeof(float));
+    size_t col = d;
     for (size_t i = 0; i < f.size(); ++i) {
       for (size_t j = i + 1; j < f.size(); ++j) {
-        out(r, col++) = RefDot(f[0]->cols(), f[i]->row(r), f[j]->row(r));
+        out(r, col++) = RefDot(d, f[i]->row(r), f[j]->row(r));
       }
     }
   }
   return out;
 }
 
+/// From the top input's gradient [direct | pairs]: every feature's pair
+/// sum, then grads[0] plus the direct columns.
 std::vector<Tensor> RefInteractionBackward(
     const Tensor& grad_out, const std::vector<const Tensor*>& f) {
   const size_t d = f[0]->cols();
   std::vector<Tensor> grads(f.size(), Tensor(f[0]->rows(), d));
   for (size_t r = 0; r < grad_out.rows(); ++r) {
-    size_t col = 0;
+    size_t col = d;
     for (size_t i = 0; i < f.size(); ++i) {
       for (size_t j = i + 1; j < f.size(); ++j) {
         const float g = grad_out(r, col++);
@@ -111,6 +116,7 @@ std::vector<Tensor> RefInteractionBackward(
         RefAxpy(d, g, f[i]->row(r), grads[j].row(r));
       }
     }
+    for (size_t e = 0; e < d; ++e) grads[0](r, e) += grad_out(r, e);
   }
   return grads;
 }
@@ -201,7 +207,7 @@ void ExpectInteractionBitExact(const tiles::Kernels& ops, size_t rows,
   for (size_t i = 0; i < f; ++i) feats.push_back(SpecialRandn(rows, d, rng));
   std::vector<const Tensor*> ptrs;
   for (const Tensor& t : feats) ptrs.push_back(&t);
-  const Tensor grad_out = SpecialRandn(rows, f * (f - 1) / 2, rng);
+  const Tensor grad_out = SpecialRandn(rows, d + f * (f - 1) / 2, rng);
 
   Tensor out;
   ops.interaction(out, ptrs, pool);
@@ -260,24 +266,49 @@ void ExpectGemmsBitExactOnWorkloadLayers(const tiles::Kernels& ops,
   ExpectLayerBitExact(ops, 67 * 21, 16, 16, rng, pool);
 }
 
-// Feature counts 2..19 cover the backward's groups of two, four or eight
-// features and every remainder, and the forward's buffered first and
-// partial last tiles, two features per tile at 4 and 8 lanes and groups
-// of eight and four at 16; d 1..31 covers the backward's 16-element
-// strips, single vectors (8 and 4 lanes at 16) and scalar tail, and the
-// forward's dot tails. The wide case gives the 16-lane forward more than
-// one 64-partner block and a d of two pack blocks plus a tail.
+/// Vector lanes of a build: the samples of one interaction lane block.
+size_t LanesOf(tiles::Isa isa) {
+  switch (isa) {
+    case tiles::Isa::kAvx512:
+      return 16;
+    case tiles::Isa::kAvx2:
+      return 8;
+    case tiles::Isa::kBaseline:
+      break;
+  }
+  return 4;
+}
+
+// The interaction runs blocks of `lanes` sample rows, so each row count
+// of the sweep is one of 1, lanes - 1, lanes, lanes + 1 and 2 * lanes + 3:
+// a partial block alone, one full block, and one or two full blocks and a
+// remainder. Feature counts 2..19 cover every size of the last feature
+// and partner tiles; d 1..31 covers partial lane chunks of d and the dot
+// tails. The cases after the sweep have enough work for the pool, whose
+// chunk boundaries (about rows / 4 apart) then fall inside lane blocks. 70 features at d 515 exceed the 128 KB lane scratch at
+// every width, so the forward transposes per tile in k-blocks (two of
+// them at 16 lanes), and at 16 lanes the backward gathers its pair
+// gradients.
 void ExpectInteractionBitExactOnEveryRemainder(const tiles::Kernels& ops,
+                                               size_t lanes,
                                                ThreadPool* pool) {
   Xoshiro256 rng(15);
-  for (size_t f = 2; f <= 19; ++f) {
-    for (size_t d = 1; d <= 31; ++d) {
-      ExpectInteractionBitExact(ops, 3, f, d, rng, pool);
+  for (const size_t rows :
+       {size_t{1}, lanes - 1, lanes, lanes + 1, 2 * lanes + 3}) {
+    for (size_t f = 2; f <= 19; ++f) {
+      for (size_t d = 1; d <= 31; ++d) {
+        ExpectInteractionBitExact(ops, rows, f, d, rng, pool);
+        if (::testing::Test::HasFailure()) return;
+      }
     }
   }
   ExpectInteractionBitExact(ops, 2, 70, 515, rng, pool);
-  // Kaggle DLRM: 26 tables plus the bottom MLP, embedding dim 16.
+  ExpectInteractionBitExact(ops, lanes + 1, 70, 515, rng, pool);
+  // Kaggle DLRM: 26 tables plus the bottom MLP, embedding dim 16, and the
+  // schemas' other dim, 64.
   ExpectInteractionBitExact(ops, 203, 27, 16, rng, pool);
+  ExpectInteractionBitExact(ops, 2 * lanes + 3, 27, 16, rng, pool);
+  ExpectInteractionBitExact(ops, 2 * lanes + 3, 27, 64, rng, pool);
 }
 
 /// nullptr for 1 thread, a pool of `threads` threads otherwise.
@@ -305,7 +336,8 @@ TEST_P(KernelBitwiseTest, GemmsMatchScalarLoopsOnWorkloadLayers) {
 }
 
 TEST_P(KernelBitwiseTest, InteractionMatchesScalarLoops) {
-  ExpectInteractionBitExactOnEveryRemainder(kPublicOps, pool());
+  ExpectInteractionBitExactOnEveryRemainder(
+      kPublicOps, LanesOf(tiles::DispatchedIsa()), pool());
 }
 
 /// The branching loop ReluBackwardInPlace replaced.
@@ -384,7 +416,8 @@ TEST_P(KernelBitwiseIsaTest, GemmsMatchScalarLoopsOnWorkloadLayers) {
 }
 
 TEST_P(KernelBitwiseIsaTest, InteractionMatchesScalarLoops) {
-  ExpectInteractionBitExactOnEveryRemainder(ops(), pool());
+  ExpectInteractionBitExactOnEveryRemainder(ops(), LanesOf(GetParam().isa),
+                                            pool());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,5 +1,8 @@
 #include "tensor/mlp.h"
 
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "tensor/linear.h"
@@ -136,6 +139,33 @@ TEST(MlpTest, GradientCheckThroughRelu) {
     const double lm = loss();
     x.data()[i] = orig;
     EXPECT_NEAR(grad_x.data()[i], (lp - lm) / (2 * eps), 3e-2);
+  }
+}
+
+// The models' bottom MLPs skip the input gradient; their parameter
+// gradients must be Backward's bit for bit, one layer deep and several.
+TEST(MlpTest, BackwardParamsOnlyMatchesBackward) {
+  for (const std::vector<size_t>& dims :
+       {std::vector<size_t>{3, 2}, std::vector<size_t>{13, 8, 5, 4}}) {
+    Xoshiro256 rng(10);
+    Mlp full(dims, rng);
+    Xoshiro256 rng_copy(10);
+    Mlp params_only(dims, rng_copy);
+    Tensor x = Tensor::Randn(6, dims.front(), 1.0f, rng);
+    Tensor grad_out = Tensor::Randn(6, dims.back(), 1.0f, rng);
+    full.Forward(x);
+    full.Backward(grad_out);
+    params_only.Forward(x);
+    params_only.BackwardParamsOnly(grad_out);
+    const std::vector<Parameter*> want = full.Params();
+    const std::vector<Parameter*> got = params_only.Params();
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(want[i]->grad.numel(), got[i]->grad.numel());
+      EXPECT_EQ(0, std::memcmp(want[i]->grad.data(), got[i]->grad.data(),
+                               want[i]->grad.numel() * sizeof(float)))
+          << want[i]->name;
+    }
   }
 }
 

@@ -106,13 +106,15 @@ TEST(OpsTest, ConcatAndSplitRoundTrip) {
 }
 
 TEST(OpsTest, PairwiseDotKnownValues) {
-  // Two features of dim 2, batch 1: dot(f0, f1).
+  // Two features of dim 2, batch 1: [f0 | dot(f0, f1)].
   Tensor f0(1, 2, {1, 2});
   Tensor f1(1, 2, {3, 4});
   Tensor out;
   PairwiseDotInteractionInto(out, {&f0, &f1});
-  EXPECT_EQ(out.cols(), 1u);
-  EXPECT_FLOAT_EQ(out(0, 0), 11.0f);
+  EXPECT_EQ(out.cols(), 3u);
+  EXPECT_FLOAT_EQ(out(0, 0), 1.0f);
+  EXPECT_FLOAT_EQ(out(0, 1), 2.0f);
+  EXPECT_FLOAT_EQ(out(0, 2), 11.0f);
 }
 
 TEST(OpsTest, PairwiseDotCountsPairs) {
@@ -123,7 +125,7 @@ TEST(OpsTest, PairwiseDotCountsPairs) {
   for (auto& f : feats) ptrs.push_back(&f);
   Tensor out;
   PairwiseDotInteractionInto(out, ptrs);
-  EXPECT_EQ(out.cols(), 10u);  // C(5,2)
+  EXPECT_EQ(out.cols(), 4u + 10u);  // d + C(5,2)
   EXPECT_EQ(out.rows(), 3u);
 }
 
@@ -133,7 +135,7 @@ TEST(OpsTest, PairwiseDotBackwardMatchesNumericalGradient) {
   for (int i = 0; i < 3; ++i) feats.push_back(Tensor::Randn(2, 4, 1.0f, rng));
   std::vector<const Tensor*> ptrs;
   for (auto& f : feats) ptrs.push_back(&f);
-  Tensor grad_out = Tensor::Randn(2, 3, 1.0f, rng);
+  Tensor grad_out = Tensor::Randn(2, 4 + 3, 1.0f, rng);  // [direct | pairs]
 
   auto loss = [&]() {
     Tensor out;
