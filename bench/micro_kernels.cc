@@ -1,11 +1,12 @@
 // Old-vs-new microbenchmark suite for the training hot-path kernels.
 //
 // The "seed" implementations below are verbatim copies of the scalar,
-// map-based kernels this repo started with (unordered_map SparseGrad,
-// un-annotated inner loops, no thread pool, per-product GEMM and
+// map-based kernels this repo started with (an unordered_map sparse
+// gradient, un-annotated inner loops, no thread pool, per-product GEMM and
 // interaction loops); the "new" measurements run the current kernel layer
 // (src/tensor/kernels.h, the register-tiled kernels of src/tensor/ops.cc,
-// flat SparseGrad, ThreadPool::ParallelFor) at 1 and 4 threads. Every
+// the fused scatter + update SparseSgd::FusedBackwardStep,
+// ThreadPool::ParallelFor) at 1 and 4 threads. Every
 // pairing is also checked for bit-exact agreement — the determinism
 // contract says the rewrite changes speed, never results.
 //
@@ -519,7 +520,7 @@ std::vector<BenchResult> RunSuite(const SuiteConfig& cfg) {
         results);
 
     // Backward scatter + optimizer. Seed: map-based scatter then the
-    // map-walking SGD step. New: the fused flat-gradient pass. Both mutate
+    // map-walking SGD step. New: the fused scatter + update pass. Both mutate
     // a private table so the timed loops stay self-contained.
     EmbeddingTable seed_table(cfg.table_rows, dim);
     EmbeddingTable new_table(cfg.table_rows, dim);

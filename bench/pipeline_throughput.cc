@@ -4,15 +4,17 @@
 // The "seed" implementations (bench/seed_baseline.h) are verbatim copies
 // of the pre-flat data layer: an array-of-structs sample store, per-sample
 // nested-vector walks in the Embedding Logger and Input Processor, copying
-// mini-batch assembly (Pack), and the materialized step loop (SparseGrad
-// per table per step, separate optimizer pass) feeding the training epoch.
-// The "flat" measurements run the current layer: one contiguous
-// FlatDataset per class (PackFlat's Gather) viewed zero-copy by BatchViews,
-// with streaming logger/classifier passes and the trainer-style
-// allocation-free fused step (prebuilt apply functor, cached dense params).
+// mini-batch assembly (Pack), and the materialized step loop (a gradient
+// per table per step, then a separate optimizer pass; the tests' reference
+// in tests/materialized_step.h) feeding the training epoch. The "flat"
+// measurements run the current layer: one contiguous FlatDataset per class
+// (PackFlat's Gather) viewed zero-copy by BatchViews, with streaming
+// logger/classifier passes and the trainer's own allocation-free step
+// (StepExecutor::MathStep).
 //
 // Every stage is also checked for bit-exact agreement — the determinism
-// contract says the layout rework changes speed, never results.
+// contract says the layout rework changes speed, never results. The epoch
+// compares the two models' tables and their RunningMetric accumulators.
 //
 // Usage:
 //   pipeline_throughput [--out=BENCH_pipeline.json] [--inputs=24000]
@@ -34,6 +36,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -47,7 +50,8 @@
 #include "core/input_processor.h"
 #include "data/batch_view.h"
 #include "data/dataset.h"
-#include "embedding/sparse_sgd.h"
+#include "engine/metrics.h"
+#include "engine/step_executor.h"
 #include "models/factory.h"
 #include "stats/access_profile.h"
 #include "tensor/sgd.h"
@@ -56,47 +60,6 @@
 
 namespace fae {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Flat epoch runner: mirrors the trainer's allocation-free steady state
-// (prebuilt single-pointer apply functor, cached dense params).
-// ---------------------------------------------------------------------------
-
-class FlatStepper {
- public:
-  FlatStepper(RecModel& model, float lr)
-      : model_(model), dense_sgd_(lr), sparse_sgd_(lr) {
-    for (EmbeddingTable& t : model.tables()) tables_.push_back(&t);
-    dense_params_ = model.DenseParams();
-    ctx_.sgd = &sparse_sgd_;
-    ctx_.tables = &tables_;
-    apply_ = [c = &ctx_](size_t t, const Tensor& grad_out,
-                         std::span<const uint32_t> indices,
-                         std::span<const uint32_t> offsets) {
-      c->sgd->FusedBackwardStep(*(*c->tables)[t], grad_out, indices, offsets,
-                                nullptr);
-    };
-  }
-
-  void Step(const BatchView& view, double* loss_sum) {
-    StepResult step = model_.ForwardBackwardFusedOn(view, tables_, apply_);
-    dense_sgd_.Step(dense_params_);
-    *loss_sum += step.loss;
-  }
-
- private:
-  struct Ctx {
-    SparseSgd* sgd;
-    std::vector<EmbeddingTable*>* tables;
-  };
-  RecModel& model_;
-  Sgd dense_sgd_;
-  SparseSgd sparse_sgd_;
-  std::vector<EmbeddingTable*> tables_;
-  std::vector<Parameter*> dense_params_;
-  Ctx ctx_;
-  SparseApplyFn apply_;
-};
 
 // ---------------------------------------------------------------------------
 // Harness
@@ -179,6 +142,17 @@ bool TablesEqual(const RecModel& a, const RecModel& b) {
     if (a.tables()[t].raw() != b.tables()[t].raw()) return false;
   }
   return true;
+}
+
+/// Bitwise equality of two training accumulators. Observe sums
+/// loss * batch_size, so equal sums mean equal per-step losses.
+bool MetricsEqual(const RunningMetric& a, const RunningMetric& b) {
+  const RunningMetric::State x = a.state();
+  const RunningMetric::State y = b.state();
+  return std::bit_cast<uint64_t>(x.loss_sum) ==
+             std::bit_cast<uint64_t>(y.loss_sum) &&
+         x.correct == y.correct && x.samples == y.samples &&
+         x.batches == y.batches;
 }
 
 struct SuiteConfig {
@@ -401,7 +375,7 @@ int Run(int argc, char** argv) {
   std::unique_ptr<RecModel> flat_model =
       MakeModel(schema, /*full_size=*/false, /*seed=*/7);
 
-  auto seed_epoch = [&](RecModel& model, double* loss_sum) {
+  auto seed_epoch = [&](RecModel& model, RunningMetric& metric) {
     uint64_t lookups = 0;
     const AccessProfile profile =
         bench::SeedProfile(schema, aos, all_ids, &lookups);
@@ -414,19 +388,18 @@ int Run(int argc, char** argv) {
     std::vector<EmbeddingTable*> tables;
     for (EmbeddingTable& t : model.tables()) tables.push_back(&t);
     Sgd dense_sgd(cfg.lr);
-    SparseSgd sparse_sgd(cfg.lr);
     for (size_t e = 0; e < cfg.epochs; ++e) {
       for (const bench::MiniBatch& mb : packed.hot) {
-        bench::SeedMathStep(model, bench::ViewOf(mb), tables, sparse_sgd,
-                            dense_sgd, loss_sum);
+        bench::SeedMathStep(model, bench::ViewOf(mb), tables, dense_sgd,
+                            cfg.lr, metric);
       }
       for (const bench::MiniBatch& mb : packed.cold) {
-        bench::SeedMathStep(model, bench::ViewOf(mb), tables, sparse_sgd,
-                            dense_sgd, loss_sum);
+        bench::SeedMathStep(model, bench::ViewOf(mb), tables, dense_sgd,
+                            cfg.lr, metric);
       }
     }
   };
-  auto flat_epoch = [&](RecModel& model, double* loss_sum) {
+  auto flat_epoch = [&](RecModel& model, RunningMetric& metric) {
     const EmbeddingLogger::Result log =
         EmbeddingLogger::Profile(dataset, all_ids);
     const HotSet hs = EmbeddingClassifier::Classify(
@@ -439,28 +412,32 @@ int Run(int argc, char** argv) {
         MakeBatchViews(packed.hot, cfg.batch, true);
     const std::vector<BatchView> cold =
         MakeBatchViews(packed.cold, cfg.batch, false);
-    FlatStepper stepper(model, cfg.lr);
+    // The trainer's own step: prebuilt apply functor, cached dense params.
+    StepExecutor exec(&model, {.dense_lr = cfg.lr, .sparse_lr = cfg.lr});
+    std::vector<EmbeddingTable*> tables;
+    for (EmbeddingTable& t : model.tables()) tables.push_back(&t);
+    RunningMetric window;
     for (size_t e = 0; e < cfg.epochs; ++e) {
-      for (const BatchView& v : hot) stepper.Step(v, loss_sum);
-      for (const BatchView& v : cold) stepper.Step(v, loss_sum);
+      for (const BatchView& v : hot) exec.MathStep(v, tables, metric, window);
+      for (const BatchView& v : cold) exec.MathStep(v, tables, metric, window);
     }
   };
 
   // Bit-exactness first, from identically initialized twins (untimed).
-  double seed_loss = 0.0, flat_loss = 0.0;
-  seed_epoch(*seed_model, &seed_loss);
-  flat_epoch(*flat_model, &flat_loss);
-  const bool epoch_ok =
-      seed_loss == flat_loss && TablesEqual(*seed_model, *flat_model);
+  RunningMetric seed_metric, flat_metric;
+  seed_epoch(*seed_model, seed_metric);
+  flat_epoch(*flat_model, flat_metric);
+  const bool epoch_ok = MetricsEqual(seed_metric, flat_metric) &&
+                        TablesEqual(*seed_model, *flat_model);
   all_bitexact &= epoch_ok;
 
   // Then throughput (model state keeps evolving across reps; the work per
   // rep is constant).
-  double sink = 0.0;
+  RunningMetric sink;
   const double epoch_seed_sec =
-      MinSeconds([&] { seed_epoch(*seed_model, &sink); }, cfg.reps);
+      MinSeconds([&] { seed_epoch(*seed_model, sink); }, cfg.reps);
   const double epoch_flat_sec =
-      MinSeconds([&] { flat_epoch(*flat_model, &sink); }, cfg.reps);
+      MinSeconds([&] { flat_epoch(*flat_model, sink); }, cfg.reps);
   AddPair(results, "end_to_end_epoch", epoch_seed_sec, epoch_flat_sec,
           dataset.size(), cfg.epochs, epoch_ok);
   const double epoch_with_math_speedup = epoch_seed_sec / epoch_flat_sec;

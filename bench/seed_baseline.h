@@ -16,11 +16,12 @@
 #include "core/embedding_classifier.h"
 #include "data/batch_view.h"
 #include "data/dataset.h"
-#include "embedding/sparse_sgd.h"
+#include "engine/metrics.h"
 #include "models/rec_model.h"
 #include "stats/access_profile.h"
 #include "tensor/sgd.h"
 #include "tensor/tensor.h"
+#include "tests/materialized_step.h"
 #include "util/random.h"
 
 namespace fae {
@@ -215,21 +216,18 @@ inline SeedPacked SeedPack(const DatasetSchema& schema,
 }
 
 /// Seed per-step math (the step loop the repo started with): materialize
-/// every table's SparseGrad, then take a separate optimizer pass over it —
-/// plus a fresh DenseParams() vector per step. Bit-exact with the fused
-/// step (same per-row accumulation order, same update arithmetic; pinned by
-/// FlatEquivalenceTest).
+/// every table's gradient, then take a separate optimizer pass over it —
+/// plus a fresh DenseParams() vector per step. This is the tests'
+/// materialized reference (tests/materialized_step.h), bit-exact with the
+/// trainer's fused step (same per-row accumulation order, same update
+/// arithmetic; pinned by FlatEquivalenceTest).
 inline void SeedMathStep(RecModel& model, const BatchView& view,
-                         std::vector<EmbeddingTable*>& tables,
-                         SparseSgd& sparse_sgd, Sgd& dense_sgd,
-                         double* loss_sum) {
-  StepResult step = model.ForwardBackwardOn(view, tables);
-  dense_sgd.Step(model.DenseParams());
-  for (size_t t = 0; t < step.table_grads.size(); ++t) {
-    if (step.table_grads[t].empty()) continue;
-    sparse_sgd.Step(*tables[t], step.table_grads[t]);
-  }
-  *loss_sum += step.loss;
+                         const std::vector<EmbeddingTable*>& tables,
+                         Sgd& dense_sgd, float sparse_lr,
+                         RunningMetric& metric) {
+  const StepResult step =
+      test::MaterializedSgdStep(model, view, tables, dense_sgd, sparse_lr);
+  metric.Observe(step.loss, step.correct, step.batch_size);
 }
 
 }  // namespace bench

@@ -2,38 +2,16 @@
 
 #include <algorithm>
 
-#include "tensor/kernels.h"
 #include "util/logging.h"
 
 namespace fae {
 namespace {
 
-/// Below this many touched rows the pool dispatch costs more than the
-/// scatter itself.
+/// Below this many output rows the pool dispatch costs more than the
+/// pooling itself.
 constexpr size_t kMinRowsToParallelize = 64;
 
 }  // namespace
-
-const float* SparseGrad::Find(uint64_t id) const {
-  auto it = std::lower_bound(row_ids.begin(), row_ids.end(), id);
-  if (it == row_ids.end() || *it != id) return nullptr;
-  return row(static_cast<size_t>(it - row_ids.begin()));
-}
-
-float* SparseGrad::Find(uint64_t id) {
-  return const_cast<float*>(
-      static_cast<const SparseGrad*>(this)->Find(id));
-}
-
-float* SparseGrad::Upsert(uint64_t id) {
-  auto it = std::lower_bound(row_ids.begin(), row_ids.end(), id);
-  const size_t slot = static_cast<size_t>(it - row_ids.begin());
-  if (it == row_ids.end() || *it != id) {
-    row_ids.insert(it, id);
-    values.insert(values.begin() + slot * dim, dim, 0.0f);
-  }
-  return row(slot);
-}
 
 void RowGroups::Rebuild(std::span<const uint32_t> indices,
                         std::span<const uint32_t> offsets) {
@@ -71,7 +49,10 @@ void RowGroups::Rebuild(std::span<const uint32_t> indices,
     positions[p] = static_cast<uint32_t>(p);
   }
   scratch_.resize(nnz);
-  for (int shift = 0; shift == 0 || (max_id >> shift) != 0; shift += 8) {
+  // At most four passes: a shift of 32 would be undefined, and on x86 it
+  // shifts by 0, so ids of 2^24 and more would never end the loop.
+  for (int shift = 0; shift < 32 && (shift == 0 || (max_id >> shift) != 0);
+       shift += 8) {
     uint32_t count[256] = {0};
     for (size_t p = 0; p < nnz; ++p) {
       ++count[(indices[positions[p]] >> shift) & 0xFF];
@@ -103,13 +84,6 @@ void RowGroups::Rebuild(std::span<const uint32_t> indices,
   group_start.push_back(static_cast<uint32_t>(nnz));
 }
 
-RowGroups RowGroups::Build(std::span<const uint32_t> indices,
-                           std::span<const uint32_t> offsets) {
-  RowGroups rg;
-  rg.Rebuild(indices, offsets);
-  return rg;
-}
-
 void EmbeddingBag::ForwardInto(Tensor& out, const EmbeddingTable& table,
                                std::span<const uint32_t> indices,
                                std::span<const uint32_t> offsets,
@@ -136,37 +110,6 @@ void EmbeddingBag::ForwardInto(Tensor& out, const EmbeddingTable& table,
   } else {
     pool_range(0, b);
   }
-}
-
-SparseGrad EmbeddingBag::Backward(const Tensor& grad_out,
-                                  std::span<const uint32_t> indices,
-                                  std::span<const uint32_t> offsets,
-                                  size_t dim, ThreadPool* pool) {
-  FAE_CHECK_EQ(grad_out.cols(), dim);
-  FAE_CHECK_EQ(grad_out.rows() + 1, offsets.size());
-  SparseGrad grad;
-  grad.dim = dim;
-  if (indices.empty()) return grad;
-
-  RowGroups rg = RowGroups::Build(indices, offsets);
-  const size_t rows = rg.num_rows();
-  grad.row_ids = std::move(rg.row_ids);
-  grad.values.assign(rows * dim, 0.0f);
-
-  auto scatter = [&](size_t s0, size_t s1) {
-    for (size_t s = s0; s < s1; ++s) {
-      float* acc = grad.row(s);
-      for (uint32_t g = rg.group_start[s]; g < rg.group_start[s + 1]; ++g) {
-        kernels::Add(dim, grad_out.row(rg.sample_of[rg.positions[g]]), acc);
-      }
-    }
-  };
-  if (pool != nullptr && rows >= kMinRowsToParallelize) {
-    pool->ParallelFor(rows, scatter);
-  } else {
-    scatter(0, rows);
-  }
-  return grad;
 }
 
 }  // namespace fae

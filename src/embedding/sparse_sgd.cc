@@ -8,38 +8,11 @@
 namespace fae {
 namespace {
 
+/// Below this many touched rows the pool dispatch costs more than the
+/// update itself.
 constexpr size_t kMinRowsToParallelize = 64;
 
-void RowRangeParallel(ThreadPool* pool, size_t rows,
-                      const std::function<void(size_t, size_t)>& fn) {
-  if (pool != nullptr && rows >= kMinRowsToParallelize) {
-    pool->ParallelFor(rows, fn);
-  } else {
-    fn(0, rows);
-  }
-}
-
 }  // namespace
-
-void SparseSgd::Step(EmbeddingTable& table, const SparseGrad& grad,
-                     ThreadPool* pool) const {
-  FAE_CHECK_EQ(grad.dim, table.dim());
-  const size_t dim = grad.dim;
-  const float neg_lr = -lr_;
-  // Compressed tables: stage every touched cold row to fp32 up front
-  // (serial — EnsureResidentRow mutates the staging buffer), so the
-  // parallel update below works on stable, write-disjoint fp32 rows.
-  if (table.compressed()) {
-    for (size_t s = 0; s < grad.num_rows(); ++s) {
-      table.EnsureResidentRow(grad.row_id(s));
-    }
-  }
-  RowRangeParallel(pool, grad.num_rows(), [&](size_t s0, size_t s1) {
-    for (size_t s = s0; s < s1; ++s) {
-      kernels::Axpy(dim, neg_lr, grad.row(s), table.row(grad.row_id(s)));
-    }
-  });
-}
 
 void SparseSgd::FusedBackwardStep(EmbeddingTable& table,
                                   const Tensor& grad_out,
@@ -65,8 +38,9 @@ void SparseSgd::FusedBackwardStep(EmbeddingTable& table,
       skip_[s] = filter->BeginVisit(rg.row_ids[s], lookups) ? 1 : 0;
     }
   }
-  // Same staging pre-pass as Step: touched cold rows become fp32 before
-  // the (possibly pooled) update loop takes row pointers.
+  // Staging pre-pass (serial: EnsureResidentRow mutates the staging
+  // buffer): touched cold rows become fp32 before the (possibly pooled)
+  // update loop takes row pointers.
   if (table.compressed()) {
     for (size_t s = 0; s < rg.num_rows(); ++s) {
       if (filter != nullptr && skip_[s] != 0) continue;

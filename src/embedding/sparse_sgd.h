@@ -38,18 +38,16 @@ class SparseSgd {
  public:
   explicit SparseSgd(float lr) : lr_(lr) {}
 
-  /// row -= lr * grad for every row in `grad`. With a pool, disjoint slot
-  /// ranges of the flat gradient are updated in parallel (bit-exact at any
-  /// thread count — each table row is written by exactly one thread).
-  void Step(EmbeddingTable& table, const SparseGrad& grad,
-            ThreadPool* pool = nullptr) const;
-
   /// Fused scatter + optimizer (the paper's CPU-side sparse-optimizer
-  /// bottleneck, §II-C): accumulates dL/dout per touched row and applies
-  /// the update in one pass over the grouped index list, without
-  /// materializing a SparseGrad. Bit-identical to
-  /// EmbeddingBag::Backward followed by Step. Offsets follow the
-  /// RowGroups relative-offset contract (rebased by offsets.front()).
+  /// bottleneck, §II-C), the library's only sparse backward: accumulates
+  /// dL/dout per touched row and applies row + (-lr)*grad in one pass over
+  /// the grouped index list, without materializing the gradient. Compressed
+  /// tables stage every touched cold row to fp32 first. Bit-identical to a
+  /// scatter into sorted rows followed by a separate update pass (the
+  /// reference in tests/materialized_step.h). Offsets follow the RowGroups
+  /// relative-offset contract (rebased by offsets.front()). With a pool,
+  /// disjoint row ranges are updated in parallel (bit-exact at any thread
+  /// count: each table row is written by exactly one thread).
   ///
   /// Non-const: the row grouping and the serial accumulator are instance
   /// scratch, rebuilt in place each call so the steady state allocates

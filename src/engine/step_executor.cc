@@ -58,11 +58,9 @@ void StepExecutor::MathStep(const BatchView& batch,
   if (dense_params_.empty()) dense_params_ = model_->DenseParams();
   if (tracker != nullptr) tracker->BeginStep();
   // Each table's backward scatter and optimizer update run as one fused
-  // pass over the batch's lookup list — the SparseGrad is never
-  // materialized. Bit-identical to the materialized path (same per-row
-  // accumulation order, same update arithmetic). Everything here runs in
-  // reused buffers: the model's workspaces, the optimizer's scratch, the
-  // prebuilt apply functor.
+  // pass over the batch's lookup list; the gradient is never materialized.
+  // Everything here runs in reused buffers: the model's workspaces, the
+  // optimizer's scratch, the prebuilt apply functor.
   apply_ctx_.tables = &tables;
   apply_ctx_.tracker = tracker;
   StepResult step =

@@ -1,5 +1,6 @@
 #include "models/dlrm.h"
 
+#include "embedding/embedding_bag.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 
@@ -49,9 +50,9 @@ const Tensor& Dlrm::Forward(const BatchView& batch,
   return top_.Forward(top_in_);
 }
 
-StepResult Dlrm::StepImpl(const BatchView& batch,
-                          const std::vector<EmbeddingTable*>& tables,
-                          const SparseApplyFn* apply) {
+StepResult Dlrm::ForwardBackwardFusedOn(
+    const BatchView& batch, const std::vector<EmbeddingTable*>& tables,
+    const SparseApplyFn& apply) {
   const Tensor& logits = Forward(batch, tables);
   BceWithLogitsInto(bce_, logits, batch.labels);
 
@@ -61,7 +62,6 @@ StepResult Dlrm::StepImpl(const BatchView& batch,
   // activations (bottom out lives in the bottom MLP's head layer, which
   // the top MLP's backward does not touch).
   const Tensor& g_top_in = top_.Backward(bce_.grad_logits);
-  const size_t d = schema_.embedding_dim;
   PairwiseDotInteractionBackwardInto(feat_grads_, g_top_in, features_,
                                      pool_);
 
@@ -69,35 +69,11 @@ StepResult Dlrm::StepImpl(const BatchView& batch,
   // nothing reads.
   bottom_.BackwardParamsOnly(feat_grads_[0]);
 
-  // Embedding gradients: either materialize per-table SparseGrads or hand
-  // each table's output gradient straight to the fused scatter+optimizer.
-  StepResult result;
-  result.loss = bce_.mean_loss;
-  result.correct = bce_.correct;
-  result.batch_size = batch.batch_size();
-  if (apply != nullptr) {
-    for (size_t t = 0; t < schema_.num_tables(); ++t) {
-      (*apply)(t, feat_grads_[t + 1], batch.indices(t), batch.offsets(t));
-    }
-  } else {
-    result.table_grads.reserve(schema_.num_tables());
-    for (size_t t = 0; t < schema_.num_tables(); ++t) {
-      result.table_grads.push_back(EmbeddingBag::Backward(
-          feat_grads_[t + 1], batch.indices(t), batch.offsets(t), d, pool_));
-    }
+  // Each table's output gradient goes straight to the sparse apply.
+  for (size_t t = 0; t < schema_.num_tables(); ++t) {
+    apply(t, feat_grads_[t + 1], batch.indices(t), batch.offsets(t));
   }
-  return result;
-}
-
-StepResult Dlrm::ForwardBackwardOn(
-    const BatchView& batch, const std::vector<EmbeddingTable*>& tables) {
-  return StepImpl(batch, tables, /*apply=*/nullptr);
-}
-
-StepResult Dlrm::ForwardBackwardFusedOn(
-    const BatchView& batch, const std::vector<EmbeddingTable*>& tables,
-    const SparseApplyFn& apply) {
-  return StepImpl(batch, tables, &apply);
+  return StepResult{bce_.mean_loss, bce_.correct, batch.batch_size()};
 }
 
 const Tensor& Dlrm::EvalLogits(const BatchView& batch) {

@@ -25,10 +25,6 @@ class Dlrm : public RecModel {
  public:
   Dlrm(const DatasetSchema& schema, const ModelConfig& config, uint64_t seed);
 
-  StepResult ForwardBackwardOn(
-      const BatchView& batch,
-      const std::vector<EmbeddingTable*>& tables) override;
-
   StepResult ForwardBackwardFusedOn(
       const BatchView& batch, const std::vector<EmbeddingTable*>& tables,
       const SparseApplyFn& apply) override;
@@ -54,12 +50,6 @@ class Dlrm : public RecModel {
   /// workspace.
   const Tensor& Forward(const BatchView& batch,
                         const std::vector<EmbeddingTable*>& tables);
-
-  // Shared forward+backward; when `apply` is non-null every table's output
-  // gradient is handed to it instead of materialized in the result.
-  StepResult StepImpl(const BatchView& batch,
-                      const std::vector<EmbeddingTable*>& tables,
-                      const SparseApplyFn* apply);
 
   DatasetSchema schema_;
   ModelConfig config_;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "data/batch_view.h"
-#include "embedding/embedding_bag.h"
 #include "embedding/embedding_table.h"
 #include "tensor/linear.h"
 #include "tensor/tensor.h"
@@ -15,14 +14,13 @@
 
 namespace fae {
 
-/// Outcome of one training step's forward+backward (before optimizers).
+/// Outcome of one training step's forward+backward. Dense parameter
+/// gradients accumulate inside the model's Parameters; the embedding
+/// gradients go to the step's SparseApplyFn.
 struct StepResult {
   double loss = 0.0;
   size_t correct = 0;
   size_t batch_size = 0;
-  /// Per-table sparse gradients; dense parameter gradients are accumulated
-  /// inside the model's Parameters.
-  std::vector<SparseGrad> table_grads;
 };
 
 /// Work units of a batch, consumed by the simulation cost model.
@@ -48,11 +46,14 @@ struct BatchWork {
   std::vector<uint64_t> per_table_touched;
 };
 
-/// Consumes one table's sparse backward inline during a fused step:
-/// receives dL/dout [B, dim] for `table` plus the batch's CSR lookup list
-/// (offsets follow the RowGroups relative-offset contract), and is
-/// expected to scatter + apply the optimizer in one pass (see
-/// SparseSgd::FusedBackwardStep). Called once per table.
+/// Consumes one table's sparse backward inline during a step: receives
+/// dL/dout [B, dim] for `table` plus the batch's CSR lookup list (offsets
+/// follow the RowGroups relative-offset contract). The training step's
+/// functor scatters and applies the optimizer in one pass
+/// (SparseSgd::FusedBackwardStep); the tests' materialized reference
+/// (tests/materialized_step.h) captures the gradient instead. Called once
+/// per table. `grad_out` and the lookup list are valid only during the
+/// call.
 using SparseApplyFn = std::function<void(
     size_t table, const Tensor& grad_out,
     std::span<const uint32_t> indices,
@@ -61,11 +62,11 @@ using SparseApplyFn = std::function<void(
 /// Interface shared by DLRM and TBSM: real numerics, explicit gradients.
 ///
 /// Batches arrive as non-owning BatchViews into a FlatDataset; the view's
-/// backing store must stay alive for the duration of the call. One
-/// ForwardBackward call accumulates dense gradients in the model's
-/// Parameters and returns embedding gradients sparsely; callers then run
-/// Sgd/SparseSgd. Each model has one forward, into member workspaces:
-/// training and EvalLogits share it.
+/// backing store must stay alive for the duration of the call. Each model
+/// has one forward, into member workspaces, which training and EvalLogits
+/// share, and one backward: ForwardBackwardFusedOn accumulates dense
+/// gradients in the model's Parameters (the caller then runs Sgd) and
+/// hands each table's output gradient to a SparseApplyFn.
 class RecModel {
  public:
   virtual ~RecModel() = default;
@@ -76,25 +77,15 @@ class RecModel {
   /// count.
   virtual void SetThreadPool(ThreadPool* pool) { (void)pool; }
 
-  /// Like ForwardBackwardOn, but every table hands its output gradient to
-  /// `apply` (scatter + optimizer in one pass) instead of materializing it,
-  /// so StepResult::table_grads stays empty. The training step's only path.
+  /// Forward and backward against `tables`: the model's own (master)
+  /// tables, or the FAE engine's GPU hot-replica tables, in which case
+  /// `batch` indices must already be in the replica's coordinate space.
+  /// Each table's output gradient goes to `apply` once, after the dense
+  /// backward; the step reads no table after that, so `apply` may update
+  /// the tables in place.
   virtual StepResult ForwardBackwardFusedOn(
       const BatchView& batch, const std::vector<EmbeddingTable*>& tables,
       const SparseApplyFn& apply) = 0;
-
-  /// Runs the step against an alternative set of tables (the FAE engine
-  /// points this at GPU hot-replica tables; `batch` indices must already be
-  /// in the replica's coordinate space). Returned sparse gradients use the
-  /// same coordinates. The reference the fused step is tested against.
-  virtual StepResult ForwardBackwardOn(
-      const BatchView& batch,
-      const std::vector<EmbeddingTable*>& tables) = 0;
-
-  /// Step against the model's own (master) tables.
-  StepResult ForwardBackward(const BatchView& batch) {
-    return ForwardBackwardOn(batch, OwnTables());
-  }
 
   /// Logits [B, 1]: the training forward on the model's own tables, with
   /// no gradient work. Returns the logit workspace, valid until the next

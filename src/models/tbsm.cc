@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "embedding/embedding_bag.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 
@@ -118,9 +119,9 @@ const Tensor& Tbsm::Forward(const BatchView& batch,
   return top_.Forward(cached_top_in_);
 }
 
-StepResult Tbsm::StepImpl(const BatchView& batch,
-                          const std::vector<EmbeddingTable*>& tables,
-                          const SparseApplyFn* apply) {
+StepResult Tbsm::ForwardBackwardFusedOn(
+    const BatchView& batch, const std::vector<EmbeddingTable*>& tables,
+    const SparseApplyFn& apply) {
   BceWithLogitsInto(bce_, Forward(batch, tables), batch.labels);
 
   const size_t d = schema_.embedding_dim;
@@ -153,16 +154,11 @@ StepResult Tbsm::StepImpl(const BatchView& batch,
   const Tensor& raw_hist_grad =
       step_mlp_ ? step_mlp_->Backward(stacked_grad) : stacked_grad;
 
-  StepResult result;
-  result.loss = bce_.mean_loss;
-  result.correct = bce_.correct;
-  result.batch_size = batch.batch_size();
-
   // Item table: the history/target contributions form a synthesized lookup
-  // list (one gradient row per contribution, unit offsets) so the shared
-  // bag backward — or the fused scatter+optimizer — handles the scatter.
-  // Rows are emitted in the same per-sample order (history, then target)
-  // the scalar implementation accumulated them.
+  // list (one gradient row per contribution, unit offsets) so the sparse
+  // apply handles its scatter like any other table's. Rows are emitted in
+  // the same per-sample order (history, then target) the scalar
+  // implementation accumulated them.
   const std::span<const uint32_t> item_idx = batch.indices(0);
   const size_t total_contrib = total_hist + batch.batch_size();
   Tensor item_grad_out(total_contrib, d);
@@ -190,32 +186,11 @@ StepResult Tbsm::StepImpl(const BatchView& batch,
     }
   }
 
-  if (apply != nullptr) {
-    (*apply)(0, item_grad_out, item_scatter_idx, item_scatter_off);
-    for (size_t t = 1; t < schema_.num_tables(); ++t) {
-      (*apply)(t, split_[2 + t], batch.indices(t), batch.offsets(t));
-    }
-  } else {
-    result.table_grads.resize(schema_.num_tables());
-    result.table_grads[0] = EmbeddingBag::Backward(
-        item_grad_out, item_scatter_idx, item_scatter_off, d, pool_);
-    for (size_t t = 1; t < schema_.num_tables(); ++t) {
-      result.table_grads[t] = EmbeddingBag::Backward(
-          split_[2 + t], batch.indices(t), batch.offsets(t), d, pool_);
-    }
+  apply(0, item_grad_out, item_scatter_idx, item_scatter_off);
+  for (size_t t = 1; t < schema_.num_tables(); ++t) {
+    apply(t, split_[2 + t], batch.indices(t), batch.offsets(t));
   }
-  return result;
-}
-
-StepResult Tbsm::ForwardBackwardOn(
-    const BatchView& batch, const std::vector<EmbeddingTable*>& tables) {
-  return StepImpl(batch, tables, /*apply=*/nullptr);
-}
-
-StepResult Tbsm::ForwardBackwardFusedOn(
-    const BatchView& batch, const std::vector<EmbeddingTable*>& tables,
-    const SparseApplyFn& apply) {
-  return StepImpl(batch, tables, &apply);
+  return StepResult{bce_.mean_loss, bce_.correct, batch.batch_size()};
 }
 
 const Tensor& Tbsm::EvalLogits(const BatchView& batch) {

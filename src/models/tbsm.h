@@ -33,10 +33,6 @@ class Tbsm : public RecModel {
  public:
   Tbsm(const DatasetSchema& schema, const ModelConfig& config, uint64_t seed);
 
-  StepResult ForwardBackwardOn(
-      const BatchView& batch,
-      const std::vector<EmbeddingTable*>& tables) override;
-
   StepResult ForwardBackwardFusedOn(
       const BatchView& batch, const std::vector<EmbeddingTable*>& tables,
       const SparseApplyFn& apply) override;
@@ -73,13 +69,6 @@ class Tbsm : public RecModel {
   /// workspace.
   const Tensor& Forward(const BatchView& batch,
                         const std::vector<EmbeddingTable*>& tables);
-
-  // Shared forward+backward; when `apply` is non-null every table's sparse
-  // backward (including the item table's synthesized scatter list) is
-  // handed to it instead of materialized in the result.
-  StepResult StepImpl(const BatchView& batch,
-                      const std::vector<EmbeddingTable*>& tables,
-                      const SparseApplyFn* apply);
 
   DatasetSchema schema_;
   ModelConfig config_;

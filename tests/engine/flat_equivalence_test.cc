@@ -1,19 +1,24 @@
-// Bit-exactness of the flat SoA data path: the fused step the trainer runs
-// on zero-copy BatchViews must match the materialized two-pass step, and
-// crash-safe resume must stay exact on the sequential (TBSM) workload too.
+// Bit-exactness of the flat SoA data path: the step the trainer runs on
+// zero-copy BatchViews must match the materialized two-pass step for DLRM
+// and TBSM, and crash-safe resume must stay exact on the sequential (TBSM)
+// workload too.
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/batch_view.h"
 #include "data/synthetic.h"
+#include "engine/metrics.h"
+#include "engine/step_executor.h"
 #include "engine/trainer.h"
+#include "materialized_step.h"
 #include "models/factory.h"
 #include "tensor/sgd.h"
-#include "embedding/sparse_sgd.h"
 #include "test_temp_dir.h"
 
 namespace fae {
@@ -39,11 +44,18 @@ void ExpectSameTables(const RecModel& a, const RecModel& b) {
   }
 }
 
-/// The fused step (what the trainer actually runs) must match the
-/// materialized two-pass step bit for bit on flat views.
-TEST(FlatEquivalenceTest, FusedStepMatchesMaterializedOnViews) {
-  const DatasetSchema schema =
-      MakeSchema(WorkloadKind::kKaggleDlrm, DatasetScale::kTiny);
+/// True when some row appears more than once in `indices`.
+bool HasRepeatedRow(std::span<const uint32_t> indices) {
+  std::vector<uint32_t> sorted(indices.begin(), indices.end());
+  std::sort(sorted.begin(), sorted.end());
+  return std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
+}
+
+/// The trainer's step (StepExecutor::MathStep, whose sparse backward is the
+/// fused scatter + update) must match the materialized two-pass reference
+/// (materialized_step.h) bit for bit on flat views of `kind`'s schema.
+void ExpectStepMatchesMaterializedOnViews(WorkloadKind kind) {
+  const DatasetSchema schema = MakeSchema(kind, DatasetScale::kTiny);
   const Dataset dataset = SyntheticGenerator(schema, {.seed = 29}).Generate(64);
   const FlatDataset gathered = dataset.flat().Gather(Iota(64));
   const std::vector<BatchView> views =
@@ -53,37 +65,40 @@ TEST(FlatEquivalenceTest, FusedStepMatchesMaterializedOnViews) {
       MakeModel(schema, /*full_size=*/false, /*seed=*/3);
   std::unique_ptr<RecModel> materialized =
       MakeModel(schema, /*full_size=*/false, /*seed=*/3);
+  StepExecutor exec(fused.get(), {.dense_lr = 0.1f, .sparse_lr = 0.1f});
+  const std::vector<EmbeddingTable*> ta = test::TablePtrs(*fused);
+  const std::vector<EmbeddingTable*> tb = test::TablePtrs(*materialized);
 
-  Sgd dense_a(0.1f), dense_b(0.1f);
-  SparseSgd sparse_a(0.1f), sparse_b(0.1f);
+  Sgd dense_b(0.1f);
+  RunningMetric metric_a, window_a, metric_b;
+  bool repeated_row = false;
   for (const BatchView& view : views) {
-    std::vector<EmbeddingTable*> ta, tb;
-    for (EmbeddingTable& t : fused->tables()) ta.push_back(&t);
-    for (EmbeddingTable& t : materialized->tables()) tb.push_back(&t);
-
-    const SparseApplyFn apply = [&](size_t t, const Tensor& grad_out,
-                                    std::span<const uint32_t> indices,
-                                    std::span<const uint32_t> offsets) {
-      sparse_a.FusedBackwardStep(*ta[t], grad_out, indices, offsets, nullptr);
-    };
-    StepResult sa = fused->ForwardBackwardFusedOn(view, ta, apply);
-    dense_a.Step(fused->DenseParams());
-    for (size_t t = 0; t < sa.table_grads.size(); ++t) {
-      if (!sa.table_grads[t].empty()) {
-        sparse_a.Step(*ta[t], sa.table_grads[t]);
-      }
-    }
-
-    StepResult sb = materialized->ForwardBackwardOn(view, tb);
-    dense_b.Step(materialized->DenseParams());
-    for (size_t t = 0; t < sb.table_grads.size(); ++t) {
-      if (!sb.table_grads[t].empty()) {
-        sparse_b.Step(*tb[t], sb.table_grads[t]);
-      }
-    }
-    ASSERT_EQ(sa.loss, sb.loss);
+    exec.MathStep(view, ta, metric_a, window_a);
+    const StepResult sb =
+        test::MaterializedSgdStep(*materialized, view, tb, dense_b, 0.1f);
+    metric_b.Observe(sb.loss, sb.correct, sb.batch_size);
+    // Observe sums loss * batch_size: equal sums after every step mean
+    // equal losses.
+    ASSERT_EQ(metric_a.state().loss_sum, metric_b.state().loss_sum);
+    ASSERT_EQ(metric_a.state().correct, metric_b.state().correct);
+    repeated_row |= HasRepeatedRow(view.indices(0));
   }
   ExpectSameTables(*fused, *materialized);
+  // A row looked up twice in one batch checks that its contributions
+  // accumulate in the reference's order (for TBSM, table 0 is the item
+  // table, whose synthesized scatter list carries every history and target
+  // lookup).
+  EXPECT_TRUE(repeated_row)
+      << "no batch looked up a row of table 0 twice; duplicate scatters "
+         "go unchecked";
+}
+
+TEST(FlatEquivalenceTest, FusedStepMatchesMaterializedOnViews) {
+  ExpectStepMatchesMaterializedOnViews(WorkloadKind::kKaggleDlrm);
+}
+
+TEST(FlatEquivalenceTest, FusedTbsmStepMatchesMaterializedOnViews) {
+  ExpectStepMatchesMaterializedOnViews(WorkloadKind::kTaobaoTbsm);
 }
 
 /// Crash-safe resume on the sequential workload: a run checkpointed and

@@ -1,9 +1,10 @@
-// Steady-state allocation freedom of the fused training step: after a few
-// warm-up steps have sized every workspace, a DLRM training step (forward,
-// backward, dense SGD, fused sparse scatter+update) and its eval forward
-// must perform zero heap allocations. Enforced with a global operator new
-// hook, which is why this test lives in its own binary
-// (fae_zero_alloc_test) — the hook is process-wide.
+// Steady-state allocation freedom of the training step: after a few warm-up
+// steps have sized every workspace, the trainer's DLRM step
+// (StepExecutor::MathStep: forward, backward, fused sparse scatter+update,
+// dense SGD, metrics) and its eval forward must perform zero heap
+// allocations. Enforced with a global operator new hook, which is why this
+// test lives in its own binary (fae_zero_alloc_test) — the hook is
+// process-wide.
 
 #include <atomic>
 #include <execinfo.h>
@@ -17,10 +18,10 @@
 
 #include "data/batch_view.h"
 #include "data/synthetic.h"
-#include "embedding/sparse_sgd.h"
+#include "engine/metrics.h"
 #include "engine/staleness_tracker.h"
+#include "engine/step_executor.h"
 #include "models/factory.h"
-#include "tensor/sgd.h"
 
 namespace {
 std::atomic<bool> g_track{false};
@@ -73,27 +74,11 @@ TEST(ZeroAllocTest, FusedDlrmStepIsAllocationFreeAfterWarmup) {
       MakeModel(schema, /*full_size=*/false, /*seed=*/1);
   std::vector<EmbeddingTable*> tables;
   for (EmbeddingTable& t : model->tables()) tables.push_back(&t);
-  const std::vector<Parameter*> dense_params = model->DenseParams();
 
-  Sgd dense_sgd(0.1f);
-  SparseSgd sparse_sgd(0.1f);
-  // Mirror of the trainer's prebuilt apply functor: one pointer capture,
-  // held in std::function's small buffer.
-  struct Ctx {
-    SparseSgd* sgd;
-    std::vector<EmbeddingTable*>* tables;
-  } ctx{&sparse_sgd, &tables};
-  const SparseApplyFn apply = [c = &ctx](size_t t, const Tensor& grad_out,
-                                         std::span<const uint32_t> indices,
-                                         std::span<const uint32_t> offsets) {
-    c->sgd->FusedBackwardStep(*(*c->tables)[t], grad_out, indices, offsets,
-                              nullptr);
-  };
-
+  StepExecutor exec(model.get(), StepExecutor::Options{});
+  RunningMetric metric, window;
   auto step = [&](const BatchView& view) {
-    StepResult r = model->ForwardBackwardFusedOn(view, tables, apply);
-    dense_sgd.Step(dense_params);
-    ASSERT_TRUE(r.table_grads.empty());  // DLRM fuses every table
+    exec.MathStep(view, tables, metric, window);
   };
 
   // Warm-up: size every workspace.
@@ -138,25 +123,12 @@ TEST(ZeroAllocTest, DlrmEvalLogitsIsAllocationFreeAfterWarmup) {
       MakeModel(schema, /*full_size=*/false, /*seed=*/4);
   std::vector<EmbeddingTable*> tables;
   for (EmbeddingTable& t : model->tables()) tables.push_back(&t);
-  const std::vector<Parameter*> dense_params = model->DenseParams();
 
-  Sgd dense_sgd(0.1f);
-  SparseSgd sparse_sgd(0.1f);
-  struct Ctx {
-    SparseSgd* sgd;
-    std::vector<EmbeddingTable*>* tables;
-  } ctx{&sparse_sgd, &tables};
-  const SparseApplyFn apply = [c = &ctx](size_t t, const Tensor& grad_out,
-                                         std::span<const uint32_t> indices,
-                                         std::span<const uint32_t> offsets) {
-    c->sgd->FusedBackwardStep(*(*c->tables)[t], grad_out, indices, offsets,
-                              nullptr);
-  };
-
+  StepExecutor exec(model.get(), StepExecutor::Options{});
+  RunningMetric metric, window;
   auto train_then_eval = [&](bool track) {
     for (const BatchView& view : train_views) {
-      model->ForwardBackwardFusedOn(view, tables, apply);
-      dense_sgd.Step(dense_params);
+      exec.MathStep(view, tables, metric, window);
     }
     for (const BatchView& view : eval_views) {
       g_track.store(track);
@@ -200,27 +172,13 @@ TEST(ZeroAllocTest, QuantizedFusedStepIsAllocationFreeAfterWarmup) {
     t.CompressCold(mask, ColdPrecision::kInt8);
     tables.push_back(&t);
   }
-  const std::vector<Parameter*> dense_params = model->DenseParams();
 
-  Sgd dense_sgd(0.1f);
-  SparseSgd sparse_sgd(0.1f);
-  struct Ctx {
-    SparseSgd* sgd;
-    std::vector<EmbeddingTable*>* tables;
-  } ctx{&sparse_sgd, &tables};
-  const SparseApplyFn apply = [c = &ctx](size_t t, const Tensor& grad_out,
-                                         std::span<const uint32_t> indices,
-                                         std::span<const uint32_t> offsets) {
-    c->sgd->FusedBackwardStep(*(*c->tables)[t], grad_out, indices, offsets,
-                              nullptr);
-  };
-
+  StepExecutor exec(model.get(), StepExecutor::Options{});
+  RunningMetric metric, window;
   // One "sync interval" = the four batches, then the cold-row writeback.
   auto interval = [&] {
     for (const BatchView& view : views) {
-      StepResult r = model->ForwardBackwardFusedOn(view, tables, apply);
-      dense_sgd.Step(dense_params);
-      ASSERT_TRUE(r.table_grads.empty());
+      exec.MathStep(view, tables, metric, window);
     }
     for (EmbeddingTable* t : tables) t->FlushStaged();
   };
@@ -261,7 +219,6 @@ TEST(ZeroAllocTest, StaleSkipFusedStepIsAllocationFreeAfterWarmup) {
     tables.push_back(&t);
     table_rows.push_back(t.rows());
   }
-  const std::vector<Parameter*> dense_params = model->DenseParams();
 
   StalenessTracker tracker;
   // An aggressive threshold with min_visits 1: rows start freezing during
@@ -269,25 +226,11 @@ TEST(ZeroAllocTest, StaleSkipFusedStepIsAllocationFreeAfterWarmup) {
   // measure paths of BeginVisit/RecordUpdate.
   tracker.Init(table_rows, {.threshold = 0.5, .min_visits = 1});
 
-  Sgd dense_sgd(0.1f);
-  SparseSgd sparse_sgd(0.1f);
-  struct Ctx {
-    SparseSgd* sgd;
-    std::vector<EmbeddingTable*>* tables;
-    StalenessTracker* tracker;
-  } ctx{&sparse_sgd, &tables, &tracker};
-  const SparseApplyFn apply = [c = &ctx](size_t t, const Tensor& grad_out,
-                                         std::span<const uint32_t> indices,
-                                         std::span<const uint32_t> offsets) {
-    c->sgd->FusedBackwardStep(*(*c->tables)[t], grad_out, indices, offsets,
-                              nullptr, c->tracker->filter(t));
-  };
-
+  StepExecutor exec(model.get(), StepExecutor::Options{});
+  RunningMetric metric, window;
+  // MathStep calls tracker.BeginStep itself.
   auto step = [&](const BatchView& view) {
-    tracker.BeginStep();
-    StepResult r = model->ForwardBackwardFusedOn(view, tables, apply);
-    dense_sgd.Step(dense_params);
-    ASSERT_TRUE(r.table_grads.empty());
+    exec.MathStep(view, tables, metric, window, &tracker);
   };
 
   for (int rep = 0; rep < 2; ++rep) {

@@ -4,10 +4,10 @@
 
 #include "data/batch_view.h"
 #include "data/synthetic.h"
+#include "materialized_step.h"
 #include "models/factory.h"
 #include "tensor/loss.h"
 #include "tensor/sgd.h"
-#include "embedding/sparse_sgd.h"
 
 namespace fae {
 namespace {
@@ -46,13 +46,14 @@ TEST(DlrmTest, EvalLogitsShape) {
 TEST(DlrmTest, ForwardBackwardReturnsPerTableGrads) {
   Fixture f;
   const BatchView batch = MakeBatchView(f.dataset.flat(), 0, 4, /*hot=*/false);
-  StepResult step = f.model.ForwardBackward(batch);
-  EXPECT_EQ(step.batch_size, 4u);
-  ASSERT_EQ(step.table_grads.size(), f.schema.num_tables());
+  const test::MaterializedStep step =
+      test::ForwardBackwardMaterialized(f.model, batch);
+  EXPECT_EQ(step.result.batch_size, 4u);
+  ASSERT_EQ(step.grads.size(), f.schema.num_tables());
   for (size_t t = 0; t < f.schema.num_tables(); ++t) {
-    EXPECT_GE(step.table_grads[t].num_rows(), 1u);
-    EXPECT_LE(step.table_grads[t].num_rows(), 4u);
-    EXPECT_EQ(step.table_grads[t].dim, f.schema.embedding_dim);
+    EXPECT_GE(step.grads[t].num_rows(), 1u);
+    EXPECT_LE(step.grads[t].num_rows(), 4u);
+    EXPECT_EQ(step.grads[t].dim, f.schema.embedding_dim);
   }
 }
 
@@ -62,7 +63,7 @@ TEST(DlrmTest, DenseGradsAccumulate) {
   for (Parameter* p : f.model.DenseParams()) {
     EXPECT_EQ(p->grad.Norm(), 0.0);
   }
-  f.model.ForwardBackward(batch);
+  test::ForwardBackwardMaterialized(f.model, batch);
   double total = 0;
   for (Parameter* p : f.model.DenseParams()) total += p->grad.Norm();
   EXPECT_GT(total, 0.0);
@@ -71,7 +72,8 @@ TEST(DlrmTest, DenseGradsAccumulate) {
 TEST(DlrmTest, EmbeddingGradientMatchesNumerical) {
   Fixture f;
   const BatchView batch = MakeBatchView(f.dataset.flat(), 0, 2, /*hot=*/false);
-  StepResult step = f.model.ForwardBackward(batch);
+  const test::MaterializedStep step =
+      test::ForwardBackwardMaterialized(f.model, batch);
   Sgd zero(0.0f);
   zero.ZeroGrad(f.model.DenseParams());
 
@@ -84,8 +86,8 @@ TEST(DlrmTest, EmbeddingGradientMatchesNumerical) {
   const size_t t = 0;
   size_t checked = 0;
   const float eps = 1e-2f;
-  for (size_t s = 0; s < step.table_grads[t].num_rows(); ++s) {
-    const uint64_t row = step.table_grads[t].row_id(s);
+  for (size_t s = 0; s < step.grads[t].num_rows(); ++s) {
+    const uint64_t row = step.grads[t].row_ids[s];
     for (size_t k = 0; k < 3; ++k) {
       float* cell = f.model.tables()[t].row(row) + k;
       const float orig = *cell;
@@ -94,8 +96,7 @@ TEST(DlrmTest, EmbeddingGradientMatchesNumerical) {
       *cell = orig - eps;
       const double lm = loss();
       *cell = orig;
-      EXPECT_NEAR(step.table_grads[t].row(s)[k], (lp - lm) / (2 * eps),
-                  5e-2);
+      EXPECT_NEAR(step.grads[t].row(s)[k], (lp - lm) / (2 * eps), 5e-2);
     }
     if (++checked >= 2) break;
   }
@@ -104,9 +105,7 @@ TEST(DlrmTest, EmbeddingGradientMatchesNumerical) {
 TEST(DlrmTest, TrainingReducesLoss) {
   Fixture f;
   Sgd dense(0.1f);
-  SparseSgd sparse(0.1f);
-  std::vector<EmbeddingTable*> tables;
-  for (auto& t : f.model.tables()) tables.push_back(&t);
+  const std::vector<EmbeddingTable*> tables = test::TablePtrs(f.model);
 
   double first_loss = 0;
   double last_loss = 0;
@@ -118,11 +117,8 @@ TEST(DlrmTest, TrainingReducesLoss) {
          begin += batch_size) {
       const BatchView batch = MakeBatchView(
           f.dataset.flat(), begin, begin + batch_size, /*hot=*/false);
-      StepResult step = f.model.ForwardBackward(batch);
-      dense.Step(f.model.DenseParams());
-      for (size_t t = 0; t < tables.size(); ++t) {
-        sparse.Step(*tables[t], step.table_grads[t]);
-      }
+      const StepResult step =
+          test::MaterializedSgdStep(f.model, batch, tables, dense, 0.1f);
       epoch_loss += step.loss;
       ++batches;
     }
@@ -142,12 +138,19 @@ TEST(DlrmTest, ForwardBackwardOnAlternativeTablesMatches) {
   std::vector<EmbeddingTable*> copy_ptrs;
   for (auto& t : copies) copy_ptrs.push_back(&t);
 
-  StepResult on_copy = f.model.ForwardBackwardOn(batch, copy_ptrs);
+  const test::MaterializedStep on_copy =
+      test::ForwardBackwardMaterialized(f.model, batch, copy_ptrs);
   Sgd zero(0.0f);
   zero.ZeroGrad(f.model.DenseParams());
-  StepResult on_master = f.model.ForwardBackward(batch);
-  EXPECT_DOUBLE_EQ(on_copy.loss, on_master.loss);
-  EXPECT_EQ(on_copy.correct, on_master.correct);
+  const test::MaterializedStep on_master =
+      test::ForwardBackwardMaterialized(f.model, batch);
+  EXPECT_DOUBLE_EQ(on_copy.result.loss, on_master.result.loss);
+  EXPECT_EQ(on_copy.result.correct, on_master.result.correct);
+  ASSERT_EQ(on_copy.grads.size(), on_master.grads.size());
+  for (size_t t = 0; t < on_copy.grads.size(); ++t) {
+    EXPECT_EQ(on_copy.grads[t].row_ids, on_master.grads[t].row_ids);
+    EXPECT_EQ(on_copy.grads[t].values, on_master.grads[t].values);
+  }
 }
 
 TEST(DlrmTest, WorkCountsAreConsistent) {

@@ -7,7 +7,9 @@
 
 #include "data/batch_view.h"
 #include "data/synthetic.h"
+#include "materialized_step.h"
 #include "models/factory.h"
+#include "tensor/sgd.h"
 #include "test_temp_dir.h"
 #include "util/file_io.h"
 
@@ -34,7 +36,9 @@ TEST(ModelIoTest, RoundTripReproducesLogitsExactly) {
   auto original = MakeModel(f.schema, false, 5);
   // Perturb from initialization with one training step so the checkpoint
   // carries non-trivial state.
-  original->ForwardBackward(f.Batch());
+  Sgd dense(0.1f);
+  test::MaterializedSgdStep(*original, f.Batch(), test::TablePtrs(*original),
+                            dense, 0.1f);
   const std::string path = TempPath("fae_ckpt.faem");
   ASSERT_TRUE(ModelIo::Save(path, *original).ok());
 

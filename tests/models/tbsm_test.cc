@@ -6,10 +6,10 @@
 
 #include "data/batch_view.h"
 #include "data/synthetic.h"
+#include "materialized_step.h"
 #include "models/factory.h"
 #include "tensor/loss.h"
 #include "tensor/sgd.h"
-#include "embedding/sparse_sgd.h"
 
 namespace fae {
 namespace {
@@ -39,7 +39,8 @@ TEST(TbsmTest, EvalIsDeterministicAndMatchesTraining) {
   Fixture f;
   const BatchView batch = MakeBatchView(f.dataset.flat(), 0, 4, /*hot=*/false);
   Tensor a = f.model.EvalLogits(batch);
-  StepResult step = f.model.ForwardBackward(batch);
+  const StepResult step =
+      test::ForwardBackwardMaterialized(f.model, batch).result;
   Tensor b = f.model.EvalLogits(batch);
   // No optimizer ran, so logits must be unchanged by the backward pass.
   EXPECT_LT(MaxAbsDiff(a, b), 1e-6f);
@@ -51,18 +52,20 @@ TEST(TbsmTest, EvalIsDeterministicAndMatchesTraining) {
 TEST(TbsmTest, ItemTableGetsHistoryAndTargetGrads) {
   Fixture f;
   const BatchView batch = MakeBatchView(f.dataset.flat(), 0, 8, /*hot=*/false);
-  StepResult step = f.model.ForwardBackward(batch);
-  ASSERT_EQ(step.table_grads.size(), 3u);
+  const test::MaterializedStep step =
+      test::ForwardBackwardMaterialized(f.model, batch);
+  ASSERT_EQ(step.grads.size(), 3u);
   // The item table accumulates gradients from histories and targets; there
   // must be at least one row per sample's target.
-  EXPECT_GE(step.table_grads[0].num_rows(), 1u);
-  EXPECT_EQ(step.table_grads[0].dim, f.schema.embedding_dim);
+  EXPECT_GE(step.grads[0].num_rows(), 1u);
+  EXPECT_EQ(step.grads[0].dim, f.schema.embedding_dim);
 }
 
 TEST(TbsmTest, EmbeddingGradientMatchesNumerical) {
   Fixture f;
   const BatchView batch = MakeBatchView(f.dataset.flat(), 0, 3, /*hot=*/false);
-  StepResult step = f.model.ForwardBackward(batch);
+  const test::MaterializedStep step =
+      test::ForwardBackwardMaterialized(f.model, batch);
   Sgd zero(0.0f);
   zero.ZeroGrad(f.model.DenseParams());
 
@@ -73,10 +76,10 @@ TEST(TbsmTest, EmbeddingGradientMatchesNumerical) {
 
   const float eps = 1e-2f;
   for (size_t t = 0; t < 3; ++t) {
-    const SparseGrad& grad = step.table_grads[t];
+    const test::RowGrad& grad = step.grads[t];
     const size_t checked = std::min<size_t>(2, grad.num_rows());
     for (size_t s = 0; s < checked; ++s) {
-      const uint64_t row = grad.row_id(s);
+      const uint64_t row = grad.row_ids[s];
       for (size_t k = 0; k < 2; ++k) {
         float* cell = f.model.tables()[t].row(row) + k;
         const float orig = *cell;
@@ -95,9 +98,7 @@ TEST(TbsmTest, EmbeddingGradientMatchesNumerical) {
 TEST(TbsmTest, TrainingReducesLoss) {
   Fixture f;
   Sgd dense(0.05f);
-  SparseSgd sparse(0.05f);
-  std::vector<EmbeddingTable*> tables;
-  for (auto& t : f.model.tables()) tables.push_back(&t);
+  const std::vector<EmbeddingTable*> tables = test::TablePtrs(f.model);
 
   double first_loss = 0;
   double last_loss = 0;
@@ -109,11 +110,8 @@ TEST(TbsmTest, TrainingReducesLoss) {
          begin += batch_size) {
       const BatchView batch = MakeBatchView(
           f.dataset.flat(), begin, begin + batch_size, /*hot=*/false);
-      StepResult step = f.model.ForwardBackward(batch);
-      dense.Step(f.model.DenseParams());
-      for (size_t t = 0; t < tables.size(); ++t) {
-        sparse.Step(*tables[t], step.table_grads[t]);
-      }
+      const StepResult step =
+          test::MaterializedSgdStep(f.model, batch, tables, dense, 0.05f);
       epoch_loss += step.loss;
       ++batches;
     }
@@ -134,7 +132,8 @@ TEST(TbsmTest, FullSizeModelGradientCheck) {
   Dataset dataset = SyntheticGenerator(schema, {.seed = 77}).Generate(16);
   const BatchView batch = MakeBatchView(dataset.flat(), 0, 3, /*hot=*/false);
 
-  StepResult step = model.ForwardBackward(batch);
+  const test::MaterializedStep step =
+      test::ForwardBackwardMaterialized(model, batch);
   Sgd zero(0.0f);
   zero.ZeroGrad(model.DenseParams());
 
@@ -144,10 +143,10 @@ TEST(TbsmTest, FullSizeModelGradientCheck) {
   };
 
   const float eps = 1e-2f;
-  const SparseGrad& grad = step.table_grads[0];
+  const test::RowGrad& grad = step.grads[0];
   const size_t checked = std::min<size_t>(3, grad.num_rows());
   for (size_t s = 0; s < checked; ++s) {
-    const uint64_t row = grad.row_id(s);
+    const uint64_t row = grad.row_ids[s];
     for (size_t k = 0; k < 2; ++k) {
       float* cell = model.tables()[0].row(row) + k;
       const float orig = *cell;
